@@ -20,10 +20,12 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import interleaver, recovery, sim, stats
 from .capacity import capacity_report
 from .runstest import RunsFlag
-from .segments import mean_segment_duration, segment_corrupted_frames
+from .segments import Segment, mean_segment_duration, segment_corrupted_frames
 from .trace import ChannelParams, ReceiveStatus, Trace, TraceError, TraceFormatError
 from .traceio import load_pair, write_trace
 
@@ -173,6 +175,21 @@ def _verdict(result) -> str:
     return "pass" if result.passed else "fail"
 
 
+def _segment_of(seqs: list[int], segs: list[Segment]) -> dict[int, int]:
+    """Map each seq to the highest-numbered segment whose span contains it.
+
+    Spans may overlap or run backwards when rx seqs are not monotone.
+    """
+    seqs = sorted(seqs)
+    firsts = np.searchsorted(seqs, [seg.start_frame for seg in segs], "left")
+    ends = np.searchsorted(seqs, [seg.end_frame for seg in segs], "right")
+    seg_of: dict[int, int] = {}
+    for i, (first, end) in enumerate(zip(firsts, ends)):
+        for seq in seqs[first:end]:
+            seg_of[seq] = i
+    return seg_of
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     trace = load_pair(args.tx_trace, args.rx_trace)
@@ -185,11 +202,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     rows = stats.per_frame_runs_tests(trace, trace, args.alpha, ev_transform)
     segs = segment_corrupted_frames(trace, trace, args.alpha, ev_transform)
-    seg_of: dict[int, int] = {}
-    for i, seg in enumerate(segs):
-        for row in rows:
-            if seg.start_frame <= row.seq <= seg.end_frame:
-                seg_of[row.seq] = i
+    seg_of = _segment_of([row.seq for row in rows], segs)
 
     by_seq = {row.seq: row for row in rows}
     frame_rows = []

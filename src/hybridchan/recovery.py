@@ -8,6 +8,14 @@ predicted transmit time, and compare the payload against the few transmit
 frames closest to that prediction.  The true frame disagrees on roughly a
 fraction p of bits while every other candidate disagrees on about half,
 so a Hamming-distance threshold between the two is decisive.
+
+The timestamps are indexed once per trace: the anchors (error-free
+receptions with a known seq) sorted by receive time and the transmit
+records sorted by transmit time.  Each corrupted frame then costs a few
+bisections and work proportional to the window and candidate counts,
+O(log N) in the trace length.  "Nearest" always means smallest absolute
+time difference, with ties going to the earlier time (for equal times,
+to the earlier record).
 """
 
 from __future__ import annotations
@@ -36,30 +44,32 @@ class ClockFit:
     residual_rms_us: float
 
 
-def fit_clock(
-    anchors: list[tuple[int, int]],
-    window_size: int | None = DEFAULT_WINDOW_SIZE,
-    query_rx_time_us: int | None = None,
-) -> ClockFit:
-    """Ordinary least squares over the window_size anchors nearest a query.
+def _nearest(sorted_times: np.ndarray, centre: float, k: int) -> np.ndarray:
+    """Indices of the k entries of sorted_times nearest centre, ascending.
 
-    anchors are (tx_time, rx_time) pairs from error-free frames.  With no
-    query time, the window centres on the median receive time.  Requires
-    at least two anchors with distinct transmit times.
+    Selects exactly what a stable argsort of |sorted_times - centre| over
+    the whole array would keep in its first k (negative k as in slicing),
+    ties going to the lower index, but only sorts the at most 2k entries
+    around centre's insertion point.
     """
-    if len(anchors) < 2:
-        raise ValueError("clock fit needs at least two anchors")
-    if window_size is not None and len(anchors) > window_size:
-        rx_times = np.array([a[1] for a in anchors], dtype=np.float64)
-        centre = (
-            float(np.median(rx_times))
-            if query_rx_time_us is None
-            else float(query_rx_time_us)
-        )
-        nearest = np.argsort(np.abs(rx_times - centre), kind="stable")[:window_size]
-        anchors = [anchors[i] for i in sorted(nearest)]
-    tx_t = np.array([a[0] for a in anchors], dtype=np.float64)
-    rx_t = np.array([a[1] for a in anchors], dtype=np.float64)
+    n = sorted_times.size
+    if k < 0:
+        k = max(n + k, 0)
+    if k >= n:
+        return np.arange(n)
+    if k == 0:
+        return np.arange(0)
+    pos = int(np.searchsorted(sorted_times, centre))
+    lo, hi = max(pos - k, 0), min(pos + k, n)
+    # entries equal to the slice's first one tie with it and win on index
+    lo = int(np.searchsorted(sorted_times, sorted_times[lo]))
+    part = sorted_times[lo:hi]
+    picked = np.argsort(np.abs(part - centre), kind="stable")[:k]
+    return np.sort(picked) + lo
+
+
+def _ols(tx_t: np.ndarray, rx_t: np.ndarray) -> tuple[float, float]:
+    """(rate, offset) of the least-squares line rx_t = rate * tx_t + offset."""
     dx = tx_t - tx_t.mean()
     sxx = float(np.dot(dx, dx))
     if sxx == 0.0:
@@ -67,18 +77,111 @@ def fit_clock(
     rate = float(np.dot(dx, rx_t - rx_t.mean())) / sxx
     if rate <= 0.0:
         raise ValueError(f"fitted clock rate {rate} is not positive")
-    offset = float(rx_t.mean() - rate * tx_t.mean())
+    return rate, float(rx_t.mean() - rate * tx_t.mean())
+
+
+def _anchor_arrays(anchors: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(tx times, rx times) of (tx_time, rx_time) pairs, as float64."""
+    tx_t = np.array([a[0] for a in anchors], dtype=np.float64)
+    rx_t = np.array([a[1] for a in anchors], dtype=np.float64)
+    return tx_t, rx_t
+
+
+def _window(rx_t: np.ndarray, window_size: int | None, centre: float) -> np.ndarray:
+    """Indices of the window_size anchors with rx times nearest centre."""
+    if window_size is None:
+        return np.arange(rx_t.size)
+    return _nearest(rx_t, centre, window_size)
+
+
+def fit_clock(
+    anchors: list[tuple[int, int]],
+    window_size: int | None = DEFAULT_WINDOW_SIZE,
+    query_rx_time_us: int | None = None,
+) -> ClockFit:
+    """Ordinary least squares over the window_size anchors nearest a query.
+
+    anchors are (tx_time, rx_time) pairs from error-free frames, in any
+    order; the window is returned in receive-time order.  With no query
+    time, the window centres on the median receive time.  Requires at
+    least two anchors with distinct transmit times.
+    """
+    if len(anchors) < 2:
+        raise ValueError("clock fit needs at least two anchors")
+    anchors = sorted(anchors, key=lambda a: a[1])
+    tx_t, rx_t = _anchor_arrays(anchors)
+    centre = (
+        float(np.median(rx_t))
+        if query_rx_time_us is None
+        else float(query_rx_time_us)
+    )
+    picked = _window(rx_t, window_size, centre)
+    tx_t, rx_t = tx_t[picked], rx_t[picked]
+    rate, offset = _ols(tx_t, rx_t)
     residuals = rx_t - (rate * tx_t + offset)
     return ClockFit(
         rate=rate,
         offset_us=offset,
-        window=tuple((int(a), int(b)) for a, b in anchors),
+        window=tuple((int(anchors[i][0]), int(anchors[i][1])) for i in picked),
         residual_rms_us=float(np.sqrt(np.mean(residuals**2))),
     )
 
 
 def _seq_bit_distance(a: int, b: int) -> int:
     return (a ^ b).bit_count()
+
+
+class _RecoveryIndex:
+    """Timestamps of one trace pair, sorted once for every query."""
+
+    def __init__(self, rx_ok: list[FrameRecord], tx: Trace) -> None:
+        self.tx = tx
+        anchors = [
+            (tx.tx[rec.seq].timestamp_us, rec.timestamp_us)
+            for rec in rx_ok
+            if rec.status is ReceiveStatus.OK and rec.seq is not None
+        ]
+        self.anchor_tx, self.anchor_rx = _anchor_arrays(
+            sorted(anchors, key=lambda a: a[1])
+        )
+        tx_times = np.array([rec.timestamp_us for rec in tx.tx], dtype=np.float64)
+        self.tx_order = np.argsort(tx_times, kind="stable")
+        self.tx_times = tx_times[self.tx_order]
+
+    def recover(
+        self,
+        corrupted: FrameRecord,
+        window_size: int | None,
+        max_candidates: int,
+        match_threshold: float,
+    ) -> int | None:
+        if self.anchor_rx.size < 2:
+            return None
+        rx_time = corrupted.timestamp_us
+        picked = _window(self.anchor_rx, window_size, float(rx_time))
+        rate, offset = _ols(self.anchor_tx[picked], self.anchor_rx[picked])
+        predicted_tx_us = (rx_time - offset) / rate
+        candidates = self.tx_order[
+            _nearest(self.tx_times, predicted_tx_us, max_candidates)
+        ]
+        if candidates.size == 0:
+            return None
+
+        scored = []
+        for idx in candidates:
+            cand = self.tx.tx[int(idx)]
+            dist = int(np.count_nonzero(cand.payload != corrupted.payload))
+            seq_close = (
+                corrupted.seq is not None
+                and _seq_bit_distance(cand.seq, corrupted.seq) <= SEQ_TIEBREAK_BITS
+            )
+            time_gap = abs(cand.timestamp_us - predicted_tx_us)
+            scored.append((dist, not seq_close, time_gap, cand.seq))
+        scored.sort()
+        best_dist, _, _, best_seq = scored[0]
+        if best_dist / self.tx.meta.frame_len < match_threshold:
+            return best_seq
+        return None
 
 
 def recover_sequence(
@@ -93,41 +196,14 @@ def recover_sequence(
 
     Payload-distance ties prefer a candidate whose seq lies within
     SEQ_TIEBREAK_BITS of the (possibly damaged) header seq, then the
-    candidate closest to the predicted transmit time.
+    candidate closest to the predicted transmit time.  To recover many
+    frames of one trace, use recover_trace, which indexes it only once.
     """
     if corrupted.status is not ReceiveStatus.CRC_ERROR:
         raise ValueError("only CRC-error frames carry a recoverable payload")
-    anchors = [
-        (tx.tx[rec.seq].timestamp_us, rec.timestamp_us)
-        for rec in rx_ok
-        if rec.status is ReceiveStatus.OK and rec.seq is not None
-    ]
-    if len(anchors) < 2:
-        return None
-    fit = fit_clock(anchors, window_size, query_rx_time_us=corrupted.timestamp_us)
-    predicted_tx_us = (corrupted.timestamp_us - fit.offset_us) / fit.rate
-
-    tx_times = np.array([rec.timestamp_us for rec in tx.tx], dtype=np.float64)
-    order = np.argsort(np.abs(tx_times - predicted_tx_us), kind="stable")
-    candidates = order[:max_candidates]
-    if candidates.size == 0:
-        return None
-
-    scored = []
-    for idx in candidates:
-        cand = tx.tx[int(idx)]
-        dist = int(np.count_nonzero(cand.payload != corrupted.payload))
-        seq_close = (
-            corrupted.seq is not None
-            and _seq_bit_distance(cand.seq, corrupted.seq) <= SEQ_TIEBREAK_BITS
-        )
-        time_gap = abs(cand.timestamp_us - predicted_tx_us)
-        scored.append((dist, not seq_close, time_gap, cand.seq))
-    scored.sort()
-    best_dist, _, _, best_seq = scored[0]
-    if best_dist / tx.meta.frame_len < match_threshold:
-        return best_seq
-    return None
+    return _RecoveryIndex(rx_ok, tx).recover(
+        corrupted, window_size, max_candidates, match_threshold
+    )
 
 
 @dataclass
@@ -160,10 +236,7 @@ def recover_trace(
     unknown, and the stored values serve as ground truth for the accuracy
     figure.
     """
-    rx_ok = [
-        rec for rec in rx.rx
-        if rec.status is ReceiveStatus.OK and rec.seq is not None
-    ]
+    index = _RecoveryIndex(rx.rx, tx)
     summary = RecoverySummary(0, 0, 0, 0, n_correct=0 if scrub else None)
     new_rx = []
     for rec in rx.rx:
@@ -176,8 +249,8 @@ def recover_trace(
             continue
         target = replace(rec, seq=None) if scrub else rec
         summary.n_attempted += 1
-        recovered = recover_sequence(
-            target, rx_ok, tx, window_size, max_candidates, match_threshold
+        recovered = index.recover(
+            target, window_size, max_candidates, match_threshold
         )
         if recovered is None:
             summary.n_unresolved += 1

@@ -27,7 +27,7 @@ class TraceFormatError(TraceError):
         self.line = line
         prefix = ""
         if path is not None:
-            prefix = f"{path}:" if line is None else f"{path}:{line}: "
+            prefix = f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(prefix + message)
 
 
@@ -155,6 +155,10 @@ class Trace:
                         f"(saw {rec.timestamp_us} after {prev})"
                     )
                 prev = rec.timestamp_us
+        known = sorted(rec.seq for rec in self.rx if rec.seq is not None)
+        for prev_seq, seq in zip(known, known[1:]):
+            if seq == prev_seq:
+                raise TraceError(f"rx seq {seq} appears more than once")
         if self.tx and self.rx:
             if len(self.rx) > len(self.tx):
                 raise TraceError("more rx records than tx records")

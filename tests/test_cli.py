@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hybridchan import FrameRecord, ReceiveStatus, Trace, TraceMeta, write_trace
-from hybridchan.cli import main
+from hybridchan.cli import _segment_of, main
+from hybridchan.segments import Segment
 
 
 def run_cli(args):
@@ -128,6 +131,19 @@ class TestAnalyze:
         assert rate_whitened >= 0.9
         assert rate_raw < rate_whitened - 0.3
 
+    def test_duplicate_rx_seq_is_parse_error(self, tmp_path, capsys):
+        run = simulate(tmp_path, "run")
+        lines = (run / "rx.trace").read_text().splitlines()
+        meta, first, second = lines[0], lines[1].split(" "), lines[2].split(" ")
+        second[1] = first[1]
+        (run / "rx.trace").write_text(
+            "\n".join([meta, " ".join(first), " ".join(second)]) + "\n")
+        code = run_cli(["analyze", run / "tx.trace", run / "rx.trace",
+                        "--out", tmp_path / "x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"rx seq {first[1]} appears more than once" in err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_text("not a trace\n")
@@ -206,3 +222,23 @@ class TestRecoverCmd:
         captured = capsys.readouterr()
         assert "warning: no error-free frames" in captured.err
         assert "unresolved: " in captured.out
+
+
+def span(start, end):
+    return Segment(start_frame=start, end_frame=end, n_frames=end - start + 1,
+                   n_corrupted=1, duration_us=0, pooled_p=0.0)
+
+
+@given(
+    st.sets(st.integers(0, 60), max_size=30),
+    st.lists(st.tuples(st.integers(-2, 62), st.integers(-2, 62)), max_size=12),
+)
+def test_segment_of_keeps_highest_spanning_segment(seqs, bounds):
+    # spans may overlap or run backwards (rx seqs need not be monotone)
+    segs = [span(start, end) for start, end in bounds]
+    want = {}
+    for i, seg in enumerate(segs):
+        for seq in seqs:
+            if seg.start_frame <= seq <= seg.end_frame:
+                want[seq] = i
+    assert _segment_of(list(seqs), segs) == want

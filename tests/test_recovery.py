@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hybridchan import (
     FrameRecord,
@@ -13,6 +17,7 @@ from hybridchan import (
     recover_sequence,
     recover_trace,
 )
+from hybridchan.recovery import RecoverySummary, _nearest
 
 from conftest import make_params, sim_pair
 
@@ -179,3 +184,162 @@ class TestRecoverTrace:
         truth = [rec.seq for rec in rx.rx
                  if rec.status is ReceiveStatus.CRC_ERROR]
         assert filled == truth
+
+
+# --- reference: recovery as it was before the per-trace index --------------
+# Every corrupted frame rebuilds the anchor list and the tx-time array and
+# ranks them with a stable argsort over the whole trace.  The indexed
+# implementation must give the same answers.
+
+def reference_fit(anchors, window_size, query_rx_time_us):
+    if window_size is not None and len(anchors) > window_size:
+        rx_times = np.array([a[1] for a in anchors], dtype=np.float64)
+        nearest = np.argsort(np.abs(rx_times - float(query_rx_time_us)),
+                             kind="stable")[:window_size]
+        anchors = [anchors[i] for i in sorted(nearest)]
+    tx_t = np.array([a[0] for a in anchors], dtype=np.float64)
+    rx_t = np.array([a[1] for a in anchors], dtype=np.float64)
+    dx = tx_t - tx_t.mean()
+    rate = float(np.dot(dx, rx_t - rx_t.mean())) / float(np.dot(dx, dx))
+    return rate, float(rx_t.mean() - rate * tx_t.mean())
+
+
+def reference_recover_sequence(corrupted, rx_ok, tx, window_size=50,
+                               max_candidates=5, match_threshold=0.4):
+    anchors = [
+        (tx.tx[rec.seq].timestamp_us, rec.timestamp_us)
+        for rec in rx_ok
+        if rec.status is ReceiveStatus.OK and rec.seq is not None
+    ]
+    if len(anchors) < 2:
+        return None
+    rate, offset = reference_fit(anchors, window_size, corrupted.timestamp_us)
+    predicted_tx_us = (corrupted.timestamp_us - offset) / rate
+    tx_times = np.array([rec.timestamp_us for rec in tx.tx], dtype=np.float64)
+    order = np.argsort(np.abs(tx_times - predicted_tx_us), kind="stable")
+    scored = []
+    for idx in order[:max_candidates]:
+        cand = tx.tx[int(idx)]
+        dist = int(np.count_nonzero(cand.payload != corrupted.payload))
+        seq_close = (corrupted.seq is not None
+                     and (cand.seq ^ corrupted.seq).bit_count() <= 2)
+        scored.append((dist, not seq_close,
+                       abs(cand.timestamp_us - predicted_tx_us), cand.seq))
+    if not scored:
+        return None
+    scored.sort()
+    best_dist, _, _, best_seq = scored[0]
+    return best_seq if best_dist / tx.meta.frame_len < match_threshold else None
+
+
+def reference_recover_trace(tx, rx, scrub):
+    rx_ok = [rec for rec in rx.rx
+             if rec.status is ReceiveStatus.OK and rec.seq is not None]
+    summary = RecoverySummary(0, 0, 0, 0, n_correct=0 if scrub else None)
+    new_rx = []
+    for rec in rx.rx:
+        if rec.status is not ReceiveStatus.CRC_ERROR:
+            new_rx.append(rec)
+            continue
+        summary.n_corrupted += 1
+        if rec.seq is not None and not scrub:
+            new_rx.append(rec)
+            continue
+        target = replace(rec, seq=None) if scrub else rec
+        summary.n_attempted += 1
+        recovered = reference_recover_sequence(target, rx_ok, tx)
+        if recovered is None:
+            summary.n_unresolved += 1
+            new_rx.append(target)
+        else:
+            summary.n_recovered += 1
+            if scrub and recovered == rec.seq:
+                summary.n_correct += 1
+            new_rx.append(replace(rec, seq=recovered))
+    return Trace(meta=rx.meta, tx=[], rx=new_rx), summary
+
+
+def coarsened(rx, step_us):
+    """rx with timestamps rounded down to step_us, so neighbours share one."""
+    return Trace(meta=rx.meta, rx=[
+        replace(rec, timestamp_us=rec.timestamp_us // step_us * step_us)
+        for rec in rx.rx
+    ])
+
+
+def assert_matches_reference(tx, rx, scrub):
+    got, summary = recover_trace(tx, rx, scrub=scrub)
+    want, want_summary = reference_recover_trace(tx, rx, scrub)
+    assert summary == want_summary
+    assert got == want
+
+
+class TestMatchesReference:
+    def test_jittered_trace(self):
+        tx, rx = sim_pair(r=0.1, s=0.5, p=0.05, n_frames=500, frame_len=400,
+                          seed=31, clock_skew_ppm=50.0,
+                          clock_offset_us=10_000, timestamp_jitter_us=50)
+        assert_matches_reference(tx, rx, scrub=True)
+        stripped = Trace(meta=rx.meta, rx=[
+            scrubbed(rec) if rec.status is ReceiveStatus.CRC_ERROR
+            and rec.seq % 3 == 0 else rec
+            for rec in rx.rx
+        ])
+        assert_matches_reference(tx, stripped, scrub=False)
+
+    def test_duplicate_rx_timestamps(self):
+        # 50 ms steps put two or three 20 ms frames on each timestamp, so
+        # the clock-fit window is cut inside runs of equal anchor times
+        tx, rx = sim_pair(r=0.1, s=0.5, p=0.02, n_frames=400, frame_len=400,
+                          seed=32, clock_skew_ppm=50.0,
+                          clock_offset_us=10_000, timestamp_jitter_us=50)
+        rx = coarsened(rx, 50_000)
+        assert len({rec.timestamp_us for rec in rx.rx}) < len(rx.rx) // 2
+        assert_matches_reference(tx, rx, scrub=True)
+
+    def test_exact_midpoint_tie(self):
+        meta = TraceMeta(rate_bps=54e6, frame_len=64, interval_us=20000)
+        gen = np.random.default_rng(5)
+        shared = gen.integers(0, 2, 64, dtype=np.uint8)
+        tx = Trace(meta=meta, tx=[
+            FrameRecord(seq=seq, timestamp_us=seq * 20000,
+                        status=ReceiveStatus.OK,
+                        payload=shared if seq in (3, 4)
+                        else gen.integers(0, 2, 64, dtype=np.uint8))
+            for seq in range(8)
+        ])
+        rx_ok = [replace(tx.tx[s]) for s in (0, 1, 2, 5, 6, 7)]
+        for seq in (3, 4, None):
+            corrupted = FrameRecord(seq=seq, timestamp_us=70000,
+                                    status=ReceiveStatus.CRC_ERROR,
+                                    payload=shared)
+            for window, candidates in ((50, 5), (3, 2), (2, 1), (4, 3)):
+                assert recover_sequence(
+                    corrupted, rx_ok, tx, window, candidates
+                ) == reference_recover_sequence(
+                    corrupted, rx_ok, tx, window, candidates)
+
+    def test_unsorted_rx_ok(self):
+        tx, rx = sim_pair(r=0.0, s=0.5, p=0.02, n_frames=300, frame_len=400,
+                          seed=33, clock_skew_ppm=50.0,
+                          clock_offset_us=10_000, timestamp_jitter_us=50)
+        rx_ok = [r for r in rx.rx if r.status is ReceiveStatus.OK]
+        np.random.default_rng(0).shuffle(rx_ok)
+        corrupted = [r for r in rx.rx if r.status is ReceiveStatus.CRC_ERROR]
+        assert len(corrupted) > 100
+        for rec in corrupted:
+            target = scrubbed(rec)
+            got = recover_sequence(target, rx_ok, tx, window_size=20)
+            assert got == reference_recover_sequence(target, rx_ok, tx, 20)
+            assert got == rec.seq
+
+
+@given(
+    st.lists(st.integers(0, 12), max_size=40),
+    st.integers(-2, 28).map(lambda c: c / 2),
+    st.integers(-3, 45),
+)
+def test_nearest_matches_full_stable_argsort(values, centre, k):
+    t = np.sort(np.array(values, dtype=np.float64))
+    want = np.sort(np.argsort(np.abs(t - centre), kind="stable")[:k])
+    assert np.array_equal(_nearest(t, centre, k), want)

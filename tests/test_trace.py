@@ -116,6 +116,23 @@ class TestTraceValidate:
         with pytest.raises(TraceError, match="payload length"):
             t.validate()
 
+    def test_duplicate_rx_seq(self):
+        t = self._trace(rx_seq=0)
+        for ts in (200, 250):
+            t.rx.append(FrameRecord(seq=0, timestamp_us=ts,
+                                    status=ReceiveStatus.CRC_ERROR,
+                                    payload=bits("1011")))
+        with pytest.raises(TraceError, match="rx seq 0 appears more than once"):
+            t.validate()
+
+    def test_unknown_rx_seqs_may_repeat(self):
+        t = self._trace()
+        for ts in (200, 250):
+            t.rx.append(FrameRecord(seq=None, timestamp_us=ts,
+                                    status=ReceiveStatus.CRC_ERROR,
+                                    payload=bits("1011")))
+        t.validate()
+
     def test_decreasing_timestamps(self):
         t = self._trace()
         t.rx.append(FrameRecord(seq=0, timestamp_us=10,

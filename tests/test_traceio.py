@@ -136,6 +136,20 @@ def test_load_pair_meta_mismatch(tmp_path):
         load_pair(tmp_path / "tx.trace", tmp_path / "rx.trace")
 
 
+def test_load_pair_meta_mismatch_message(tmp_path):
+    trace = three_frame_trace()
+    tx_path, rx_path = tmp_path / "tx.trace", tmp_path / "rx.trace"
+    write_trace(trace, tx_path)
+    trace.meta = TraceMeta(rate_bps=48e6, frame_len=12, interval_us=20000)
+    write_trace(trace, rx_path)
+    with pytest.raises(TraceFormatError) as info:
+        load_pair(tx_path, rx_path)
+    assert str(info.value) == (
+        f"{rx_path}: metadata mismatch between {tx_path} and {rx_path}"
+    )
+    assert info.value.path == str(rx_path) and info.value.line is None
+
+
 def test_load_pair_merges_sides(tmp_path):
     trace = three_frame_trace()
     tx_only = Trace(meta=trace.meta, tx=trace.tx)
