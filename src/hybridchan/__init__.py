@@ -22,10 +22,11 @@ from .runstest import RunsAccumulator, RunsFlag, RunsTestResult, runs_test
 from .segments import Segment, mean_segment_duration, segment_corrupted_frames
 from .sim import SimConfig, apply_channel, apply_periodic_noise, generate_tx
 from .stats import (
+    ErrorTable,
     OutcomeIidReport,
     SymmetryReport,
     bit_position_profile,
-    frame_error_runs_test,
+    error_table,
     outcome_iid_tests,
     per_frame_crossover,
     per_frame_runs_tests,
@@ -49,6 +50,7 @@ __all__ = [
     "CapacityReport",
     "ChannelParams",
     "ClockFit",
+    "ErrorTable",
     "FrameRecord",
     "OutcomeIidReport",
     "ParamEstimate",
@@ -70,9 +72,9 @@ __all__ = [
     "capacity_report",
     "deinterleave",
     "erasure_capacity",
+    "error_table",
     "estimate_params",
     "fit_clock",
-    "frame_error_runs_test",
     "frame_key",
     "generate_tx",
     "hybrid_capacity",

@@ -68,8 +68,22 @@ def _binomial_se(p: float, n: int) -> float:
     return sqrt(p * (1.0 - p) / n)
 
 
+def _flip_counts(tx: Trace, rx: Trace) -> np.ndarray:
+    """(flipped bits, bits) per rx frame; (0, 0) unless corrupted with a seq."""
+    counts = np.zeros((len(rx.rx), 2), dtype=np.int64)
+    for i, rec in enumerate(rx.rx):
+        if rec.status is ReceiveStatus.CRC_ERROR and rec.seq is not None:
+            ev = xor_error_vector(tx.tx[rec.seq].payload, rec.payload)
+            counts[i] = np.count_nonzero(ev), ev.size
+    return counts
+
+
 def estimate_params(tx: Trace, rx: Trace) -> ParamEstimate:
     """Estimate the hybrid channel parameters from a trace pair."""
+    return _estimate(rx, _flip_counts(tx, rx))
+
+
+def _estimate(rx: Trace, flip_counts: np.ndarray) -> ParamEstimate:
     if not rx.rx:
         raise ValueError("rx trace is empty")
     n = len(rx.rx)
@@ -82,12 +96,7 @@ def estimate_params(tx: Trace, rx: Trace) -> ParamEstimate:
         s_hat = n_ok / (n_ok + n_crc)
         s_se = _binomial_se(s_hat, n_ok + n_crc)
     p_hat = p_se = None
-    flips = bits = 0
-    for rec in rx.rx:
-        if rec.status is ReceiveStatus.CRC_ERROR and rec.seq is not None:
-            ev = xor_error_vector(tx.tx[rec.seq].payload, rec.payload)
-            flips += int(np.count_nonzero(ev))
-            bits += ev.size
+    flips, bits = flip_counts.sum(axis=0).tolist()
     if bits > 0:
         p_hat = flips / bits
         p_se = _binomial_se(p_hat, bits)
@@ -147,34 +156,30 @@ def capacity_report(
     """
     if rssi_bin_width <= 0:
         raise ValueError("rssi_bin_width must be positive")
-    est = estimate_params(tx, rx)
+    flip_counts = _flip_counts(tx, rx)
+    est = _estimate(rx, flip_counts)
     rate = tx.meta.rate_bps
     s_global = est.s_hat if est.s_hat is not None else 1.0
     hybrid, erasure, gain = _capacities(rate, est.r_hat, s_global, est.p_hat)
 
-    grouped: dict[int, list] = {}
-    for rec in rx.rx:
+    grouped: dict[int, list[int]] = {}
+    for i, rec in enumerate(rx.rx):
         if rec.status is ReceiveStatus.PHY_ERROR or rec.rssi is None:
             continue
         key = (rec.rssi // rssi_bin_width) * rssi_bin_width
-        grouped.setdefault(key, []).append(rec)
+        grouped.setdefault(key, []).append(i)
     bins = []
     for key in sorted(grouped):
-        records = grouped[key]
-        n_ok = sum(1 for rec in records if rec.status is ReceiveStatus.OK)
-        s_hat = n_ok / len(records)
-        flips = bits = 0
-        for rec in records:
-            if rec.status is ReceiveStatus.CRC_ERROR and rec.seq is not None:
-                ev = xor_error_vector(tx.tx[rec.seq].payload, rec.payload)
-                flips += int(np.count_nonzero(ev))
-                bits += ev.size
+        members = grouped[key]
+        n_ok = sum(1 for i in members if rx.rx[i].status is ReceiveStatus.OK)
+        s_hat = n_ok / len(members)
+        flips, bits = flip_counts[members].sum(axis=0).tolist()
         p_hat = flips / bits if bits else None
         b_hybrid, b_erasure, b_gain = _capacities(rate, 0.0, s_hat, p_hat)
         bins.append(
             RssiBin(
                 rssi=key,
-                n_frames=len(records),
+                n_frames=len(members),
                 fer=1.0 - s_hat,
                 s_hat=s_hat,
                 p_hat=p_hat,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import interleaver, recovery, sim, stats
+from . import recovery, sim, stats
 from .capacity import capacity_report
 from .runstest import RunsFlag
 from .segments import Segment, mean_segment_duration, segment_corrupted_frames
@@ -178,7 +178,7 @@ def _verdict(result) -> str:
 def _segment_of(seqs: list[int], segs: list[Segment]) -> dict[int, int]:
     """Map each seq to the highest-numbered segment whose span contains it.
 
-    Spans may overlap or run backwards when rx seqs are not monotone.
+    Spans may overlap or run backwards in hand-built segment lists.
     """
     seqs = sorted(seqs)
     firsts = np.searchsorted(seqs, [seg.start_frame for seg in segs], "left")
@@ -193,15 +193,11 @@ def _segment_of(seqs: list[int], segs: list[Segment]) -> dict[int, int]:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     trace = load_pair(args.tx_trace, args.rx_trace)
-    ev_transform = (
-        None
-        if args.no_interleave
-        else lambda seq, ev: interleaver.whiten_error_vector(ev, seed, seq)
-    )
+    table = stats.error_table(trace, trace, None if args.no_interleave else seed)
     args.out.mkdir(parents=True, exist_ok=True)
 
-    rows = stats.per_frame_runs_tests(trace, trace, args.alpha, ev_transform)
-    segs = segment_corrupted_frames(trace, trace, args.alpha, ev_transform)
+    rows = stats.per_frame_runs_tests(table, args.alpha)
+    segs = segment_corrupted_frames(table, args.alpha)
     seg_of = _segment_of([row.seq for row in rows], segs)
 
     by_seq = {row.seq: row for row in rows}
@@ -238,7 +234,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     if rows:
-        profile = stats.bit_position_profile(trace, trace, ev_transform)
+        profile = stats.bit_position_profile(table)
         profile_rows = [[i, float(f)] for i, f in enumerate(profile)]
     else:
         profile_rows = []
@@ -264,7 +260,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     symmetry = None
     if rows:
-        rep = stats.symmetry_report(trace, trace)
+        rep = stats.symmetry_report(table)
         symmetry = {
             "n1": rep.n1, "n0": rep.n0, "mu1": rep.mu1, "se1": rep.se1,
             "mu0": rep.mu0, "se0": rep.se0, "z": rep.z,

@@ -120,14 +120,20 @@ class RunsAccumulator:
         chunk = np.asarray(chunk, dtype=np.uint8)
         if chunk.size == 0:
             return
-        runs = 1 + int(np.count_nonzero(np.diff(chunk)))
-        if self.last_bit is not None and int(chunk[0]) == self.last_bit:
-            runs -= 1
-        self.n_runs += runs
         ones = int(chunk.sum())
-        self.n1 += ones
-        self.n0 += chunk.size - ones
-        self.last_bit = int(chunk[-1])
+        self.add_counts(ones, chunk.size - ones, count_runs(chunk),
+                        int(chunk[0]), int(chunk[-1]))
+
+    def add_counts(
+        self, n1: int, n0: int, n_runs: int, first_bit: int, last_bit: int
+    ) -> None:
+        """Append a non-empty chunk known only by its counts and end bits."""
+        if self.last_bit is not None and first_bit == self.last_bit:
+            n_runs -= 1
+        self.n_runs += n_runs
+        self.n1 += n1
+        self.n0 += n0
+        self.last_bit = last_bit
 
     def copy(self) -> RunsAccumulator:
         return replace(self)

@@ -5,9 +5,10 @@ corrupted frame; each subsequent corrupted frame is appended and the runs
 test re-evaluated on the concatenated error sequence; on rejection the
 segment closes before the offending frame, which opens the next one.  A
 lone wildly different frame therefore ends up as its own one-frame
-segment.  Run counts are maintained incrementally across frame boundaries,
-so a whole pass is linear in the number of bits while producing exactly
-the statistics of testing each concatenation from scratch.
+segment.  The loop reads only each frame's counts from the ErrorTable
+(ones, runs, first and last bit): RunsAccumulator.add_counts merges them
+across frame boundaries, so a pass touches no error bits and produces
+exactly the statistics of testing each concatenation from scratch.
 
 Segment extents are transmit sequence numbers: a segment "spans" every
 frame between its first and last corrupted frame, clean frames included,
@@ -19,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .runstest import DEFAULT_ALPHA, RunsAccumulator
-from .stats import EvTransform, corrupted_error_vectors
-from .trace import Trace
+from .stats import ErrorTable
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,7 @@ class Segment:
     pooled_p: float
 
 
-def _close(
-    seqs: list[int], flips: int, bits: int, interval_us: int
-) -> Segment:
+def _close(seqs: list[int], acc: RunsAccumulator, interval_us: int) -> Segment:
     start, end = seqs[0], seqs[-1]
     span = end - start + 1
     return Segment(
@@ -44,49 +42,35 @@ def _close(
         n_frames=span,
         n_corrupted=len(seqs),
         duration_us=span * interval_us,
-        pooled_p=flips / bits,
+        pooled_p=acc.n1 / acc.length,
     )
 
 
 def segment_corrupted_frames(
-    tx: Trace,
-    rx: Trace,
-    alpha: float = DEFAULT_ALPHA,
-    ev_transform: EvTransform | None = None,
+    table: ErrorTable, alpha: float = DEFAULT_ALPHA
 ) -> list[Segment]:
-    """Split the corrupted frames of a trace pair into maximal segments.
+    """Split the corrupted frames of an ErrorTable into maximal segments.
 
     Only sequences the runs test can actually reject (non-degenerate,
     above the small-sample cutoff) can close a segment; anything else is
     treated as consistent and appended.
     """
-    pairs = corrupted_error_vectors(tx, rx, ev_transform)
-    if not pairs:
-        return []
-    interval_us = tx.meta.interval_us
     segments: list[Segment] = []
-
-    seq0, ev0 = pairs[0]
     acc = RunsAccumulator()
-    acc.add(ev0)
-    seqs = [seq0]
-    flips, bits = int(ev0.sum()), ev0.size
-
-    for seq, ev in pairs[1:]:
+    seqs: list[int] = []
+    columns = (table.seqs, table.n1, table.runs, table.first, table.last)
+    for seq, n1, runs, first, last in zip(*(col.tolist() for col in columns)):
+        counts = (n1, table.frame_len - n1, runs, first, last)
         trial = acc.copy()
-        trial.add(ev)
-        if trial.result(alpha).rejects:
-            segments.append(_close(seqs, flips, bits, interval_us))
-            acc = RunsAccumulator()
-            acc.add(ev)
-            seqs = [seq]
-            flips, bits = int(ev.sum()), ev.size
-        else:
-            acc = trial
-            seqs.append(seq)
-            flips += int(ev.sum())
-            bits += ev.size
-    segments.append(_close(seqs, flips, bits, interval_us))
+        trial.add_counts(*counts)
+        if seqs and trial.result(alpha).rejects:
+            segments.append(_close(seqs, acc, table.interval_us))
+            trial, seqs = RunsAccumulator(), []
+            trial.add_counts(*counts)
+        acc = trial
+        seqs.append(seq)
+    if seqs:
+        segments.append(_close(seqs, acc, table.interval_us))
     return segments
 
 

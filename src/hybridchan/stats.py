@@ -1,69 +1,93 @@
 """Per-frame and cross-frame error statistics.
 
-Everything here consumes a (tx, rx) trace pair.  Operations that look at
-bit positions accept an optional ``ev_transform`` hook, a callable
-``(seq, error_vector) -> error_vector`` applied to each corrupted frame's
-error vector before analysis; the CLI uses it to inject interleaving
-emulation (see interleave.whiten_error_vector).  Statistics that only
-count bits (crossover, symmetry) are permutation-invariant and take no
-hook.
+error_table makes one pass over a (tx, rx) trace pair, a block of
+corrupted frames at a time: it XORs their payloads, whitens each error
+vector once when given a key (interleaver.whiten_error_vector), and keeps
+only counts.  There is no per-vector hook: the per-frame runs tests, the
+bit profile, symmetry and segments.py are reductions over the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .runstest import DEFAULT_ALPHA, RunsFlag, RunsTestResult, runs_test
-from .trace import FrameRecord, ReceiveStatus, Trace, xor_error_vector
+from . import interleaver
+from .runstest import DEFAULT_ALPHA, RunsFlag, RunsTestResult, _result_from_counts
+from .trace import ReceiveStatus, Trace
 
 if TYPE_CHECKING:
     from .segments import Segment
 
-EvTransform = Callable[[int, np.ndarray], np.ndarray]
-
 SYMMETRY_Z_THRESHOLD = 1.96
 
+# Error bits (one byte each) per block while building an ErrorTable: 32
+# frames of 8000 bits.  Blocks of a few MB raised peak RSS, because freed
+# blocks that large stay in the heap; blocks this small go back to the OS.
+_BLOCK_BITS = 1 << 18
 
-def corrupted_error_vectors(
-    tx: Trace, rx: Trace, ev_transform: EvTransform | None = None
-) -> list[tuple[int, np.ndarray]]:
-    """(seq, error vector) for every corrupted rx frame with a known seq."""
-    pairs = []
-    for rec in rx.rx:
-        if rec.status is not ReceiveStatus.CRC_ERROR or rec.seq is None:
-            continue
-        ev = xor_error_vector(tx.tx[rec.seq].payload, rec.payload)
-        if ev_transform is not None:
-            ev = ev_transform(rec.seq, ev)
-        pairs.append((rec.seq, ev))
-    return pairs
+
+@dataclass(frozen=True, eq=False)
+class ErrorTable:
+    """Counts of each corrupted (CRC-error, known seq) rx frame, in trace order.
+
+    Per frame: seq, ones (n1), runs, first and last bit of its error vector,
+    whitened if built with a key; column_sums adds the vectors by position.
+    tx_ones counts transmitted 1s and flips_on_ones the errors on them.
+    """
+
+    frame_len: int
+    interval_us: int
+    seqs: np.ndarray
+    n1: np.ndarray
+    runs: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    column_sums: np.ndarray
+    tx_ones: int
+    flips_on_ones: int
+
+    def __len__(self) -> int:
+        return self.seqs.size
+
+
+def error_table(tx: Trace, rx: Trace, key: int | None = None) -> ErrorTable:
+    """Build the ErrorTable of a trace pair; key whitens, None keeps wire order."""
+    frame_len = tx.meta.frame_len
+    records = [rec for rec in rx.rx
+               if rec.status is ReceiveStatus.CRC_ERROR and rec.seq is not None]
+    n = len(records)
+    seqs = np.array([rec.seq for rec in records], dtype=np.int64)
+    n1, runs, first, last = np.empty((4, n), dtype=np.int64)
+    column_sums = np.zeros(frame_len, dtype=np.int64)
+    tx_ones = flips_on_ones = 0
+    step = max(1, _BLOCK_BITS // frame_len)
+    for lo in range(0, n, step):
+        block = records[lo:lo + step]
+        tx_bits = np.stack([tx.tx[rec.seq].payload for rec in block])
+        ev = tx_bits ^ np.stack([rec.payload for rec in block])
+        tx_ones += int(np.count_nonzero(tx_bits))
+        flips_on_ones += int(np.count_nonzero(ev & tx_bits))
+        if key is not None:
+            for row, rec in zip(ev, block):
+                row[:] = interleaver.whiten_error_vector(row, key, rec.seq)
+        rows = slice(lo, lo + len(block))
+        n1[rows] = np.count_nonzero(ev, axis=1)
+        runs[rows] = 1 + np.count_nonzero(ev[:, 1:] != ev[:, :-1], axis=1)
+        first[rows] = ev[:, 0]
+        last[rows] = ev[:, -1]
+        column_sums += ev.sum(axis=0, dtype=np.int64)
+    return ErrorTable(frame_len, tx.meta.interval_us, seqs, n1, runs, first,
+                      last, column_sums, tx_ones, flips_on_ones)
 
 
 def per_frame_crossover(ev: np.ndarray) -> float:
     """Fraction of corrupted bits in an error vector."""
     ev = np.asarray(ev)
     return float(np.count_nonzero(ev)) / ev.size
-
-
-def frame_error_runs_test(
-    tx: Trace, rx_frame: FrameRecord, alpha: float = DEFAULT_ALPHA
-) -> RunsTestResult:
-    """Runs test on one corrupted frame's error vector.
-
-    The frame must be a CRC-error reception with a known sequence number.
-    An all-zero error vector (corruption confined to headers) comes back
-    flagged DEGENERATE rather than as a verdict.
-    """
-    if rx_frame.status is not ReceiveStatus.CRC_ERROR:
-        raise ValueError("frame is not a CRC-error reception")
-    if rx_frame.seq is None:
-        raise ValueError("frame has no recovered sequence number")
-    ev = xor_error_vector(tx.tx[rx_frame.seq].payload, rx_frame.payload)
-    return runs_test(ev, alpha)
 
 
 @dataclass(frozen=True)
@@ -75,23 +99,17 @@ class FrameTestRow:
 
 
 def per_frame_runs_tests(
-    tx: Trace,
-    rx: Trace,
-    alpha: float = DEFAULT_ALPHA,
-    ev_transform: EvTransform | None = None,
+    table: ErrorTable, alpha: float = DEFAULT_ALPHA
 ) -> list[FrameTestRow]:
-    """Within-frame runs test for every corrupted frame, in trace order."""
-    rows = []
-    for seq, ev in corrupted_error_vectors(tx, rx, ev_transform):
-        rows.append(
-            FrameTestRow(
-                seq=seq,
-                n_bit_errors=int(np.count_nonzero(ev)),
-                crossover=per_frame_crossover(ev),
-                result=runs_test(ev, alpha),
-            )
-        )
-    return rows
+    """Within-frame runs test for every corrupted frame, in trace order.
+
+    An all-zero error vector (corruption confined to headers) is DEGENERATE.
+    """
+    n, columns = table.frame_len, (table.seqs, table.n1, table.runs)
+    return [
+        FrameTestRow(seq, n1, n1 / n, _result_from_counts(runs, n1, n - n1, alpha))
+        for seq, n1, runs in zip(*(col.tolist() for col in columns))
+    ]
 
 
 @dataclass(frozen=True)
@@ -126,20 +144,13 @@ def _rate_and_se(flips: int, n: int) -> tuple[float | None, float | None]:
     return mu, sample_sd / sqrt(n)
 
 
-def symmetry_report(tx: Trace, rx: Trace) -> SymmetryReport:
+def symmetry_report(table: ErrorTable) -> SymmetryReport:
     """Compare flip rates of 1s and 0s over all corrupted frames."""
-    pairs = corrupted_error_vectors(tx, rx)
-    if not pairs:
+    if not len(table):
         raise ValueError("trace pair contains no corrupted frames")
-    n1 = n0 = flips1 = flips0 = 0
-    for seq, ev in pairs:
-        tx_bits = tx.tx[seq].payload
-        ones = tx_bits.astype(bool)
-        n_ones = int(np.count_nonzero(ones))
-        n1 += n_ones
-        n0 += tx_bits.size - n_ones
-        flips1 += int(np.count_nonzero(ev[ones]))
-        flips0 += int(np.count_nonzero(ev[~ones]))
+    n1, flips1 = table.tx_ones, table.flips_on_ones
+    n0 = len(table) * table.frame_len - n1
+    flips0 = int(table.n1.sum()) - flips1
     mu1, se1 = _rate_and_se(flips1, n1)
     mu0, se0 = _rate_and_se(flips0, n0)
     z: float | None = None
@@ -189,23 +200,28 @@ def outcome_iid_tests(
     excluded from both numerator and denominator.  Frames missing from the
     rx side count as PHY errors (a frame never seen is an erasure).
     """
-    status_by_seq: dict[int, ReceiveStatus] = {
-        rec.seq: rec.status for rec in rx.rx if rec.seq is not None
-    }
+    starts = np.array([seg.start_frame for seg in segments], dtype=np.int64)
+    ends = np.array([seg.end_frame for seg in segments], dtype=np.int64)
+    if (ends < starts).any():
+        raise ValueError("segment span runs backwards")
+    n_seqs = int(ends.max()) + 1 if segments else 0
+    status = np.full(n_seqs, ReceiveStatus.PHY_ERROR, dtype=object)
+    for rec in rx.rx:
+        if rec.seq is not None and 0 <= rec.seq < n_seqs:
+            status[rec.seq] = rec.status
     fractions: dict[ReceiveStatus, OutcomeFraction] = {}
     covered = sum(seg.n_frames for seg in segments)
     for outcome in ReceiveStatus:
+        # Prefix sums of the labels and of their transitions give each
+        # segment's ones and run count without building its label array.
+        labels = status == outcome
+        ones = np.concatenate(([0], np.cumsum(labels)))
+        changes = np.concatenate(([0], np.cumsum(labels[1:] != labels[:-1])))
+        seg_n1 = (ones[ends + 1] - ones[starts]).tolist()
+        seg_runs = (1 + changes[ends] - changes[starts]).tolist()
         pass_frames = valid_frames = tested = excluded = 0
-        for seg in segments:
-            labels = np.fromiter(
-                (
-                    status_by_seq.get(seq, ReceiveStatus.PHY_ERROR) is outcome
-                    for seq in range(seg.start_frame, seg.end_frame + 1)
-                ),
-                dtype=np.uint8,
-                count=seg.n_frames,
-            )
-            result = runs_test(labels, alpha)
+        for seg, n1, n_runs in zip(segments, seg_n1, seg_runs):
+            result = _result_from_counts(n_runs, n1, seg.n_frames - n1, alpha)
             if result.flag is not RunsFlag.NORMAL:
                 excluded += 1
                 continue
@@ -224,14 +240,8 @@ def outcome_iid_tests(
     return OutcomeIidReport(fractions=fractions, covered_frames=covered)
 
 
-def bit_position_profile(
-    tx: Trace, rx: Trace, ev_transform: EvTransform | None = None
-) -> np.ndarray:
+def bit_position_profile(table: ErrorTable) -> np.ndarray:
     """Per-position error frequency over all corrupted frames."""
-    pairs = corrupted_error_vectors(tx, rx, ev_transform)
-    if not pairs:
+    if not len(table):
         raise ValueError("trace pair contains no corrupted frames")
-    total = np.zeros(tx.meta.frame_len, dtype=np.int64)
-    for _, ev in pairs:
-        total += ev
-    return total / len(pairs)
+    return table.column_sums / len(table)

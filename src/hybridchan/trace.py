@@ -155,10 +155,18 @@ class Trace:
                         f"(saw {rec.timestamp_us} after {prev})"
                     )
                 prev = rec.timestamp_us
-        known = sorted(rec.seq for rec in self.rx if rec.seq is not None)
-        for prev_seq, seq in zip(known, known[1:]):
-            if seq == prev_seq:
-                raise TraceError(f"rx seq {seq} appears more than once")
+        prev_seq = None
+        for rec in self.rx:
+            if rec.seq is None:
+                continue
+            if prev_seq is not None and rec.seq <= prev_seq:
+                if rec.seq == prev_seq:
+                    raise TraceError(f"rx seq {rec.seq} appears more than once")
+                raise TraceError(
+                    f"known rx seqs must increase in trace order "
+                    f"(saw {rec.seq} after {prev_seq})"
+                )
+            prev_seq = rec.seq
         if self.tx and self.rx:
             if len(self.rx) > len(self.tx):
                 raise TraceError("more rx records than tx records")

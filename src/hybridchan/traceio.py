@@ -22,6 +22,7 @@ from .trace import (
     FrameRecord,
     ReceiveStatus,
     Trace,
+    TraceError,
     TraceFormatError,
     TraceMeta,
     bits_to_hex,
@@ -78,6 +79,8 @@ def read_trace(path: str | Path) -> Trace:
     m = _META_RE.match(lines[0])
     if m is None:
         raise TraceFormatError("malformed #meta line", str(path), 1)
+    if int(m.group("flen")) == 0:
+        raise TraceFormatError("frame_len must be positive", str(path), 1)
     meta = TraceMeta(
         rate_bps=float(m.group("rate")),
         frame_len=int(m.group("flen")),
@@ -140,5 +143,8 @@ def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
             f"metadata mismatch between {tx_path} and {rx_path}", str(rx_path)
         )
     merged = Trace(meta=tx.meta, tx=tx.tx, rx=rx.rx)
-    merged.validate()
+    try:
+        merged.validate()
+    except TraceError as exc:
+        raise TraceFormatError(str(exc), str(rx_path)) from exc
     return merged

@@ -19,7 +19,7 @@ from hybridchan import rng as hrng
 from hybridchan.cli import main as cli_main
 from hybridchan.runstest import RunsFlag
 from hybridchan.segments import Segment
-from hybridchan.stats import corrupted_error_vectors, per_frame_runs_tests
+from hybridchan.stats import error_table, per_frame_runs_tests
 
 from conftest import make_params, sim_pair
 from test_capacity import binned_trace
@@ -155,7 +155,7 @@ def test_criterion_03a_exact_power_oracle():
     """
     low = exact_periodic_power(8000, 288, 32, 0.05)
     tx, rx = _periodic_pair(0.05)
-    rows = per_frame_runs_tests(tx, rx)
+    rows = per_frame_runs_tests(error_table(tx, rx))
     n_valid = sum(1 for r in rows if r.result.flag is RunsFlag.NORMAL)
     fail_rate, _ = _decided_rates(rows)
     se = sqrt(low * (1 - low) / n_valid)
@@ -190,7 +190,7 @@ def test_criterion_03a_periodic_noise_fails_before_interleaving(periodic_run):
     """
     tx, rx = periodic_run
     start = time.perf_counter()
-    fail_rate, _ = _decided_rates(per_frame_runs_tests(tx, rx))
+    fail_rate, _ = _decided_rates(per_frame_runs_tests(error_table(tx, rx)))
     elapsed = time.perf_counter() - start
     ok = fail_rate >= 0.9 and elapsed < 120
     report("3a", "per-frame runs test fails >=90% before interleaving", ok,
@@ -201,10 +201,7 @@ def test_criterion_03a_periodic_noise_fails_before_interleaving(periodic_run):
 def test_criterion_03b_interleaving_whitens(periodic_run):
     tx, rx = periodic_run
     start = time.perf_counter()
-    rows = per_frame_runs_tests(
-        tx, rx,
-        ev_transform=lambda seq, ev: hc.whiten_error_vector(ev, 33, seq),
-    )
+    rows = per_frame_runs_tests(error_table(tx, rx, key=33))
     _, pass_rate = _decided_rates(rows)
     elapsed = time.perf_counter() - start
     ok = pass_rate >= 0.9 and elapsed < 120
@@ -236,7 +233,7 @@ def test_criterion_05_segmentation():
     for seed in range(100):
         tx, rx = sim_pair(r=0.0, s=0.9577, p=0.003, n_frames=10000,
                           frame_len=2000, seed=seed)
-        segs = hc.segment_corrupted_frames(tx, rx)
+        segs = hc.segment_corrupted_frames(error_table(tx, rx))
         total = sum(s.n_corrupted for s in segs)
         coverages.append(max(s.n_corrupted for s in segs) / total)
     median_cov = float(np.median(coverages))
@@ -249,8 +246,9 @@ def test_criterion_05_segmentation():
                            drift_schedule=((5000, high),))
         tx = hc.generate_tx(cfg)
         rx = hc.apply_channel(tx, cfg)
-        segs = hc.segment_corrupted_frames(tx, rx)
-        seqs = [s for s, _ in corrupted_error_vectors(tx, rx)]
+        table = error_table(tx, rx)
+        segs = hc.segment_corrupted_frames(table)
+        seqs = table.seqs.tolist()
         idx_of = {s: i for i, s in enumerate(seqs)}
         cp_idx = next(i for i, s in enumerate(seqs) if s >= 5000)
         bounds = [idx_of[seg.start_frame] for seg in segs[1:]]
@@ -281,13 +279,13 @@ def test_criterion_07_symmetry():
     for seed in range(300, 400):
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.005, n_frames=1000,
                           frame_len=1000, seed=seed)
-        n_symmetric += hc.symmetry_report(tx, rx).symmetric
+        n_symmetric += hc.symmetry_report(error_table(tx, rx)).symmetric
 
     # reference operating point: 54 Mbps, FER 0.0835, crossover 0.0018,
     # 10000 frames, all frame errors CRC
     tx, rx = sim_pair(r=0.0, s=1 - 0.0835, p=0.0018, n_frames=10000,
                       frame_len=8000, seed=3)
-    rep = hc.symmetry_report(tx, rx)
+    rep = hc.symmetry_report(error_table(tx, rx))
     row_ok = (
         0.0016 <= rep.mu1 <= 0.0020
         and 0.0016 <= rep.mu0 <= 0.0020
@@ -352,7 +350,7 @@ def test_criterion_10_sequence_recovery():
 def test_criterion_11_outcome_iid_fractions():
     tx, rx = sim_pair(r=0.1, s=0.7, p=0.005, n_frames=10000, frame_len=2000,
                       seed=0)
-    segs = hc.segment_corrupted_frames(tx, rx)
+    segs = hc.segment_corrupted_frames(error_table(tx, rx))
     fractions = {
         frac.outcome.value: frac.fraction
         for frac in hc.outcome_iid_tests(rx, segs).fractions.values()

@@ -144,6 +144,33 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"rx seq {first[1]} appears more than once" in err
 
+    def test_nonmonotone_rx_seqs_is_parse_error(self, tmp_path, capsys):
+        run = simulate(tmp_path, "run")
+        lines = (run / "rx.trace").read_text().splitlines()
+        records = [line.split(" ") for line in lines[1:]]
+        for i in range(0, len(records) - 1, 7):
+            records[i][1], records[i + 1][1] = records[i + 1][1], records[i][1]
+        (run / "rx.trace").write_text(
+            "\n".join([lines[0]] + [" ".join(r) for r in records]) + "\n")
+        code = run_cli(["analyze", run / "tx.trace", run / "rx.trace",
+                        "--out", tmp_path / "x"])
+        assert code == 2
+        assert "known rx seqs must increase in trace order" \
+            in capsys.readouterr().err
+
+    def test_truncated_tx_is_parse_error(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run_cli(["simulate", "--frames", 20, "--frame-len", 64,
+                 "--r", 0.1, "--s", 0.5, "--p", 0.05, "--seed", 3,
+                 "--out", run])
+        lines = (run / "tx.trace").read_text().splitlines()
+        (run / "tx.trace").write_text("\n".join(lines[:6]) + "\n")
+        code = run_cli(["analyze", run / "tx.trace", run / "rx.trace",
+                        "--out", tmp_path / "x"])
+        assert code == 2
+        assert "rx.trace: more rx records than tx records" \
+            in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_text("not a trace\n")

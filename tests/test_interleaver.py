@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hybridchan import deinterleave, frame_key, interleave, whiten_error_vector
 from hybridchan.runstest import RunsFlag, runs_test
 from hybridchan.sim import SimConfig, apply_periodic_noise, generate_tx
-from hybridchan.stats import per_frame_runs_tests
+from hybridchan.stats import error_table, per_frame_runs_tests
 
 from conftest import make_params
 
@@ -90,13 +90,11 @@ class TestWhitening:
 
     def test_raw_error_vectors_fail_often(self, periodic_pair):
         tx, rx = periodic_pair
-        fail_rate, _ = self._rates(per_frame_runs_tests(tx, rx))
+        fail_rate, _ = self._rates(per_frame_runs_tests(error_table(tx, rx)))
         assert fail_rate > 0.5
 
     def test_whitened_error_vectors_pass_at_nominal_rate(self, periodic_pair):
         tx, rx = periodic_pair
-        rows = per_frame_runs_tests(
-            tx, rx, ev_transform=lambda seq, ev: whiten_error_vector(ev, 21, seq)
-        )
+        rows = per_frame_runs_tests(error_table(tx, rx, key=21))
         _, pass_rate = self._rates(rows)
         assert pass_rate >= 0.9

@@ -11,11 +11,12 @@ from hybridchan import (
     apply_channel,
     generate_tx,
     mean_segment_duration,
+    error_table,
     segment_corrupted_frames,
 )
-from hybridchan.stats import corrupted_error_vectors
 
 from conftest import make_params, sim_pair
+from reference_pipeline import corrupted_error_vectors
 
 
 def crafted_pair(error_vectors, frame_len, interval_us=20000, gap=1):
@@ -47,7 +48,7 @@ def test_single_corrupted_frame_is_one_segment():
     ev = np.zeros(8000, dtype=np.uint8)
     ev[[5, 900, 4400]] = 1
     tx, rx = crafted_pair([ev], frame_len=8000)
-    segs = segment_corrupted_frames(tx, rx)
+    segs = segment_corrupted_frames(error_table(tx, rx))
     assert len(segs) == 1
     seg = segs[0]
     assert seg.start_frame == seg.end_frame == 0
@@ -57,7 +58,7 @@ def test_single_corrupted_frame_is_one_segment():
 
 def test_empty_input_gives_empty_list():
     tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=10, frame_len=64, seed=1)
-    assert segment_corrupted_frames(tx, rx) == []
+    assert segment_corrupted_frames(error_table(tx, rx)) == []
 
 
 def test_pooled_p_is_flip_ratio_not_mean_of_ratios():
@@ -65,7 +66,7 @@ def test_pooled_p_is_flip_ratio_not_mean_of_ratios():
     ev_a = (gen.random(4000) < 0.01).astype(np.uint8)
     ev_b = (gen.random(4000) < 0.012).astype(np.uint8)
     tx, rx = crafted_pair([ev_a, ev_b], frame_len=4000)
-    segs = segment_corrupted_frames(tx, rx)
+    segs = segment_corrupted_frames(error_table(tx, rx))
     assert len(segs) == 1
     total_flips = int(ev_a.sum() + ev_b.sum())
     assert segs[0].pooled_p == total_flips / 8000
@@ -75,7 +76,7 @@ def test_span_counts_clean_frames_between_corrupted_ones():
     gen = np.random.default_rng(3)
     evs = [(gen.random(4000) < 0.01).astype(np.uint8) for _ in range(5)]
     tx, rx = crafted_pair(evs, frame_len=4000, gap=3)
-    segs = segment_corrupted_frames(tx, rx)
+    segs = segment_corrupted_frames(error_table(tx, rx))
     assert len(segs) == 1
     seg = segs[0]
     assert (seg.start_frame, seg.end_frame) == (0, 12)
@@ -89,7 +90,7 @@ def test_homogeneous_trace_yields_dominant_segment():
     for seed in range(5):
         tx, rx = sim_pair(r=0.0, s=0.9577, p=0.003, n_frames=10000,
                           frame_len=2000, seed=seed)
-        segs = segment_corrupted_frames(tx, rx)
+        segs = segment_corrupted_frames(error_table(tx, rx))
         total = sum(s.n_corrupted for s in segs)
         coverages.append(max(s.n_corrupted for s in segs) / total)
     assert float(np.median(coverages)) >= 0.95
@@ -102,9 +103,10 @@ def test_change_point_splits_near_boundary():
                     drift_schedule=((5000, high),))
     tx = generate_tx(cfg)
     rx = apply_channel(tx, cfg)
-    segs = segment_corrupted_frames(tx, rx)
+    table = error_table(tx, rx)
+    segs = segment_corrupted_frames(table)
     assert len(segs) >= 2
-    seqs = [s for s, _ in corrupted_error_vectors(tx, rx)]
+    seqs = table.seqs.tolist()
     idx_of = {s: i for i, s in enumerate(seqs)}
     cp_idx = next(i for i, s in enumerate(seqs) if s >= 5000)
     boundaries = [idx_of[seg.start_frame] for seg in segs[1:]]
@@ -117,7 +119,7 @@ def test_outlier_frame_becomes_own_segment():
     loud = (gen.random(8000) < 0.3).astype(np.uint8)
     evs = quiet[:3] + [loud] + quiet[3:]
     tx, rx = crafted_pair(evs, frame_len=8000)
-    segs = segment_corrupted_frames(tx, rx)
+    segs = segment_corrupted_frames(error_table(tx, rx))
     assert any(s.n_corrupted == 1 and s.start_frame == 3 for s in segs)
 
 
@@ -128,7 +130,7 @@ def test_incremental_equals_batch_segmentation():
 
     tx, rx = sim_pair(r=0.0, s=0.5, p=0.01, n_frames=400, frame_len=500, seed=6)
     pairs = corrupted_error_vectors(tx, rx)
-    segs = segment_corrupted_frames(tx, rx)
+    segs = segment_corrupted_frames(error_table(tx, rx))
 
     by_start = {seg.start_frame: seg for seg in segs}
     current: list[np.ndarray] = []

@@ -9,9 +9,10 @@ from hybridchan import (
     Trace,
     TraceMeta,
     bit_position_profile,
-    frame_error_runs_test,
+    error_table,
     outcome_iid_tests,
     per_frame_crossover,
+    per_frame_runs_tests,
     segment_corrupted_frames,
     symmetry_report,
 )
@@ -40,25 +41,33 @@ class TestPerFrameCrossover:
 
 
 class TestFrameErrorRunsTest:
+    """The runs test on each corrupted frame's error vector, as rows of
+    per_frame_runs_tests."""
+
+    @staticmethod
+    def _rows(tx, records):
+        return per_frame_runs_tests(
+            error_table(tx, Trace(meta=tx.meta, rx=list(records))))
+
     def test_rejects_clean_frames(self):
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=3, frame_len=64, seed=1)
-        with pytest.raises(ValueError, match="CRC-error"):
-            frame_error_runs_test(tx, rx.rx[0])
+        assert self._rows(tx, rx.rx) == []
 
     def test_rejects_unknown_seq(self):
         payload = bits("1010")
         rec = FrameRecord(seq=None, timestamp_us=0,
                           status=ReceiveStatus.CRC_ERROR, payload=payload)
         tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=3, frame_len=4, seed=1)
-        with pytest.raises(ValueError, match="sequence number"):
-            frame_error_runs_test(tx, rec)
+        assert self._rows(tx, [rec]) == []
 
     def test_all_zero_error_vector_is_degenerate(self):
         tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=3, frame_len=64, seed=2)
         rec = FrameRecord(seq=0, timestamp_us=0,
                           status=ReceiveStatus.CRC_ERROR,
                           payload=tx.tx[0].payload)
-        assert frame_error_runs_test(tx, rec).flag is RunsFlag.DEGENERATE
+        [row] = self._rows(tx, [rec])
+        assert row.result.flag is RunsFlag.DEGENERATE
+        assert row.n_bit_errors == 0 and row.crossover == 0.0
 
     def test_single_flipped_bit(self):
         tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=1, frame_len=8000, seed=3)
@@ -67,14 +76,16 @@ class TestFrameErrorRunsTest:
             payload[pos] ^= 1
             rec = FrameRecord(seq=0, timestamp_us=0,
                               status=ReceiveStatus.CRC_ERROR, payload=payload)
-            res = frame_error_runs_test(tx, rec)
-            assert res.flag is RunsFlag.NORMAL
-            assert res.n_runs in (2, 3)
+            [row] = self._rows(tx, [rec])
+            assert row.seq == 0 and row.n_bit_errors == 1
+            assert row.result.flag is RunsFlag.NORMAL
+            assert row.result.n_runs == (2 if pos in (0, 7999) else 3)
 
     def test_iid_frames_pass_at_nominal_rate(self):
         tx, rx = sim_pair(r=0.0, s=0.0, p=0.01, n_frames=1000,
                           frame_len=8000, seed=4)
-        results = [frame_error_runs_test(tx, rec) for rec in rx.rx]
+        results = [row.result for row in self._rows(tx, rx.rx)]
+        assert len(results) == 1000
         valid = [r for r in results if r.flag is RunsFlag.NORMAL]
         rate = sum(r.passed for r in valid) / len(valid)
         assert 0.93 <= rate <= 0.97
@@ -84,7 +95,7 @@ class TestSymmetryReport:
     def test_symmetric_channel_declared_symmetric(self):
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.005, n_frames=1000,
                           frame_len=1000, seed=301)
-        rep = symmetry_report(tx, rx)
+        rep = symmetry_report(error_table(tx, rx))
         assert rep.symmetric is True
         assert rep.mu1 == pytest.approx(0.005, abs=3 * rep.se1)
         assert rep.mu0 == pytest.approx(0.005, abs=3 * rep.se0)
@@ -107,14 +118,14 @@ class TestSymmetryReport:
                 payload=np.bitwise_xor(payload, flips.astype(np.uint8))))
         tx = Trace(meta=meta, tx=tx_recs)
         rx = Trace(meta=meta, rx=rx_recs)
-        rep = symmetry_report(tx, rx)
+        rep = symmetry_report(error_table(tx, rx))
         assert rep.symmetric is False
         assert abs(rep.z) > 10
 
     def test_no_corrupted_frames_is_error(self):
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=5, frame_len=64, seed=8)
         with pytest.raises(ValueError, match="no corrupted"):
-            symmetry_report(tx, rx)
+            symmetry_report(error_table(tx, rx))
 
     def test_all_ones_tx_leaves_mu0_absent(self):
         meta = TraceMeta(rate_bps=54e6, frame_len=32, interval_us=100)
@@ -127,7 +138,7 @@ class TestSymmetryReport:
         rx = Trace(meta=meta, rx=[FrameRecord(seq=0, timestamp_us=0,
                                               status=ReceiveStatus.CRC_ERROR,
                                               payload=received)])
-        rep = symmetry_report(tx, rx)
+        rep = symmetry_report(error_table(tx, rx))
         assert rep.n0 == 0
         assert rep.mu0 is None and rep.se0 is None
         assert rep.z is None and rep.symmetric is None
@@ -142,7 +153,7 @@ class TestBitPositionProfile:
         rx = Trace(meta=tx.meta, rx=[FrameRecord(
             seq=0, timestamp_us=0, status=ReceiveStatus.CRC_ERROR,
             payload=payload)])
-        profile = bit_position_profile(tx, rx)
+        profile = bit_position_profile(error_table(tx, rx))
         expected = np.zeros(100)
         expected[[4, 40]] = 1.0
         assert np.array_equal(profile, expected)
@@ -151,7 +162,7 @@ class TestBitPositionProfile:
         p = 0.02
         tx, rx = sim_pair(r=0.0, s=0.0, p=p, n_frames=2000, frame_len=500,
                           seed=10)
-        profile = bit_position_profile(tx, rx)
+        profile = bit_position_profile(error_table(tx, rx))
         se = sqrt(p * (1 - p) / 2000)
         assert np.all(np.abs(profile - p) < 4 * se)
 
@@ -160,7 +171,7 @@ class TestBitPositionProfile:
                          seed=11)
         rx = apply_periodic_noise(tx, period=288, burst_len=32,
                                   p_in_burst=0.05, seed=11)
-        profile = bit_position_profile(tx, rx)
+        profile = bit_position_profile(error_table(tx, rx))
         mask = periodic_window_mask(2000, 288, 32)
         in_mean = profile[mask].mean()
         out_mean = profile[~mask].mean()
@@ -170,14 +181,14 @@ class TestBitPositionProfile:
     def test_requires_corrupted_frames(self):
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=4, frame_len=64, seed=12)
         with pytest.raises(ValueError):
-            bit_position_profile(tx, rx)
+            bit_position_profile(error_table(tx, rx))
 
 
 class TestOutcomeIidTests:
     def test_iid_trace_passes_in_every_class(self):
         tx, rx = sim_pair(r=0.1, s=0.7, p=0.005, n_frames=10000,
                           frame_len=2000, seed=0)
-        segs = segment_corrupted_frames(tx, rx)
+        segs = segment_corrupted_frames(error_table(tx, rx))
         report = outcome_iid_tests(rx, segs)
         for frac in report.fractions.values():
             assert frac.fraction is not None and frac.fraction >= 0.8
@@ -186,7 +197,7 @@ class TestOutcomeIidTests:
     def test_no_erasures_makes_phy_class_degenerate(self):
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.01, n_frames=2000,
                           frame_len=1000, seed=13)
-        segs = segment_corrupted_frames(tx, rx)
+        segs = segment_corrupted_frames(error_table(tx, rx))
         report = outcome_iid_tests(rx, segs)
         phy = report.fractions[ReceiveStatus.PHY_ERROR]
         assert phy.fraction is None

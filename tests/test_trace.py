@@ -125,6 +125,18 @@ class TestTraceValidate:
         with pytest.raises(TraceError, match="rx seq 0 appears more than once"):
             t.validate()
 
+    def test_decreasing_rx_seqs(self):
+        t = self._trace(rx_seq=1)
+        t.rx.append(FrameRecord(seq=None, timestamp_us=200,
+                                status=ReceiveStatus.CRC_ERROR,
+                                payload=bits("1011")))
+        t.rx.append(FrameRecord(seq=0, timestamp_us=250,
+                                status=ReceiveStatus.CRC_ERROR,
+                                payload=bits("1011")))
+        with pytest.raises(TraceError,
+                           match=r"increase in trace order \(saw 0 after 1\)"):
+            t.validate()
+
     def test_unknown_rx_seqs_may_repeat(self):
         t = self._trace()
         for ts in (200, 250):

@@ -80,6 +80,15 @@ def test_wrong_payload_length_names_line(tmp_path):
     assert "digits" in str(err.value)
 
 
+def test_zero_frame_len_rejected(tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_text('#meta R=54000000 frame_len=0 interval_us=100 desc=""\n'
+                    "tx 0 0 ok - \n")
+    with pytest.raises(TraceFormatError, match="frame_len must be positive") as err:
+        read_trace(path)
+    assert err.value.line == 1
+
+
 def test_non_monotone_timestamps_rejected(tmp_path):
     path = tmp_path / "t.trace"
     path.write_text(
