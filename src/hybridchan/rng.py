@@ -6,9 +6,18 @@ keyed by a 128-bit value: the high 64 bits hold the user seed XORed with a
 role constant, the low 64 bits hold the frame index.  Two consumers of
 randomness therefore never share a stream, and any frame's stream can be
 reconstructed without generating its predecessors.
+
+Philox is a pure function of its key and counter, so one instance serves
+a whole (seed, role) family: ``StreamFamily(seed, role).at(index)``
+re-keys it to the frame's key with a zero counter and an empty buffer,
+which draws exactly what a freshly built ``Philox(key=...)`` would,
+without the cost of building one (and of collecting the OS entropy its
+constructor gathers before the key overrides it).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -21,10 +30,55 @@ ROLE_PERIODIC = 0xC1A3_52E8_96BD_4F03
 ROLE_PERMUTATION = 0x7F0E_6D29_C835_B1A4
 
 
+@functools.cache
+def _placeholder_seed() -> np.random.SeedSequence:
+    """Fixed seed for the state a new family's Philox starts in.
+
+    Every at() call overwrites all of that state, so the value never
+    reaches a draw; a fixed seed only spares the OS entropy a seedless
+    build collects.  Built on first use: touching np.random at import
+    would load numpy's random modules (about 6 MB) into commands that
+    never draw.
+    """
+    return np.random.SeedSequence(0)
+
+
+class StreamFamily:
+    """The Philox streams of one (seed, role) pair, one per index.
+
+    at(index) returns a generator drawing the stream for that index from
+    its start.  The family owns a single Philox and Generator and re-keys
+    them on every call, so the generator returned is valid only until the
+    next at() on the same family: use up one index's draws before asking
+    for the next, and give each thread or worker its own family.
+    """
+
+    __slots__ = ("_bitgen", "_gen", "_key", "_state")
+
+    def __init__(self, seed: int, role: int) -> None:
+        self._bitgen = np.random.Philox(_placeholder_seed())
+        self._gen = np.random.Generator(self._bitgen)
+        # Philox's key words, low first: [index, seed ^ role].
+        self._key = [0, (seed ^ role) & _MASK64]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # buffer empty: the next draw runs the counter
+            "has_uint32": 0,  # no half-used 64-bit word left over
+            "uinteger": 0,
+        }
+
+    def at(self, index: int) -> np.random.Generator:
+        """Re-key to index, counter 0 and buffer empty; return the generator."""
+        self._key[0] = index & _MASK64
+        self._bitgen.state = self._state
+        return self._gen
+
+
 def stream(seed: int, role: int, index: int = 0) -> np.random.Generator:
     """Return the Philox stream for (seed, role, index)."""
-    key = (((seed ^ role) & _MASK64) << 64) | (index & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return StreamFamily(seed, role).at(index)
 
 
 def splitmix64(x: int) -> int:

@@ -9,6 +9,8 @@ supposed to whiten.
 
 All outcomes are drawn from per-frame counter-based streams (see rng), so
 a config reproduces bit-identical traces regardless of evaluation order.
+Each loop re-keys one stream family per frame and takes all of that
+frame's draws before moving on, as the family's validity rule requires.
 """
 
 from __future__ import annotations
@@ -74,14 +76,13 @@ def _meta(params: ChannelParams, description: str) -> TraceMeta:
 def generate_tx(config: SimConfig) -> Trace:
     """Generate the transmit side: uniform random payloads on a fixed cadence."""
     params = config.params
+    streams = rng.StreamFamily(config.seed, rng.ROLE_TX_PAYLOAD)
     tx = [
         FrameRecord(
             seq=k,
             timestamp_us=k * params.interval_us,
             status=ReceiveStatus.OK,
-            payload=rng.stream(config.seed, rng.ROLE_TX_PAYLOAD, k).integers(
-                0, 2, params.frame_len, dtype=np.uint8
-            ),
+            payload=streams.at(k).integers(0, 2, params.frame_len, dtype=np.uint8),
         )
         for k in range(config.n_frames)
     ]
@@ -102,10 +103,11 @@ def apply_channel(tx: Trace, config: SimConfig) -> Trace:
     Every frame yields an rx record: the simulator models no losses other
     than PHY erasures (which keep their timestamp but drop the payload).
     """
+    streams = rng.StreamFamily(config.seed, rng.ROLE_CHANNEL)
     rx: list[FrameRecord] = []
     for rec in tx.tx:
         params = config.params_at(rec.seq)
-        gen = rng.stream(config.seed, rng.ROLE_CHANNEL, rec.seq)
+        gen = streams.at(rec.seq)
         timestamp = _rx_timestamp(config, rec.timestamp_us, gen)
         u_erase = gen.random()
         u_clean = gen.random()
@@ -169,9 +171,10 @@ def apply_periodic_noise(
         clock_skew_ppm=clock_skew_ppm,
         clock_offset_us=clock_offset_us,
     )
+    streams = rng.StreamFamily(seed, rng.ROLE_PERIODIC)
     rx: list[FrameRecord] = []
     for rec in tx.tx:
-        gen = rng.stream(seed, rng.ROLE_PERIODIC, rec.seq)
+        gen = streams.at(rec.seq)
         timestamp = _rx_timestamp(config, rec.timestamp_us, gen)
         flips = np.zeros(frame_len, dtype=np.uint8)
         flips[window_idx] = gen.random(window_idx.size) < p_in_burst

@@ -16,7 +16,15 @@ import numpy as np
 
 
 class TraceError(Exception):
-    """Malformed trace data (invariant violation or bad file contents)."""
+    """Malformed trace data (invariant violation or bad file contents).
+
+    record is the (side, index) of the record at fault when there is one,
+    so a reader can name its line.
+    """
+
+    def __init__(self, message: str, record: tuple[str, int] | None = None):
+        super().__init__(message)
+        self.record = record
 
 
 class TraceFormatError(TraceError):
@@ -135,45 +143,62 @@ class Trace:
 
     def validate(self) -> None:
         """Check the trace invariants; raise TraceError on violation."""
+        self._validate_sides()
+        self.validate_pairing()
+
+    def _validate_sides(self) -> None:
+        """Invariants of the tx and rx records taken one side at a time."""
         for i, rec in enumerate(self.tx):
             if rec.seq != i:
                 raise TraceError(
                     f"tx sequence numbers must be consecutive from 0; "
-                    f"record {i} has seq {rec.seq}"
+                    f"record {i} has seq {rec.seq}", ("tx", i)
                 )
         for side_name, side in (("tx", self.tx), ("rx", self.rx)):
             prev = None
-            for rec in side:
+            for i, rec in enumerate(side):
                 if rec.payload is not None and rec.payload.size != self.meta.frame_len:
                     raise TraceError(
                         f"{side_name} seq {rec.seq}: payload length "
-                        f"{rec.payload.size} != frame_len {self.meta.frame_len}"
+                        f"{rec.payload.size} != frame_len {self.meta.frame_len}",
+                        (side_name, i),
                     )
                 if prev is not None and rec.timestamp_us < prev:
                     raise TraceError(
                         f"{side_name} timestamps must be non-decreasing "
-                        f"(saw {rec.timestamp_us} after {prev})"
+                        f"(saw {rec.timestamp_us} after {prev})", (side_name, i)
                     )
                 prev = rec.timestamp_us
         prev_seq = None
-        for rec in self.rx:
+        for i, rec in enumerate(self.rx):
             if rec.seq is None:
                 continue
             if prev_seq is not None and rec.seq <= prev_seq:
                 if rec.seq == prev_seq:
-                    raise TraceError(f"rx seq {rec.seq} appears more than once")
+                    raise TraceError(
+                        f"rx seq {rec.seq} appears more than once", ("rx", i)
+                    )
                 raise TraceError(
                     f"known rx seqs must increase in trace order "
-                    f"(saw {rec.seq} after {prev_seq})"
+                    f"(saw {rec.seq} after {prev_seq})", ("rx", i)
                 )
             prev_seq = rec.seq
+
+    def validate_pairing(self) -> None:
+        """Check that every rx record can belong to a tx record.
+
+        These are the only invariants that involve both sides, so a trace
+        merged from two separately validated sides needs just this check.
+        """
         if self.tx and self.rx:
-            if len(self.rx) > len(self.tx):
-                raise TraceError("more rx records than tx records")
             n_tx = len(self.tx)
-            for rec in self.rx:
+            if len(self.rx) > n_tx:
+                raise TraceError("more rx records than tx records", ("rx", n_tx))
+            for i, rec in enumerate(self.rx):
                 if rec.seq is not None and not 0 <= rec.seq < n_tx:
-                    raise TraceError(f"rx seq {rec.seq} has no matching tx record")
+                    raise TraceError(
+                        f"rx seq {rec.seq} has no matching tx record", ("rx", i)
+                    )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
@@ -208,7 +233,12 @@ def hex_to_bits(text: str, n_bits: int) -> np.ndarray:
             f"payload hex has {len(text)} digits, expected {2 * n_bytes} "
             f"for {n_bits} bits"
         )
-    raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
+    packed = bytes.fromhex(text)
+    # fromhex also takes uppercase digits and skips whitespace; the format
+    # allows neither, and only the canonical spelling re-encodes to itself.
+    if packed.hex() != text:
+        raise ValueError("payload must be lowercase hex digits")
+    raw = np.frombuffer(packed, dtype=np.uint8)
     bits = np.unpackbits(raw, bitorder="big")
     if bits[n_bits:].any():
         raise ValueError("nonzero padding bits past the declared bit length")

@@ -15,6 +15,7 @@ numbers the literal ``?``, missing RSSI ``-``.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -69,24 +70,48 @@ def write_trace(trace: Trace, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read_text(path: Path) -> str:
+    # Decoded by hand: text mode would also take a lone CR as a line break,
+    # and its decode errors carry no position in the file.
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise TraceFormatError(
+            f"not UTF-8 text (byte 0x{data[exc.start]:02x})", str(path), line
+        ) from exc
+
+
 def read_trace(path: str | Path) -> Trace:
-    """Parse a trace file; raises TraceFormatError with file/line context."""
+    """Parse a trace file; raises TraceFormatError with file/line context.
+
+    Lines end in LF or CRLF.  A broken invariant of the parsed trace is
+    reported at the line of the record at fault, where there is one.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
+    text = _read_text(path)
+    if not text:
         raise TraceFormatError("empty file, missing #meta line", str(path), 1)
+    if "\r" in text:  # the guard is a fast scan; replace is not, even with no match
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
     m = _META_RE.match(lines[0])
     if m is None:
         raise TraceFormatError("malformed #meta line", str(path), 1)
-    if int(m.group("flen")) == 0:
+    try:
+        meta = TraceMeta(
+            rate_bps=float(m.group("rate")),
+            frame_len=int(m.group("flen")),
+            interval_us=int(m.group("iv")),
+            description=_unquote(m.group("desc")),
+        )
+    except ValueError as exc:
+        raise TraceFormatError(str(exc), str(path), 1) from exc
+    if meta.frame_len == 0:
         raise TraceFormatError("frame_len must be positive", str(path), 1)
-    meta = TraceMeta(
-        rate_bps=float(m.group("rate")),
-        frame_len=int(m.group("flen")),
-        interval_us=int(m.group("iv")),
-        description=_unquote(m.group("desc")),
-    )
+    if not 0 < meta.rate_bps < math.inf:
+        raise TraceFormatError("R must be positive and finite", str(path), 1)
     trace = Trace(meta=meta)
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -118,16 +143,25 @@ def read_trace(path: str | Path) -> Trace:
                 payload=payload,
                 rssi=rssi,
             )
-        except (ValueError, TraceFormatError) as exc:
-            raise TraceFormatError(str(exc), str(path), lineno) from exc
-        except Exception as exc:  # TraceError from FrameRecord invariants
+        except (ValueError, TraceError) as exc:
             raise TraceFormatError(str(exc), str(path), lineno) from exc
         (trace.tx if side == "tx" else trace.rx).append(record)
     try:
         trace.validate()
-    except Exception as exc:
-        raise TraceFormatError(str(exc), str(path)) from exc
+    except TraceError as exc:
+        line = None if exc.record is None else _record_line(lines, *exc.record)
+        raise TraceFormatError(str(exc), str(path), line) from exc
     return trace
+
+
+def _record_line(lines: list[str], side: str, index: int) -> int | None:
+    """Line number of record index of side, in lines that all parsed."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip() and line.startswith(side):
+            if index == 0:
+                return lineno
+            index -= 1
+    return None
 
 
 def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
@@ -143,8 +177,9 @@ def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
             f"metadata mismatch between {tx_path} and {rx_path}", str(rx_path)
         )
     merged = Trace(meta=tx.meta, tx=tx.tx, rx=rx.rx)
+    # read_trace has validated each side; only the pairing is new here.
     try:
-        merged.validate()
+        merged.validate_pairing()
     except TraceError as exc:
         raise TraceFormatError(str(exc), str(rx_path)) from exc
     return merged

@@ -171,6 +171,31 @@ class TestAnalyze:
         assert "rx.trace: more rx records than tx records" \
             in capsys.readouterr().err
 
+    def test_non_utf8_rx_is_parse_error(self, tmp_path, capsys):
+        run = simulate(tmp_path, "run")
+        lines = (run / "rx.trace").read_bytes().split(b"\n")
+        lines[3] = lines[3][:-4] + b"\xff" + lines[3][-3:]
+        (run / "rx.trace").write_bytes(b"\n".join(lines))
+        code = run_cli(["analyze", run / "tx.trace", run / "rx.trace",
+                        "--out", tmp_path / "x"])
+        assert code == 2
+        assert f"{run / 'rx.trace'}:4: not UTF-8 text (byte 0xff)" \
+            in capsys.readouterr().err
+
+    def test_uppercase_payload_is_parse_error(self, tmp_path, capsys):
+        run = simulate(tmp_path, "run")
+        lines = (run / "rx.trace").read_text().split("\n")
+        fields = lines[2].split(" ")
+        fields[5] = fields[5].upper()
+        assert fields[5] != fields[5].lower()
+        lines[2] = " ".join(fields)
+        (run / "rx.trace").write_text("\n".join(lines))
+        code = run_cli(["analyze", run / "tx.trace", run / "rx.trace",
+                        "--out", tmp_path / "x"])
+        assert code == 2
+        assert f"{run / 'rx.trace'}:3: payload must be lowercase hex digits" \
+            in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_text("not a trace\n")

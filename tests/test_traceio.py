@@ -1,12 +1,20 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridchan import (
+    ChannelParams,
     FrameRecord,
     ReceiveStatus,
+    SimConfig,
     Trace,
     TraceFormatError,
     TraceMeta,
+    apply_channel,
+    generate_tx,
     read_trace,
     write_trace,
 )
@@ -89,6 +97,15 @@ def test_zero_frame_len_rejected(tmp_path):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("rate", ["0", "-5", "1e999", "+-"])
+def test_bad_rate_rejected(tmp_path, rate):
+    path = tmp_path / "t.trace"
+    path.write_text(f'#meta R={rate} frame_len=4 interval_us=100 desc=""\n')
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(path)
+    assert err.value.line == 1
+
+
 def test_non_monotone_timestamps_rejected(tmp_path):
     path = tmp_path / "t.trace"
     path.write_text(
@@ -167,3 +184,184 @@ def test_load_pair_merges_sides(tmp_path):
     write_trace(rx_only, tmp_path / "rx.trace")
     merged = load_pair(tmp_path / "tx.trace", tmp_path / "rx.trace")
     assert merged == trace
+
+
+def test_non_utf8_byte_names_line(tmp_path):
+    path = tmp_path / "t.trace"
+    write_trace(three_frame_trace(), path)
+    data = path.read_bytes().split(b"\n")
+    data[4] = data[4][:10] + b"\xff" + data[4][10:]
+    path.write_bytes(b"\n".join(data))
+    with pytest.raises(TraceFormatError, match=r"not UTF-8 text \(byte 0xff\)") as err:
+        read_trace(path)
+    assert (err.value.path, err.value.line) == (str(path), 5)
+
+
+@pytest.mark.parametrize("payload", ["A3F0", "a3F0", "+3f0", "a3 0"])
+def test_non_canonical_hex_names_line(tmp_path, payload):
+    path = tmp_path / "t.trace"
+    write_trace(three_frame_trace(), path)
+    text = path.read_text().replace("tx 1 20000 ok - a3f0",
+                                    f"tx 1 20000 ok - {payload}")
+    path.write_text(text)
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(path)
+    assert err.value.line == 3
+
+
+def test_crlf_line_endings_parse(tmp_path):
+    path = tmp_path / "t.trace"
+    write_trace(three_frame_trace(), path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_trace(path) == three_frame_trace()
+
+
+def test_invariant_violation_names_record_line(tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_text(
+        '#meta R=54000000 frame_len=4 interval_us=100 desc=""\n'
+        "tx 0 100 ok - a0\n"
+        "\n"
+        "tx 1 50 ok - a0\n"
+    )
+    with pytest.raises(TraceFormatError, match="non-decreasing") as err:
+        read_trace(path)
+    assert err.value.line == 4
+
+
+def test_load_pair_validates_each_side_once(tmp_path, monkeypatch):
+    trace = three_frame_trace()
+    write_trace(Trace(meta=trace.meta, tx=trace.tx), tmp_path / "tx.trace")
+    write_trace(Trace(meta=trace.meta, rx=trace.rx), tmp_path / "rx.trace")
+    calls = []
+    validate = Trace.validate
+    monkeypatch.setattr(Trace, "validate",
+                        lambda self: calls.append(self) or validate(self))
+    assert load_pair(tmp_path / "tx.trace", tmp_path / "rx.trace") == trace
+    assert len(calls) == 2
+
+
+def test_load_pair_rx_seq_without_tx_names_rx_file(tmp_path):
+    trace = three_frame_trace()
+    tx_path, rx_path = tmp_path / "tx.trace", tmp_path / "rx.trace"
+    write_trace(Trace(meta=trace.meta, tx=trace.tx[:2]), tx_path)
+    write_trace(Trace(meta=trace.meta, rx=trace.rx[:1] + trace.rx[2:]), rx_path)
+    with pytest.raises(TraceFormatError) as info:
+        load_pair(tx_path, rx_path)
+    assert str(info.value) == f"{rx_path}: rx seq 2 has no matching tx record"
+    assert info.value.line is None
+
+
+# Fuzzing: start from well-formed files and damage them in the ways real
+# files get damaged.  Each mutation is a tuple so failures print readably.
+_mutations = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 400)),
+    st.tuples(st.just("insert"), st.integers(0, 400),
+              st.sampled_from([b" ", b"  ", b"\t", b"\r", b"\n", b"\x0c"])),
+    st.tuples(st.just("insert"), st.integers(0, 400),
+              st.sampled_from([b"\x80", b"\xff", b"\xc3(", b"\xe2\x82", b"\xed\xa0\x80"])),
+    st.tuples(st.just("insert"), st.integers(0, 400), st.binary(min_size=1, max_size=3)),
+    st.tuples(st.just("crlf")),
+    st.tuples(st.just("frame_len"), st.text("0123456789", min_size=1, max_size=5000)),
+    st.tuples(st.just("upper"), st.integers(0, 20)),
+    st.tuples(st.just("drop_line"), st.integers(0, 20)),
+    st.tuples(st.just("repeat_line"), st.integers(0, 20)),
+    st.tuples(st.just("swap_lines"), st.integers(0, 20)),
+    st.tuples(st.just("empty"), st.sampled_from([b"", b"\n", b"\r\n", b"  \n"])),
+)
+
+
+def _mutate(data, mutation):
+    kind, *args = mutation
+    if kind == "truncate":
+        return data[: args[0] % (len(data) + 1)]
+    if kind == "insert":
+        pos = args[0] % (len(data) + 1)
+        return data[:pos] + args[1] + data[pos:]
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if kind == "frame_len":
+        return re.sub(rb"frame_len=\d+", b"frame_len=" + args[0].encode(), data)
+    if kind == "empty":
+        return args[0]
+    lines = data.split(b"\n")
+    i = args[0] % len(lines)
+    if kind == "upper":
+        lines[i] = lines[i].upper()
+    elif kind == "drop_line":
+        del lines[i]
+    elif kind == "repeat_line":
+        lines.insert(i, lines[i])
+    elif kind == "swap_lines":
+        j = (i + 1) % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    return b"\n".join(lines)
+
+
+def _fuzz_bases():
+    trace = three_frame_trace()
+    config = SimConfig(
+        params=ChannelParams(r=0.2, s=0.4, p=0.1, rate_bps=11e6, frame_len=20,
+                             interval_us=1000),
+        seed=4, n_frames=8, timestamp_jitter_us=5)
+    tx = generate_tx(config)
+    sim = Trace(meta=tx.meta, tx=tx.tx, rx=apply_channel(tx, config).rx)
+    sim.rx[3] = FrameRecord(seq=None, timestamp_us=sim.rx[3].timestamp_us,
+                            status=sim.rx[3].status, payload=sim.rx[3].payload,
+                            rssi=-77)
+    return [trace, sim, Trace(meta=trace.meta, tx=trace.tx),
+            Trace(meta=sim.meta, rx=sim.rx)]
+
+
+_BASES = _fuzz_bases()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(_BASES))), st.lists(_mutations, min_size=1, max_size=3))
+def test_read_trace_fuzz(tmp_path_factory, base, mutations):
+    path = tmp_path_factory.mktemp("fuzz") / "t.trace"
+    write_trace(_BASES[base], path)
+    data = path.read_bytes()
+    for mutation in mutations:
+        data = _mutate(data, mutation)
+    path.write_bytes(data)
+    try:
+        trace = read_trace(path)
+    except TraceFormatError as exc:
+        assert exc.path == str(path)
+        assert exc.line is not None and 1 <= exc.line <= data.count(b"\n") + 1
+        assert str(exc).startswith(f"{path}:{exc.line}: ")
+        return
+    trace.validate()
+    write_trace(trace, path)
+    assert read_trace(path) == trace
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_mutations, min_size=1, max_size=3))
+def test_load_pair_fuzz_rx_side(tmp_path_factory, mutations):
+    sim = _BASES[1]
+    tmp = tmp_path_factory.mktemp("pair")
+    tx_path, rx_path = tmp / "tx.trace", tmp / "rx.trace"
+    write_trace(Trace(meta=sim.meta, tx=sim.tx), tx_path)
+    write_trace(Trace(meta=sim.meta, rx=sim.rx), rx_path)
+    data = rx_path.read_bytes()
+    for mutation in mutations:
+        data = _mutate(data, mutation)
+    rx_path.write_bytes(data)
+    try:
+        trace = load_pair(tx_path, rx_path)
+    except TraceFormatError as exc:
+        assert exc.path == str(rx_path)
+        return
+    trace.validate()
+
+
+def test_lone_cr_is_not_a_line_break(tmp_path):
+    path = tmp_path / "t.trace"
+    write_trace(three_frame_trace(), path)
+    data = path.read_bytes().replace(b"a3f0\ntx 1", b"a3f0\rtx 1")
+    path.write_bytes(data)
+    with pytest.raises(TraceFormatError, match="expected 6 fields, got 11") as err:
+        read_trace(path)
+    assert err.value.line == 2
