@@ -19,7 +19,7 @@ from math import log2, sqrt
 
 import numpy as np
 
-from .trace import ReceiveStatus, Trace, xor_error_vector
+from .trace import ReceiveStatus, Trace, TraceError
 
 
 def binary_entropy(p: float) -> float:
@@ -73,8 +73,12 @@ def _flip_counts(tx: Trace, rx: Trace) -> np.ndarray:
     counts = np.zeros((len(rx.rx), 2), dtype=np.int64)
     for i, rec in enumerate(rx.rx):
         if rec.status is ReceiveStatus.CRC_ERROR and rec.seq is not None:
-            ev = xor_error_vector(tx.tx[rec.seq].payload, rec.payload)
-            counts[i] = np.count_nonzero(ev), ev.size
+            sent = tx.tx[rec.seq]
+            if sent.n_bits != rec.n_bits:
+                raise TraceError(
+                    f"payload length mismatch: {sent.n_bits} vs {rec.n_bits}"
+                )
+            counts[i] = np.bitwise_count(sent.packed ^ rec.packed).sum(), rec.n_bits
     return counts
 
 

@@ -7,7 +7,8 @@ error-free receptions, map the corrupted frame's receive time to a
 predicted transmit time, and compare the payload against the few transmit
 frames closest to that prediction.  The true frame disagrees on roughly a
 fraction p of bits while every other candidate disagrees on about half,
-so a Hamming-distance threshold between the two is decisive.
+so a Hamming-distance threshold between the two is decisive.  The
+distance is the popcount of the XOR of the two packed payloads.
 
 The timestamps are indexed once per trace: the anchors (error-free
 receptions with a known seq) sorted by receive time and the transmit
@@ -170,7 +171,7 @@ class _RecoveryIndex:
         scored = []
         for idx in candidates:
             cand = self.tx.tx[int(idx)]
-            dist = int(np.count_nonzero(cand.payload != corrupted.payload))
+            dist = int(np.bitwise_count(cand.packed ^ corrupted.packed).sum())
             seq_close = (
                 corrupted.seq is not None
                 and _seq_bit_distance(cand.seq, corrupted.seq) <= SEQ_TIEBREAK_BITS

@@ -11,6 +11,7 @@ All outcomes are drawn from per-frame counter-based streams (see rng), so
 a config reproduces bit-identical traces regardless of evaluation order.
 Each loop re-keys one stream family per frame and takes all of that
 frame's draws before moving on, as the family's validity rule requires.
+Payloads are drawn and flipped as bits, then packed (see trace).
 """
 
 from __future__ import annotations
@@ -77,16 +78,23 @@ def generate_tx(config: SimConfig) -> Trace:
     """Generate the transmit side: uniform random payloads on a fixed cadence."""
     params = config.params
     streams = rng.StreamFamily(config.seed, rng.ROLE_TX_PAYLOAD)
-    tx = [
-        FrameRecord(
-            seq=k,
-            timestamp_us=k * params.interval_us,
-            status=ReceiveStatus.OK,
-            payload=streams.at(k).integers(0, 2, params.frame_len, dtype=np.uint8),
+    packed = np.empty((config.n_frames, (params.frame_len + 7) // 8), dtype=np.uint8)
+    for k, row in enumerate(packed):
+        row[:] = np.packbits(
+            streams.at(k).integers(0, 2, params.frame_len, dtype=np.uint8)
         )
-        for k in range(config.n_frames)
+    packed.setflags(write=False)
+    tx = [
+        FrameRecord._from_row(k, k * params.interval_us, ReceiveStatus.OK,
+                              row, params.frame_len)
+        for k, row in enumerate(packed)
     ]
     return Trace(meta=_meta(params, f"tx seed={config.seed}"), tx=tx)
+
+
+def _frozen(packed: np.ndarray) -> np.ndarray:
+    packed.setflags(write=False)
+    return packed
 
 
 def _rx_timestamp(config: SimConfig, tx_ts: int, gen: np.random.Generator) -> int:
@@ -113,22 +121,21 @@ def apply_channel(tx: Trace, config: SimConfig) -> Trace:
         u_clean = gen.random()
         if u_erase < params.r:
             rx.append(
-                FrameRecord(seq=rec.seq, timestamp_us=timestamp,
-                            status=ReceiveStatus.PHY_ERROR)
+                FrameRecord._from_row(rec.seq, timestamp,
+                                      ReceiveStatus.PHY_ERROR, None, 0)
             )
             continue
         if u_clean < params.s:
-            status, payload = ReceiveStatus.OK, rec.payload
+            status, packed = ReceiveStatus.OK, rec.packed
         else:
             # The corrupted state is decided by the draw, not by whether any
             # flip landed; downstream code treats all-zero error vectors as
             # degenerate rather than clean.
             flips = gen.random(params.frame_len) < params.p
-            payload = np.bitwise_xor(rec.payload, flips.astype(np.uint8))
+            packed = _frozen(rec.packed ^ np.packbits(flips))
             status = ReceiveStatus.CRC_ERROR
         rx.append(
-            FrameRecord(seq=rec.seq, timestamp_us=timestamp,
-                        status=status, payload=payload)
+            FrameRecord._from_row(rec.seq, timestamp, status, packed, rec.n_bits)
         )
     return Trace(meta=_meta(config.params, f"rx seed={config.seed}"), tx=[], rx=rx)
 
@@ -179,12 +186,11 @@ def apply_periodic_noise(
         flips = np.zeros(frame_len, dtype=np.uint8)
         flips[window_idx] = gen.random(window_idx.size) < p_in_burst
         if flips.any():
-            payload = np.bitwise_xor(rec.payload, flips)
+            packed = _frozen(rec.packed ^ np.packbits(flips))
             status = ReceiveStatus.CRC_ERROR
         else:
-            payload, status = rec.payload, ReceiveStatus.OK
+            packed, status = rec.packed, ReceiveStatus.OK
         rx.append(
-            FrameRecord(seq=rec.seq, timestamp_us=timestamp,
-                        status=status, payload=payload)
+            FrameRecord._from_row(rec.seq, timestamp, status, packed, rec.n_bits)
         )
     return Trace(meta=_meta(config.params, f"rx periodic seed={seed}"), tx=[], rx=rx)

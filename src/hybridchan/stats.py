@@ -1,10 +1,12 @@
 """Per-frame and cross-frame error statistics.
 
 error_table makes one pass over a (tx, rx) trace pair, a block of
-corrupted frames at a time: it XORs their payloads, whitens each error
-vector once when given a key (interleaver.whiten_error_vector), and keeps
-only counts.  There is no per-vector hook: the per-frame runs tests, the
-bit profile, symmetry and segments.py are reductions over the table.
+corrupted frames at a time: it XORs their packed payloads and popcounts
+the bytes, then unpacks the block to whiten each error vector once when
+given a key (interleaver.whiten_error_vector) and to count its runs, and
+keeps only counts.  There is no per-vector hook: the per-frame runs
+tests, the bit profile, symmetry and segments.py are reductions over the
+table.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ if TYPE_CHECKING:
 
 SYMMETRY_Z_THRESHOLD = 1.96
 
-# Error bits (one byte each) per block while building an ErrorTable: 32
-# frames of 8000 bits.  Blocks of a few MB raised peak RSS, because freed
-# blocks that large stay in the heap; blocks this small go back to the OS.
+# Error bits per block while building an ErrorTable, one byte each once
+# unpacked: 32 frames of 8000 bits.  Blocks of a few MB raised peak RSS,
+# because freed blocks that large stay in the heap; blocks this small go
+# back to the OS.
 _BLOCK_BITS = 1 << 18
 
 
@@ -67,15 +70,16 @@ def error_table(tx: Trace, rx: Trace, key: int | None = None) -> ErrorTable:
     step = max(1, _BLOCK_BITS // frame_len)
     for lo in range(0, n, step):
         block = records[lo:lo + step]
-        tx_bits = np.stack([tx.tx[rec.seq].payload for rec in block])
-        ev = tx_bits ^ np.stack([rec.payload for rec in block])
-        tx_ones += int(np.count_nonzero(tx_bits))
-        flips_on_ones += int(np.count_nonzero(ev & tx_bits))
+        tx_bytes = np.stack([tx.tx[rec.seq].packed for rec in block])
+        ev_bytes = tx_bytes ^ np.stack([rec.packed for rec in block])
+        tx_ones += int(np.bitwise_count(tx_bytes).sum())
+        flips_on_ones += int(np.bitwise_count(ev_bytes & tx_bytes).sum())
+        rows = slice(lo, lo + len(block))
+        n1[rows] = np.bitwise_count(ev_bytes).sum(axis=1)
+        ev = np.unpackbits(ev_bytes, axis=1, count=frame_len)
         if key is not None:
             for row, rec in zip(ev, block):
                 row[:] = interleaver.whiten_error_vector(row, key, rec.seq)
-        rows = slice(lo, lo + len(block))
-        n1[rows] = np.count_nonzero(ev, axis=1)
         runs[rows] = 1 + np.count_nonzero(ev[:, 1:] != ev[:, :-1], axis=1)
         first[rows] = ev[:, 0]
         last[rows] = ev[:, -1]

@@ -2,9 +2,10 @@
 
 A trace is an ordered collection of frame records, split into a transmit
 side and a receive side, plus the metadata (PHY rate, payload length,
-inter-packet interval) every analysis needs.  Payloads are numpy bit
-vectors (dtype uint8, values 0/1) and are frozen after construction so
-records can be shared freely across threads.
+inter-packet interval) every analysis needs.  Payloads are stored packed,
+big-endian as in the trace file: ceil(n_bits/8) read-only bytes per record
+with zero pad bits, so the analyses XOR and count bytes.  They are frozen
+after construction so records can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class ChannelParams:
             raise ValueError(f"interval_us={self.interval_us} must be positive")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class FrameRecord:
     """One transmitted or received frame.
 
@@ -84,45 +85,119 @@ class FrameRecord:
     before recovery).  PHY-error frames carry no payload.  rssi is optional
     because some hardware cannot report it for every reception.
 
-    The record takes ownership of the payload array and freezes it
-    (read-only); records may therefore share payload memory, e.g. a clean
-    reception aliasing its transmit record's bits.
+    The payload is given as a 0/1 bit vector, which is checked and packed,
+    or as packed bytes with their bit count.  packed is read-only and may
+    be a row of a larger matrix (one per trace file), so records may share
+    payload memory; payload unpacks it on every read.
     """
 
     seq: int | None
     timestamp_us: int
     status: ReceiveStatus
-    payload: np.ndarray | None = None
-    rssi: int | None = None
+    packed: np.ndarray | None
+    n_bits: int
+    rssi: int | None
 
-    def __post_init__(self) -> None:
-        if self.status is ReceiveStatus.PHY_ERROR:
-            if self.payload is not None:
-                raise TraceError("PHY-error frame must not carry a payload")
-        elif self.payload is None:
-            raise TraceError(f"{self.status.value} frame must carry a payload")
-        if self.payload is not None:
-            pl = np.ascontiguousarray(self.payload, dtype=np.uint8)
-            if pl.ndim != 1:
+    def __init__(
+        self,
+        seq: int | None,
+        timestamp_us: int,
+        status: ReceiveStatus,
+        payload: np.ndarray | None = None,
+        rssi: int | None = None,
+        *,
+        packed: np.ndarray | None = None,
+        n_bits: int = 0,
+    ) -> None:
+        if payload is not None:
+            if packed is not None:
+                raise TraceError("payload given both as bits and packed")
+            bits = np.asarray(payload, dtype=np.uint8)
+            if bits.ndim != 1:
                 raise TraceError("payload must be a 1-D bit vector")
-            if pl.size and pl.max() > 1:
+            if bits.size and bits.max() > 1:
                 raise TraceError("payload bits must be 0 or 1")
-            pl.setflags(write=False)
-            object.__setattr__(self, "payload", pl)
+            packed, n_bits = np.packbits(bits), bits.size
+        elif packed is not None:
+            packed = np.asarray(packed)
+            if packed.dtype != np.uint8 or packed.shape != ((n_bits + 7) // 8,):
+                raise TraceError(f"packed payload must be {(n_bits + 7) // 8} "
+                                 f"uint8 bytes for {n_bits} bits")
+            if n_bits % 8 and packed[-1] & (0xFF >> n_bits % 8):
+                raise TraceError("nonzero padding bits past the declared bit length")
+        if status is ReceiveStatus.PHY_ERROR:
+            if packed is not None:
+                raise TraceError("PHY-error frame must not carry a payload")
+        elif packed is None:
+            raise TraceError(f"{status.value} frame must carry a payload")
+        if packed is None:
+            n_bits = 0
+        else:
+            packed.setflags(write=False)
+        for name, value in (("seq", seq), ("timestamp_us", timestamp_us),
+                            ("status", status), ("packed", packed),
+                            ("n_bits", n_bits), ("rssi", rssi)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_row(
+        cls,
+        seq: int | None,
+        timestamp_us: int,
+        status: ReceiveStatus,
+        packed: np.ndarray | None,
+        n_bits: int,
+        rssi: int | None = None,
+    ) -> FrameRecord:
+        """Unchecked record for the package's own writers.
+
+        packed must be None or a read-only uint8 row of n_bits bits with
+        zero pad bits, and present exactly when status is not PHY_ERROR.
+        """
+        rec = object.__new__(cls)
+        _set_seq(rec, seq)
+        _set_timestamp_us(rec, timestamp_us)
+        _set_status(rec, status)
+        _set_packed(rec, packed)
+        _set_n_bits(rec, n_bits)
+        _set_rssi(rec, rssi)
+        return rec
+
+    @staticmethod
+    def _fill_rows(records: list[FrameRecord], packed: np.ndarray) -> None:
+        """Give records made by _from_row with packed None the rows of packed."""
+        for rec, row in zip(records, packed):
+            _set_packed(rec, row)
+
+    @property
+    def payload(self) -> np.ndarray | None:
+        """The payload bits (uint8 0/1, read-only), unpacked on each read."""
+        if self.packed is None:
+            return None
+        bits = np.unpackbits(self.packed, count=self.n_bits)
+        bits.setflags(write=False)
+        return bits
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrameRecord):
             return NotImplemented
-        if (self.seq, self.timestamp_us, self.status, self.rssi) != (
+        if (self.seq, self.timestamp_us, self.status, self.rssi, self.n_bits) != (
             other.seq,
             other.timestamp_us,
             other.status,
             other.rssi,
+            other.n_bits,
         ):
             return False
-        if self.payload is None or other.payload is None:
-            return self.payload is other.payload
-        return bool(np.array_equal(self.payload, other.payload))
+        if self.packed is None or other.packed is None:
+            return self.packed is other.packed
+        return bool(np.array_equal(self.packed, other.packed))
+
+
+# The slots' own setters, for _from_row: a frozen record refuses setattr,
+# and object.__setattr__ looks each name up first, at twice the cost.
+(_set_seq, _set_timestamp_us, _set_status, _set_packed, _set_n_bits,
+ _set_rssi) = (FrameRecord.__dict__[name].__set__ for name in FrameRecord.__slots__)
 
 
 @dataclass(frozen=True)
@@ -157,10 +232,10 @@ class Trace:
         for side_name, side in (("tx", self.tx), ("rx", self.rx)):
             prev = None
             for i, rec in enumerate(side):
-                if rec.payload is not None and rec.payload.size != self.meta.frame_len:
+                if rec.packed is not None and rec.n_bits != self.meta.frame_len:
                     raise TraceError(
                         f"{side_name} seq {rec.seq}: payload length "
-                        f"{rec.payload.size} != frame_len {self.meta.frame_len}",
+                        f"{rec.n_bits} != frame_len {self.meta.frame_len}",
                         (side_name, i),
                     )
                 if prev is not None and rec.timestamp_us < prev:
@@ -218,28 +293,3 @@ def xor_error_vector(tx_payload: np.ndarray, rx_payload: np.ndarray) -> np.ndarr
             f"payload length mismatch: {tx_payload.size} vs {rx_payload.size}"
         )
     return np.bitwise_xor(tx_payload, rx_payload)
-
-
-def bits_to_hex(bits: np.ndarray) -> str:
-    """Pack a bit vector into lowercase hex, bit 0 = MSB of the first digit."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="big").tobytes().hex()
-
-
-def hex_to_bits(text: str, n_bits: int) -> np.ndarray:
-    """Unpack lowercase hex into n_bits bits; pad bits past n_bits must be 0."""
-    n_bytes = (n_bits + 7) // 8
-    if len(text) != 2 * n_bytes:
-        raise ValueError(
-            f"payload hex has {len(text)} digits, expected {2 * n_bytes} "
-            f"for {n_bits} bits"
-        )
-    packed = bytes.fromhex(text)
-    # fromhex also takes uppercase digits and skips whitespace; the format
-    # allows neither, and only the canonical spelling re-encodes to itself.
-    if packed.hex() != text:
-        raise ValueError("payload must be lowercase hex digits")
-    raw = np.frombuffer(packed, dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="big")
-    if bits[n_bits:].any():
-        raise ValueError("nonzero padding bits past the declared bit length")
-    return bits[:n_bits]

@@ -10,14 +10,22 @@ other tools can parse them with a one-line split.
 Payloads are lowercase hex with bit 0 in the MSB of the first digit; the
 bit count comes from frame_len, so payloads need not be whole bytes.
 PHY-error records carry ``-`` in the payload column, unknown sequence
-numbers the literal ``?``, missing RSSI ``-``.
+numbers the literal ``?``, missing RSSI ``-``.  Integers are spelled
+``0`` or ``-?[1-9][0-9]*``, the only form read back, and the description
+holds no line break.
+
+read_trace decodes every payload of a file with one hex decode into one
+packed matrix, whose rows the records hold.
 """
 
 from __future__ import annotations
 
+import binascii
 import math
 import re
 from pathlib import Path
+
+import numpy as np
 
 from .trace import (
     FrameRecord,
@@ -26,8 +34,6 @@ from .trace import (
     TraceError,
     TraceFormatError,
     TraceMeta,
-    bits_to_hex,
-    hex_to_bits,
 )
 
 _META_RE = re.compile(
@@ -35,7 +41,58 @@ _META_RE = re.compile(
     r'interval_us=(?P<iv>\d+) desc="(?P<desc>(?:[^"\\]|\\.)*)"$'
 )
 
+_NOT_HEX_RE = re.compile(rb"[^0-9a-f]")
+
 _STATUS_FROM_TOKEN = {s.value: s for s in ReceiveStatus}
+
+
+class PayloadError(ValueError):
+    """A bad payload in a run of hex payloads; index is its position in the run."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def packed_to_hex(packed: np.ndarray) -> str:
+    """Lowercase hex of packed payload bytes, bit 0 = MSB of the first digit."""
+    return packed.tobytes().hex()
+
+
+def hex_to_packed(payload_hex: bytes, n_bits: int) -> np.ndarray:
+    """Decode back-to-back hex payloads of n_bits each into a packed matrix.
+
+    Returns a read-only uint8 matrix with one row of ceil(n_bits/8) bytes
+    per payload, from one binascii.a2b_hex call over all of payload_hex
+    (ASCII bytes; bytes.fromhex takes only str, which would cost another
+    copy).  Digits must be lowercase hex and pad bits past n_bits zero;
+    otherwise raises PayloadError naming the first payload at fault.
+    """
+    width = 2 * ((n_bits + 7) // 8)
+    if len(payload_hex) % width:
+        raise PayloadError(
+            f"payload hex has {len(payload_hex)} digits, expected a multiple "
+            f"of {width} for {n_bits} bits", len(payload_hex) // width
+        )
+    try:
+        packed = binascii.a2b_hex(payload_hex)
+    except binascii.Error:
+        packed = None
+    # a2b_hex also takes uppercase digits; the format allows only lowercase.
+    if packed is None or any(c in payload_hex for c in b"ABCDEF"):
+        bad = _NOT_HEX_RE.search(payload_hex).start()
+        raise PayloadError("payload must be lowercase hex digits", bad // width)
+    matrix = np.frombuffer(packed, dtype=np.uint8)
+    if not matrix.size:  # frame_len may exceed any array dimension then
+        return matrix.reshape(0, 0)
+    matrix = matrix.reshape(-1, width // 2)
+    pad_bits = 4 * width - n_bits
+    if pad_bits:
+        bad_rows = np.flatnonzero(matrix[:, -1] & ((1 << pad_bits) - 1))
+        if bad_rows.size:
+            raise PayloadError("nonzero padding bits past the declared bit length",
+                               int(bad_rows[0]))
+    return matrix
 
 
 def _quote(text: str) -> str:
@@ -52,35 +109,47 @@ def _format_rate(rate: float) -> str:
 
 def write_trace(trace: Trace, path: str | Path) -> None:
     """Write a trace; the on-disk form round-trips bit-exactly."""
+    desc = trace.meta.description
+    if "\n" in desc or "\r" in desc:
+        raise TraceError(f"description {desc!r} must not contain a line break")
     trace.validate()
-    lines = [
-        f'#meta R={_format_rate(trace.meta.rate_bps)} '
-        f'frame_len={trace.meta.frame_len} '
-        f'interval_us={trace.meta.interval_us} '
-        f'desc="{_quote(trace.meta.description)}"'
-    ]
-    for side, records in (("tx", trace.tx), ("rx", trace.rx)):
-        for rec in records:
-            seq = "?" if rec.seq is None else str(rec.seq)
-            rssi = "-" if rec.rssi is None else str(rec.rssi)
-            payload = "-" if rec.payload is None else bits_to_hex(rec.payload)
-            lines.append(
-                f"{side} {seq} {rec.timestamp_us} {rec.status.value} {rssi} {payload}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Line by line: the whole text at once would cost several copies of it.
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(
+            f'#meta R={_format_rate(trace.meta.rate_bps)} '
+            f'frame_len={trace.meta.frame_len} '
+            f'interval_us={trace.meta.interval_us} '
+            f'desc="{_quote(desc)}"\n'
+        )
+        for side, records in (("tx", trace.tx), ("rx", trace.rx)):
+            for rec in records:
+                seq = "?" if rec.seq is None else str(rec.seq)
+                rssi = "-" if rec.rssi is None else str(rec.rssi)
+                payload = "-" if rec.packed is None else packed_to_hex(rec.packed)
+                fh.write(f"{side} {seq} {rec.timestamp_us} {rec.status.value} "
+                         f"{rssi} {payload}\n")
 
 
-def _read_text(path: Path) -> str:
-    # Decoded by hand: text mode would also take a lone CR as a line break,
-    # and its decode errors carry no position in the file.
-    data = path.read_bytes()
+def _check_utf8(data: bytes, path: Path) -> None:
     try:
-        return data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise TraceFormatError(
             f"not UTF-8 text (byte 0x{data[exc.start]:02x})", str(path), line
         ) from exc
+
+
+def _int(token: str, name: str) -> int:
+    """token as an int, if spelled as write_trace writes it: 0 or -?[1-9][0-9]*.
+
+    int() also takes +0, 1_000, 007, padding and non-ASCII digits; those
+    are exactly the spellings that do not survive a round trip.
+    """
+    value = int(token)
+    if str(value) != token:
+        raise ValueError(f"{name} {token!r} is not a canonical integer")
+    return value
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -89,14 +158,31 @@ def read_trace(path: str | Path) -> Trace:
     Lines end in LF or CRLF.  A broken invariant of the parsed trace is
     reported at the line of the record at fault, where there is one.
     """
-    path = Path(path)
-    text = _read_text(path)
-    if not text:
+    return _read(Path(path))[0]
+
+
+def _read(path: Path) -> tuple[Trace, dict[str, list[int]]]:
+    """The trace in path and the line of each record, by side.
+
+    The file stays one bytes object: each record line is located and its
+    small fields checked in turn, and only its payload's offset is kept.
+    The payloads are then joined, the file dropped, and all of them
+    decoded at once (hex_to_packed).  The fault reported is the first in
+    file order, as if each line were decoded in turn; bytes that are not
+    UTF-8 are reported before anything else.
+    """
+    # Read as bytes and split by hand: text mode would also take a lone CR
+    # as a line break, and its decode errors carry no position in the file.
+    data = path.read_bytes()
+    if not data:
         raise TraceFormatError("empty file, missing #meta line", str(path), 1)
-    if "\r" in text:  # the guard is a fast scan; replace is not, even with no match
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    m = _META_RE.match(lines[0])
+    if not data.isascii():
+        _check_utf8(data, path)
+    if b"\r" in data:  # the guard is a fast scan; replace is not, even with no match
+        data = data.replace(b"\r\n", b"\n")
+    size = len(data)
+    pos = data.find(b"\n") + 1 or size
+    m = _META_RE.match(data[:pos].rstrip(b"\n").decode())
     if m is None:
         raise TraceFormatError("malformed #meta line", str(path), 1)
     try:
@@ -108,66 +194,102 @@ def read_trace(path: str | Path) -> Trace:
         )
     except ValueError as exc:
         raise TraceFormatError(str(exc), str(path), 1) from exc
+    if "\r" in meta.description:  # a lone CR; write_trace would refuse it
+        raise TraceFormatError("description must not contain a line break",
+                               str(path), 1)
     if meta.frame_len == 0:
         raise TraceFormatError("frame_len must be positive", str(path), 1)
     if not 0 < meta.rate_bps < math.inf:
         raise TraceFormatError("R must be positive and finite", str(path), 1)
+    n_bits = meta.frame_len
+    width = 2 * ((n_bits + 7) // 8)
     trace = Trace(meta=meta)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    records_of = {"tx": trace.tx, "rx": trace.rx}
+    line_of: dict[str, list[int]] = {"tx": [], "rx": []}
+    # records with a payload, its offset in data and its line
+    holders: list[FrameRecord] = []
+    hex_starts: list[int] = []
+    hex_lines: list[int] = []
+
+    def hex_bytes() -> bytes:
+        with memoryview(data) as view:
+            return b"".join([view[i:i + width] for i in hex_starts])
+
+    lineno = 1
+    while pos < size:
+        start = pos
+        stop = data.find(b"\n", start)
+        if stop < 0:
+            stop = size
+        pos = stop + 1
+        lineno += 1
+        # A record line starts with a letter; anything else may be blank.
+        if not 32 < data[start] < 127 and not data[start:stop].decode().strip():
             continue
-        fields = line.split(" ")
-        if len(fields) != 6:
-            raise TraceFormatError(
-                f"expected 6 fields, got {len(fields)}", str(path), lineno
-            )
-        side, seq_tok, ts_tok, status_tok, rssi_tok, payload_tok = fields
-        if side not in ("tx", "rx"):
-            raise TraceFormatError(f"unknown side {side!r}", str(path), lineno)
-        if status_tok not in _STATUS_FROM_TOKEN:
-            raise TraceFormatError(f"unknown status {status_tok!r}", str(path), lineno)
-        status = _STATUS_FROM_TOKEN[status_tok]
         try:
-            seq = None if seq_tok == "?" else int(seq_tok)
-            timestamp_us = int(ts_tok)
-            rssi = None if rssi_tok == "-" else int(rssi_tok)
-            payload = (
-                None
-                if payload_tok == "-"
-                else hex_to_bits(payload_tok, meta.frame_len)
-            )
-            record = FrameRecord(
-                seq=seq,
-                timestamp_us=timestamp_us,
-                status=status,
-                payload=payload,
-                rssi=rssi,
-            )
-        except (ValueError, TraceError) as exc:
+            cut = data.rfind(b" ", start, stop)
+            fields = data[start:cut].decode().split(" ") if cut >= 0 else []
+            if len(fields) != 5:
+                raise ValueError(f"expected 6 fields, got {len(fields) + 1}")
+            side, seq_tok, ts_tok, status_tok, rssi_tok = fields
+            if side not in records_of:
+                raise ValueError(f"unknown side {side!r}")
+            status = _STATUS_FROM_TOKEN.get(status_tok)
+            if status is None:
+                raise ValueError(f"unknown status {status_tok!r}")
+            seq = None if seq_tok == "?" else _int(seq_tok, "seq")
+            timestamp_us = _int(ts_tok, "timestamp")
+            rssi = None if rssi_tok == "-" else _int(rssi_tok, "rssi")
+            has_payload = stop - cut != 2 or data[cut + 1] != 45  # "-"
+            if has_payload and stop - cut - 1 != width:
+                raise ValueError(
+                    f"payload hex has {len(data[cut + 1:stop].decode())} digits, "
+                    f"expected {width} for {n_bits} bits"
+                )
+            if has_payload == (status is ReceiveStatus.PHY_ERROR):
+                raise ValueError(
+                    "PHY-error frame must not carry a payload"
+                    if has_payload
+                    else f"{status.value} frame must carry a payload"
+                )
+        except ValueError as exc:
+            # a payload on an earlier line may be at fault first
+            _decode_payloads(hex_bytes(), hex_lines, n_bits, path)
             raise TraceFormatError(str(exc), str(path), lineno) from exc
-        (trace.tx if side == "tx" else trace.rx).append(record)
+        rec = FrameRecord._from_row(seq, timestamp_us, status, None,
+                                    n_bits if has_payload else 0, rssi)
+        records_of[side].append(rec)
+        line_of[side].append(lineno)
+        if has_payload:
+            holders.append(rec)
+            hex_starts.append(cut + 1)
+            hex_lines.append(lineno)
+    payload_hex = hex_bytes()
+    del data
+    FrameRecord._fill_rows(holders,
+                           _decode_payloads(payload_hex, hex_lines, n_bits, path))
     try:
         trace.validate()
     except TraceError as exc:
-        line = None if exc.record is None else _record_line(lines, *exc.record)
+        line = None if exc.record is None else line_of[exc.record[0]][exc.record[1]]
         raise TraceFormatError(str(exc), str(path), line) from exc
-    return trace
+    return trace, line_of
 
 
-def _record_line(lines: list[str], side: str, index: int) -> int | None:
-    """Line number of record index of side, in lines that all parsed."""
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.strip() and line.startswith(side):
-            if index == 0:
-                return lineno
-            index -= 1
-    return None
+def _decode_payloads(
+    payload_hex: bytes, lines: list[int], n_bits: int, path: Path
+) -> np.ndarray:
+    """hex_to_packed, with a fault named at the line of its payload."""
+    try:
+        return hex_to_packed(payload_hex, n_bits)
+    except PayloadError as exc:
+        raise TraceFormatError(str(exc), str(path), lines[exc.index]) from exc
 
 
 def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
     """Combine a tx-side file and an rx-side file into one trace."""
     tx = read_trace(tx_path)
-    rx = read_trace(rx_path)
+    rx, rx_lines = _read(Path(rx_path))
     if (tx.meta.rate_bps, tx.meta.frame_len, tx.meta.interval_us) != (
         rx.meta.rate_bps,
         rx.meta.frame_len,
@@ -181,5 +303,6 @@ def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
     try:
         merged.validate_pairing()
     except TraceError as exc:
-        raise TraceFormatError(str(exc), str(rx_path)) from exc
+        line = None if exc.record is None else rx_lines["rx"][exc.record[1]]
+        raise TraceFormatError(str(exc), str(rx_path), line) from exc
     return merged

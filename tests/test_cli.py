@@ -168,7 +168,7 @@ class TestAnalyze:
         code = run_cli(["analyze", run / "tx.trace", run / "rx.trace",
                         "--out", tmp_path / "x"])
         assert code == 2
-        assert "rx.trace: more rx records than tx records" \
+        assert "rx.trace:7: more rx records than tx records" \
             in capsys.readouterr().err
 
     def test_non_utf8_rx_is_parse_error(self, tmp_path, capsys):
@@ -294,3 +294,19 @@ def test_segment_of_keeps_highest_spanning_segment(seqs, bounds):
             if seg.start_frame <= seq <= seg.end_frame:
                 want[seq] = i
     assert _segment_of(list(seqs), segs) == want
+
+
+def test_commands_never_unpack_a_record(tmp_path, monkeypatch, capsys):
+    """analyze, capacity and recover work on packed payload bytes only."""
+    run = simulate(tmp_path, "run")
+
+    def unpacked(self):
+        raise AssertionError("a record's payload was unpacked")
+
+    monkeypatch.setattr(FrameRecord, "payload", property(unpacked))
+    pair = [run / "tx.trace", run / "rx.trace"]
+    assert run_cli(["analyze", *pair, "--out", tmp_path / "a"]) == 0
+    assert run_cli(["analyze", *pair, "--no-interleave", "--out", tmp_path / "b"]) == 0
+    assert run_cli(["capacity", *pair, "--out", tmp_path / "c"]) == 0
+    assert run_cli(["recover", *pair, "--scrub", "--out", tmp_path / "d"]) == 0
+    assert "recovery accuracy" in capsys.readouterr().out

@@ -12,7 +12,7 @@ from hybridchan import (
     TraceMeta,
     xor_error_vector,
 )
-from hybridchan.trace import bits_to_hex, hex_to_bits
+from hybridchan.traceio import hex_to_packed, packed_to_hex
 
 
 def bits(text):
@@ -155,18 +155,27 @@ class TestTraceValidate:
 
 class TestBitsHex:
     def test_known_value(self):
-        assert bits_to_hex(bits("101000111111")) == "a3f0"
-        assert np.array_equal(hex_to_bits("a3f0", 12), bits("101000111111"))
+        assert packed_to_hex(np.packbits(bits("101000111111"))) == "a3f0"
+        matrix = hex_to_packed(b"a3f0", 12)
+        assert matrix.shape == (1, 2) and not matrix.flags.writeable
+        assert np.array_equal(np.unpackbits(matrix[0], count=12),
+                              bits("101000111111"))
 
     def test_nonzero_padding_rejected(self):
-        with pytest.raises(ValueError, match="padding"):
-            hex_to_bits("a3f1", 12)
+        for last in (b"a3f1", b"a3f8"):  # lowest and highest pad bit
+            with pytest.raises(ValueError, match="padding") as err:
+                hex_to_packed(b"a3f0" + last, 12)
+            assert err.value.index == 1
 
     def test_wrong_digit_count(self):
         with pytest.raises(ValueError, match="digits"):
-            hex_to_bits("a3", 12)
+            hex_to_packed(b"a3", 12)
 
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=64))
+    @given(st.integers(1, 64).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=5)))
     def test_round_trip(self, raw):
-        vec = np.array(raw, dtype=np.uint8)
-        assert np.array_equal(hex_to_bits(bits_to_hex(vec), vec.size), vec)
+        vecs = np.array(raw, dtype=np.uint8)
+        n_bits = vecs.shape[1]
+        text = "".join(packed_to_hex(np.packbits(v)) for v in vecs)
+        matrix = hex_to_packed(text.encode(), n_bits)
+        assert np.array_equal(np.unpackbits(matrix, axis=1, count=n_bits), vecs)

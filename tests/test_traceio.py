@@ -11,6 +11,7 @@ from hybridchan import (
     ReceiveStatus,
     SimConfig,
     Trace,
+    TraceError,
     TraceFormatError,
     TraceMeta,
     apply_channel,
@@ -122,6 +123,10 @@ def test_non_monotone_timestamps_rejected(tmp_path):
     ("zz 0 0 ok - a0", "unknown side"),
     ("tx 0 0 bad - a0", "unknown status"),
     ("tx x 0 ok - a0", "invalid literal"),
+    ("tx +0 0 ok - a0", "not a canonical integer"),
+    ("tx 0 1_000 ok - a0", "not a canonical integer"),
+    ("tx 0 007 ok - a0", "not a canonical integer"),
+    ("tx 0 0 ok \u0663 a0", "not a canonical integer"),
     ("tx 0 0 phy - a0", "must not carry a payload"),
 ])
 def test_malformed_record_lines(tmp_path, bad_line, msg):
@@ -149,6 +154,54 @@ def test_fractional_rate_round_trips(tmp_path):
     path = tmp_path / "t.trace"
     write_trace(trace, path)
     assert read_trace(path).meta.rate_bps == meta.rate_bps
+
+
+@pytest.mark.parametrize("desc", ["a\nb", "a\rb", "trailing\r\n"])
+def test_line_break_in_description_rejected_at_write(tmp_path, desc):
+    trace = three_frame_trace()
+    trace.meta = TraceMeta(rate_bps=54e6, frame_len=12, interval_us=20000,
+                           description=desc)
+    path = tmp_path / "t.trace"
+    with pytest.raises(TraceError, match="description") as err:
+        write_trace(trace, path)
+    assert not isinstance(err.value, TraceFormatError)
+    assert not path.exists()
+
+
+def test_lone_cr_in_description_rejected_at_read(tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_bytes(b'#meta R=54000000 frame_len=4 interval_us=100 desc="a\rb"\n'
+                     b"tx 0 0 ok - a0\n")
+    with pytest.raises(TraceFormatError, match="line break") as err:
+        read_trace(path)
+    assert err.value.line == 1
+
+
+def test_description_round_trips(tmp_path):
+    trace = three_frame_trace()
+    trace.meta = TraceMeta(rate_bps=54e6, frame_len=12, interval_us=20000,
+                           description='tab\tquote" back\\slash \u00e9 \\n')
+    path = tmp_path / "t.trace"
+    write_trace(trace, path)
+    assert path.read_text().count("\n") == 1 + len(trace.tx) + len(trace.rx)
+    assert read_trace(path) == trace
+
+
+def test_payloads_held_packed_in_one_matrix(tmp_path):
+    config = SimConfig(
+        params=ChannelParams(r=0.3, s=0.4, p=0.1, rate_bps=11e6, frame_len=13,
+                             interval_us=1000),
+        seed=9, n_frames=40)
+    tx = generate_tx(config)
+    path = tmp_path / "rx.trace"
+    write_trace(apply_channel(tx, config), path)
+    rx = read_trace(path)
+    held = [rec for rec in rx.rx if rec.packed is not None]
+    assert 0 < len(held) < len(rx.rx)
+    base = held[0].packed.base
+    assert all(rec.packed.base is base and rec.n_bits == 13 for rec in held)
+    assert all(rec.packed.nbytes == 2 for rec in held)
+    assert base.nbytes == len(held) * 2
 
 
 def test_load_pair_meta_mismatch(tmp_path):
@@ -248,8 +301,8 @@ def test_load_pair_rx_seq_without_tx_names_rx_file(tmp_path):
     write_trace(Trace(meta=trace.meta, rx=trace.rx[:1] + trace.rx[2:]), rx_path)
     with pytest.raises(TraceFormatError) as info:
         load_pair(tx_path, rx_path)
-    assert str(info.value) == f"{rx_path}: rx seq 2 has no matching tx record"
-    assert info.value.line is None
+    assert str(info.value) == f"{rx_path}:3: rx seq 2 has no matching tx record"
+    assert info.value.line == 3
 
 
 # Fuzzing: start from well-formed files and damage them in the ways real
@@ -268,7 +321,23 @@ _mutations = st.one_of(
     st.tuples(st.just("repeat_line"), st.integers(0, 20)),
     st.tuples(st.just("swap_lines"), st.integers(0, 20)),
     st.tuples(st.just("empty"), st.sampled_from([b"", b"\n", b"\r\n", b"  \n"])),
+    # seq, timestamp or RSSI spelled in a way int() takes but write_trace never writes
+    st.tuples(st.just("integer"), st.integers(0, 20), st.sampled_from([1, 2, 4]),
+              st.sampled_from(["+0", "1_000", "007", "\u0663", "-0", "+5", " 5"])),
 )
+
+
+def _noncanonical_line(data, mutation):
+    """Line number the integer mutation spoiled in data, or None."""
+    kind, *args = mutation
+    if kind != "integer":
+        return None
+    lines = data.split(b"\n")
+    i = args[0] % len(lines)
+    fields = lines[i].split(b" ")
+    if i == 0 or len(fields) != 6 or fields[0] not in (b"tx", b"rx"):
+        return None
+    return i + 1
 
 
 def _mutate(data, mutation):
@@ -286,7 +355,12 @@ def _mutate(data, mutation):
         return args[0]
     lines = data.split(b"\n")
     i = args[0] % len(lines)
-    if kind == "upper":
+    if kind == "integer":
+        if _noncanonical_line(data, mutation) is not None:
+            fields = lines[i].split(b" ")
+            fields[args[1]] = args[2].encode()
+            lines[i] = b" ".join(fields)
+    elif kind == "upper":
         lines[i] = lines[i].upper()
     elif kind == "drop_line":
         del lines[i]
@@ -323,6 +397,7 @@ def test_read_trace_fuzz(tmp_path_factory, base, mutations):
     write_trace(_BASES[base], path)
     data = path.read_bytes()
     for mutation in mutations:
+        spoiled = _noncanonical_line(data, mutation)
         data = _mutate(data, mutation)
     path.write_bytes(data)
     try:
@@ -331,7 +406,11 @@ def test_read_trace_fuzz(tmp_path_factory, base, mutations):
         assert exc.path == str(path)
         assert exc.line is not None and 1 <= exc.line <= data.count(b"\n") + 1
         assert str(exc).startswith(f"{path}:{exc.line}: ")
+        # the last mutation wrote a non-canonical integer there; bytes
+        # that are not UTF-8 are reported first, wherever they are
+        assert spoiled is None or exc.line <= spoiled or "not UTF-8" in str(exc)
         return
+    assert spoiled is None, "a non-canonical integer was accepted"
     trace.validate()
     write_trace(trace, path)
     assert read_trace(path) == trace
