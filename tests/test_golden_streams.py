@@ -5,6 +5,8 @@ Every random draw in the package comes from a Philox stream keyed by
 cannot notice a keying or sampling change that alters the streams between
 versions.  These digests pin the bytes themselves: any change to how a
 stream is keyed, or to the order or kind of draws taken from it, fails here.
+The outputs of analyze, capacity and recover on the same trace pairs are
+pinned as well, so a refactor of the pipeline must keep them byte-identical.
 """
 
 import hashlib
@@ -46,6 +48,75 @@ def test_simulate_cli_digests(tmp_path, case):
     assert main([str(a) for a in ["simulate", *flags, "--out", out]]) == 0
     assert (sha256(out / "tx.trace"), sha256(out / "rx.trace")) == (
         tx_digest, rx_digest)
+
+
+def with_rssi(rx_path, out_path):
+    """Copy an rx trace, giving every non-PHY record a made-up RSSI of -95..-40.
+
+    The value is a fixed function of the line number, so the copy is
+    deterministic and spreads the frames over many bins.
+    """
+    lines = rx_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i, line in enumerate(lines[1:], start=1):
+        fields = line.split(" ")
+        if fields[3] != "phy":
+            fields[4] = str(-40 - (i * 37) % 56)
+            lines[i] = " ".join(fields)
+    out_path.write_text("".join(lines), encoding="utf-8")
+
+
+# sha256 over the sorted (file name, bytes) of each command's output directory
+OUTPUT_DIGESTS = {
+    "hybrid": {
+        "analyze":
+            "670570c896205eb6bf4caeb7e0647a32d59da9a9ae3d9b78cb64d77cb0b1c5a9",
+        "analyze-raw":
+            "d084bb62c03356e59941ddc25e0a5cb731f3e455c64c1fbfe433ede93cd74889",
+        "capacity":
+            "e0c326e63cdea4b1afd8cec5e3400631eb55463914fae8121de53fceabdf287c",
+        "recover":
+            "c4bbe617c3ecbc8c57ce6911596f5ffe4e6591a3c6496cec4a180f3381de03ee",
+    },
+    "periodic": {
+        "analyze":
+            "bf9064ac0546f3fe74f2d14ca389c8a58d6587c7f390adb7427afbc812a99d14",
+        "analyze-raw":
+            "becb9cdeb300ce99bbdc0c425b7aec4a96fd200c14df3cb0d172fbb6956f9ccd",
+        "capacity":
+            "1c49bb38fa2c0fa271a9647cd9df3685d5e34f790671a9a812a4b8d732fb9eff",
+        "recover":
+            "7452a32a8c5d984cede9c20c044c6d3be98d34d872dedfeece1bdbb501f4bd59",
+    },
+}
+
+
+def tree_digest(root):
+    h = hashlib.sha256()
+    for path in sorted(root.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_output_digests(tmp_path, case):
+    flags, _, _ = CLI_CASES[case]
+    seed = str(flags[flags.index("--seed") + 1])
+    sim = tmp_path / "sim"
+    assert main([str(a) for a in ["simulate", *flags, "--out", sim]]) == 0
+    pair = [str(sim / "tx.trace"), str(sim / "rx.trace")]
+    with_rssi(sim / "rx.trace", tmp_path / "rx-rssi.trace")
+    runs = {
+        "analyze": ["analyze", *pair, "--seed", seed],
+        "analyze-raw": ["analyze", *pair, "--no-interleave"],
+        "capacity": ["capacity", pair[0], str(tmp_path / "rx-rssi.trace"),
+                     "--rssi-bin", "1"],
+        "recover": ["recover", *pair, "--scrub"],
+    }
+    got = {}
+    for name, args in runs.items():
+        assert main([*args, "--out", str(tmp_path / name)]) == 0
+        got[name] = tree_digest(tmp_path / name)
+    assert got == OUTPUT_DIGESTS[case]
 
 
 def test_drift_schedule_config_digests(tmp_path):
