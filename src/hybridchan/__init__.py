@@ -28,7 +28,6 @@ from .stats import (
     bit_position_profile,
     error_table,
     outcome_iid_tests,
-    per_frame_crossover,
     per_frame_runs_tests,
     symmetry_report,
 )
@@ -36,6 +35,7 @@ from .trace import (
     ChannelParams,
     FrameRecord,
     ReceiveStatus,
+    Side,
     Trace,
     TraceError,
     TraceFormatError,
@@ -59,6 +59,7 @@ __all__ = [
     "RunsFlag",
     "RunsTestResult",
     "Segment",
+    "Side",
     "SimConfig",
     "SymmetryReport",
     "Trace",
@@ -82,7 +83,6 @@ __all__ = [
     "load_pair",
     "mean_segment_duration",
     "outcome_iid_tests",
-    "per_frame_crossover",
     "per_frame_runs_tests",
     "read_trace",
     "recover_sequence",

@@ -19,7 +19,7 @@ from math import log2, sqrt
 
 import numpy as np
 
-from .trace import ReceiveStatus, Trace, TraceError
+from .trace import CRC, OK, PHY, UNKNOWN_SEQ, Trace, TraceError
 
 
 def binary_entropy(p: float) -> float:
@@ -68,31 +68,31 @@ def _binomial_se(p: float, n: int) -> float:
     return sqrt(p * (1.0 - p) / n)
 
 
-def _flip_counts(tx: Trace, rx: Trace) -> np.ndarray:
-    """(flipped bits, bits) per rx frame; (0, 0) unless corrupted with a seq."""
-    counts = np.zeros((len(rx.rx), 2), dtype=np.int64)
-    for i, rec in enumerate(rx.rx):
-        if rec.status is ReceiveStatus.CRC_ERROR and rec.seq is not None:
-            sent = tx.tx[rec.seq]
-            if sent.n_bits != rec.n_bits:
-                raise TraceError(
-                    f"payload length mismatch: {sent.n_bits} vs {rec.n_bits}"
-                )
-            counts[i] = np.bitwise_count(sent.packed ^ rec.packed).sum(), rec.n_bits
-    return counts
+def _flip_counts(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """(flipped bits, bits) per rx frame; 0 and 0 unless corrupted with a seq."""
+    tx, rx = trace.tx, trace.rx
+    picked = np.flatnonzero((rx.status == CRC) & (rx.seq != UNKNOWN_SEQ))
+    flips = np.zeros(len(rx), dtype=np.int64)
+    bits = np.zeros(len(rx), dtype=np.int64)
+    if picked.size:
+        if tx.n_bits != rx.n_bits:
+            raise TraceError(f"payload length mismatch: {tx.n_bits} vs {rx.n_bits}")
+        diff = tx.payloads(rx.seq[picked]) ^ rx.payloads(picked)
+        flips[picked] = np.bitwise_count(diff).sum(axis=1)
+        bits[picked] = rx.n_bits
+    return flips, bits
 
 
-def estimate_params(tx: Trace, rx: Trace) -> ParamEstimate:
-    """Estimate the hybrid channel parameters from a trace pair."""
-    return _estimate(rx, _flip_counts(tx, rx))
+def estimate_params(trace: Trace) -> ParamEstimate:
+    """Estimate the hybrid channel parameters from a trace."""
+    return _estimate(trace, *_flip_counts(trace))
 
 
-def _estimate(rx: Trace, flip_counts: np.ndarray) -> ParamEstimate:
-    if not rx.rx:
+def _estimate(trace: Trace, flips: np.ndarray, bits: np.ndarray) -> ParamEstimate:
+    n = len(trace.rx)
+    if not n:
         raise ValueError("rx trace is empty")
-    n = len(rx.rx)
-    n_phy = sum(1 for rec in rx.rx if rec.status is ReceiveStatus.PHY_ERROR)
-    n_ok = sum(1 for rec in rx.rx if rec.status is ReceiveStatus.OK)
+    n_phy, _, n_ok = np.bincount(trace.rx.status, minlength=3).tolist()
     n_crc = n - n_phy - n_ok
     r_hat = n_phy / n
     s_hat = s_se = None
@@ -100,10 +100,10 @@ def _estimate(rx: Trace, flip_counts: np.ndarray) -> ParamEstimate:
         s_hat = n_ok / (n_ok + n_crc)
         s_se = _binomial_se(s_hat, n_ok + n_crc)
     p_hat = p_se = None
-    flips, bits = flip_counts.sum(axis=0).tolist()
-    if bits > 0:
-        p_hat = flips / bits
-        p_se = _binomial_se(p_hat, bits)
+    n_flips, n_bits = int(flips.sum()), int(bits.sum())
+    if n_bits > 0:
+        p_hat = n_flips / n_bits
+        p_se = _binomial_se(p_hat, n_bits)
     return ParamEstimate(
         n_frames=n,
         n_phy=n_phy,
@@ -149,10 +149,8 @@ def _capacities(
     return hybrid, erasure, gain
 
 
-def capacity_report(
-    tx: Trace, rx: Trace, rssi_bin_width: int = 1
-) -> CapacityReport:
-    """Global and per-RSSI-bin capacity estimates for a trace pair.
+def capacity_report(trace: Trace, rssi_bin_width: int = 1) -> CapacityReport:
+    """Global and per-RSSI-bin capacity estimates for a trace.
 
     Bins cover non-erased frames only (r = 0 within a bin); a bin with no
     frames is simply absent.  Corrupted frames that drew no bit flips
@@ -160,30 +158,30 @@ def capacity_report(
     """
     if rssi_bin_width <= 0:
         raise ValueError("rssi_bin_width must be positive")
-    flip_counts = _flip_counts(tx, rx)
-    est = _estimate(rx, flip_counts)
-    rate = tx.meta.rate_bps
+    flips, bits = _flip_counts(trace)
+    est = _estimate(trace, flips, bits)
+    rate = trace.meta.rate_bps
     s_global = est.s_hat if est.s_hat is not None else 1.0
     hybrid, erasure, gain = _capacities(rate, est.r_hat, s_global, est.p_hat)
 
-    grouped: dict[int, list[int]] = {}
-    for i, rec in enumerate(rx.rx):
-        if rec.status is ReceiveStatus.PHY_ERROR or rec.rssi is None:
-            continue
-        key = (rec.rssi // rssi_bin_width) * rssi_bin_width
-        grouped.setdefault(key, []).append(i)
+    rx = trace.rx
+    members = np.flatnonzero((rx.status != PHY) & rx.has_rssi)
+    keys, of_bin = np.unique((rx.rssi[members] // rssi_bin_width) * rssi_bin_width,
+                             return_inverse=True)
+    columns = [np.bincount(of_bin, weights, minlength=keys.size).astype(np.int64)
+               for weights in (None, rx.status[members] == OK, flips[members],
+                               bits[members])]
     bins = []
-    for key in sorted(grouped):
-        members = grouped[key]
-        n_ok = sum(1 for i in members if rx.rx[i].status is ReceiveStatus.OK)
-        s_hat = n_ok / len(members)
-        flips, bits = flip_counts[members].sum(axis=0).tolist()
-        p_hat = flips / bits if bits else None
+    for key, n, n_ok, bin_flips, bin_bits in zip(
+        keys.tolist(), *(column.tolist() for column in columns)
+    ):
+        s_hat = n_ok / n
+        p_hat = bin_flips / bin_bits if bin_bits else None
         b_hybrid, b_erasure, b_gain = _capacities(rate, 0.0, s_hat, p_hat)
         bins.append(
             RssiBin(
                 rssi=key,
-                n_frames=len(members),
+                n_frames=n,
                 fer=1.0 - s_hat,
                 s_hat=s_hat,
                 p_hat=p_hat,

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -26,7 +27,14 @@ from . import recovery, sim, stats
 from .capacity import capacity_report
 from .runstest import RunsFlag
 from .segments import Segment, mean_segment_duration, segment_corrupted_frames
-from .trace import ChannelParams, ReceiveStatus, Trace, TraceError, TraceFormatError
+from .trace import (
+    OK,
+    STATUSES,
+    UNKNOWN_SEQ,
+    ChannelParams,
+    TraceError,
+    TraceFormatError,
+)
 from .traceio import load_pair, write_trace
 
 EXIT_OK = 0
@@ -52,7 +60,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -170,7 +178,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _verdict(result) -> str:
-    if result.passed is None:
+    """pass or fail, or the flag of a result that decides neither."""
+    if result.flag is not RunsFlag.NORMAL:
         return result.flag.value
     return "pass" if result.passed else "fail"
 
@@ -193,28 +202,28 @@ def _segment_of(seqs: list[int], segs: list[Segment]) -> dict[int, int]:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     trace = load_pair(args.tx_trace, args.rx_trace)
-    table = stats.error_table(trace, trace, None if args.no_interleave else seed)
+    table = stats.error_table(trace, None if args.no_interleave else seed)
     args.out.mkdir(parents=True, exist_ok=True)
 
     rows = stats.per_frame_runs_tests(table, args.alpha)
     segs = segment_corrupted_frames(table, args.alpha)
     seg_of = _segment_of([row.seq for row in rows], segs)
 
-    by_seq = {row.seq: row for row in rows}
-    frame_rows = []
-    for rec in trace.rx:
-        row = by_seq.get(rec.seq) if rec.seq is not None else None
-        frame_rows.append([
-            "?" if rec.seq is None else rec.seq,
-            rec.timestamp_us,
-            rec.status.value,
-            row.n_bit_errors if row else None,
-            row.crossover if row else None,
-            row.result.z if row else None,
-            row.result.p_value if row else None,
-            _verdict(row.result) if row else None,
-            seg_of.get(rec.seq) if rec.seq is not None else None,
-        ])
+    # One line per rx record; the test columns only on corrupted ones.
+    rx = trace.rx
+    tested = dict(zip((row.seq for row in rows), (
+        [row.n_bit_errors, row.crossover, row.result.z, row.result.p_value,
+         _verdict(row.result), seg_of.get(row.seq)]
+        for row in rows
+    )))
+    untested = [None] * 6
+    tokens = [status.value for status in STATUSES]
+    frame_rows = (
+        ["?" if seq == UNKNOWN_SEQ else seq, ts, tokens[status],
+         *tested.get(seq, untested)]
+        for seq, ts, status in zip(rx.seq.tolist(), rx.timestamp_us.tolist(),
+                                   rx.status.tolist())
+    )
     _write_csv(
         args.out / "frames.csv",
         ["seq", "timestamp_us", "status", "bit_errors", "crossover",
@@ -297,7 +306,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
     trace = load_pair(args.tx_trace, args.rx_trace)
-    report = capacity_report(trace, trace, rssi_bin_width=args.rssi_bin)
+    report = capacity_report(trace, rssi_bin_width=args.rssi_bin)
     args.out.mkdir(parents=True, exist_ok=True)
     if report.per_rssi_bins:
         _write_csv(
@@ -339,20 +348,18 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     trace = load_pair(args.tx_trace, args.rx_trace)
     recovered, summary = recovery.recover_trace(
-        trace, trace,
+        trace,
         window_size=args.window,
         max_candidates=args.candidates,
         match_threshold=args.threshold,
         scrub=args.scrub,
     )
-    n_ok = sum(1 for rec in trace.rx
-               if rec.status is ReceiveStatus.OK and rec.seq is not None)
+    n_ok = np.count_nonzero((trace.rx.status == OK) & (trace.rx.seq != UNKNOWN_SEQ))
     if n_ok == 0 and summary.n_attempted:
         print("warning: no error-free frames available; "
               "all corrupted frames unresolved", file=sys.stderr)
     args.out.mkdir(parents=True, exist_ok=True)
-    out_trace = Trace(meta=trace.meta, tx=[], rx=recovered.rx)
-    write_trace(out_trace, args.out / "recovered.trace")
+    write_trace(recovered, args.out / "recovered.trace")
     print(f"corrupted frames: {summary.n_corrupted}, attempted: "
           f"{summary.n_attempted}, recovered: {summary.n_recovered}, "
           f"unresolved: {summary.n_unresolved}")

@@ -10,9 +10,9 @@ fraction p of bits while every other candidate disagrees on about half,
 so a Hamming-distance threshold between the two is decisive.  The
 distance is the popcount of the XOR of the two packed payloads.
 
-The timestamps are indexed once per trace: the anchors (error-free
-receptions with a known seq) sorted by receive time and the transmit
-records sorted by transmit time.  Each corrupted frame then costs a few
+The timestamps are indexed once per trace, from its columns: the anchors
+(error-free receptions with a known seq) sorted by receive time and the
+transmit records sorted by transmit time.  Each corrupted frame then costs a few
 bisections and work proportional to the window and candidate counts,
 O(log N) in the trace length.  "Nearest" always means smallest absolute
 time difference, with ties going to the earlier time (for equal times,
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .trace import FrameRecord, ReceiveStatus, Trace
+from .trace import CRC, OK, UNKNOWN_SEQ, FrameRecord, ReceiveStatus, Side, Trace
 
 DEFAULT_WINDOW_SIZE = 50
 DEFAULT_MAX_CANDIDATES = 5
@@ -133,32 +133,30 @@ def _seq_bit_distance(a: int, b: int) -> int:
 
 
 class _RecoveryIndex:
-    """Timestamps of one trace pair, sorted once for every query."""
+    """Timestamps of one trace's sides, sorted once for every query."""
 
-    def __init__(self, rx_ok: list[FrameRecord], tx: Trace) -> None:
-        self.tx = tx
-        anchors = [
-            (tx.tx[rec.seq].timestamp_us, rec.timestamp_us)
-            for rec in rx_ok
-            if rec.status is ReceiveStatus.OK and rec.seq is not None
-        ]
-        self.anchor_tx, self.anchor_rx = _anchor_arrays(
-            sorted(anchors, key=lambda a: a[1])
-        )
-        tx_times = np.array([rec.timestamp_us for rec in tx.tx], dtype=np.float64)
-        self.tx_order = np.argsort(tx_times, kind="stable")
-        self.tx_times = tx_times[self.tx_order]
+    def __init__(self, tx: Side, rx: Side, frame_len: int) -> None:
+        self.tx, self.frame_len = tx, frame_len
+        anchors = np.flatnonzero((rx.status == OK) & (rx.seq != UNKNOWN_SEQ))
+        anchor_rx = rx.timestamp_us[anchors]
+        order = np.argsort(anchor_rx, kind="stable")
+        self.anchor_rx = anchor_rx[order].astype(np.float64)
+        self.anchor_tx = tx.timestamp_us[rx.seq[anchors[order]]].astype(np.float64)
+        self.tx_order = np.argsort(tx.timestamp_us, kind="stable")
+        self.tx_times = tx.timestamp_us[self.tx_order].astype(np.float64)
 
     def recover(
         self,
-        corrupted: FrameRecord,
+        rx_time: int,
+        header_seq: int | None,
+        payload: np.ndarray,
         window_size: int | None,
         max_candidates: int,
         match_threshold: float,
     ) -> int | None:
+        """Best tx seq for a corrupted frame's receive time and packed payload."""
         if self.anchor_rx.size < 2:
             return None
-        rx_time = corrupted.timestamp_us
         picked = _window(self.anchor_rx, window_size, float(rx_time))
         rate, offset = _ols(self.anchor_tx[picked], self.anchor_rx[picked])
         predicted_tx_us = (rx_time - offset) / rate
@@ -167,20 +165,19 @@ class _RecoveryIndex:
         ]
         if candidates.size == 0:
             return None
-
+        dists = np.bitwise_count(self.tx.payloads(candidates) ^ payload).sum(axis=1)
         scored = []
-        for idx in candidates:
-            cand = self.tx.tx[int(idx)]
-            dist = int(np.bitwise_count(cand.packed ^ corrupted.packed).sum())
+        for dist, seq, tx_time in zip(dists.tolist(),
+                                      self.tx.seq[candidates].tolist(),
+                                      self.tx.timestamp_us[candidates].tolist()):
             seq_close = (
-                corrupted.seq is not None
-                and _seq_bit_distance(cand.seq, corrupted.seq) <= SEQ_TIEBREAK_BITS
+                header_seq is not None
+                and _seq_bit_distance(seq, header_seq) <= SEQ_TIEBREAK_BITS
             )
-            time_gap = abs(cand.timestamp_us - predicted_tx_us)
-            scored.append((dist, not seq_close, time_gap, cand.seq))
+            scored.append((dist, not seq_close, abs(tx_time - predicted_tx_us), seq))
         scored.sort()
         best_dist, _, _, best_seq = scored[0]
-        if best_dist / self.tx.meta.frame_len < match_threshold:
+        if best_dist / self.frame_len < match_threshold:
             return best_seq
         return None
 
@@ -195,6 +192,7 @@ def recover_sequence(
 ) -> int | None:
     """Best-matching tx sequence number for a corrupted frame, or None.
 
+    rx_ok are the receptions that may serve as clock anchors.
     Payload-distance ties prefer a candidate whose seq lies within
     SEQ_TIEBREAK_BITS of the (possibly damaged) header seq, then the
     candidate closest to the predicted transmit time.  To recover many
@@ -202,9 +200,9 @@ def recover_sequence(
     """
     if corrupted.status is not ReceiveStatus.CRC_ERROR:
         raise ValueError("only CRC-error frames carry a recoverable payload")
-    return _RecoveryIndex(rx_ok, tx).recover(
-        corrupted, window_size, max_candidates, match_threshold
-    )
+    index = _RecoveryIndex(tx.tx, Side.from_records(rx_ok), tx.meta.frame_len)
+    return index.recover(corrupted.timestamp_us, corrupted.seq, corrupted.packed,
+                         window_size, max_candidates, match_threshold)
 
 
 @dataclass
@@ -223,43 +221,39 @@ class RecoverySummary:
 
 
 def recover_trace(
-    tx: Trace,
-    rx: Trace,
+    trace: Trace,
     window_size: int = DEFAULT_WINDOW_SIZE,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     match_threshold: float = DEFAULT_MATCH_THRESHOLD,
     scrub: bool = False,
 ) -> tuple[Trace, RecoverySummary]:
-    """Recover sequence numbers across a whole rx trace.
+    """Recover sequence numbers across a whole rx side.
 
     Normally only corrupted frames with unknown seq are attempted.  With
     scrub=True every corrupted frame is re-identified as if its seq were
     unknown, and the stored values serve as ground truth for the accuracy
-    figure.
+    figure.  Returns a trace holding the rx side with the new seqs.
     """
-    index = _RecoveryIndex(rx.rx, tx)
-    summary = RecoverySummary(0, 0, 0, 0, n_correct=0 if scrub else None)
-    new_rx = []
-    for rec in rx.rx:
-        if rec.status is not ReceiveStatus.CRC_ERROR:
-            new_rx.append(rec)
-            continue
-        summary.n_corrupted += 1
-        if rec.seq is not None and not scrub:
-            new_rx.append(rec)
-            continue
-        target = replace(rec, seq=None) if scrub else rec
-        summary.n_attempted += 1
-        recovered = index.recover(
-            target, window_size, max_candidates, match_threshold
-        )
+    rx = trace.rx
+    index = _RecoveryIndex(trace.tx, rx, trace.meta.frame_len)
+    corrupted = rx.status == CRC
+    attempted = np.flatnonzero(corrupted if scrub else
+                               corrupted & (rx.seq == UNKNOWN_SEQ))
+    summary = RecoverySummary(int(corrupted.sum()), attempted.size, 0, 0,
+                              n_correct=0 if scrub else None)
+    seq = rx.seq.copy()
+    for i, rx_time, truth in zip(attempted.tolist(),
+                                 rx.timestamp_us[attempted].tolist(),
+                                 rx.seq[attempted].tolist()):
+        # the header seq is unknown, or ignored when scrubbing
+        recovered = index.recover(rx_time, None, rx.payloads(i), window_size,
+                                  max_candidates, match_threshold)
         if recovered is None:
             summary.n_unresolved += 1
-            new_rx.append(target)
+            seq[i] = UNKNOWN_SEQ
         else:
             summary.n_recovered += 1
-            if scrub and recovered == rec.seq:
+            if scrub and recovered == truth:
                 summary.n_correct += 1
-            new_rx.append(replace(rec, seq=recovered))
-    out = Trace(meta=rx.meta, tx=[], rx=new_rx)
-    return out, summary
+            seq[i] = recovered
+    return Trace(meta=trace.meta, rx=replace(rx, seq=seq)), summary

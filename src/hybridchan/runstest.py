@@ -106,23 +106,16 @@ def runs_test(seq: np.ndarray, alpha: float = DEFAULT_ALPHA) -> RunsTestResult:
 class RunsAccumulator:
     """Incremental run/count bookkeeping across concatenated chunks.
 
-    Appending chunk by chunk yields exactly the statistics of the single
-    concatenated sequence: a chunk whose first bit equals the previous
-    chunk's last bit merges two runs into one.
+    Appending chunk by chunk, each known by its counts and end bits, yields
+    exactly the statistics of the single concatenated sequence: a chunk
+    whose first bit equals the previous chunk's last bit merges two runs
+    into one.
     """
 
     n1: int = 0
     n0: int = 0
     n_runs: int = 0
     last_bit: int | None = None
-
-    def add(self, chunk: np.ndarray) -> None:
-        chunk = np.asarray(chunk, dtype=np.uint8)
-        if chunk.size == 0:
-            return
-        ones = int(chunk.sum())
-        self.add_counts(ones, chunk.size - ones, count_runs(chunk),
-                        int(chunk[0]), int(chunk[-1]))
 
     def add_counts(
         self, n1: int, n0: int, n_runs: int, first_bit: int, last_bit: int

@@ -11,7 +11,8 @@ All outcomes are drawn from per-frame counter-based streams (see rng), so
 a config reproduces bit-identical traces regardless of evaluation order.
 Each loop re-keys one stream family per frame and takes all of that
 frame's draws before moving on, as the family's validity rule requires.
-Payloads are drawn and flipped as bits, then packed (see trace).
+Payloads are drawn and flipped as bits, then packed into the side's
+payload matrix, and every other draw lands in a column (see trace).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .trace import ChannelParams, FrameRecord, ReceiveStatus, Trace, TraceMeta
+from .trace import CRC, OK, PHY, ChannelParams, Side, Trace, TraceMeta
 
 
 @dataclass(frozen=True)
@@ -83,18 +84,26 @@ def generate_tx(config: SimConfig) -> Trace:
         row[:] = np.packbits(
             streams.at(k).integers(0, 2, params.frame_len, dtype=np.uint8)
         )
-    packed.setflags(write=False)
-    tx = [
-        FrameRecord._from_row(k, k * params.interval_us, ReceiveStatus.OK,
-                              row, params.frame_len)
-        for k, row in enumerate(packed)
-    ]
+    seq = np.arange(config.n_frames, dtype=np.int64)
+    tx = Side(seq=seq, timestamp_us=seq * params.interval_us,
+              status=np.full(seq.size, OK), rssi=np.zeros_like(seq),
+              has_rssi=np.zeros(seq.size, dtype=bool), row=seq, packed=packed,
+              n_bits=params.frame_len)
     return Trace(meta=_meta(params, f"tx seed={config.seed}"), tx=tx)
 
 
-def _frozen(packed: np.ndarray) -> np.ndarray:
-    packed.setflags(write=False)
-    return packed
+def _rx_side(tx: Side, timestamps: list[int], status: np.ndarray,
+             packed: np.ndarray, n_payloads: int) -> Side:
+    """The rx side of a channel run: one record per tx record, in seq order.
+
+    packed holds the payloads of the non-PHY records in order in its first
+    n_payloads rows.
+    """
+    held = status != PHY
+    return Side(seq=tx.seq, timestamp_us=timestamps, status=status,
+                rssi=np.zeros_like(tx.seq), has_rssi=np.zeros(tx.seq.size, dtype=bool),
+                row=np.where(held, np.cumsum(held) - 1, -1),
+                packed=packed[:n_payloads], n_bits=tx.n_bits)
 
 
 def _rx_timestamp(config: SimConfig, tx_ts: int, gen: np.random.Generator) -> int:
@@ -112,32 +121,36 @@ def apply_channel(tx: Trace, config: SimConfig) -> Trace:
     than PHY erasures (which keep their timestamp but drop the payload).
     """
     streams = rng.StreamFamily(config.seed, rng.ROLE_CHANNEL)
-    rx: list[FrameRecord] = []
-    for rec in tx.tx:
-        params = config.params_at(rec.seq)
-        gen = streams.at(rec.seq)
-        timestamp = _rx_timestamp(config, rec.timestamp_us, gen)
+    sent = tx.tx
+    timestamps = []
+    status = np.empty(len(sent), dtype=np.int8)
+    # Rows of frames never written are never touched, so cost no memory.
+    packed = np.empty((len(sent), sent.packed.shape[1]), dtype=np.uint8)
+    n_payloads = 0
+    for i, (seq, tx_ts, row) in enumerate(
+        zip(sent.seq.tolist(), sent.timestamp_us.tolist(), sent.row.tolist())
+    ):
+        params = config.params_at(seq)
+        gen = streams.at(seq)
+        timestamps.append(_rx_timestamp(config, tx_ts, gen))
         u_erase = gen.random()
         u_clean = gen.random()
         if u_erase < params.r:
-            rx.append(
-                FrameRecord._from_row(rec.seq, timestamp,
-                                      ReceiveStatus.PHY_ERROR, None, 0)
-            )
+            status[i] = PHY
             continue
         if u_clean < params.s:
-            status, packed = ReceiveStatus.OK, rec.packed
+            status[i] = OK
+            packed[n_payloads] = sent.packed[row]
         else:
             # The corrupted state is decided by the draw, not by whether any
             # flip landed; downstream code treats all-zero error vectors as
             # degenerate rather than clean.
             flips = gen.random(params.frame_len) < params.p
-            packed = _frozen(rec.packed ^ np.packbits(flips))
-            status = ReceiveStatus.CRC_ERROR
-        rx.append(
-            FrameRecord._from_row(rec.seq, timestamp, status, packed, rec.n_bits)
-        )
-    return Trace(meta=_meta(config.params, f"rx seed={config.seed}"), tx=[], rx=rx)
+            status[i] = CRC
+            packed[n_payloads] = sent.packed[row] ^ np.packbits(flips)
+        n_payloads += 1
+    rx = _rx_side(sent, timestamps, status, packed, n_payloads)
+    return Trace(meta=_meta(config.params, f"rx seed={config.seed}"), rx=rx)
 
 
 def periodic_window_mask(frame_len: int, period: int, burst_len: int) -> np.ndarray:
@@ -179,18 +192,22 @@ def apply_periodic_noise(
         clock_offset_us=clock_offset_us,
     )
     streams = rng.StreamFamily(seed, rng.ROLE_PERIODIC)
-    rx: list[FrameRecord] = []
-    for rec in tx.tx:
-        gen = streams.at(rec.seq)
-        timestamp = _rx_timestamp(config, rec.timestamp_us, gen)
+    sent = tx.tx
+    timestamps = []
+    status = np.empty(len(sent), dtype=np.int8)
+    packed = np.empty((len(sent), sent.packed.shape[1]), dtype=np.uint8)
+    for i, (seq, tx_ts, row) in enumerate(
+        zip(sent.seq.tolist(), sent.timestamp_us.tolist(), sent.row.tolist())
+    ):
+        gen = streams.at(seq)
+        timestamps.append(_rx_timestamp(config, tx_ts, gen))
         flips = np.zeros(frame_len, dtype=np.uint8)
         flips[window_idx] = gen.random(window_idx.size) < p_in_burst
         if flips.any():
-            packed = _frozen(rec.packed ^ np.packbits(flips))
-            status = ReceiveStatus.CRC_ERROR
+            packed[i] = sent.packed[row] ^ np.packbits(flips)
+            status[i] = CRC
         else:
-            packed, status = rec.packed, ReceiveStatus.OK
-        rx.append(
-            FrameRecord._from_row(rec.seq, timestamp, status, packed, rec.n_bits)
-        )
-    return Trace(meta=_meta(config.params, f"rx periodic seed={seed}"), tx=[], rx=rx)
+            packed[i] = sent.packed[row]
+            status[i] = OK
+    rx = _rx_side(sent, timestamps, status, packed, len(sent))
+    return Trace(meta=_meta(config.params, f"rx periodic seed={seed}"), rx=rx)

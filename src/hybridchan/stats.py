@@ -1,7 +1,7 @@
 """Per-frame and cross-frame error statistics.
 
-error_table makes one pass over a (tx, rx) trace pair, a block of
-corrupted frames at a time: it XORs their packed payloads and popcounts
+error_table makes one pass over a trace's columns, a block of corrupted
+frames at a time: it XORs their packed payloads and popcounts
 the bytes, then unpacks the block to whiten each error vector once when
 given a key (interleaver.whiten_error_vector) and to count its runs, and
 keeps only counts.  There is no per-vector hook: the per-frame runs
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import interleaver
 from .runstest import DEFAULT_ALPHA, RunsFlag, RunsTestResult, _result_from_counts
-from .trace import ReceiveStatus, Trace
+from .trace import CRC, PHY, STATUSES, UNKNOWN_SEQ, ReceiveStatus, Trace
 
 if TYPE_CHECKING:
     from .segments import Segment
@@ -57,41 +57,34 @@ class ErrorTable:
         return self.seqs.size
 
 
-def error_table(tx: Trace, rx: Trace, key: int | None = None) -> ErrorTable:
-    """Build the ErrorTable of a trace pair; key whitens, None keeps wire order."""
-    frame_len = tx.meta.frame_len
-    records = [rec for rec in rx.rx
-               if rec.status is ReceiveStatus.CRC_ERROR and rec.seq is not None]
-    n = len(records)
-    seqs = np.array([rec.seq for rec in records], dtype=np.int64)
+def error_table(trace: Trace, key: int | None = None) -> ErrorTable:
+    """Build the ErrorTable of a trace; key whitens, None keeps wire order."""
+    tx, rx = trace.tx, trace.rx
+    frame_len = trace.meta.frame_len
+    picked = np.flatnonzero((rx.status == CRC) & (rx.seq != UNKNOWN_SEQ))
+    seqs = rx.seq[picked]
+    n = seqs.size
     n1, runs, first, last = np.empty((4, n), dtype=np.int64)
     column_sums = np.zeros(frame_len, dtype=np.int64)
     tx_ones = flips_on_ones = 0
     step = max(1, _BLOCK_BITS // frame_len)
     for lo in range(0, n, step):
-        block = records[lo:lo + step]
-        tx_bytes = np.stack([tx.tx[rec.seq].packed for rec in block])
-        ev_bytes = tx_bytes ^ np.stack([rec.packed for rec in block])
+        rows = slice(lo, lo + step)
+        tx_bytes = tx.payloads(seqs[rows])
+        ev_bytes = tx_bytes ^ rx.payloads(picked[rows])
         tx_ones += int(np.bitwise_count(tx_bytes).sum())
         flips_on_ones += int(np.bitwise_count(ev_bytes & tx_bytes).sum())
-        rows = slice(lo, lo + len(block))
         n1[rows] = np.bitwise_count(ev_bytes).sum(axis=1)
         ev = np.unpackbits(ev_bytes, axis=1, count=frame_len)
         if key is not None:
-            for row, rec in zip(ev, block):
-                row[:] = interleaver.whiten_error_vector(row, key, rec.seq)
+            for row, seq in zip(ev, seqs[rows].tolist()):
+                row[:] = interleaver.whiten_error_vector(row, key, seq)
         runs[rows] = 1 + np.count_nonzero(ev[:, 1:] != ev[:, :-1], axis=1)
         first[rows] = ev[:, 0]
         last[rows] = ev[:, -1]
         column_sums += ev.sum(axis=0, dtype=np.int64)
-    return ErrorTable(frame_len, tx.meta.interval_us, seqs, n1, runs, first,
+    return ErrorTable(frame_len, trace.meta.interval_us, seqs, n1, runs, first,
                       last, column_sums, tx_ones, flips_on_ones)
-
-
-def per_frame_crossover(ev: np.ndarray) -> float:
-    """Fraction of corrupted bits in an error vector."""
-    ev = np.asarray(ev)
-    return float(np.count_nonzero(ev)) / ev.size
 
 
 @dataclass(frozen=True)
@@ -191,7 +184,7 @@ class OutcomeIidReport:
 
 
 def outcome_iid_tests(
-    rx: Trace,
+    trace: Trace,
     segments: Sequence["Segment"],
     alpha: float = DEFAULT_ALPHA,
 ) -> OutcomeIidReport:
@@ -209,16 +202,16 @@ def outcome_iid_tests(
     if (ends < starts).any():
         raise ValueError("segment span runs backwards")
     n_seqs = int(ends.max()) + 1 if segments else 0
-    status = np.full(n_seqs, ReceiveStatus.PHY_ERROR, dtype=object)
-    for rec in rx.rx:
-        if rec.seq is not None and 0 <= rec.seq < n_seqs:
-            status[rec.seq] = rec.status
+    rx = trace.rx
+    status = np.full(n_seqs, PHY, dtype=np.int8)
+    seen = (rx.seq != UNKNOWN_SEQ) & (rx.seq < n_seqs)
+    status[rx.seq[seen]] = rx.status[seen]
     fractions: dict[ReceiveStatus, OutcomeFraction] = {}
     covered = sum(seg.n_frames for seg in segments)
-    for outcome in ReceiveStatus:
+    for code, outcome in enumerate(STATUSES):
         # Prefix sums of the labels and of their transitions give each
         # segment's ones and run count without building its label array.
-        labels = status == outcome
+        labels = status == code
         ones = np.concatenate(([0], np.cumsum(labels)))
         changes = np.concatenate(([0], np.cumsum(labels[1:] != labels[:-1])))
         seg_n1 = (ones[ends + 1] - ones[starts]).tolist()

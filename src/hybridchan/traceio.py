@@ -11,11 +11,14 @@ Payloads are lowercase hex with bit 0 in the MSB of the first digit; the
 bit count comes from frame_len, so payloads need not be whole bytes.
 PHY-error records carry ``-`` in the payload column, unknown sequence
 numbers the literal ``?``, missing RSSI ``-``.  Integers are spelled
-``0`` or ``-?[1-9][0-9]*``, the only form read back, and the description
-holds no line break.
+``0`` or ``-?[1-9][0-9]*``, the only form read back, with at most 18
+digits; sequence numbers are not negative.  The description holds no
+line break.
 
-read_trace decodes every payload of a file with one hex decode into one
-packed matrix, whose rows the records hold.
+read_trace fills a trace's columns from the whole file at once: the line
+heads (everything before the payload) are checked by one anchored regex
+and converted with numpy, and every payload is decoded by one hex decode
+into one packed matrix.
 """
 
 from __future__ import annotations
@@ -28,8 +31,13 @@ from pathlib import Path
 import numpy as np
 
 from .trace import (
-    FrameRecord,
+    CRC,
+    OK,
+    PHY,
+    STATUSES,
+    UNKNOWN_SEQ,
     ReceiveStatus,
+    Side,
     Trace,
     TraceError,
     TraceFormatError,
@@ -37,8 +45,17 @@ from .trace import (
 )
 
 _META_RE = re.compile(
-    r'^#meta R=(?P<rate>[0-9.eE+-]+) frame_len=(?P<flen>\d+) '
-    r'interval_us=(?P<iv>\d+) desc="(?P<desc>(?:[^"\\]|\\.)*)"$'
+    r'^#meta R=(?P<rate>[0-9.eE+-]+) frame_len=(?P<flen>0|[1-9][0-9]*) '
+    r'interval_us=(?P<iv>0|[1-9][0-9]*) desc="(?P<desc>(?:[^"\\]|\\.)*)"$'
+)
+
+# Canonical record integers: at most 18 digits, so every value fits int64.
+_MAX_DIGITS = 18
+_INT = rb"0|-?[1-9][0-9]{0,17}"
+# The heads of record lines, each ended by LF: side, seq, timestamp, status, rssi.
+_HEADS_RE = re.compile(
+    rb"(?:(?:tx|rx) (?:\?|0|[1-9][0-9]{0,17}) (?:" + _INT + rb") (?:ok|crc|phy) "
+    rb"(?:-|" + _INT + rb")\n)*"
 )
 
 _NOT_HEX_RE = re.compile(rb"[^0-9a-f]")
@@ -59,14 +76,14 @@ def packed_to_hex(packed: np.ndarray) -> str:
     return packed.tobytes().hex()
 
 
-def hex_to_packed(payload_hex: bytes, n_bits: int) -> np.ndarray:
+def hex_to_packed(payload_hex, n_bits: int) -> np.ndarray:
     """Decode back-to-back hex payloads of n_bits each into a packed matrix.
 
-    Returns a read-only uint8 matrix with one row of ceil(n_bits/8) bytes
-    per payload, from one binascii.a2b_hex call over all of payload_hex
-    (ASCII bytes; bytes.fromhex takes only str, which would cost another
-    copy).  Digits must be lowercase hex and pad bits past n_bits zero;
-    otherwise raises PayloadError naming the first payload at fault.
+    payload_hex is ASCII bytes or any buffer of them.  Returns a read-only
+    uint8 matrix with one row of ceil(n_bits/8) bytes per payload, from one
+    binascii.a2b_hex call over all of it.  Digits must be lowercase hex and
+    pad bits past n_bits zero; otherwise raises PayloadError naming the
+    first payload at fault.
     """
     width = 2 * ((n_bits + 7) // 8)
     if len(payload_hex) % width:
@@ -79,7 +96,8 @@ def hex_to_packed(payload_hex: bytes, n_bits: int) -> np.ndarray:
     except binascii.Error:
         packed = None
     # a2b_hex also takes uppercase digits; the format allows only lowercase.
-    if packed is None or any(c in payload_hex for c in b"ABCDEF"):
+    # A memchr scan per digit is the fast test for them.
+    if packed is None or any(payload_hex.find(c) >= 0 for c in b"ABCDEF"):
         bad = _NOT_HEX_RE.search(payload_hex).start()
         raise PayloadError("payload must be lowercase hex digits", bad // width)
     matrix = np.frombuffer(packed, dtype=np.uint8)
@@ -107,6 +125,20 @@ def _format_rate(rate: float) -> str:
     return str(int(rate)) if float(rate).is_integer() else repr(float(rate))
 
 
+def _record_lines(name: str, side: Side):
+    """The text lines of one side's records, from its columns."""
+    tokens = [s.value for s in STATUSES]
+    width = side.packed.shape[1]
+    with memoryview(np.ascontiguousarray(side.packed).reshape(-1)) as flat:
+        for seq, ts, status, rssi, has_rssi, row in zip(
+            side.seq.tolist(), side.timestamp_us.tolist(), side.status.tolist(),
+            side.rssi.tolist(), side.has_rssi.tolist(), side.row.tolist(),
+        ):
+            yield (f"{name} {'?' if seq == UNKNOWN_SEQ else seq} {ts} "
+                   f"{tokens[status]} {rssi if has_rssi else '-'} "
+                   f"{'-' if row < 0 else flat[row * width:(row + 1) * width].hex()}\n")
+
+
 def write_trace(trace: Trace, path: str | Path) -> None:
     """Write a trace; the on-disk form round-trips bit-exactly."""
     desc = trace.meta.description
@@ -121,16 +153,11 @@ def write_trace(trace: Trace, path: str | Path) -> None:
             f'interval_us={trace.meta.interval_us} '
             f'desc="{_quote(desc)}"\n'
         )
-        for side, records in (("tx", trace.tx), ("rx", trace.rx)):
-            for rec in records:
-                seq = "?" if rec.seq is None else str(rec.seq)
-                rssi = "-" if rec.rssi is None else str(rec.rssi)
-                payload = "-" if rec.packed is None else packed_to_hex(rec.packed)
-                fh.write(f"{side} {seq} {rec.timestamp_us} {rec.status.value} "
-                         f"{rssi} {payload}\n")
+        for name, side in (("tx", trace.tx), ("rx", trace.rx)):
+            fh.writelines(_record_lines(name, side))
 
 
-def _check_utf8(data: bytes, path: Path) -> None:
+def _check_utf8(data: bytearray, path: Path) -> None:
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -149,7 +176,78 @@ def _int(token: str, name: str) -> int:
     value = int(token)
     if str(value) != token:
         raise ValueError(f"{name} {token!r} is not a canonical integer")
+    if len(token.lstrip("-")) > _MAX_DIGITS:
+        raise ValueError(f"{name} {token!r} is out of range")
     return value
+
+
+def _line_fault(line: bytes, n_bits: int) -> str | None:
+    """Why a record line (without its LF) is malformed, or None if it is not.
+
+    The checks of the fields before the payload, taken in turn: this
+    names the fault of a line the column reader has found to be bad.
+    """
+    width = 2 * ((n_bits + 7) // 8)
+    cut = line.rfind(b" ")
+    fields = line[:cut].decode().split(" ") if cut >= 0 else []
+    if len(fields) != 5:
+        return f"expected 6 fields, got {len(fields) + 1}"
+    side, seq_tok, ts_tok, status_tok, rssi_tok = fields
+    if side not in ("tx", "rx"):
+        return f"unknown side {side!r}"
+    status = _STATUS_FROM_TOKEN.get(status_tok)
+    if status is None:
+        return f"unknown status {status_tok!r}"
+    try:
+        if seq_tok != "?" and _int(seq_tok, "seq") < 0:
+            return f"seq {seq_tok!r} is negative"
+        _int(ts_tok, "timestamp")
+        if rssi_tok != "-":
+            _int(rssi_tok, "rssi")
+    except ValueError as exc:
+        return str(exc)
+    payload = line[cut + 1:]
+    has_payload = payload != b"-"
+    if has_payload and len(payload) != width:
+        return (f"payload hex has {len(payload.decode())} digits, "
+                f"expected {width} for {n_bits} bits")
+    if has_payload == (status is ReceiveStatus.PHY_ERROR):
+        return ("PHY-error frame must not carry a payload" if has_payload
+                else f"{status.value} frame must carry a payload")
+    return None
+
+
+def _int_column(heads: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The integers spelled in heads[start:stop] per row, already checked canonical."""
+    values = np.zeros(start.size, dtype=np.int64)
+    for back in range(_MAX_DIGITS, 0, -1):  # digit by digit, most significant first
+        at = stop - back
+        digit = heads[np.maximum(at, 0)].astype(np.int64) - ord("0")
+        values = values * 10 + np.where((at >= start) & (digit >= 0), digit, 0)
+    return np.where(heads[start] == ord("-"), -values, values)
+
+
+def _parse_heads(heads: bytes, n: int) -> dict[str, np.ndarray]:
+    """Columns of the first n record heads, which _HEADS_RE has matched."""
+    hb = np.frombuffer(heads, dtype=np.uint8)
+    ends = np.flatnonzero((hb == ord(" ")) | (hb == ord("\n")))[:5 * n].reshape(-1, 5)
+    starts = np.empty_like(ends)
+    starts[:, 1:] = ends[:, :-1] + 1
+    starts[1:, 0] = ends[:-1, 4] + 1
+    starts[:1, 0] = 0
+    seq_known = hb[starts[:, 1]] != ord("?")
+    has_rssi = hb[ends[:, 4] - 1] != ord("-")
+    first = hb[starts[:, 3]]
+    status = np.where(first == ord("p"), PHY, np.where(first == ord("c"), CRC, OK))
+    return {
+        "is_rx": hb[starts[:, 0]] == ord("r"),
+        "seq": np.where(seq_known, _int_column(hb, starts[:, 1], ends[:, 1]),
+                        UNKNOWN_SEQ),
+        "timestamp_us": _int_column(hb, starts[:, 2], ends[:, 2]),
+        "status": status.astype(np.int8),
+        "rssi": np.where(has_rssi, _int_column(hb, starts[:, 4], ends[:, 4]), 0),
+        "has_rssi": has_rssi,
+    }
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -161,27 +259,25 @@ def read_trace(path: str | Path) -> Trace:
     return _read(Path(path))[0]
 
 
-def _read(path: Path) -> tuple[Trace, dict[str, list[int]]]:
-    """The trace in path and the line of each record, by side.
-
-    The file stays one bytes object: each record line is located and its
-    small fields checked in turn, and only its payload's offset is kept.
-    The payloads are then joined, the file dropped, and all of them
-    decoded at once (hex_to_packed).  The fault reported is the first in
-    file order, as if each line were decoded in turn; bytes that are not
-    UTF-8 are reported before anything else.
-    """
+def _read_text(path: Path) -> bytearray:
+    """The file's bytes, checked to be UTF-8 and with CRLF line ends made LF."""
     # Read as bytes and split by hand: text mode would also take a lone CR
     # as a line break, and its decode errors carry no position in the file.
-    data = path.read_bytes()
+    with path.open("rb") as fh:
+        data = bytearray(path.stat().st_size)
+        del data[fh.readinto(data):]
     if not data:
         raise TraceFormatError("empty file, missing #meta line", str(path), 1)
     if not data.isascii():
         _check_utf8(data, path)
     if b"\r" in data:  # the guard is a fast scan; replace is not, even with no match
         data = data.replace(b"\r\n", b"\n")
-    size = len(data)
-    pos = data.find(b"\n") + 1 or size
+    return data
+
+
+def _read_meta(data: bytearray, path: Path) -> tuple[TraceMeta, int]:
+    """The #meta line's metadata and the offset of the line after it."""
+    pos = data.find(b"\n") + 1 or len(data)
     m = _META_RE.match(data[:pos].rstrip(b"\n").decode())
     if m is None:
         raise TraceFormatError("malformed #meta line", str(path), 1)
@@ -201,89 +297,123 @@ def _read(path: Path) -> tuple[Trace, dict[str, list[int]]]:
         raise TraceFormatError("frame_len must be positive", str(path), 1)
     if not 0 < meta.rate_bps < math.inf:
         raise TraceFormatError("R must be positive and finite", str(path), 1)
+    return meta, pos
+
+
+def _record_spans(data: bytearray, pos: int) -> tuple[np.ndarray, ...]:
+    """(start, end, line number) of each line from pos on that is not blank."""
+    ends = []
+    stop = data.find(b"\n", pos)
+    while stop >= 0:
+        ends.append(stop)
+        stop = data.find(b"\n", stop + 1)
+    if max(ends[-1] + 1 if ends else 0, pos) < len(data):
+        ends.append(len(data))  # a last line without LF
+    ends = np.array(ends, dtype=np.int64)
+    starts = np.concatenate(([pos], ends[:-1] + 1))[:ends.size].astype(np.int64)
+    lines = np.arange(2, ends.size + 2)
+    # A record line starts with a letter; anything else may be blank.
+    first = np.frombuffer(data, dtype=np.uint8)[starts]
+    for i in np.flatnonzero((first <= 32) | (first >= 127)).tolist():
+        if not data[starts[i]:ends[i]].decode().strip():
+            lines[i] = 0
+    keep = lines > 0
+    return starts[keep], ends[keep], lines[keep]
+
+
+def _read(path: Path) -> tuple[Trace, dict[str, np.ndarray]]:
+    """The trace in path and the line of each record, by side.
+
+    The file is read into one bytearray and its lines located.  The head
+    of each record line is its text before the payload, whose width the
+    metadata fixes; the heads are joined, checked by one anchored regex
+    and converted to columns.  Then each payload's hex is moved down to
+    the front of the bytearray and all of them are decoded at once
+    (hex_to_packed).  The fault reported is the first in file order, as
+    if each line were checked in turn and its payload decoded: a bad
+    payload before the first malformed line comes first.  Bytes that are
+    not UTF-8 are reported before anything else.
+    """
+    data = _read_text(path)
+    meta, pos = _read_meta(data, path)
     n_bits = meta.frame_len
     width = 2 * ((n_bits + 7) // 8)
-    trace = Trace(meta=meta)
-    records_of = {"tx": trace.tx, "rx": trace.rx}
-    line_of: dict[str, list[int]] = {"tx": [], "rx": []}
-    # records with a payload, its offset in data and its line
-    holders: list[FrameRecord] = []
-    hex_starts: list[int] = []
-    hex_lines: list[int] = []
+    starts, ends, lines = _record_spans(data, pos)
 
-    def hex_bytes() -> bytes:
-        with memoryview(data) as view:
-            return b"".join([view[i:i + width] for i in hex_starts])
+    # Where each line's payload starts if the line is well formed: after
+    # the space before a lone "-", or width digits before the line end.
+    # A payload wider than the file fits on no line.
+    byte = np.frombuffer(data, dtype=np.uint8)
+    no_payload = ((ends - starts >= 2) & (byte[ends - 1] == ord("-"))
+                  & (byte[ends - 2] == ord(" ")))
+    cut = np.where(no_payload, ends - 2, ends - min(width, len(data)) - 1)
+    shaped = no_payload | ((cut >= starts) & (byte[np.maximum(cut, 0)] == ord(" ")))
+    del byte  # data is resized below
 
-    lineno = 1
-    while pos < size:
-        start = pos
-        stop = data.find(b"\n", start)
-        if stop < 0:
-            stop = size
-        pos = stop + 1
-        lineno += 1
-        # A record line starts with a letter; anything else may be blank.
-        if not 32 < data[start] < 127 and not data[start:stop].decode().strip():
-            continue
+    # The first malformed line is the first one not shaped so, or whose
+    # head the regex rejects, or whose payload does not match its status.
+    # (A line whose payload holds a space is malformed too; the payload
+    # decode finds it.)
+    n_good = int(np.argmin(shaped)) if not shaped.all() else shaped.size
+    with memoryview(data) as view:
+        heads = b"\n".join([view[a:b] for a, b in
+                            zip(starts[:n_good].tolist(), cut[:n_good].tolist())])
+    heads += b"\n"
+    n_good = heads.count(b"\n", 0, _HEADS_RE.match(heads).end())
+    columns = _parse_heads(heads, n_good)
+    mismatch = np.flatnonzero((columns["status"] == PHY) != no_payload[:n_good])
+    if mismatch.size:
+        n_good = int(mismatch[0])
+        columns = {name: column[:n_good] for name, column in columns.items()}
+    fault = None
+    if n_good < starts.size:
+        line = bytes(data[starts[n_good]:ends[n_good]])
+        fault = (_line_fault(line, n_bits), int(lines[n_good]))
+
+    # Move the payloads before that line down to the front of data, in
+    # line order, and decode them.
+    held = np.flatnonzero(~no_payload[:n_good])
+    with memoryview(data) as view:
+        for k, a in enumerate((cut[held] + 1).tolist()):
+            view[k * width:(k + 1) * width] = view[a:a + width]
+    del data[held.size * width:]
+    try:
+        packed = hex_to_packed(data, n_bits)
+    except PayloadError as exc:
+        payload = bytes(data[exc.index * width:(exc.index + 1) * width])
+        line_no = int(lines[held[exc.index]])
+        if b" " not in payload:
+            raise TraceFormatError(str(exc), str(path), line_no) from exc
+        # A space: the payload is the end of a malformed line, which comes
+        # after any bad pad bits before it.
         try:
-            cut = data.rfind(b" ", start, stop)
-            fields = data[start:cut].decode().split(" ") if cut >= 0 else []
-            if len(fields) != 5:
-                raise ValueError(f"expected 6 fields, got {len(fields) + 1}")
-            side, seq_tok, ts_tok, status_tok, rssi_tok = fields
-            if side not in records_of:
-                raise ValueError(f"unknown side {side!r}")
-            status = _STATUS_FROM_TOKEN.get(status_tok)
-            if status is None:
-                raise ValueError(f"unknown status {status_tok!r}")
-            seq = None if seq_tok == "?" else _int(seq_tok, "seq")
-            timestamp_us = _int(ts_tok, "timestamp")
-            rssi = None if rssi_tok == "-" else _int(rssi_tok, "rssi")
-            has_payload = stop - cut != 2 or data[cut + 1] != 45  # "-"
-            if has_payload and stop - cut - 1 != width:
-                raise ValueError(
-                    f"payload hex has {len(data[cut + 1:stop].decode())} digits, "
-                    f"expected {width} for {n_bits} bits"
-                )
-            if has_payload == (status is ReceiveStatus.PHY_ERROR):
-                raise ValueError(
-                    "PHY-error frame must not carry a payload"
-                    if has_payload
-                    else f"{status.value} frame must carry a payload"
-                )
-        except ValueError as exc:
-            # a payload on an earlier line may be at fault first
-            _decode_payloads(hex_bytes(), hex_lines, n_bits, path)
-            raise TraceFormatError(str(exc), str(path), lineno) from exc
-        rec = FrameRecord._from_row(seq, timestamp_us, status, None,
-                                    n_bits if has_payload else 0, rssi)
-        records_of[side].append(rec)
-        line_of[side].append(lineno)
-        if has_payload:
-            holders.append(rec)
-            hex_starts.append(cut + 1)
-            hex_lines.append(lineno)
-    payload_hex = hex_bytes()
+            hex_to_packed(data[:exc.index * width], n_bits)
+        except PayloadError as pad:
+            raise TraceFormatError(str(pad), str(path),
+                                   int(lines[held[pad.index]])) from pad
+        head = heads.split(b"\n", held[exc.index] + 1)[held[exc.index]]
+        fault = (_line_fault(head + b" " + payload, n_bits), line_no)
     del data
-    FrameRecord._fill_rows(holders,
-                           _decode_payloads(payload_hex, hex_lines, n_bits, path))
+    if fault is not None:
+        raise TraceFormatError(fault[0], str(path), fault[1])
+
+    row = np.where(no_payload[:n_good], -1, np.cumsum(~no_payload[:n_good]) - 1)
+    sides, line_of = {}, {}
+    for name, pick in (("tx", ~columns["is_rx"]), ("rx", columns["is_rx"])):
+        index = np.flatnonzero(pick)
+        sides[name] = Side(
+            **{key: columns[key][index] for key in
+               ("seq", "timestamp_us", "status", "rssi", "has_rssi")},
+            row=row[index], packed=packed, n_bits=n_bits if packed.size else 0,
+        )
+        line_of[name] = lines[index]
+    trace = Trace(meta=meta, tx=sides["tx"], rx=sides["rx"])
     try:
         trace.validate()
     except TraceError as exc:
-        line = None if exc.record is None else line_of[exc.record[0]][exc.record[1]]
+        line = None if exc.record is None else int(line_of[exc.record[0]][exc.record[1]])
         raise TraceFormatError(str(exc), str(path), line) from exc
     return trace, line_of
-
-
-def _decode_payloads(
-    payload_hex: bytes, lines: list[int], n_bits: int, path: Path
-) -> np.ndarray:
-    """hex_to_packed, with a fault named at the line of its payload."""
-    try:
-        return hex_to_packed(payload_hex, n_bits)
-    except PayloadError as exc:
-        raise TraceFormatError(str(exc), str(path), lines[exc.index]) from exc
 
 
 def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
@@ -303,6 +433,6 @@ def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
     try:
         merged.validate_pairing()
     except TraceError as exc:
-        line = None if exc.record is None else rx_lines["rx"][exc.record[1]]
+        line = None if exc.record is None else int(rx_lines["rx"][exc.record[1]])
         raise TraceFormatError(str(exc), str(rx_path), line) from exc
     return merged

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridchan import ChannelParams, SimConfig, apply_channel, generate_tx
+from hybridchan import ChannelParams, SimConfig, Trace, apply_channel, generate_tx
 
 
 def make_params(r=0.0, s=1.0, p=0.0, rate_bps=54e6, frame_len=8000,
@@ -17,6 +17,11 @@ def sim_pair(r, s, p, n_frames, frame_len, seed, **config_kwargs):
                        **config_kwargs)
     tx = generate_tx(config)
     return tx, apply_channel(tx, config)
+
+
+def joined(tx, rx):
+    """One trace of tx's tx side and rx's rx side, as load_pair makes it."""
+    return Trace(meta=tx.meta, tx=tx.tx, rx=rx.rx)
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from hybridchan.runstest import RunsFlag
 from hybridchan.segments import Segment
 from hybridchan.stats import error_table, per_frame_runs_tests
 
-from conftest import make_params, sim_pair
+from conftest import joined, make_params, sim_pair
 from test_capacity import binned_trace
 
 
@@ -155,7 +155,7 @@ def test_criterion_03a_exact_power_oracle():
     """
     low = exact_periodic_power(8000, 288, 32, 0.05)
     tx, rx = _periodic_pair(0.05)
-    rows = per_frame_runs_tests(error_table(tx, rx))
+    rows = per_frame_runs_tests(error_table(joined(tx, rx)))
     n_valid = sum(1 for r in rows if r.result.flag is RunsFlag.NORMAL)
     fail_rate, _ = _decided_rates(rows)
     se = sqrt(low * (1 - low) / n_valid)
@@ -190,7 +190,7 @@ def test_criterion_03a_periodic_noise_fails_before_interleaving(periodic_run):
     """
     tx, rx = periodic_run
     start = time.perf_counter()
-    fail_rate, _ = _decided_rates(per_frame_runs_tests(error_table(tx, rx)))
+    fail_rate, _ = _decided_rates(per_frame_runs_tests(error_table(joined(tx, rx))))
     elapsed = time.perf_counter() - start
     ok = fail_rate >= 0.9 and elapsed < 120
     report("3a", "per-frame runs test fails >=90% before interleaving", ok,
@@ -201,7 +201,7 @@ def test_criterion_03a_periodic_noise_fails_before_interleaving(periodic_run):
 def test_criterion_03b_interleaving_whitens(periodic_run):
     tx, rx = periodic_run
     start = time.perf_counter()
-    rows = per_frame_runs_tests(error_table(tx, rx, key=33))
+    rows = per_frame_runs_tests(error_table(joined(tx, rx), key=33))
     _, pass_rate = _decided_rates(rows)
     elapsed = time.perf_counter() - start
     ok = pass_rate >= 0.9 and elapsed < 120
@@ -217,7 +217,7 @@ def test_criterion_04_parameter_recovery():
         for seed in range(100):
             tx, rx = sim_pair(r=r, s=s, p=p, n_frames=10000, frame_len=400,
                               seed=seed)
-            est = hc.estimate_params(tx, rx)
+            est = hc.estimate_params(joined(tx, rx))
             hits["r"] += abs(est.r_hat - r) <= 3 * est.r_se
             hits["s"] += abs(est.s_hat - s) <= 3 * est.s_se
             hits["p"] += abs(est.p_hat - p) <= 3 * est.p_se
@@ -233,7 +233,7 @@ def test_criterion_05_segmentation():
     for seed in range(100):
         tx, rx = sim_pair(r=0.0, s=0.9577, p=0.003, n_frames=10000,
                           frame_len=2000, seed=seed)
-        segs = hc.segment_corrupted_frames(error_table(tx, rx))
+        segs = hc.segment_corrupted_frames(error_table(joined(tx, rx)))
         total = sum(s.n_corrupted for s in segs)
         coverages.append(max(s.n_corrupted for s in segs) / total)
     median_cov = float(np.median(coverages))
@@ -246,7 +246,7 @@ def test_criterion_05_segmentation():
                            drift_schedule=((5000, high),))
         tx = hc.generate_tx(cfg)
         rx = hc.apply_channel(tx, cfg)
-        table = error_table(tx, rx)
+        table = error_table(joined(tx, rx))
         segs = hc.segment_corrupted_frames(table)
         seqs = table.seqs.tolist()
         idx_of = {s: i for i, s in enumerate(seqs)}
@@ -279,13 +279,13 @@ def test_criterion_07_symmetry():
     for seed in range(300, 400):
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.005, n_frames=1000,
                           frame_len=1000, seed=seed)
-        n_symmetric += hc.symmetry_report(error_table(tx, rx)).symmetric
+        n_symmetric += hc.symmetry_report(error_table(joined(tx, rx))).symmetric
 
     # reference operating point: 54 Mbps, FER 0.0835, crossover 0.0018,
     # 10000 frames, all frame errors CRC
     tx, rx = sim_pair(r=0.0, s=1 - 0.0835, p=0.0018, n_frames=10000,
                       frame_len=8000, seed=3)
-    rep = hc.symmetry_report(error_table(tx, rx))
+    rep = hc.symmetry_report(error_table(joined(tx, rx)))
     row_ok = (
         0.0016 <= rep.mu1 <= 0.0020
         and 0.0016 <= rep.mu0 <= 0.0020
@@ -321,7 +321,7 @@ def test_criterion_09_capacity_gain():
         (-65, 33, 67, 2),    # s=0.33, p=0.002
         (-60, 25, 75, 5),    # s=0.25, p=0.005
     ])
-    bins = hc.capacity_report(tx, rx).per_rssi_bins
+    bins = hc.capacity_report(joined(tx, rx)).per_rssi_bins
     gains = {b.rssi: b.gain for b in bins}
     ok = len(bins) == 3 and all(b.gain > 1.0 for b in bins)
     report("9", "gain > 100% for s<=0.33, p<=0.01 bins", ok,
@@ -336,7 +336,7 @@ def test_criterion_10_sequence_recovery():
         tx, rx = sim_pair(r=0.0, s=0.5, p=p, n_frames=2200, frame_len=2000,
                           seed=42, clock_skew_ppm=50.0,
                           clock_offset_us=10_000, timestamp_jitter_us=50)
-        _, summary = hc.recover_trace(tx, rx, scrub=True)
+        _, summary = hc.recover_trace(joined(tx, rx), scrub=True)
         assert summary.n_attempted >= 1000
         acc[p] = (summary.accuracy, floor)
     elapsed = time.perf_counter() - start
@@ -350,10 +350,10 @@ def test_criterion_10_sequence_recovery():
 def test_criterion_11_outcome_iid_fractions():
     tx, rx = sim_pair(r=0.1, s=0.7, p=0.005, n_frames=10000, frame_len=2000,
                       seed=0)
-    segs = hc.segment_corrupted_frames(error_table(tx, rx))
+    segs = hc.segment_corrupted_frames(error_table(joined(tx, rx)))
     fractions = {
         frac.outcome.value: frac.fraction
-        for frac in hc.outcome_iid_tests(rx, segs).fractions.values()
+        for frac in hc.outcome_iid_tests(joined(tx, rx), segs).fractions.values()
     }
     ok = all(f is not None and f >= 0.8 for f in fractions.values())
     report("11", "outcome i.i.d. pass fractions >= 0.8", ok,

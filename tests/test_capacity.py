@@ -13,7 +13,7 @@ from hybridchan import (
     hybrid_capacity,
 )
 
-from conftest import sim_pair
+from conftest import joined, sim_pair
 
 
 class TestBinaryEntropy:
@@ -77,14 +77,14 @@ class TestEstimateParams:
     def test_simulated_channel_within_three_se(self):
         r, s, p = 0.1, 0.7, 0.005
         tx, rx = sim_pair(r=r, s=s, p=p, n_frames=10000, frame_len=400, seed=1)
-        est = estimate_params(tx, rx)
+        est = estimate_params(joined(tx, rx))
         assert abs(est.r_hat - r) <= 3 * est.r_se
         assert abs(est.s_hat - s) <= 3 * est.s_se
         assert abs(est.p_hat - p) <= 3 * est.p_se
 
     def test_all_ok_trace(self):
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=50, frame_len=64, seed=2)
-        est = estimate_params(tx, rx)
+        est = estimate_params(joined(tx, rx))
         assert est.r_hat == 0.0
         assert est.s_hat == 1.0
         assert est.p_hat is None and est.p_se is None
@@ -93,7 +93,7 @@ class TestEstimateParams:
     def test_fer_identity(self):
         tx, rx = sim_pair(r=0.15, s=0.6, p=0.01, n_frames=3000, frame_len=100,
                           seed=3)
-        est = estimate_params(tx, rx)
+        est = estimate_params(joined(tx, rx))
         assert est.fer_hat == pytest.approx(
             1 - (1 - est.r_hat) * est.s_hat, rel=1e-12)
         assert est.fer_hat == (est.n_phy + est.n_corrupted) / est.n_frames
@@ -101,15 +101,15 @@ class TestEstimateParams:
     def test_empty_rx_is_error(self):
         tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=3, frame_len=8, seed=4)
         with pytest.raises(ValueError, match="empty"):
-            estimate_params(tx, Trace(meta=tx.meta))
+            estimate_params(Trace(meta=tx.meta, tx=tx.tx))
 
     def test_standard_errors_shrink_with_n(self):
         small = sim_pair(r=0.1, s=0.7, p=0.01, n_frames=500, frame_len=200,
                          seed=5)
         large = sim_pair(r=0.1, s=0.7, p=0.01, n_frames=8000, frame_len=200,
                          seed=5)
-        est_small = estimate_params(*small)
-        est_large = estimate_params(*large)
+        est_small = estimate_params(joined(*small))
+        est_large = estimate_params(joined(*large))
         assert est_large.r_se < est_small.r_se
         assert est_large.s_se < est_small.s_se
         assert est_large.p_se < est_small.p_se
@@ -143,22 +143,22 @@ def binned_trace(bins, frame_len=1000, flips_per_frame=None):
                     status=ReceiveStatus.CRC_ERROR, payload=received,
                     rssi=rssi))
             seq += 1
-    return (Trace(meta=meta, tx=tx_recs),
-            Trace(meta=meta, rx=rx_recs))
+    return (Trace.from_records(meta, tx=tx_recs),
+            Trace.from_records(meta, rx=rx_recs))
 
 
 class TestCapacityReport:
     def test_zero_crossover_gain_limit(self):
         # corrupted frames that carry no bit errors: gain -> (1-s)/s
         tx, rx = binned_trace([(-60, 30, 70, 0)])
-        report = capacity_report(tx, rx)
+        report = capacity_report(joined(tx, rx))
         s_hat = report.params.s_hat
         assert report.params.p_hat == 0.0
         assert report.gain == pytest.approx((1 - s_hat) / s_hat, rel=1e-12)
 
     def test_per_bin_estimates(self):
         tx, rx = binned_trace([(-60, 80, 20, 10), (-55, 50, 50, 20)])
-        report = capacity_report(tx, rx)
+        report = capacity_report(joined(tx, rx))
         assert [b.rssi for b in report.per_rssi_bins] == [-60, -55]
         b0, b1 = report.per_rssi_bins
         assert b0.n_frames == 100 and b0.s_hat == 0.8
@@ -171,28 +171,30 @@ class TestCapacityReport:
     def test_bin_width_groups_values(self):
         tx, rx = binned_trace([(-60, 10, 0, 0), (-59, 10, 0, 0),
                                (-50, 10, 0, 0)])
-        report = capacity_report(tx, rx, rssi_bin_width=5)
+        report = capacity_report(joined(tx, rx), rssi_bin_width=5)
         assert [b.rssi for b in report.per_rssi_bins] == [-60, -50]
         assert report.per_rssi_bins[0].n_frames == 20
 
     def test_no_rssi_data_omits_bins(self):
         tx, rx = sim_pair(r=0.1, s=0.7, p=0.01, n_frames=300, frame_len=100,
                           seed=6)
-        report = capacity_report(tx, rx)
+        report = capacity_report(joined(tx, rx))
         assert report.per_rssi_bins == []
 
     def test_phy_error_frames_stay_out_of_bins(self):
         tx, rx = binned_trace([(-60, 50, 50, 5)])
-        rx.rx[0] = FrameRecord(seq=rx.rx[0].seq,
-                               timestamp_us=rx.rx[0].timestamp_us,
-                               status=ReceiveStatus.PHY_ERROR, rssi=None)
-        report = capacity_report(tx, rx)
+        records = list(rx.rx)
+        records[0] = FrameRecord(seq=records[0].seq,
+                                 timestamp_us=records[0].timestamp_us,
+                                 status=ReceiveStatus.PHY_ERROR, rssi=None)
+        rx = Trace.from_records(rx.meta, rx=records)
+        report = capacity_report(joined(tx, rx))
         assert report.per_rssi_bins[0].n_frames == 99
 
     def test_simulated_low_s_trace_doubles_capacity(self):
         tx, rx = sim_pair(r=0.0, s=0.3, p=0.002, n_frames=2000, frame_len=1000,
                           seed=7)
-        report = capacity_report(tx, rx)
+        report = capacity_report(joined(tx, rx))
         assert report.gain > 1.0
         assert report.hybrid_bps >= report.erasure_bps
 
@@ -203,7 +205,7 @@ class TestCapacityReport:
             (-65, 33, 67, 2),    # s=0.33, p=0.002
             (-60, 25, 75, 5),    # s=0.25, p=0.005
         ])
-        report = capacity_report(tx, rx)
+        report = capacity_report(joined(tx, rx))
         assert len(report.per_rssi_bins) == 3
         for b in report.per_rssi_bins:
             assert b.s_hat <= 0.33 + 1e-9 and b.p_hat <= 0.01 + 1e-9

@@ -100,7 +100,7 @@ class TestAnalyze:
     def test_empty_rx_gives_empty_reports(self, tmp_path):
         meta = TraceMeta(rate_bps=54e6, frame_len=16, interval_us=100)
         payload = np.ones(16, dtype=np.uint8)
-        tx = Trace(meta=meta, tx=[FrameRecord(
+        tx = Trace.from_records(meta, tx=[FrameRecord(
             seq=0, timestamp_us=0, status=ReceiveStatus.OK, payload=payload)])
         rx = Trace(meta=meta)
         write_trace(tx, tmp_path / "tx.trace")
@@ -196,6 +196,27 @@ class TestAnalyze:
         assert f"{run / 'rx.trace'}:3: payload must be lowercase hex digits" \
             in capsys.readouterr().err
 
+    def test_small_sample_frames_have_no_verdict(self, tmp_path):
+        # 16-bit error vectors are below the runs test's normal-length
+        # cutoff, so a frame's runs test decides nothing even with a p-value
+        run = tmp_path / "run"
+        assert run_cli(["simulate", "--frames", 200, "--frame-len", 16,
+                        "--r", 0, "--s", 0.2, "--p", 0.3, "--seed", 4,
+                        "--out", run]) == 0
+        out = tmp_path / "reports"
+        assert run_cli(["analyze", run / "tx.trace", run / "rx.trace",
+                        "--seed", 4, "--out", out]) == 0
+        rows = [line.split(",") for line in
+                (out / "frames.csv").read_text().splitlines()[1:]]
+        verdicts = [row[7] for row in rows if row[2] == "crc"]
+        assert len(verdicts) > 100
+        assert set(verdicts) == {"small_sample", "degenerate"}
+        assert verdicts.count("small_sample") > 100
+        # a small sample with a z-score still reports it
+        assert any(row[5] != "" for row in rows if row[7] == "small_sample")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["per_frame_pass_rate"] is None
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_text("not a trace\n")
@@ -239,8 +260,8 @@ class TestCapacityCmd:
                                   status=ReceiveStatus.OK, payload=payload,
                                   rssi=-60 - (seq % 2))
             rx_recs.append(rec)
-        write_trace(Trace(meta=meta, tx=tx_recs), tmp_path / "tx.trace")
-        write_trace(Trace(meta=meta, rx=rx_recs), tmp_path / "rx.trace")
+        write_trace(Trace.from_records(meta, tx=tx_recs), tmp_path / "tx.trace")
+        write_trace(Trace.from_records(meta, rx=rx_recs), tmp_path / "rx.trace")
         rep = tmp_path / "cap"
         code = run_cli(["capacity", tmp_path / "tx.trace",
                         tmp_path / "rx.trace", "--rssi-bin", 1, "--out", rep])
@@ -294,6 +315,28 @@ def test_segment_of_keeps_highest_spanning_segment(seqs, bounds):
             if seg.start_frame <= seq <= seg.end_frame:
                 want[seq] = i
     assert _segment_of(list(seqs), segs) == want
+
+
+def test_commands_never_build_a_record(tmp_path, monkeypatch, capsys):
+    """Every command works on the columns, with no record object per frame."""
+    def no_record(self, *args, **kwargs):
+        raise AssertionError("a FrameRecord was built")
+
+    monkeypatch.setattr(FrameRecord, "__init__", no_record)
+    run = simulate(tmp_path, "run")
+    periodic = simulate(tmp_path, "periodic",
+                        ["--periodic", "--period", 100, "--burst", 10,
+                         "--p-burst", 0.1])
+    for pair in ([run / "tx.trace", run / "rx.trace"],
+                 [periodic / "tx.trace", periodic / "rx.trace"]):
+        out = tmp_path / "out" / pair[0].parent.name
+        assert run_cli(["analyze", *pair, "--out", out / "a"]) == 0
+        assert run_cli(["analyze", *pair, "--no-interleave", "--out", out / "b"]) == 0
+        assert run_cli(["capacity", *pair, "--out", out / "c"]) == 0
+        assert run_cli(["recover", *pair, "--scrub", "--out", out / "d"]) == 0
+    assert "recovery accuracy" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="FrameRecord was built"):
+        FrameRecord(seq=0, timestamp_us=0, status=ReceiveStatus.PHY_ERROR)
 
 
 def test_commands_never_unpack_a_record(tmp_path, monkeypatch, capsys):

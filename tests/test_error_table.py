@@ -25,7 +25,7 @@ from hybridchan import stats
 from hybridchan.runstest import RunsFlag
 from hybridchan.sim import apply_periodic_noise
 
-from conftest import sim_pair
+from conftest import joined, sim_pair
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def periodic_pair():
 
 
 def assert_matches_reference(tx, rx, key):
-    table = error_table(tx, rx, key)
+    table = error_table(joined(tx, rx), key)
     rows = per_frame_runs_tests(table)
     assert [(r.seq, r.n_bit_errors, r.crossover, r.result) for r in rows] \
         == ref.per_frame_results(tx, rx, key)
@@ -76,15 +76,15 @@ def test_whitens_each_frame_once(hybrid_pair, monkeypatch):
         return whiten(ev, base_key, seq)
 
     monkeypatch.setattr(interleaver, "whiten_error_vector", counting)
-    table = error_table(*hybrid_pair, key=5)
+    table = error_table(joined(*hybrid_pair), key=5)
     assert calls == table.seqs.tolist()
-    error_table(*hybrid_pair, key=None)
+    error_table(joined(*hybrid_pair), key=None)
     assert len(calls) == len(table)
 
 
 def test_all_zero_error_vectors_are_degenerate():
     tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=30, frame_len=64, seed=43)
-    rx = Trace(meta=tx.meta, rx=[
+    rx = Trace.from_records(tx.meta, rx=[
         FrameRecord(seq=rec.seq, timestamp_us=rec.timestamp_us,
                     status=ReceiveStatus.CRC_ERROR, payload=rec.payload)
         for rec in tx.tx
@@ -104,7 +104,7 @@ def test_all_zero_error_vectors_are_degenerate():
 def test_no_corrupted_frames():
     tx, rx = sim_pair(r=0.3, s=1.0, p=0.0, n_frames=40, frame_len=64, seed=44)
     for key in (None, 3):
-        table = error_table(tx, rx, key)
+        table = error_table(joined(tx, rx), key)
         assert len(table) == 0 and not table.column_sums.any()
         assert per_frame_runs_tests(table) == []
         assert segment_corrupted_frames(table) == []
@@ -130,7 +130,7 @@ def short_spans(n_frames, seed):
 @pytest.mark.parametrize("spans", ["segmented", "short"])
 def test_outcome_tests_match_label_arrays(hybrid_pair, spans, monkeypatch):
     tx, rx = hybrid_pair
-    segs = (segment_corrupted_frames(error_table(tx, rx)) if spans == "segmented"
+    segs = (segment_corrupted_frames(error_table(joined(tx, rx))) if spans == "segmented"
             else short_spans(len(tx.tx), seed=45))
     counts = []
     from_counts = stats._result_from_counts
@@ -140,7 +140,7 @@ def test_outcome_tests_match_label_arrays(hybrid_pair, spans, monkeypatch):
         return from_counts(n_runs, n1, n0, alpha)
 
     monkeypatch.setattr(stats, "_result_from_counts", recording)
-    report = outcome_iid_tests(rx, segs)
+    report = outcome_iid_tests(joined(tx, rx), segs)
     results = ref.outcome_results(rx, segs)
     assert counts == [(r.n_runs, r.n1, r.n0) for r in results.values()]
     for outcome, frac in report.fractions.items():
@@ -186,14 +186,14 @@ def trace_pairs(draw):
             ReceiveStatus.CRC_ERROR else seq,
             timestamp_us=100 * seq, status=status,
             payload=payload ^ flips))
-    return Trace(meta=meta, tx=tx_recs), Trace(meta=meta, rx=rx_recs)
+    return Trace.from_records(meta, tx=tx_recs), Trace.from_records(meta, rx=rx_recs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(trace_pairs(), st.sampled_from([None, 1]))
 def test_segments_partition_corrupted_frames(pair, key):
     tx, rx = pair
-    table = error_table(tx, rx, key)
+    table = error_table(joined(tx, rx), key)
     segs = segment_corrupted_frames(table)
     assert segs == ref.segments(tx, rx, key)
     corrupted = table.seqs.tolist()

@@ -8,7 +8,7 @@ from hybridchan.runstest import RunsFlag, runs_test
 from hybridchan.sim import SimConfig, apply_periodic_noise, generate_tx
 from hybridchan.stats import error_table, per_frame_runs_tests
 
-from conftest import make_params
+from conftest import joined, make_params
 
 KEY64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -90,11 +90,11 @@ class TestWhitening:
 
     def test_raw_error_vectors_fail_often(self, periodic_pair):
         tx, rx = periodic_pair
-        fail_rate, _ = self._rates(per_frame_runs_tests(error_table(tx, rx)))
+        fail_rate, _ = self._rates(per_frame_runs_tests(error_table(joined(tx, rx))))
         assert fail_rate > 0.5
 
     def test_whitened_error_vectors_pass_at_nominal_rate(self, periodic_pair):
         tx, rx = periodic_pair
-        rows = per_frame_runs_tests(error_table(tx, rx, key=21))
+        rows = per_frame_runs_tests(error_table(joined(tx, rx), key=21))
         _, pass_rate = self._rates(rows)
         assert pass_rate >= 0.9

@@ -19,7 +19,7 @@ from hybridchan import (
 )
 from hybridchan.recovery import RecoverySummary, _nearest
 
-from conftest import make_params, sim_pair
+from conftest import joined, make_params, sim_pair
 
 
 class TestFitClock:
@@ -127,7 +127,7 @@ class TestRecoverSequence:
             tx_recs.append(FrameRecord(seq=seq, timestamp_us=seq * 20000,
                                        status=ReceiveStatus.OK,
                                        payload=payload))
-        tx = Trace(meta=meta, tx=tx_recs)
+        tx = Trace.from_records(meta, tx=tx_recs)
         rx_ok = [FrameRecord(seq=s, timestamp_us=s * 20000,
                              status=ReceiveStatus.OK,
                              payload=tx_recs[s].payload)
@@ -149,7 +149,7 @@ class TestRecoverTrace:
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.01, n_frames=400, frame_len=1000,
                           seed=24, clock_skew_ppm=50.0,
                           clock_offset_us=10_000, timestamp_jitter_us=50)
-        recovered, summary = recover_trace(tx, rx, scrub=True)
+        recovered, summary = recover_trace(joined(tx, rx), scrub=True)
         assert summary.n_attempted == summary.n_corrupted > 100
         assert summary.accuracy == 1.0
         assert len(recovered.rx) == len(rx.rx)
@@ -165,19 +165,19 @@ class TestRecoverTrace:
                 n_unknown += 1
             else:
                 stripped.append(rec)
-        rx_stripped = Trace(meta=rx.meta, rx=stripped)
-        _, summary = recover_trace(tx, rx_stripped)
+        rx_stripped = Trace.from_records(rx.meta, rx=stripped)
+        _, summary = recover_trace(joined(tx, rx_stripped))
         assert summary.n_attempted == n_unknown
         assert summary.n_correct is None and summary.accuracy is None
 
     def test_recovered_trace_fills_seqs(self):
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.01, n_frames=200, frame_len=500,
                           seed=26)
-        stripped = Trace(meta=rx.meta, rx=[
+        stripped = Trace.from_records(rx.meta, rx=[
             scrubbed(rec) if rec.status is ReceiveStatus.CRC_ERROR else rec
             for rec in rx.rx
         ])
-        recovered, summary = recover_trace(tx, stripped)
+        recovered, summary = recover_trace(joined(tx, stripped))
         assert summary.n_unresolved == 0
         filled = [rec.seq for rec in recovered.rx
                   if rec.status is ReceiveStatus.CRC_ERROR]
@@ -256,19 +256,19 @@ def reference_recover_trace(tx, rx, scrub):
             if scrub and recovered == rec.seq:
                 summary.n_correct += 1
             new_rx.append(replace(rec, seq=recovered))
-    return Trace(meta=rx.meta, tx=[], rx=new_rx), summary
+    return Trace.from_records(tx.meta, rx=new_rx), summary
 
 
 def coarsened(rx, step_us):
     """rx with timestamps rounded down to step_us, so neighbours share one."""
-    return Trace(meta=rx.meta, rx=[
+    return Trace.from_records(rx.meta, rx=[
         replace(rec, timestamp_us=rec.timestamp_us // step_us * step_us)
         for rec in rx.rx
     ])
 
 
 def assert_matches_reference(tx, rx, scrub):
-    got, summary = recover_trace(tx, rx, scrub=scrub)
+    got, summary = recover_trace(joined(tx, rx), scrub=scrub)
     want, want_summary = reference_recover_trace(tx, rx, scrub)
     assert summary == want_summary
     assert got == want
@@ -280,7 +280,7 @@ class TestMatchesReference:
                           seed=31, clock_skew_ppm=50.0,
                           clock_offset_us=10_000, timestamp_jitter_us=50)
         assert_matches_reference(tx, rx, scrub=True)
-        stripped = Trace(meta=rx.meta, rx=[
+        stripped = Trace.from_records(rx.meta, rx=[
             scrubbed(rec) if rec.status is ReceiveStatus.CRC_ERROR
             and rec.seq % 3 == 0 else rec
             for rec in rx.rx
@@ -301,7 +301,7 @@ class TestMatchesReference:
         meta = TraceMeta(rate_bps=54e6, frame_len=64, interval_us=20000)
         gen = np.random.default_rng(5)
         shared = gen.integers(0, 2, 64, dtype=np.uint8)
-        tx = Trace(meta=meta, tx=[
+        tx = Trace.from_records(meta, tx=[
             FrameRecord(seq=seq, timestamp_us=seq * 20000,
                         status=ReceiveStatus.OK,
                         payload=shared if seq in (3, 4)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridchan import RunsAccumulator, RunsFlag, runs_test
+from hybridchan.runstest import count_runs
 from hybridchan import rng as hrng
 
 
@@ -100,12 +101,21 @@ def test_calibration_on_iid_bernoulli():
     assert 0.93 <= n_pass / n_valid <= 0.97
 
 
+def add(acc, chunk):
+    """Append a 0/1 chunk by its counts, as segmentation appends a frame."""
+    chunk = np.asarray(chunk, dtype=np.uint8)
+    if chunk.size:
+        n1 = int(chunk.sum())
+        acc.add_counts(n1, chunk.size - n1, count_runs(chunk),
+                       int(chunk[0]), int(chunk[-1]))
+
+
 class TestAccumulator:
     def test_matches_batch_on_fixed_chunks(self):
         chunks = [bits("110"), bits("011"), bits("1"), bits("000")]
         acc = RunsAccumulator()
         for c in chunks:
-            acc.add(c)
+            add(acc, c)
         whole = runs_test(np.concatenate(chunks))
         res = acc.result()
         assert (res.n_runs, res.n1, res.n0) == (whole.n_runs, whole.n1, whole.n0)
@@ -113,16 +123,16 @@ class TestAccumulator:
 
     def test_empty_chunk_is_noop(self):
         acc = RunsAccumulator()
-        acc.add(bits("101"))
-        acc.add(np.array([], dtype=np.uint8))
-        acc.add(bits("1"))
+        add(acc, bits("101"))
+        add(acc, np.array([], dtype=np.uint8))
+        add(acc, bits("1"))
         assert acc.n_runs == runs_test(bits("1011")).n_runs
 
     def test_copy_is_independent(self):
         acc = RunsAccumulator()
-        acc.add(bits("10"))
+        add(acc, bits("10"))
         snap = acc.copy()
-        acc.add(bits("01"))
+        add(acc, bits("01"))
         assert snap.length == 2 and acc.length == 4
 
     def test_result_without_data(self):
@@ -139,7 +149,7 @@ class TestAccumulator:
         bounds = np.linspace(0, seq.size, n_chunks + 1).astype(int)
         acc = RunsAccumulator()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            acc.add(seq[lo:hi])
+            add(acc, seq[lo:hi])
         whole = runs_test(seq)
         res = acc.result()
         assert (res.n_runs, res.n1, res.n0) == (whole.n_runs, whole.n1, whole.n0)

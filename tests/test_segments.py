@@ -15,7 +15,7 @@ from hybridchan import (
     segment_corrupted_frames,
 )
 
-from conftest import make_params, sim_pair
+from conftest import joined, make_params, sim_pair
 from reference_pipeline import corrupted_error_vectors
 
 
@@ -39,8 +39,8 @@ def crafted_pair(error_vectors, frame_len, interval_us=20000, gap=1):
             rx_recs.append(FrameRecord(
                 seq=seq, timestamp_us=seq * interval_us,
                 status=ReceiveStatus.OK, payload=payload))
-    tx = Trace(meta=meta, tx=tx_recs)
-    rx = Trace(meta=meta, rx=rx_recs)
+    tx = Trace.from_records(meta, tx=tx_recs)
+    rx = Trace.from_records(meta, rx=rx_recs)
     return tx, rx
 
 
@@ -48,7 +48,7 @@ def test_single_corrupted_frame_is_one_segment():
     ev = np.zeros(8000, dtype=np.uint8)
     ev[[5, 900, 4400]] = 1
     tx, rx = crafted_pair([ev], frame_len=8000)
-    segs = segment_corrupted_frames(error_table(tx, rx))
+    segs = segment_corrupted_frames(error_table(joined(tx, rx)))
     assert len(segs) == 1
     seg = segs[0]
     assert seg.start_frame == seg.end_frame == 0
@@ -58,7 +58,7 @@ def test_single_corrupted_frame_is_one_segment():
 
 def test_empty_input_gives_empty_list():
     tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=10, frame_len=64, seed=1)
-    assert segment_corrupted_frames(error_table(tx, rx)) == []
+    assert segment_corrupted_frames(error_table(joined(tx, rx))) == []
 
 
 def test_pooled_p_is_flip_ratio_not_mean_of_ratios():
@@ -66,7 +66,7 @@ def test_pooled_p_is_flip_ratio_not_mean_of_ratios():
     ev_a = (gen.random(4000) < 0.01).astype(np.uint8)
     ev_b = (gen.random(4000) < 0.012).astype(np.uint8)
     tx, rx = crafted_pair([ev_a, ev_b], frame_len=4000)
-    segs = segment_corrupted_frames(error_table(tx, rx))
+    segs = segment_corrupted_frames(error_table(joined(tx, rx)))
     assert len(segs) == 1
     total_flips = int(ev_a.sum() + ev_b.sum())
     assert segs[0].pooled_p == total_flips / 8000
@@ -76,7 +76,7 @@ def test_span_counts_clean_frames_between_corrupted_ones():
     gen = np.random.default_rng(3)
     evs = [(gen.random(4000) < 0.01).astype(np.uint8) for _ in range(5)]
     tx, rx = crafted_pair(evs, frame_len=4000, gap=3)
-    segs = segment_corrupted_frames(error_table(tx, rx))
+    segs = segment_corrupted_frames(error_table(joined(tx, rx)))
     assert len(segs) == 1
     seg = segs[0]
     assert (seg.start_frame, seg.end_frame) == (0, 12)
@@ -90,7 +90,7 @@ def test_homogeneous_trace_yields_dominant_segment():
     for seed in range(5):
         tx, rx = sim_pair(r=0.0, s=0.9577, p=0.003, n_frames=10000,
                           frame_len=2000, seed=seed)
-        segs = segment_corrupted_frames(error_table(tx, rx))
+        segs = segment_corrupted_frames(error_table(joined(tx, rx)))
         total = sum(s.n_corrupted for s in segs)
         coverages.append(max(s.n_corrupted for s in segs) / total)
     assert float(np.median(coverages)) >= 0.95
@@ -103,7 +103,7 @@ def test_change_point_splits_near_boundary():
                     drift_schedule=((5000, high),))
     tx = generate_tx(cfg)
     rx = apply_channel(tx, cfg)
-    table = error_table(tx, rx)
+    table = error_table(joined(tx, rx))
     segs = segment_corrupted_frames(table)
     assert len(segs) >= 2
     seqs = table.seqs.tolist()
@@ -119,7 +119,7 @@ def test_outlier_frame_becomes_own_segment():
     loud = (gen.random(8000) < 0.3).astype(np.uint8)
     evs = quiet[:3] + [loud] + quiet[3:]
     tx, rx = crafted_pair(evs, frame_len=8000)
-    segs = segment_corrupted_frames(error_table(tx, rx))
+    segs = segment_corrupted_frames(error_table(joined(tx, rx)))
     assert any(s.n_corrupted == 1 and s.start_frame == 3 for s in segs)
 
 
@@ -130,7 +130,7 @@ def test_incremental_equals_batch_segmentation():
 
     tx, rx = sim_pair(r=0.0, s=0.5, p=0.01, n_frames=400, frame_len=500, seed=6)
     pairs = corrupted_error_vectors(tx, rx)
-    segs = segment_corrupted_frames(error_table(tx, rx))
+    segs = segment_corrupted_frames(error_table(joined(tx, rx)))
 
     by_start = {seg.start_frame: seg for seg in segs}
     current: list[np.ndarray] = []

@@ -6,12 +6,12 @@ import pytest
 from hybridchan import (
     FrameRecord,
     ReceiveStatus,
+    Side,
     Trace,
     TraceMeta,
     bit_position_profile,
     error_table,
     outcome_iid_tests,
-    per_frame_crossover,
     per_frame_runs_tests,
     segment_corrupted_frames,
     symmetry_report,
@@ -20,24 +20,37 @@ from hybridchan.runstest import RunsFlag
 from hybridchan.sim import apply_periodic_noise, periodic_window_mask
 from hybridchan.segments import Segment
 
-from conftest import sim_pair
+from conftest import joined, sim_pair
 
 
 def bits(text):
     return np.array([int(c) for c in text], dtype=np.uint8)
 
 
+def crossover(ev):
+    """The crossover per_frame_runs_tests reports for one error vector."""
+    meta = TraceMeta(rate_bps=54e6, frame_len=ev.size, interval_us=100)
+    trace = Trace.from_records(
+        meta,
+        tx=[FrameRecord(seq=0, timestamp_us=0, status=ReceiveStatus.OK,
+                        payload=np.zeros(ev.size, dtype=np.uint8))],
+        rx=[FrameRecord(seq=0, timestamp_us=0, status=ReceiveStatus.CRC_ERROR,
+                        payload=ev)])
+    [row] = per_frame_runs_tests(error_table(trace))
+    return row.crossover
+
+
 class TestPerFrameCrossover:
     def test_all_correct(self):
-        assert per_frame_crossover(bits("0000")) == 0.0
+        assert crossover(bits("0000")) == 0.0
 
     def test_all_flipped(self):
-        assert per_frame_crossover(bits("1111")) == 1.0
+        assert crossover(bits("1111")) == 1.0
 
     def test_sparse(self):
         ev = np.zeros(8000, dtype=np.uint8)
         ev[np.arange(16) * 100] = 1
-        assert per_frame_crossover(ev) == 0.002
+        assert crossover(ev) == 0.002
 
 
 class TestFrameErrorRunsTest:
@@ -47,7 +60,7 @@ class TestFrameErrorRunsTest:
     @staticmethod
     def _rows(tx, records):
         return per_frame_runs_tests(
-            error_table(tx, Trace(meta=tx.meta, rx=list(records))))
+            error_table(Trace(meta=tx.meta, tx=tx.tx, rx=Side.from_records(records))))
 
     def test_rejects_clean_frames(self):
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=3, frame_len=64, seed=1)
@@ -95,7 +108,7 @@ class TestSymmetryReport:
     def test_symmetric_channel_declared_symmetric(self):
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.005, n_frames=1000,
                           frame_len=1000, seed=301)
-        rep = symmetry_report(error_table(tx, rx))
+        rep = symmetry_report(error_table(joined(tx, rx)))
         assert rep.symmetric is True
         assert rep.mu1 == pytest.approx(0.005, abs=3 * rep.se1)
         assert rep.mu0 == pytest.approx(0.005, abs=3 * rep.se0)
@@ -116,29 +129,28 @@ class TestSymmetryReport:
             rx_recs.append(FrameRecord(
                 seq=seq, timestamp_us=seq, status=ReceiveStatus.CRC_ERROR,
                 payload=np.bitwise_xor(payload, flips.astype(np.uint8))))
-        tx = Trace(meta=meta, tx=tx_recs)
-        rx = Trace(meta=meta, rx=rx_recs)
-        rep = symmetry_report(error_table(tx, rx))
+        rep = symmetry_report(error_table(
+            Trace.from_records(meta, tx=tx_recs, rx=rx_recs)))
         assert rep.symmetric is False
         assert abs(rep.z) > 10
 
     def test_no_corrupted_frames_is_error(self):
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=5, frame_len=64, seed=8)
         with pytest.raises(ValueError, match="no corrupted"):
-            symmetry_report(error_table(tx, rx))
+            symmetry_report(error_table(joined(tx, rx)))
 
     def test_all_ones_tx_leaves_mu0_absent(self):
         meta = TraceMeta(rate_bps=54e6, frame_len=32, interval_us=100)
         payload = np.ones(32, dtype=np.uint8)
         received = payload.copy()
         received[:3] = 0
-        tx = Trace(meta=meta, tx=[FrameRecord(seq=0, timestamp_us=0,
-                                              status=ReceiveStatus.OK,
-                                              payload=payload)])
-        rx = Trace(meta=meta, rx=[FrameRecord(seq=0, timestamp_us=0,
-                                              status=ReceiveStatus.CRC_ERROR,
-                                              payload=received)])
-        rep = symmetry_report(error_table(tx, rx))
+        trace = Trace.from_records(
+            meta,
+            tx=[FrameRecord(seq=0, timestamp_us=0, status=ReceiveStatus.OK,
+                            payload=payload)],
+            rx=[FrameRecord(seq=0, timestamp_us=0, status=ReceiveStatus.CRC_ERROR,
+                            payload=received)])
+        rep = symmetry_report(error_table(trace))
         assert rep.n0 == 0
         assert rep.mu0 is None and rep.se0 is None
         assert rep.z is None and rep.symmetric is None
@@ -150,10 +162,10 @@ class TestBitPositionProfile:
         tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=1, frame_len=100, seed=9)
         payload = tx.tx[0].payload.copy()
         payload[[4, 40]] ^= 1
-        rx = Trace(meta=tx.meta, rx=[FrameRecord(
+        rx = Trace.from_records(tx.meta, rx=[FrameRecord(
             seq=0, timestamp_us=0, status=ReceiveStatus.CRC_ERROR,
             payload=payload)])
-        profile = bit_position_profile(error_table(tx, rx))
+        profile = bit_position_profile(error_table(joined(tx, rx)))
         expected = np.zeros(100)
         expected[[4, 40]] = 1.0
         assert np.array_equal(profile, expected)
@@ -162,7 +174,7 @@ class TestBitPositionProfile:
         p = 0.02
         tx, rx = sim_pair(r=0.0, s=0.0, p=p, n_frames=2000, frame_len=500,
                           seed=10)
-        profile = bit_position_profile(error_table(tx, rx))
+        profile = bit_position_profile(error_table(joined(tx, rx)))
         se = sqrt(p * (1 - p) / 2000)
         assert np.all(np.abs(profile - p) < 4 * se)
 
@@ -171,7 +183,7 @@ class TestBitPositionProfile:
                          seed=11)
         rx = apply_periodic_noise(tx, period=288, burst_len=32,
                                   p_in_burst=0.05, seed=11)
-        profile = bit_position_profile(error_table(tx, rx))
+        profile = bit_position_profile(error_table(joined(tx, rx)))
         mask = periodic_window_mask(2000, 288, 32)
         in_mean = profile[mask].mean()
         out_mean = profile[~mask].mean()
@@ -181,15 +193,15 @@ class TestBitPositionProfile:
     def test_requires_corrupted_frames(self):
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=4, frame_len=64, seed=12)
         with pytest.raises(ValueError):
-            bit_position_profile(error_table(tx, rx))
+            bit_position_profile(error_table(joined(tx, rx)))
 
 
 class TestOutcomeIidTests:
     def test_iid_trace_passes_in_every_class(self):
         tx, rx = sim_pair(r=0.1, s=0.7, p=0.005, n_frames=10000,
                           frame_len=2000, seed=0)
-        segs = segment_corrupted_frames(error_table(tx, rx))
-        report = outcome_iid_tests(rx, segs)
+        segs = segment_corrupted_frames(error_table(joined(tx, rx)))
+        report = outcome_iid_tests(joined(tx, rx), segs)
         for frac in report.fractions.values():
             assert frac.fraction is not None and frac.fraction >= 0.8
         assert report.covered_frames <= len(rx.rx)
@@ -197,8 +209,8 @@ class TestOutcomeIidTests:
     def test_no_erasures_makes_phy_class_degenerate(self):
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.01, n_frames=2000,
                           frame_len=1000, seed=13)
-        segs = segment_corrupted_frames(error_table(tx, rx))
-        report = outcome_iid_tests(rx, segs)
+        segs = segment_corrupted_frames(error_table(joined(tx, rx)))
+        report = outcome_iid_tests(joined(tx, rx), segs)
         phy = report.fractions[ReceiveStatus.PHY_ERROR]
         assert phy.fraction is None
         assert phy.n_excluded == len(segs) and phy.n_segments_tested == 0
@@ -219,7 +231,7 @@ class TestOutcomeIidTests:
                 rec = FrameRecord(seq=seq, timestamp_us=100 * seq,
                                   status=ReceiveStatus.OK, payload=payload)
             rx_recs.append(rec)
-        rx = Trace(meta=meta, rx=rx_recs)
+        rx = Trace.from_records(meta, rx=rx_recs)
         seg = Segment(start_frame=0, end_frame=1999, n_frames=2000,
                       n_corrupted=0, duration_us=2000 * 100, pooled_p=0.0)
         report = outcome_iid_tests(rx, [seg])
@@ -228,7 +240,7 @@ class TestOutcomeIidTests:
     def test_no_segments_reports_nothing(self):
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=10, frame_len=64,
                           seed=15)
-        report = outcome_iid_tests(rx, [])
+        report = outcome_iid_tests(joined(tx, rx), [])
         assert report.covered_frames == 0
         for frac in report.fractions.values():
             assert frac.fraction is None

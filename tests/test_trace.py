@@ -7,11 +7,13 @@ from hybridchan import (
     ChannelParams,
     FrameRecord,
     ReceiveStatus,
+    Side,
     Trace,
     TraceError,
     TraceMeta,
     xor_error_vector,
 )
+from hybridchan.trace import CRC, OK, PHY, UNKNOWN_SEQ
 from hybridchan.traceio import hex_to_packed, packed_to_hex
 
 
@@ -89,14 +91,14 @@ class TestFrameRecord:
 
 
 class TestTraceValidate:
-    def _trace(self, tx_seqs=(0, 1, 2), rx_seq=1):
+    def _trace(self, tx_seqs=(0, 1, 2), rx_seq=1, more_rx=()):
         meta = TraceMeta(rate_bps=54e6, frame_len=4, interval_us=100)
         tx = [FrameRecord(seq=q, timestamp_us=100 * i, status=ReceiveStatus.OK,
                           payload=bits("1010"))
               for i, q in enumerate(tx_seqs)]
         rx = [FrameRecord(seq=rx_seq, timestamp_us=150, status=ReceiveStatus.OK,
-                          payload=bits("1010"))]
-        return Trace(meta=meta, tx=tx, rx=rx)
+                          payload=bits("1010")), *more_rx]
+        return Trace.from_records(meta, tx=tx, rx=rx)
 
     def test_valid(self):
         self._trace().validate()
@@ -110,47 +112,138 @@ class TestTraceValidate:
             self._trace(rx_seq=7).validate()
 
     def test_payload_length_mismatch(self):
-        t = self._trace()
-        t.rx.append(FrameRecord(seq=0, timestamp_us=300,
-                                status=ReceiveStatus.OK, payload=bits("10")))
+        short = FrameRecord(seq=0, timestamp_us=300, status=ReceiveStatus.OK,
+                            payload=bits("10"))
+        # a side holds one payload width, so a mixed side cannot be built
         with pytest.raises(TraceError, match="payload length"):
+            self._trace(more_rx=[short])
+        t = self._trace()
+        t.rx = Side.from_records([short])
+        with pytest.raises(TraceError,
+                           match=r"rx seq 0: payload length 2 != frame_len 4"):
             t.validate()
 
     def test_duplicate_rx_seq(self):
-        t = self._trace(rx_seq=0)
-        for ts in (200, 250):
-            t.rx.append(FrameRecord(seq=0, timestamp_us=ts,
-                                    status=ReceiveStatus.CRC_ERROR,
-                                    payload=bits("1011")))
+        t = self._trace(rx_seq=0, more_rx=[
+            FrameRecord(seq=0, timestamp_us=ts, status=ReceiveStatus.CRC_ERROR,
+                        payload=bits("1011"))
+            for ts in (200, 250)])
         with pytest.raises(TraceError, match="rx seq 0 appears more than once"):
             t.validate()
 
     def test_decreasing_rx_seqs(self):
-        t = self._trace(rx_seq=1)
-        t.rx.append(FrameRecord(seq=None, timestamp_us=200,
-                                status=ReceiveStatus.CRC_ERROR,
-                                payload=bits("1011")))
-        t.rx.append(FrameRecord(seq=0, timestamp_us=250,
-                                status=ReceiveStatus.CRC_ERROR,
-                                payload=bits("1011")))
+        t = self._trace(rx_seq=1, more_rx=[
+            FrameRecord(seq=None, timestamp_us=200,
+                        status=ReceiveStatus.CRC_ERROR, payload=bits("1011")),
+            FrameRecord(seq=0, timestamp_us=250,
+                        status=ReceiveStatus.CRC_ERROR, payload=bits("1011"))])
         with pytest.raises(TraceError,
                            match=r"increase in trace order \(saw 0 after 1\)"):
             t.validate()
 
     def test_unknown_rx_seqs_may_repeat(self):
-        t = self._trace()
-        for ts in (200, 250):
-            t.rx.append(FrameRecord(seq=None, timestamp_us=ts,
-                                    status=ReceiveStatus.CRC_ERROR,
-                                    payload=bits("1011")))
+        t = self._trace(more_rx=[
+            FrameRecord(seq=None, timestamp_us=ts,
+                        status=ReceiveStatus.CRC_ERROR, payload=bits("1011"))
+            for ts in (200, 250)])
         t.validate()
 
     def test_decreasing_timestamps(self):
-        t = self._trace()
-        t.rx.append(FrameRecord(seq=0, timestamp_us=10,
-                                status=ReceiveStatus.OK, payload=bits("1010")))
-        with pytest.raises(TraceError, match="non-decreasing"):
+        t = self._trace(more_rx=[FrameRecord(
+            seq=0, timestamp_us=10, status=ReceiveStatus.OK, payload=bits("1010"))])
+        with pytest.raises(TraceError, match="non-decreasing") as err:
             t.validate()
+        assert err.value.record == ("rx", 1)
+
+    def test_tx_record_without_payload(self):
+        t = self._trace()
+        t.tx = Side.from_records([*t.tx[:2], FrameRecord(
+            seq=2, timestamp_us=200, status=ReceiveStatus.PHY_ERROR)])
+        with pytest.raises(TraceError, match="tx seq 2 carries no payload") as err:
+            t.validate()
+        assert err.value.record == ("tx", 2)
+
+    def test_first_fault_of_a_side_is_reported(self):
+        # a later payload-length fault loses to an earlier timestamp fault
+        meta = TraceMeta(rate_bps=54e6, frame_len=2, interval_us=100)
+        t = Trace.from_records(meta, rx=[
+            FrameRecord(seq=None, timestamp_us=ts, status=status, payload=payload)
+            for ts, status, payload in ((50, ReceiveStatus.PHY_ERROR, None),
+                                        (40, ReceiveStatus.PHY_ERROR, None),
+                                        (60, ReceiveStatus.OK, bits("1010")))])
+        with pytest.raises(TraceError, match=r"saw 40 after 50") as err:
+            t.validate()
+        assert err.value.record == ("rx", 1)
+
+
+class TestSide:
+    def records(self):
+        return [
+            FrameRecord(seq=0, timestamp_us=5, status=ReceiveStatus.OK,
+                        payload=bits("10110"), rssi=-61),
+            FrameRecord(seq=None, timestamp_us=6, status=ReceiveStatus.CRC_ERROR,
+                        payload=bits("00111")),
+            FrameRecord(seq=2, timestamp_us=7, status=ReceiveStatus.PHY_ERROR,
+                        rssi=0),
+        ]
+
+    def test_columns_of_records(self):
+        side = Side.from_records(self.records())
+        assert side.seq.tolist() == [0, UNKNOWN_SEQ, 2]
+        assert side.timestamp_us.tolist() == [5, 6, 7]
+        assert side.status.tolist() == [OK, CRC, PHY]
+        assert side.rssi.tolist() == [-61, 0, 0]
+        assert side.has_rssi.tolist() == [True, False, True]
+        assert side.row.tolist() == [0, 1, -1]
+        assert side.n_bits == 5 and side.packed.shape == (2, 1)
+        assert side.payloads([1, 0]).tolist() == [[0b00111000], [0b10110000]]
+
+    def test_rows_read_back_as_records(self):
+        side = Side.from_records(self.records())
+        assert list(side) == self.records()
+        assert side[-1] == self.records()[2]
+        assert side[1:] == self.records()[1:]
+        with pytest.raises(IndexError):
+            side[3]
+
+    def test_columns_are_read_only(self):
+        side = Side.from_records(self.records())
+        for column in (side.seq, side.timestamp_us, side.status, side.rssi,
+                       side.has_rssi, side.row, side.packed):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_equality_follows_payload_rows(self):
+        side = Side.from_records(self.records())
+        # the same records with their payload rows stored in reverse order
+        shuffled = Side(seq=side.seq, timestamp_us=side.timestamp_us,
+                        status=side.status, rssi=side.rssi, has_rssi=side.has_rssi,
+                        row=[1, 0, -1], packed=side.packed[::-1], n_bits=5)
+        assert shuffled == side
+        assert Side.from_records(self.records()[:2]) != side
+        assert Side.empty() == Side.from_records([])
+
+    def test_inconsistent_columns_rejected(self):
+        side = Side.from_records(self.records())
+        columns = dict(seq=side.seq, timestamp_us=side.timestamp_us,
+                       status=side.status, rssi=side.rssi, has_rssi=side.has_rssi,
+                       row=side.row, packed=side.packed, n_bits=5)
+        for change, message in (
+            (dict(seq=[0, 1]), "one entry per record"),
+            (dict(seq=[0, -2, 2]), "must not be negative"),
+            (dict(row=[0, 1, 1]), "carry no payload"),
+            (dict(row=[0, 2, -1]), "outside the payload matrix"),
+            (dict(rssi=[-61, 3, 0]), "rssi must be 0"),
+            (dict(packed=[[0b10110100], [0]]), "padding"),
+            (dict(n_bits=9), "bytes per row"),
+        ):
+            with pytest.raises(TraceError, match=message):
+                Side(**{**columns, **change})
+
+    def test_negative_record_seq_rejected(self):
+        with pytest.raises(TraceError, match="seq -3 is negative"):
+            Side.from_records([FrameRecord(seq=-3, timestamp_us=0,
+                                           status=ReceiveStatus.PHY_ERROR)])
 
 
 class TestBitsHex:

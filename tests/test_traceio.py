@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_traceio
 from hybridchan import (
     ChannelParams,
     FrameRecord,
     ReceiveStatus,
+    Side,
     SimConfig,
     Trace,
     TraceError,
@@ -41,7 +43,7 @@ def three_frame_trace():
                     payload=bits("101001111111"), rssi=-70),
         FrameRecord(seq=2, timestamp_us=40038, status=ReceiveStatus.PHY_ERROR),
     ]
-    return Trace(meta=meta, tx=tx, rx=rx)
+    return Trace.from_records(meta, tx=tx, rx=rx)
 
 
 def test_round_trip_identity(tmp_path):
@@ -53,11 +55,11 @@ def test_round_trip_identity(tmp_path):
 
 def test_empty_rx_round_trips(tmp_path):
     trace = three_frame_trace()
-    trace.rx = []
+    trace.rx = Side.empty()
     path = tmp_path / "t.trace"
     write_trace(trace, path)
     back = read_trace(path)
-    assert back.rx == [] and back == trace
+    assert len(back.rx) == 0 and back == trace
 
 
 def test_write_then_write_is_byte_identical(tmp_path):
@@ -128,6 +130,9 @@ def test_non_monotone_timestamps_rejected(tmp_path):
     ("tx 0 007 ok - a0", "not a canonical integer"),
     ("tx 0 0 ok \u0663 a0", "not a canonical integer"),
     ("tx 0 0 phy - a0", "must not carry a payload"),
+    ("rx -3 0 phy - -", "seq '-3' is negative"),
+    ("tx 0 1234567890123456789 ok - a0", "is out of range"),
+    ("rx ? 0 ok -1000000000000000000 a0", "is out of range"),
 ])
 def test_malformed_record_lines(tmp_path, bad_line, msg):
     path = tmp_path / "t.trace"
@@ -140,6 +145,18 @@ def test_malformed_record_lines(tmp_path, bad_line, msg):
     assert msg in str(err.value)
 
 
+@pytest.mark.parametrize("flen,interval", [
+    ("\u0668", "100"), ("8", "0100"), ("+8", "100"), ("08", "100"), ("8", "1_00"),
+])
+def test_non_canonical_meta_integers(tmp_path, flen, interval):
+    path = tmp_path / "t.trace"
+    path.write_text(f'#meta R=54000000 frame_len={flen} interval_us={interval} '
+                    f'desc=""\n' "tx 0 0 ok - a0\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError, match="malformed #meta line") as err:
+        read_trace(path)
+    assert err.value.line == 1
+
+
 def test_missing_meta_line(tmp_path):
     path = tmp_path / "t.trace"
     path.write_text("tx 0 0 ok - a0\n")
@@ -149,7 +166,7 @@ def test_missing_meta_line(tmp_path):
 
 def test_fractional_rate_round_trips(tmp_path):
     meta = TraceMeta(rate_bps=5.5e6 + 0.25, frame_len=4, interval_us=10)
-    trace = Trace(meta=meta, tx=[FrameRecord(
+    trace = Trace.from_records(meta, tx=[FrameRecord(
         seq=0, timestamp_us=0, status=ReceiveStatus.OK, payload=bits("1011"))])
     path = tmp_path / "t.trace"
     write_trace(trace, path)
@@ -193,15 +210,19 @@ def test_payloads_held_packed_in_one_matrix(tmp_path):
                              interval_us=1000),
         seed=9, n_frames=40)
     tx = generate_tx(config)
-    path = tmp_path / "rx.trace"
-    write_trace(apply_channel(tx, config), path)
-    rx = read_trace(path)
-    held = [rec for rec in rx.rx if rec.packed is not None]
-    assert 0 < len(held) < len(rx.rx)
-    base = held[0].packed.base
-    assert all(rec.packed.base is base and rec.n_bits == 13 for rec in held)
-    assert all(rec.packed.nbytes == 2 for rec in held)
-    assert base.nbytes == len(held) * 2
+    path = tmp_path / "pair.trace"
+    write_trace(Trace(meta=tx.meta, tx=tx.tx, rx=apply_channel(tx, config).rx), path)
+    trace = read_trace(path)
+    rx = trace.rx
+    held = rx.row >= 0
+    assert 0 < held.sum() < len(rx)
+    # one matrix for the file: the tx rows, then the rx rows, in line order
+    assert trace.tx.packed is rx.packed
+    assert rx.packed.shape == (len(trace.tx) + held.sum(), 2)
+    assert not rx.packed.flags.writeable
+    assert trace.tx.row.tolist() == list(range(len(trace.tx)))
+    assert rx.row[held].tolist() == list(range(len(trace.tx), rx.packed.shape[0]))
+    assert (rx.row[~held] == -1).all() and rx.n_bits == 13
 
 
 def test_load_pair_meta_mismatch(tmp_path):
@@ -297,8 +318,8 @@ def test_load_pair_validates_each_side_once(tmp_path, monkeypatch):
 def test_load_pair_rx_seq_without_tx_names_rx_file(tmp_path):
     trace = three_frame_trace()
     tx_path, rx_path = tmp_path / "tx.trace", tmp_path / "rx.trace"
-    write_trace(Trace(meta=trace.meta, tx=trace.tx[:2]), tx_path)
-    write_trace(Trace(meta=trace.meta, rx=trace.rx[:1] + trace.rx[2:]), rx_path)
+    write_trace(Trace.from_records(trace.meta, tx=trace.tx[:2]), tx_path)
+    write_trace(Trace.from_records(trace.meta, rx=trace.rx[:1] + trace.rx[2:]), rx_path)
     with pytest.raises(TraceFormatError) as info:
         load_pair(tx_path, rx_path)
     assert str(info.value) == f"{rx_path}:3: rx seq 2 has no matching tx record"
@@ -324,12 +345,17 @@ _mutations = st.one_of(
     # seq, timestamp or RSSI spelled in a way int() takes but write_trace never writes
     st.tuples(st.just("integer"), st.integers(0, 20), st.sampled_from([1, 2, 4]),
               st.sampled_from(["+0", "1_000", "007", "\u0663", "-0", "+5", " 5"])),
+    # a #meta integer spelled in a way int() takes but write_trace never writes
+    st.tuples(st.just("meta_int"), st.sampled_from(["frame_len", "interval_us"]),
+              st.sampled_from(["\u0668", "0100", "+8", "08", " 8", "1_0"])),
 )
 
 
 def _noncanonical_line(data, mutation):
     """Line number the integer mutation spoiled in data, or None."""
     kind, *args = mutation
+    if kind == "meta_int":
+        return 1 if f" {args[0]}=".encode() in data.split(b"\n")[0] else None
     if kind != "integer":
         return None
     lines = data.split(b"\n")
@@ -353,6 +379,9 @@ def _mutate(data, mutation):
         return re.sub(rb"frame_len=\d+", b"frame_len=" + args[0].encode(), data)
     if kind == "empty":
         return args[0]
+    if kind == "meta_int":
+        return re.sub(f" {args[0]}=[^ \n]*".encode(),
+                      f" {args[0]}={args[1]}".encode(), data, count=1)
     lines = data.split(b"\n")
     i = args[0] % len(lines)
     if kind == "integer":
@@ -379,10 +408,10 @@ def _fuzz_bases():
                              interval_us=1000),
         seed=4, n_frames=8, timestamp_jitter_us=5)
     tx = generate_tx(config)
-    sim = Trace(meta=tx.meta, tx=tx.tx, rx=apply_channel(tx, config).rx)
-    sim.rx[3] = FrameRecord(seq=None, timestamp_us=sim.rx[3].timestamp_us,
-                            status=sim.rx[3].status, payload=sim.rx[3].payload,
-                            rssi=-77)
+    rx = list(apply_channel(tx, config).rx)
+    rx[3] = FrameRecord(seq=None, timestamp_us=rx[3].timestamp_us,
+                        status=rx[3].status, payload=rx[3].payload, rssi=-77)
+    sim = Trace(meta=tx.meta, tx=tx.tx, rx=Side.from_records(rx))
     return [trace, sim, Trace(meta=trace.meta, tx=trace.tx),
             Trace(meta=sim.meta, rx=sim.rx)]
 
@@ -444,3 +473,125 @@ def test_lone_cr_is_not_a_line_break(tmp_path):
     with pytest.raises(TraceFormatError, match="expected 6 fields, got 11") as err:
         read_trace(path)
     assert err.value.line == 2
+
+
+# The column reader against the per-line reference reader.
+
+@st.composite
+def valid_traces(draw):
+    """Traces write_trace accepts: either side may be empty, seqs may be unknown."""
+    frame_len = draw(st.integers(1, 40))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    big = st.integers(-10**18 + 1, 10**18 - 1)
+    rssi = st.none() | big
+
+    def times(n):
+        return sorted(draw(st.lists(big, min_size=n, max_size=n)))
+
+    def payload():
+        return gen.integers(0, 2, frame_len, dtype=np.uint8)
+
+    n_tx = draw(st.integers(0, 8))
+    tx = [FrameRecord(seq=i, timestamp_us=t, rssi=draw(rssi), payload=payload(),
+                      status=draw(st.sampled_from([ReceiveStatus.OK,
+                                                   ReceiveStatus.CRC_ERROR])))
+          for i, t in enumerate(times(n_tx))]
+    n_rx = draw(st.integers(0, n_tx or 8))
+    pool = range(n_tx) if n_tx else range(10**18)
+    seqs = sorted(draw(st.lists(st.sampled_from(pool) if n_tx else st.integers(0, 10**18 - 1),
+                                min_size=n_rx, max_size=n_rx, unique=True)))
+    rx = []
+    for seq, t in zip(seqs, times(n_rx)):
+        status = draw(st.sampled_from(list(ReceiveStatus)))
+        rx.append(FrameRecord(
+            seq=draw(st.sampled_from([seq, None])), timestamp_us=t, status=status,
+            rssi=draw(rssi),
+            payload=None if status is ReceiveStatus.PHY_ERROR else payload()))
+    meta = TraceMeta(rate_bps=draw(st.sampled_from([54e6, 1.5, 11e6 + 0.25])),
+                     frame_len=frame_len, interval_us=draw(st.integers(0, 10**6)),
+                     description=draw(st.text(max_size=8).filter(
+                         lambda d: "\n" not in d and "\r" not in d)))
+    return Trace.from_records(meta, tx=tx, rx=rx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_traces())
+def test_columns_match_reference_records(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("valid") / "t.trace"
+    write_trace(trace, path)
+    got = read_trace(path)
+    meta, tx, rx = reference_traceio.read(path)
+    assert got.meta == meta == trace.meta
+    assert list(got.tx) == tx and list(got.rx) == rx
+    assert got.tx == Side.from_records(tx) and got.rx == Side.from_records(rx)
+    assert got == trace
+
+
+def _outcome(read, path):
+    """("read", (meta, tx records, rx records)) or ("fault", line, message)."""
+    try:
+        got = read(path)
+    except TraceFormatError as exc:
+        return "fault", exc.line, str(exc)
+    if isinstance(got, Trace):
+        got = got.meta, list(got.tx), list(got.rx)
+    return "read", got
+
+
+# Faults the column reader names that the reference lets through or names
+# later: seqs below zero and integers past 18 digits have no column value,
+# and a tx record without a payload has nothing to compare against.
+def _new_fault(data, line, message):
+    """Whether the reader's message is a check the reference lacks, at its line."""
+    text = data.replace(b"\r\n", b"\n").split(b"\n")[line - 1].decode(errors="replace")
+    fields = text.split(" ")
+    if "is negative" in message:
+        return fields[1].startswith("-")
+    if "is out of range" in message:
+        return any(len(f.lstrip("-")) > 18 for f in fields[1:5])
+    if "carries no payload" in message:
+        return fields[0] == "tx" and fields[3] == "phy"
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(_BASES))), st.lists(_mutations, min_size=1, max_size=3))
+def test_faults_match_reference(tmp_path_factory, base, mutations):
+    path = tmp_path_factory.mktemp("mutated") / "t.trace"
+    write_trace(_BASES[base], path)
+    data = path.read_bytes()
+    for mutation in mutations:
+        data = _mutate(data, mutation)
+    path.write_bytes(data)
+    got = _outcome(read_trace, path)
+    want = _outcome(reference_traceio.read, path)
+    if got[0] == "fault" and _new_fault(data, *got[1:]):
+        return
+    assert got == want
+
+
+@pytest.mark.parametrize("line,message", [
+    ("tx 0 0 ok - a0 9", "expected 6 fields, got 7"),
+    ("tx 0 0 ok a0 0", "invalid literal for int() with base 10: 'a0'"),
+    ("tx 0 0 ok - a 0", "expected 6 fields, got 7"),
+    ("tx 0 0 ok  a0", "invalid literal for int() with base 10: ''"),
+    (" tx 0 0 ok - a0", "expected 6 fields, got 7"),
+    ("\ttx 0 0 ok - a0", "unknown side '\\ttx'"),
+    ("tx 0 0 ok -", "expected 6 fields, got 5"),
+    ("tx 0 0 ok - -", "ok frame must carry a payload"),
+    ("tx 0 0 ok - a0a0", "payload hex has 4 digits, expected 2 for 4 bits"),
+    # the width counts bytes, the message characters
+    ("tx 0 0 ok - \u00e9\u00e9", "payload hex has 2 digits, expected 2 for 4 bits"),
+])
+def test_malformed_line_after_bad_payload(tmp_path, line, message):
+    """A payload fault before the first malformed line is reported first."""
+    path = tmp_path / "t.trace"
+    head = '#meta R=54000000 frame_len=4 interval_us=100 desc=""\n'
+    path.write_text(head + "tx 0 0 ok - a0\n" + line + "\n", encoding="utf-8")
+    for read in (read_trace, reference_traceio.read):
+        assert _outcome(read, path) == ("fault", 3, f"{path}:3: {message}")
+    for bad, fault in (("A0", "payload must be lowercase hex digits"),
+                       ("a1", "nonzero padding bits past the declared bit length")):
+        path.write_text(head + f"tx 0 0 ok - {bad}\n" + line + "\n", encoding="utf-8")
+        for read in (read_trace, reference_traceio.read):
+            assert _outcome(read, path) == ("fault", 2, f"{path}:2: {fault}")
