@@ -92,7 +92,8 @@ def _estimate(trace: Trace, flips: np.ndarray, bits: np.ndarray) -> ParamEstimat
     n = len(trace.rx)
     if not n:
         raise ValueError("rx trace is empty")
-    n_phy, _, n_ok = np.bincount(trace.rx.status, minlength=3).tolist()
+    counts = np.bincount(trace.rx.status, minlength=3)
+    n_phy, n_ok = int(counts[PHY]), int(counts[OK])
     n_crc = n - n_phy - n_ok
     r_hat = n_phy / n
     s_hat = s_se = None

@@ -211,11 +211,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     # One line per rx record; the test columns only on corrupted ones.
     rx = trace.rx
-    tested = dict(zip((row.seq for row in rows), (
-        [row.n_bit_errors, row.crossover, row.result.z, row.result.p_value,
-         _verdict(row.result), seg_of.get(row.seq)]
+    tested = {
+        row.seq: [row.n_bit_errors, row.crossover, row.result.z,
+                  row.result.p_value, _verdict(row.result), seg_of.get(row.seq)]
         for row in rows
-    )))
+    }
     untested = [None] * 6
     tokens = [status.value for status in STATUSES]
     frame_rows = (

@@ -128,15 +128,13 @@ def _format_rate(rate: float) -> str:
 def _record_lines(name: str, side: Side):
     """The text lines of one side's records, from its columns."""
     tokens = [s.value for s in STATUSES]
-    width = side.packed.shape[1]
-    with memoryview(np.ascontiguousarray(side.packed).reshape(-1)) as flat:
-        for seq, ts, status, rssi, has_rssi, row in zip(
-            side.seq.tolist(), side.timestamp_us.tolist(), side.status.tolist(),
-            side.rssi.tolist(), side.has_rssi.tolist(), side.row.tolist(),
-        ):
-            yield (f"{name} {'?' if seq == UNKNOWN_SEQ else seq} {ts} "
-                   f"{tokens[status]} {rssi if has_rssi else '-'} "
-                   f"{'-' if row < 0 else flat[row * width:(row + 1) * width].hex()}\n")
+    for seq, ts, status, rssi, has_rssi, row in zip(
+        side.seq.tolist(), side.timestamp_us.tolist(), side.status.tolist(),
+        side.rssi.tolist(), side.has_rssi.tolist(), side.row.tolist(),
+    ):
+        yield (f"{name} {'?' if seq == UNKNOWN_SEQ else seq} {ts} "
+               f"{tokens[status]} {rssi if has_rssi else '-'} "
+               f"{'-' if row < 0 else packed_to_hex(side.packed[row])}\n")
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:

@@ -191,6 +191,17 @@ class TestCapacityReport:
         report = capacity_report(joined(tx, rx))
         assert report.per_rssi_bins[0].n_frames == 99
 
+    def test_phy_error_frames_with_rssi_stay_out_of_bins(self):
+        tx, rx = binned_trace([(-60, 50, 50, 5)])
+        records = list(rx.rx)
+        records[0] = FrameRecord(seq=records[0].seq,
+                                 timestamp_us=records[0].timestamp_us,
+                                 status=ReceiveStatus.PHY_ERROR, rssi=-60)
+        rx = Trace.from_records(rx.meta, rx=records)
+        [only] = capacity_report(joined(tx, rx)).per_rssi_bins
+        assert only.n_frames == 99
+        assert only.s_hat == 49 / 99
+
     def test_simulated_low_s_trace_doubles_capacity(self):
         tx, rx = sim_pair(r=0.0, s=0.3, p=0.002, n_frames=2000, frame_len=1000,
                           seed=7)

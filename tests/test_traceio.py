@@ -595,3 +595,18 @@ def test_malformed_line_after_bad_payload(tmp_path, line, message):
         path.write_text(head + f"tx 0 0 ok - {bad}\n" + line + "\n", encoding="utf-8")
         for read in (read_trace, reference_traceio.read):
             assert _outcome(read, path) == ("fault", 2, f"{path}:2: {fault}")
+
+
+def test_space_in_payload_is_a_malformed_line(tmp_path):
+    """A payload of the right width holding a space ends a line of 7 fields."""
+    path = tmp_path / "t.trace"
+    head = '#meta R=54000000 frame_len=12 interval_us=100 desc=""\n'
+    cases = [
+        ("tx 0 0 ok - a3f0\n", (3, "expected 6 fields, got 7")),
+        ("tx 0 0 ok - a3F0\n", (2, "payload must be lowercase hex digits")),
+        ("tx 0 0 ok - a3f1\n", (2, "nonzero padding bits past the declared bit length")),
+    ]
+    for first, (line, message) in cases:
+        path.write_text(head + first + "tx 1 0 ok - a3 0\ntx 2 0 ok - a3f0\n")
+        for read in (read_trace, reference_traceio.read):
+            assert _outcome(read, path) == ("fault", line, f"{path}:{line}: {message}")
