@@ -167,21 +167,23 @@ def capacity_report(trace: Trace, rssi_bin_width: int = 1) -> CapacityReport:
 
     rx = trace.rx
     members = np.flatnonzero((rx.status != PHY) & rx.has_rssi)
-    keys, of_bin = np.unique((rx.rssi[members] // rssi_bin_width) * rssi_bin_width,
-                             return_inverse=True)
-    columns = [np.bincount(of_bin, weights, minlength=keys.size).astype(np.int64)
+    # |rssi| < 10**18, so any wider width has the int64 maximum's quotients.
+    quotients, of_bin = np.unique(
+        rx.rssi[members] // min(rssi_bin_width, np.iinfo(np.int64).max),
+        return_inverse=True)
+    columns = [np.bincount(of_bin, weights, minlength=quotients.size).astype(np.int64)
                for weights in (None, rx.status[members] == OK, flips[members],
                                bits[members])]
     bins = []
-    for key, n, n_ok, bin_flips, bin_bits in zip(
-        keys.tolist(), *(column.tolist() for column in columns)
+    for quotient, n, n_ok, bin_flips, bin_bits in zip(
+        quotients.tolist(), *(column.tolist() for column in columns)
     ):
         s_hat = n_ok / n
         p_hat = bin_flips / bin_bits if bin_bits else None
         b_hybrid, b_erasure, b_gain = _capacities(rate, 0.0, s_hat, p_hat)
         bins.append(
             RssiBin(
-                rssi=key,
+                rssi=quotient * rssi_bin_width,
                 n_frames=n,
                 fer=1.0 - s_hat,
                 s_hat=s_hat,

@@ -85,7 +85,9 @@ def generate_tx(config: SimConfig) -> Trace:
             streams.at(k).integers(0, 2, params.frame_len, dtype=np.uint8)
         )
     seq = np.arange(config.n_frames, dtype=np.int64)
-    tx = Side(seq=seq, timestamp_us=seq * params.interval_us,
+    # Python ints, so a cadence past the timestamp column's range is refused
+    # rather than wrapped.
+    tx = Side(seq=seq, timestamp_us=[k * params.interval_us for k in range(seq.size)],
               status=np.full(seq.size, OK), rssi=np.zeros_like(seq),
               has_rssi=np.zeros(seq.size, dtype=bool), row=seq, packed=packed,
               n_bits=params.frame_len)

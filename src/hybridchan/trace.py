@@ -61,6 +61,10 @@ PHY, CRC, OK = (STATUSES.index(s) for s in
 # The seq column's entry for an unknown sequence number ("?" in a file).
 UNKNOWN_SEQ = -1
 
+# seq, timestamp and RSSI have at most this many digits, as in a trace
+# file, so every value fits an int64 column.
+MAX_DIGITS = 18
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -204,9 +208,18 @@ class Side:
     def __post_init__(self) -> None:
         n = len(self.seq)
         for name, dtype in _COLUMNS:
-            column = np.asarray(getattr(self, name), dtype=dtype)
+            try:
+                column = np.asarray(getattr(self, name), dtype=dtype)
+            except OverflowError as exc:
+                raise TraceError(f"{name} values must have at most {MAX_DIGITS} "
+                                 f"digits") from exc
             if column.shape != (n,):
                 raise TraceError(f"column {name} must be 1-D, one entry per record")
+            if name in ("seq", "timestamp_us", "rssi") and (
+                (column <= -10**MAX_DIGITS) | (column >= 10**MAX_DIGITS)
+            ).any():
+                raise TraceError(f"{name} values must have at most {MAX_DIGITS} "
+                                 f"digits")
             column.setflags(write=False)
             object.__setattr__(self, name, column)
         width = (self.n_bits + 7) // 8

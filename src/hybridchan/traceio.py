@@ -32,6 +32,7 @@ import numpy as np
 
 from .trace import (
     CRC,
+    MAX_DIGITS,
     OK,
     PHY,
     STATUSES,
@@ -49,8 +50,7 @@ _META_RE = re.compile(
     r'interval_us=(?P<iv>0|[1-9][0-9]*) desc="(?P<desc>(?:[^"\\]|\\.)*)"$'
 )
 
-# Canonical record integers: at most 18 digits, so every value fits int64.
-_MAX_DIGITS = 18
+# Canonical record integers of at most MAX_DIGITS (18) digits.
 _INT = rb"0|-?[1-9][0-9]{0,17}"
 # The heads of record lines, each ended by LF: side, seq, timestamp, status, rssi.
 _HEADS_RE = re.compile(
@@ -174,7 +174,7 @@ def _int(token: str, name: str) -> int:
     value = int(token)
     if str(value) != token:
         raise ValueError(f"{name} {token!r} is not a canonical integer")
-    if len(token.lstrip("-")) > _MAX_DIGITS:
+    if len(token.lstrip("-")) > MAX_DIGITS:
         raise ValueError(f"{name} {token!r} is out of range")
     return value
 
@@ -218,7 +218,7 @@ def _line_fault(line: bytes, n_bits: int) -> str | None:
 def _int_column(heads: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """The integers spelled in heads[start:stop] per row, already checked canonical."""
     values = np.zeros(start.size, dtype=np.int64)
-    for back in range(_MAX_DIGITS, 0, -1):  # digit by digit, most significant first
+    for back in range(MAX_DIGITS, 0, -1):  # digit by digit, most significant first
         at = stop - back
         digit = heads[np.maximum(at, 0)].astype(np.int64) - ord("0")
         values = values * 10 + np.where((at >= start) & (digit >= 0), digit, 0)

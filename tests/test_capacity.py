@@ -191,6 +191,13 @@ class TestCapacityReport:
         report = capacity_report(joined(tx, rx))
         assert report.per_rssi_bins[0].n_frames == 99
 
+    def test_bin_width_past_int64(self):
+        tx, rx = binned_trace([(-60, 10, 0, 0), (0, 5, 0, 0), (7, 5, 0, 0)])
+        width = 10**20
+        report = capacity_report(joined(tx, rx), rssi_bin_width=width)
+        assert [(b.rssi, b.n_frames) for b in report.per_rssi_bins] == [
+            (-width, 10), (0, 10)]
+
     def test_phy_error_frames_with_rssi_stay_out_of_bins(self):
         tx, rx = binned_trace([(-60, 50, 50, 5)])
         records = list(rx.rx)

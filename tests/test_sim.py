@@ -7,6 +7,7 @@ from hybridchan import (
     ChannelParams,
     ReceiveStatus,
     SimConfig,
+    TraceError,
     apply_channel,
     apply_periodic_noise,
     generate_tx,
@@ -39,6 +40,12 @@ class TestGenerateTx:
                         seed=0, n_frames=10)
         tx = generate_tx(cfg)
         assert [r.timestamp_us for r in tx.tx] == [20000 * k for k in range(10)]
+
+    def test_timestamps_past_18_digits_refused(self):
+        cfg = SimConfig(params=make_params(frame_len=8, interval_us=10**17),
+                        seed=0, n_frames=11)
+        with pytest.raises(TraceError, match="timestamp_us values must have at most"):
+            generate_tx(cfg)
 
     def test_full_scale_run_shape(self):
         cfg = SimConfig(params=make_params(frame_len=8000, interval_us=20000),

@@ -240,6 +240,15 @@ class TestSide:
             with pytest.raises(TraceError, match=message):
                 Side(**{**columns, **change})
 
+    def test_values_past_18_digits_rejected(self):
+        for value in (10**18, -10**18, 2**63):
+            with pytest.raises(TraceError, match="at most 18 digits"):
+                Side.from_records([FrameRecord(seq=None, timestamp_us=value,
+                                               status=ReceiveStatus.PHY_ERROR)])
+        Side.from_records([FrameRecord(seq=10**18 - 1, timestamp_us=1 - 10**18,
+                                       status=ReceiveStatus.PHY_ERROR,
+                                       rssi=10**18 - 1)])
+
     def test_negative_record_seq_rejected(self):
         with pytest.raises(TraceError, match="seq -3 is negative"):
             Side.from_records([FrameRecord(seq=-3, timestamp_us=0,
