@@ -50,11 +50,12 @@ _META_RE = re.compile(
     r'interval_us=(?P<iv>0|[1-9][0-9]*) desc="(?P<desc>(?:[^"\\]|\\.)*)"$'
 )
 
-# Canonical record integers of at most MAX_DIGITS (18) digits.
-_INT = rb"0|-?[1-9][0-9]{0,17}"
+# Canonical record integers of at most MAX_DIGITS digits.
+_NATURAL = rb"0|[1-9][0-9]{0,%d}" % (MAX_DIGITS - 1)
+_INT = rb"0|-?[1-9][0-9]{0,%d}" % (MAX_DIGITS - 1)
 # The heads of record lines, each ended by LF: side, seq, timestamp, status, rssi.
 _HEADS_RE = re.compile(
-    rb"(?:(?:tx|rx) (?:\?|0|[1-9][0-9]{0,17}) (?:" + _INT + rb") (?:ok|crc|phy) "
+    rb"(?:(?:tx|rx) (?:\?|" + _NATURAL + rb") (?:" + _INT + rb") (?:ok|crc|phy) "
     rb"(?:-|" + _INT + rb")\n)*"
 )
 
