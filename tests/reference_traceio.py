@@ -2,10 +2,9 @@
 
 It reads a file line by line into FrameRecords, checks each line's fields
 in turn, decodes the payloads with one hex decode and then checks the
-trace invariants record by record, the way the package did before it
-read files into columns.  Tests compare traceio.read_trace against it: the
-same columns on valid files, and the same faulty line and message on
-malformed ones.
+trace invariants record by record.  Tests compare traceio.read_trace
+against it: the same columns on valid files, and the same faulty line and
+message on malformed ones.
 
 It returns (meta, tx records, rx records) or raises TraceFormatError.
 """
