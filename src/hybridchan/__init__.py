@@ -17,7 +17,7 @@ from .capacity import (
     hybrid_capacity,
 )
 from .interleaver import deinterleave, frame_key, interleave, whiten_error_vector
-from .recovery import ClockFit, fit_clock, recover_sequence, recover_trace
+from .recovery import recover_trace
 from .runstest import RunsAccumulator, RunsFlag, RunsTestResult, runs_test
 from .segments import Segment, mean_segment_duration, segment_corrupted_frames
 from .sim import SimConfig, apply_channel, apply_periodic_noise, generate_tx
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityReport",
     "ChannelParams",
-    "ClockFit",
     "ErrorTable",
     "FrameRecord",
     "OutcomeIidReport",
@@ -75,7 +74,6 @@ __all__ = [
     "erasure_capacity",
     "error_table",
     "estimate_params",
-    "fit_clock",
     "frame_key",
     "generate_tx",
     "hybrid_capacity",
@@ -85,7 +83,6 @@ __all__ = [
     "outcome_iid_tests",
     "per_frame_runs_tests",
     "read_trace",
-    "recover_sequence",
     "recover_trace",
     "runs_test",
     "segment_corrupted_frames",

@@ -131,14 +131,6 @@ def build_parser() -> _Parser:
     p_rec = sub.add_parser("recover", help="recover corrupted frames' seq numbers")
     p_rec.add_argument("tx_trace", type=Path)
     p_rec.add_argument("rx_trace", type=Path)
-    p_rec.add_argument("--window", type=int, default=recovery.DEFAULT_WINDOW_SIZE,
-                       help="clock-fit anchor window size")
-    p_rec.add_argument("--candidates", type=int,
-                       default=recovery.DEFAULT_MAX_CANDIDATES,
-                       help="tx candidates compared per frame")
-    p_rec.add_argument("--threshold", type=float,
-                       default=recovery.DEFAULT_MATCH_THRESHOLD,
-                       help="normalized Hamming distance accept threshold")
     p_rec.add_argument("--scrub", action="store_true",
                        help="ignore stored seqs and score recovery against them")
     p_rec.add_argument("--out", type=Path, required=True)
@@ -347,13 +339,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     trace = load_pair(args.tx_trace, args.rx_trace)
-    recovered, summary = recovery.recover_trace(
-        trace,
-        window_size=args.window,
-        max_candidates=args.candidates,
-        match_threshold=args.threshold,
-        scrub=args.scrub,
-    )
+    recovered, summary = recovery.recover_trace(trace, scrub=args.scrub)
     n_ok = np.count_nonzero((trace.rx.status == OK) & (trace.rx.seq != UNKNOWN_SEQ))
     if n_ok == 0 and summary.n_attempted:
         print("warning: no error-free frames available; "

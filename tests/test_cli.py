@@ -296,6 +296,39 @@ class TestRecoverCmd:
         assert "warning: no error-free frames" in captured.err
         assert "unresolved: " in captured.out
 
+    @pytest.mark.parametrize("tx_ts, rx_ts", [
+        ([0, 0, 0, 0], [0, 10, 20, 30]),      # every anchor at one tx time
+        ([0, 10, 20, 30], [50, 50, 50, 50]),  # every anchor at one rx time
+    ])
+    def test_degenerate_clock_fit_leaves_frame_unresolved(self, tmp_path, capsys,
+                                                          tx_ts, rx_ts):
+        meta = TraceMeta(rate_bps=54e6, frame_len=8, interval_us=10)
+        payload = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
+        tx = [FrameRecord(seq=k, timestamp_us=t, status=ReceiveStatus.OK,
+                          payload=payload) for k, t in enumerate(tx_ts)]
+        rx = [FrameRecord(seq=k, timestamp_us=rx_ts[k], status=ReceiveStatus.OK,
+                          payload=payload) for k in range(3)]
+        rx.append(FrameRecord(seq=None, timestamp_us=rx_ts[3],
+                              status=ReceiveStatus.CRC_ERROR, payload=payload))
+        write_trace(Trace.from_records(meta, tx=tx), tmp_path / "tx.trace")
+        write_trace(Trace.from_records(meta, rx=rx), tmp_path / "rx.trace")
+        code = run_cli(["recover", tmp_path / "tx.trace", tmp_path / "rx.trace",
+                        "--out", tmp_path / "rec"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "attempted: 1, recovered: 0, unresolved: 1" in captured.out
+        last = (tmp_path / "rec" / "recovered.trace").read_text().splitlines()[-1]
+        assert last.startswith(f"rx ? {rx_ts[3]} crc ")
+
+    @pytest.mark.parametrize("flag", ["--window", "--candidates", "--threshold"])
+    def test_tuning_flags_are_unknown(self, tmp_path, capsys, flag):
+        run = simulate(tmp_path, "run")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["recover", run / "tx.trace", run / "rx.trace",
+                     flag, 10, "--out", tmp_path / "rec"])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 def span(start, end):
     return Segment(start_frame=start, end_frame=end, n_frames=end - start + 1,

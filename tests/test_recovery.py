@@ -8,51 +8,60 @@ from hypothesis import strategies as st
 from hybridchan import (
     FrameRecord,
     ReceiveStatus,
-    SimConfig,
     Trace,
     TraceMeta,
-    apply_channel,
-    fit_clock,
-    generate_tx,
-    recover_sequence,
     recover_trace,
 )
-from hybridchan.recovery import RecoverySummary, _nearest
+from hybridchan.recovery import RecoverySummary, _nearest, _ols
 
-from conftest import joined, make_params, sim_pair
+from conftest import joined, sim_pair
 
 
 class TestFitClock:
+    """The clock fit: _ols over the _nearest window of anchors."""
+
     def test_identity_clock(self):
-        anchors = [(k * 1000, k * 1000) for k in range(10)]
-        fit = fit_clock(anchors)
-        assert fit.rate == pytest.approx(1.0, rel=1e-12)
-        assert fit.offset_us == pytest.approx(0.0, abs=1e-9)
-        assert fit.residual_rms_us == pytest.approx(0.0, abs=1e-9)
+        t = np.arange(10) * 1000.0
+        rate, offset = _ols(t, t)
+        assert rate == pytest.approx(1.0, rel=1e-12)
+        assert offset == pytest.approx(0.0, abs=1e-9)
 
     def test_exact_affine_data(self):
         rate, offset = 1.00005, 337
-        anchors = [(k * 20000, round(rate * k * 20000 + offset))
-                   for k in range(100)]
-        fit = fit_clock(anchors, window_size=None)
-        assert fit.rate == pytest.approx(rate, rel=1e-9)
-        assert fit.offset_us == pytest.approx(offset, rel=1e-6)
+        tx_t = np.arange(100) * 20000.0
+        rx_t = np.round(rate * tx_t + offset)
+        fit_rate, fit_offset = _ols(tx_t, rx_t)
+        assert fit_rate == pytest.approx(rate, rel=1e-9)
+        assert fit_offset == pytest.approx(offset, rel=1e-6)
 
     def test_needs_two_anchors(self):
-        with pytest.raises(ValueError, match="two anchors"):
-            fit_clock([(0, 0)])
+        # one clean frame cannot fix a clock, so the corrupted one stays open
+        trace = anchored_trace(anchor_tx=[0], anchor_rx=[0])
+        recovered, summary = recover_trace(trace)
+        assert summary.n_attempted == summary.n_unresolved == 1
+        assert recovered.rx.seq.tolist() == [0, -1]
+        recovered, summary = recover_trace(anchored_trace([0, 10], [0, 10]))
+        assert summary.n_recovered == 1
+        assert recovered.rx.seq.tolist() == [0, 1, 1]
 
     def test_degenerate_same_tx_time(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            fit_clock([(5, 10), (5, 20)])
+        assert _ols(np.array([5.0, 5.0]), np.array([10.0, 20.0])) is None
+        assert _ols(np.array([0.0, 1.0]), np.array([7.0, 7.0])) is None
+        for tx_ts, rx_ts in (([0, 0, 0], [0, 5, 10]), ([0, 10, 20], [7, 7, 7])):
+            _, summary = recover_trace(anchored_trace(tx_ts, rx_ts))
+            assert summary.n_attempted == summary.n_unresolved == 1
 
     def test_window_selects_anchors_near_query(self):
-        anchors = [(k * 1000, k * 1000) for k in range(100)]
-        # corrupt the early anchors; a query near the end must ignore them
-        anchors[0] = (0, 999999)
-        fit = fit_clock(anchors, window_size=10, query_rx_time_us=95_000)
-        assert fit.rate == pytest.approx(1.0, rel=1e-9)
-        assert len(fit.window) == 10
+        tx_t = np.arange(100) * 1000.0
+        rx_t = tx_t.copy()
+        # corrupt the earliest anchor; a window near the end must ignore it
+        rx_t[0] = 999999.0
+        order = np.argsort(rx_t, kind="stable")
+        window = _nearest(rx_t[order], 95_000.0, 10)
+        assert window.size == 10
+        assert 0 not in order[window]
+        rate, _ = _ols(tx_t[order][window], rx_t[order][window])
+        assert rate == pytest.approx(1.0, rel=1e-9)
 
     def test_rate_recovery_under_jitter(self):
         # 50 ppm skew, +/-50 us uniform jitter, 100 anchors spaced 60 ms:
@@ -66,10 +75,25 @@ class TestFitClock:
             tx_t = np.arange(100) * 60000
             rx_t = np.round(true_rate * tx_t + 5000
                             + gen.uniform(-50, 50, 100)).astype(int)
-            fit = fit_clock(list(zip(tx_t.tolist(), rx_t.tolist())),
-                            window_size=None)
-            hits += abs(fit.rate - true_rate) < 5e-6
+            rate, _ = _ols(tx_t.astype(np.float64), rx_t.astype(np.float64))
+            hits += abs(rate - true_rate) < 5e-6
         assert hits / n_seeds >= 0.95
+
+
+def anchored_trace(anchor_tx, anchor_rx):
+    """Clean frames 0.. at the given tx/rx times, all with one payload, and
+    a corrupted `?` copy received with the last of them."""
+    meta = TraceMeta(rate_bps=54e6, frame_len=64, interval_us=20000)
+    payload = np.random.default_rng(8).integers(0, 2, 64, dtype=np.uint8)
+    tx = [FrameRecord(seq=k, timestamp_us=t, status=ReceiveStatus.OK,
+                      payload=payload)
+          for k, t in enumerate([*anchor_tx, anchor_tx[-1]])]
+    rx = [FrameRecord(seq=k, timestamp_us=t, status=ReceiveStatus.OK,
+                      payload=payload)
+          for k, t in enumerate(anchor_rx)]
+    rx.append(FrameRecord(seq=None, timestamp_us=anchor_rx[-1],
+                          status=ReceiveStatus.CRC_ERROR, payload=payload))
+    return Trace.from_records(meta, tx=tx, rx=rx)
 
 
 def scrubbed(rec):
@@ -78,26 +102,25 @@ def scrubbed(rec):
 
 
 class TestRecoverSequence:
+    """Whole-trace runs of recover_trace on simulated traces."""
+
     def test_exact_clock_low_noise_recovers_everything(self):
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.01, n_frames=600, frame_len=1000,
                           seed=20)
-        rx_ok = [r for r in rx.rx if r.status is ReceiveStatus.OK]
-        corrupted = [r for r in rx.rx if r.status is ReceiveStatus.CRC_ERROR]
-        assert len(corrupted) > 200
-        for rec in corrupted:
-            assert recover_sequence(scrubbed(rec), rx_ok, tx) == rec.seq
+        recovered, summary = recover_trace(joined(tx, rx), scrub=True)
+        assert summary.n_attempted == summary.n_corrupted > 200
+        assert summary.n_correct == summary.n_attempted
+        assert np.array_equal(recovered.rx.seq, rx.rx.seq)
+        assert_matches_reference(tx, rx, scrub=True)
 
     def test_skew_and_offset_tolerated(self):
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.05, n_frames=600, frame_len=1000,
                           seed=21, clock_skew_ppm=100.0,
                           clock_offset_us=10_000)
-        rx_ok = [r for r in rx.rx if r.status is ReceiveStatus.OK]
-        corrupted = [r for r in rx.rx if r.status is ReceiveStatus.CRC_ERROR]
-        correct = sum(
-            recover_sequence(scrubbed(rec), rx_ok, tx) == rec.seq
-            for rec in corrupted
-        )
-        assert correct / len(corrupted) >= 0.99
+        _, summary = recover_trace(joined(tx, rx), scrub=True)
+        assert summary.n_attempted == summary.n_corrupted > 0
+        assert summary.accuracy >= 0.99
+        assert_matches_reference(tx, rx, scrub=True)
 
     def test_unrelated_payload_unresolved(self):
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=100, frame_len=1000,
@@ -106,42 +129,21 @@ class TestRecoverSequence:
         alien = FrameRecord(seq=None, timestamp_us=50 * 20000 + 3,
                             status=ReceiveStatus.CRC_ERROR,
                             payload=gen.integers(0, 2, 1000, dtype=np.uint8))
-        assert recover_sequence(alien, rx.rx, tx) is None
+        records = list(rx.rx)
+        with_alien = Trace.from_records(rx.meta,
+                                        rx=records[:51] + [alien] + records[51:])
+        recovered, summary = recover_trace(joined(tx, with_alien))
+        assert (summary.n_attempted, summary.n_unresolved) == (1, 1)
+        assert recovered.rx[51].seq is None
+        assert_matches_reference(tx, with_alien, scrub=False)
 
     def test_no_ok_frames_unresolved(self):
         tx, rx = sim_pair(r=0.0, s=0.0, p=0.02, n_frames=50, frame_len=500,
                           seed=23)
-        rec = scrubbed(rx.rx[10])
-        assert recover_sequence(rec, [], tx) is None
-
-    def test_header_seq_breaks_payload_ties(self):
-        # tx frames 3 (0b011) and 4 (0b100) share a payload and sit more
-        # than 2 bit flips apart, so only the true header is "close"
-        meta = TraceMeta(rate_bps=54e6, frame_len=64, interval_us=20000)
-        gen = np.random.default_rng(5)
-        shared = gen.integers(0, 2, 64, dtype=np.uint8)
-        tx_recs = []
-        for seq in range(8):
-            payload = shared if seq in (3, 4) else gen.integers(
-                0, 2, 64, dtype=np.uint8)
-            tx_recs.append(FrameRecord(seq=seq, timestamp_us=seq * 20000,
-                                       status=ReceiveStatus.OK,
-                                       payload=payload))
-        tx = Trace.from_records(meta, tx=tx_recs)
-        rx_ok = [FrameRecord(seq=s, timestamp_us=s * 20000,
-                             status=ReceiveStatus.OK,
-                             payload=tx_recs[s].payload)
-                 for s in (0, 1, 2, 5, 6, 7)]
-        # timestamp exactly halfway between frames 3 and 4 so the time
-        # tie-break cannot decide either
-        corrupted = FrameRecord(seq=3, timestamp_us=70000,
-                                status=ReceiveStatus.CRC_ERROR,
-                                payload=shared)
-        assert recover_sequence(corrupted, rx_ok, tx) == 3
-        corrupted_other = FrameRecord(seq=4, timestamp_us=70000,
-                                      status=ReceiveStatus.CRC_ERROR,
-                                      payload=shared)
-        assert recover_sequence(corrupted_other, rx_ok, tx) == 4
+        recovered, summary = recover_trace(joined(tx, rx), scrub=True)
+        assert summary.n_attempted == summary.n_unresolved == len(rx.rx)
+        assert (recovered.rx.seq == -1).all()
+        assert_matches_reference(tx, rx, scrub=True)
 
 
 class TestRecoverTrace:
@@ -191,8 +193,8 @@ class TestRecoverTrace:
 # ranks them with a stable argsort over the whole trace.  The indexed
 # implementation must give the same answers.
 
-def reference_fit(anchors, window_size, query_rx_time_us):
-    if window_size is not None and len(anchors) > window_size:
+def reference_fit(anchors, query_rx_time_us, window_size=50):
+    if len(anchors) > window_size:
         rx_times = np.array([a[1] for a in anchors], dtype=np.float64)
         nearest = np.argsort(np.abs(rx_times - float(query_rx_time_us)),
                              kind="stable")[:window_size]
@@ -200,12 +202,13 @@ def reference_fit(anchors, window_size, query_rx_time_us):
     tx_t = np.array([a[0] for a in anchors], dtype=np.float64)
     rx_t = np.array([a[1] for a in anchors], dtype=np.float64)
     dx = tx_t - tx_t.mean()
-    rate = float(np.dot(dx, rx_t - rx_t.mean())) / float(np.dot(dx, dx))
+    sxx = float(np.dot(dx, dx))
+    rate = float(np.dot(dx, rx_t - rx_t.mean())) / sxx if sxx else 0.0
     return rate, float(rx_t.mean() - rate * tx_t.mean())
 
 
-def reference_recover_sequence(corrupted, rx_ok, tx, window_size=50,
-                               max_candidates=5, match_threshold=0.4):
+def reference_recover_sequence(corrupted, rx_ok, tx, max_candidates=5,
+                               match_threshold=0.4):
     anchors = [
         (tx.tx[rec.seq].timestamp_us, rec.timestamp_us)
         for rec in rx_ok
@@ -213,7 +216,9 @@ def reference_recover_sequence(corrupted, rx_ok, tx, window_size=50,
     ]
     if len(anchors) < 2:
         return None
-    rate, offset = reference_fit(anchors, window_size, corrupted.timestamp_us)
+    rate, offset = reference_fit(anchors, corrupted.timestamp_us)
+    if rate <= 0.0:
+        return None
     predicted_tx_us = (corrupted.timestamp_us - offset) / rate
     tx_times = np.array([rec.timestamp_us for rec in tx.tx], dtype=np.float64)
     order = np.argsort(np.abs(tx_times - predicted_tx_us), kind="stable")
@@ -221,14 +226,11 @@ def reference_recover_sequence(corrupted, rx_ok, tx, window_size=50,
     for idx in order[:max_candidates]:
         cand = tx.tx[int(idx)]
         dist = int(np.count_nonzero(cand.payload != corrupted.payload))
-        seq_close = (corrupted.seq is not None
-                     and (cand.seq ^ corrupted.seq).bit_count() <= 2)
-        scored.append((dist, not seq_close,
-                       abs(cand.timestamp_us - predicted_tx_us), cand.seq))
+        scored.append((dist, abs(cand.timestamp_us - predicted_tx_us), cand.seq))
     if not scored:
         return None
     scored.sort()
-    best_dist, _, _, best_seq = scored[0]
+    best_dist, _, best_seq = scored[0]
     return best_seq if best_dist / tx.meta.frame_len < match_threshold else None
 
 
@@ -272,6 +274,7 @@ def assert_matches_reference(tx, rx, scrub):
     want, want_summary = reference_recover_trace(tx, rx, scrub)
     assert summary == want_summary
     assert got == want
+    return got
 
 
 class TestMatchesReference:
@@ -298,6 +301,8 @@ class TestMatchesReference:
         assert_matches_reference(tx, rx, scrub=True)
 
     def test_exact_midpoint_tie(self):
+        # tx frames 3 and 4 share a payload, and the corrupted copy lies
+        # exactly halfway between them in time
         meta = TraceMeta(rate_bps=54e6, frame_len=64, interval_us=20000)
         gen = np.random.default_rng(5)
         shared = gen.integers(0, 2, 64, dtype=np.uint8)
@@ -308,30 +313,28 @@ class TestMatchesReference:
                         else gen.integers(0, 2, 64, dtype=np.uint8))
             for seq in range(8)
         ])
-        rx_ok = [replace(tx.tx[s]) for s in (0, 1, 2, 5, 6, 7)]
-        for seq in (3, 4, None):
+        for seq, scrub in ((None, False), (3, True), (4, True)):
             corrupted = FrameRecord(seq=seq, timestamp_us=70000,
                                     status=ReceiveStatus.CRC_ERROR,
                                     payload=shared)
-            for window, candidates in ((50, 5), (3, 2), (2, 1), (4, 3)):
-                assert recover_sequence(
-                    corrupted, rx_ok, tx, window, candidates
-                ) == reference_recover_sequence(
-                    corrupted, rx_ok, tx, window, candidates)
+            rx = Trace.from_records(meta, rx=[
+                *tx.tx[:3], corrupted, *(tx.tx[s] for s in (5, 6, 7))])
+            got = assert_matches_reference(tx, rx, scrub=scrub)
+            # equal distance and equal time difference: the lower seq wins
+            assert got.rx[3].seq == 3
 
     def test_unsorted_rx_ok(self):
+        # an rx side out of time order, as no reader would accept it: the
+        # anchors are sorted by receive time before the clock fit
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.02, n_frames=300, frame_len=400,
                           seed=33, clock_skew_ppm=50.0,
                           clock_offset_us=10_000, timestamp_jitter_us=50)
-        rx_ok = [r for r in rx.rx if r.status is ReceiveStatus.OK]
-        np.random.default_rng(0).shuffle(rx_ok)
-        corrupted = [r for r in rx.rx if r.status is ReceiveStatus.CRC_ERROR]
-        assert len(corrupted) > 100
-        for rec in corrupted:
-            target = scrubbed(rec)
-            got = recover_sequence(target, rx_ok, tx, window_size=20)
-            assert got == reference_recover_sequence(target, rx_ok, tx, 20)
-            assert got == rec.seq
+        records = list(rx.rx)
+        np.random.default_rng(0).shuffle(records)
+        shuffled = Trace.from_records(rx.meta, rx=records)
+        assert sum(rec.status is ReceiveStatus.CRC_ERROR for rec in records) > 100
+        got = assert_matches_reference(tx, shuffled, scrub=True)
+        assert got.rx == shuffled.rx
 
 
 @given(
