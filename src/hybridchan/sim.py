@@ -48,13 +48,20 @@ class SimConfig:
         if self.timestamp_jitter_us < 0:
             raise ValueError("timestamp_jitter_us must be non-negative")
         prev = -1
-        for idx, _ in self.drift_schedule:
+        for idx, params in self.drift_schedule:
             if not prev < idx < self.n_frames:
                 raise ValueError(
                     "drift_schedule indices must be strictly increasing "
                     f"and < n_frames (got {idx})"
                 )
             prev = idx
+            # one trace has one meta block, so only r, s and p may drift
+            for name in ("rate_bps", "frame_len", "interval_us"):
+                if getattr(params, name) != getattr(self.params, name):
+                    raise ValueError(
+                        f"drift_schedule entry at frame {idx} changes {name}; "
+                        "only r, s and p may drift"
+                    )
 
     def params_at(self, frame_index: int) -> ChannelParams:
         current = self.params

@@ -154,6 +154,16 @@ class TestDriftSchedule:
             SimConfig(params=base, seed=0, n_frames=10,
                       drift_schedule=((5, base), (3, base)))
 
+    @pytest.mark.parametrize("change", [{"frame_len": 800},
+                                        {"rate_bps": 11e6},
+                                        {"interval_us": 10000}])
+    def test_schedule_keeps_frame_format(self, change):
+        base = make_params(frame_len=400)
+        drifted = make_params(**{"frame_len": 400, "p": 0.1, **change})
+        with pytest.raises(ValueError, match=f"changes {next(iter(change))}"):
+            SimConfig(params=base, seed=0, n_frames=10,
+                      drift_schedule=((5, drifted),))
+
 
 class TestPeriodicNoise:
     def test_mask_layout(self):
