@@ -150,6 +150,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     tx = sim.generate_tx(config)
     if args.periodic:
+        hybrid = {"--r": args.r != 0.0, "--s": args.s != 1.0, "--p": args.p != 0.0,
+                  "--jitter-us": args.jitter_us != 0}
+        if any(hybrid.values()):
+            given = ", ".join(flag for flag, changed in hybrid.items() if changed)
+            raise ValueError(f"--periodic noise does not use {given}")
         rx = sim.apply_periodic_noise(
             tx, args.period, args.burst, args.p_burst, seed,
             clock_skew_ppm=args.skew_ppm, clock_offset_us=args.offset_us,

@@ -58,6 +58,19 @@ class TestSimulate:
         text = (out / "rx.trace").read_text()
         assert " crc " in text and " phy " not in text
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--jitter-us", 500, "--r", 0.5], "--r, --jitter-us"),
+        (["--s", 0.9], "--s"),
+        (["--p", 0.01], "--p"),
+    ])
+    def test_periodic_refuses_hybrid_flags(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "periodic"
+        code = run_cli(["simulate", "--frames", 50, "--frame-len", 600,
+                        "--periodic", "--seed", 3, *flags, "--out", out])
+        assert code == 1
+        assert f"--periodic noise does not use {named}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYBRIDCHAN_SEED", "5")
         out_env = tmp_path / "env"
@@ -357,9 +370,10 @@ def test_commands_never_build_a_record(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(FrameRecord, "__init__", no_record)
     run = simulate(tmp_path, "run")
-    periodic = simulate(tmp_path, "periodic",
-                        ["--periodic", "--period", 100, "--burst", 10,
-                         "--p-burst", 0.1])
+    periodic = tmp_path / "periodic"
+    assert run_cli(["simulate", "--frames", 200, "--frame-len", 500, "--seed", 5,
+                    "--periodic", "--period", 100, "--burst", 10,
+                    "--p-burst", 0.1, "--out", periodic]) == 0
     for pair in ([run / "tx.trace", run / "rx.trace"],
                  [periodic / "tx.trace", periodic / "rx.trace"]):
         out = tmp_path / "out" / pair[0].parent.name
