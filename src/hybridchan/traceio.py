@@ -416,7 +416,11 @@ def _read(path: Path) -> tuple[Trace, dict[str, np.ndarray]]:
 
 
 def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
-    """Combine a tx-side file and an rx-side file into one trace."""
+    """Combine a tx-side file and an rx-side file into one trace.
+
+    The two files must agree on rate, frame length and interval; the trace
+    keeps the rx file's meta, description included.
+    """
     tx = read_trace(tx_path)
     rx, rx_lines = _read(Path(rx_path))
     if (tx.meta.rate_bps, tx.meta.frame_len, tx.meta.interval_us) != (
@@ -427,7 +431,7 @@ def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
         raise TraceFormatError(
             f"metadata mismatch between {tx_path} and {rx_path}", str(rx_path)
         )
-    merged = Trace(meta=tx.meta, tx=tx.tx, rx=rx.rx)
+    merged = Trace(meta=rx.meta, tx=tx.tx, rx=rx.rx)
     # read_trace has validated each side; only the pairing is new here.
     try:
         merged.validate_pairing()

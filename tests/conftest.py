@@ -21,7 +21,7 @@ def sim_pair(r, s, p, n_frames, frame_len, seed, **config_kwargs):
 
 def joined(tx, rx):
     """One trace of tx's tx side and rx's rx side, as load_pair makes it."""
-    return Trace(meta=tx.meta, tx=tx.tx, rx=rx.rx)
+    return Trace(meta=rx.meta, tx=tx.tx, rx=rx.rx)
 
 
 @pytest.fixture

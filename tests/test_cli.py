@@ -295,7 +295,10 @@ class TestRecoverCmd:
                         "--scrub", "--out", out])
         assert code == 0
         assert "accuracy vs ground truth: 1.0000" in capsys.readouterr().out
-        assert (out / "recovered.trace").exists()
+        # the recovered trace is an rx trace, labelled as the rx file is
+        first = (out / "recovered.trace").read_text().splitlines()[0]
+        assert first == (run / "rx.trace").read_text().splitlines()[0]
+        assert 'desc="rx seed=8"' in first
 
     def test_without_ok_frames_warns(self, tmp_path, capsys):
         run = tmp_path / "run"

@@ -75,7 +75,7 @@ OUTPUT_DIGESTS = {
         "capacity":
             "e0c326e63cdea4b1afd8cec5e3400631eb55463914fae8121de53fceabdf287c",
         "recover":
-            "c4bbe617c3ecbc8c57ce6911596f5ffe4e6591a3c6496cec4a180f3381de03ee",
+            "e265e5795a14e8003e1f81c7e5e10da7af517698197cda358b19a671bc26e1d7",
     },
     "periodic": {
         "analyze":
@@ -85,7 +85,7 @@ OUTPUT_DIGESTS = {
         "capacity":
             "1c49bb38fa2c0fa271a9647cd9df3685d5e34f790671a9a812a4b8d732fb9eff",
         "recover":
-            "7452a32a8c5d984cede9c20c044c6d3be98d34d872dedfeece1bdbb501f4bd59",
+            "d0d9812c854ab104ca8095288cf128b0ba2f8afad013079d27167c046bfbabb8",
     },
 }
 

@@ -258,7 +258,7 @@ def reference_recover_trace(tx, rx, scrub):
             if scrub and recovered == rec.seq:
                 summary.n_correct += 1
             new_rx.append(replace(rec, seq=recovered))
-    return Trace.from_records(tx.meta, rx=new_rx), summary
+    return Trace.from_records(rx.meta, rx=new_rx), summary
 
 
 def coarsened(rx, step_us):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,6 +259,15 @@ def test_load_pair_merges_sides(tmp_path):
     write_trace(rx_only, tmp_path / "rx.trace")
     merged = load_pair(tmp_path / "tx.trace", tmp_path / "rx.trace")
     assert merged == trace
+
+
+def test_load_pair_keeps_rx_meta(tmp_path):
+    trace = three_frame_trace()
+    rx_meta = replace(trace.meta, description="rx side")
+    write_trace(Trace(meta=trace.meta, tx=trace.tx), tmp_path / "tx.trace")
+    write_trace(Trace(meta=rx_meta, rx=trace.rx), tmp_path / "rx.trace")
+    merged = load_pair(tmp_path / "tx.trace", tmp_path / "rx.trace")
+    assert merged == Trace(meta=rx_meta, tx=trace.tx, rx=trace.rx)
 
 
 def test_non_utf8_byte_names_line(tmp_path):
