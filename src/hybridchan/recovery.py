@@ -111,6 +111,8 @@ def recover_trace(trace: Trace, scrub: bool = False) -> tuple[Trace, RecoverySum
 
     def identify(rx_time: int, payload: np.ndarray) -> int | None:
         """Best tx seq for a corrupted frame's receive time and packed payload."""
+        if anchor_rx.size < 2:
+            return None
         window = _nearest(anchor_rx, float(rx_time), WINDOW_SIZE)
         fit = _ols(anchor_tx[window], anchor_rx[window])
         if fit is None:
@@ -139,7 +141,7 @@ def recover_trace(trace: Trace, scrub: bool = False) -> tuple[Trace, RecoverySum
                                  rx.timestamp_us[attempted].tolist(),
                                  rx.seq[attempted].tolist()):
         # the header seq is unknown, or ignored when scrubbing
-        recovered = identify(rx_time, rx.payloads(i)) if anchors.size >= 2 else None
+        recovered = identify(rx_time, rx.payloads(i))
         if recovered is None:
             summary.n_unresolved += 1
             seq[i] = UNKNOWN_SEQ

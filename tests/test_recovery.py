@@ -190,25 +190,26 @@ class TestRecoverTrace:
 
 # --- reference: recovery as it was before the per-trace index --------------
 # Every corrupted frame rebuilds the anchor list and the tx-time array and
-# ranks them with a stable argsort over the whole trace.  The indexed
+# ranks them with a stable argsort over the whole trace, with recovery's
+# window of 50 anchors, 5 candidates and threshold 0.4.  The indexed
 # implementation must give the same answers.
 
-def reference_fit(anchors, query_rx_time_us, window_size=50):
-    if len(anchors) > window_size:
+def reference_fit(anchors, query_rx_time_us):
+    if len(anchors) > 50:
         rx_times = np.array([a[1] for a in anchors], dtype=np.float64)
         nearest = np.argsort(np.abs(rx_times - float(query_rx_time_us)),
-                             kind="stable")[:window_size]
+                             kind="stable")[:50]
         anchors = [anchors[i] for i in sorted(nearest)]
     tx_t = np.array([a[0] for a in anchors], dtype=np.float64)
     rx_t = np.array([a[1] for a in anchors], dtype=np.float64)
     dx = tx_t - tx_t.mean()
     sxx = float(np.dot(dx, dx))
+    # a degenerate fit reads as rate 0, which leaves the frame unresolved
     rate = float(np.dot(dx, rx_t - rx_t.mean())) / sxx if sxx else 0.0
     return rate, float(rx_t.mean() - rate * tx_t.mean())
 
 
-def reference_recover_sequence(corrupted, rx_ok, tx, max_candidates=5,
-                               match_threshold=0.4):
+def reference_recover_sequence(corrupted, rx_ok, tx):
     anchors = [
         (tx.tx[rec.seq].timestamp_us, rec.timestamp_us)
         for rec in rx_ok
@@ -223,7 +224,7 @@ def reference_recover_sequence(corrupted, rx_ok, tx, max_candidates=5,
     tx_times = np.array([rec.timestamp_us for rec in tx.tx], dtype=np.float64)
     order = np.argsort(np.abs(tx_times - predicted_tx_us), kind="stable")
     scored = []
-    for idx in order[:max_candidates]:
+    for idx in order[:5]:
         cand = tx.tx[int(idx)]
         dist = int(np.count_nonzero(cand.payload != corrupted.payload))
         scored.append((dist, abs(cand.timestamp_us - predicted_tx_us), cand.seq))
@@ -231,7 +232,7 @@ def reference_recover_sequence(corrupted, rx_ok, tx, max_candidates=5,
         return None
     scored.sort()
     best_dist, _, best_seq = scored[0]
-    return best_seq if best_dist / tx.meta.frame_len < match_threshold else None
+    return best_seq if best_dist / tx.meta.frame_len < 0.4 else None
 
 
 def reference_recover_trace(tx, rx, scrub):
