@@ -253,19 +253,12 @@ def test_load_pair_meta_mismatch_message(tmp_path):
 
 def test_load_pair_merges_sides(tmp_path):
     trace = three_frame_trace()
+    # the pair keeps the rx file's meta, description included
+    rx_meta = replace(trace.meta, description="rx side")
     tx_only = Trace(meta=trace.meta, tx=trace.tx)
-    rx_only = Trace(meta=trace.meta, rx=trace.rx)
+    rx_only = Trace(meta=rx_meta, rx=trace.rx)
     write_trace(tx_only, tmp_path / "tx.trace")
     write_trace(rx_only, tmp_path / "rx.trace")
-    merged = load_pair(tmp_path / "tx.trace", tmp_path / "rx.trace")
-    assert merged == trace
-
-
-def test_load_pair_keeps_rx_meta(tmp_path):
-    trace = three_frame_trace()
-    rx_meta = replace(trace.meta, description="rx side")
-    write_trace(Trace(meta=trace.meta, tx=trace.tx), tmp_path / "tx.trace")
-    write_trace(Trace(meta=rx_meta, rx=trace.rx), tmp_path / "rx.trace")
     merged = load_pair(tmp_path / "tx.trace", tmp_path / "rx.trace")
     assert merged == Trace(meta=rx_meta, tx=trace.tx, rx=trace.rx)
 
