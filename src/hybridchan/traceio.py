@@ -18,7 +18,11 @@ line break.
 read_trace fills a trace's columns from the whole file at once: the line
 heads (everything before the payload) are checked by one anchored regex
 and converted with numpy, and every payload is decoded by one hex decode
-into one packed matrix.
+into one packed matrix.  That path only accepts.  When it meets any
+malformed record line it reads the file again, line by line, and the
+first line that fails the per-line checks (_line_fault) names the fault.
+Faults are so reported in file order, and within a line the payload's
+hex is checked last.
 """
 
 from __future__ import annotations
@@ -59,17 +63,7 @@ _HEADS_RE = re.compile(
     rb"(?:-|" + _INT + rb")\n)*"
 )
 
-_NOT_HEX_RE = re.compile(rb"[^0-9a-f]")
-
 _STATUS_FROM_TOKEN = {s.value: s for s in ReceiveStatus}
-
-
-class PayloadError(ValueError):
-    """A bad payload in a run of hex payloads; index is its position in the run."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
 
 
 def packed_to_hex(packed: np.ndarray) -> str:
@@ -83,15 +77,12 @@ def hex_to_packed(payload_hex, n_bits: int) -> np.ndarray:
     payload_hex is ASCII bytes or any buffer of them.  Returns a read-only
     uint8 matrix with one row of ceil(n_bits/8) bytes per payload, from one
     binascii.a2b_hex call over all of it.  Digits must be lowercase hex and
-    pad bits past n_bits zero; otherwise raises PayloadError naming the
-    first payload at fault.
+    pad bits past n_bits zero; otherwise raises ValueError.
     """
     width = 2 * ((n_bits + 7) // 8)
     if len(payload_hex) % width:
-        raise PayloadError(
-            f"payload hex has {len(payload_hex)} digits, expected a multiple "
-            f"of {width} for {n_bits} bits", len(payload_hex) // width
-        )
+        raise ValueError(f"payload hex has {len(payload_hex)} digits, expected "
+                         f"a multiple of {width} for {n_bits} bits")
     try:
         packed = binascii.a2b_hex(payload_hex)
     except binascii.Error:
@@ -99,18 +90,14 @@ def hex_to_packed(payload_hex, n_bits: int) -> np.ndarray:
     # a2b_hex also takes uppercase digits; the format allows only lowercase.
     # A memchr scan per digit is the fast test for them.
     if packed is None or any(payload_hex.find(c) >= 0 for c in b"ABCDEF"):
-        bad = _NOT_HEX_RE.search(payload_hex).start()
-        raise PayloadError("payload must be lowercase hex digits", bad // width)
+        raise ValueError("payload must be lowercase hex digits")
     matrix = np.frombuffer(packed, dtype=np.uint8)
     if not matrix.size:  # frame_len may exceed any array dimension then
         return matrix.reshape(0, 0)
     matrix = matrix.reshape(-1, width // 2)
     pad_bits = 4 * width - n_bits
-    if pad_bits:
-        bad_rows = np.flatnonzero(matrix[:, -1] & ((1 << pad_bits) - 1))
-        if bad_rows.size:
-            raise PayloadError("nonzero padding bits past the declared bit length",
-                               int(bad_rows[0]))
+    if pad_bits and (matrix[:, -1] & ((1 << pad_bits) - 1)).any():
+        raise ValueError("nonzero padding bits past the declared bit length")
     return matrix
 
 
@@ -183,8 +170,8 @@ def _int(token: str, name: str) -> int:
 def _line_fault(line: bytes, n_bits: int) -> str | None:
     """Why a record line (without its LF) is malformed, or None if it is not.
 
-    The checks of the fields before the payload, taken in turn: this
-    names the fault of a line the column reader has found to be bad.
+    The checks of the line's fields, taken in turn and the payload's hex
+    last: this names the fault of a line the column reader has refused.
     """
     width = 2 * ((n_bits + 7) // 8)
     cut = line.rfind(b" ")
@@ -213,6 +200,11 @@ def _line_fault(line: bytes, n_bits: int) -> str | None:
     if has_payload == (status is ReceiveStatus.PHY_ERROR):
         return ("PHY-error frame must not carry a payload" if has_payload
                 else f"{status.value} frame must carry a payload")
+    if has_payload:
+        try:
+            hex_to_packed(payload, n_bits)
+        except ValueError as exc:
+            return str(exc)
     return None
 
 
@@ -226,10 +218,10 @@ def _int_column(heads: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.nd
     return np.where(heads[start] == ord("-"), -values, values)
 
 
-def _parse_heads(heads: bytes, n: int) -> dict[str, np.ndarray]:
-    """Columns of the first n record heads, which _HEADS_RE has matched."""
+def _parse_heads(heads: bytes) -> dict[str, np.ndarray]:
+    """Columns of the record heads, which _HEADS_RE has matched."""
     hb = np.frombuffer(heads, dtype=np.uint8)
-    ends = np.flatnonzero((hb == ord(" ")) | (hb == ord("\n")))[:5 * n].reshape(-1, 5)
+    ends = np.flatnonzero((hb == ord(" ")) | (hb == ord("\n"))).reshape(-1, 5)
     starts = np.empty_like(ends)
     starts[:, 1:] = ends[:, :-1] + 1
     starts[1:, 0] = ends[:-1, 4] + 1
@@ -328,10 +320,8 @@ def _read(path: Path) -> tuple[Trace, dict[str, np.ndarray]]:
     metadata fixes; the heads are joined, checked by one anchored regex
     and converted to columns.  Then each payload's hex is moved down to
     the front of the bytearray and all of them are decoded at once
-    (hex_to_packed).  The fault reported is the first in file order, as
-    if each line were checked in turn and its payload decoded: a bad
-    payload before the first malformed line comes first.  Bytes that are
-    not UTF-8 are reported before anything else.
+    (hex_to_packed).  This path only accepts: at the first sign of a
+    malformed line it hands over to _first_fault, which names the fault.
     """
     data = _read_text(path)
     meta, pos = _read_meta(data, path)
@@ -348,55 +338,31 @@ def _read(path: Path) -> tuple[Trace, dict[str, np.ndarray]]:
     cut = np.where(no_payload, ends - 2, ends - min(width, len(data)) - 1)
     shaped = no_payload | ((cut >= starts) & (byte[np.maximum(cut, 0)] == ord(" ")))
     del byte  # data is resized below
+    if not shaped.all():
+        raise _first_fault(path)
+    with memoryview(data) as view:  # each head ends in LF; no records join to b""
+        heads = b"\n".join([view[a:b] for a, b in zip(starts.tolist(), cut.tolist())]
+                           + [b""])
+    if _HEADS_RE.fullmatch(heads) is None:
+        raise _first_fault(path)
+    columns = _parse_heads(heads)
+    if ((columns["status"] == PHY) != no_payload).any():
+        raise _first_fault(path)
 
-    # The first malformed line is the first one not shaped so, or whose
-    # head the regex rejects, or whose payload does not match its status.
-    # (A line whose payload holds a space is malformed too; the payload
-    # decode finds it.)
-    n_good = int(np.argmin(shaped)) if not shaped.all() else shaped.size
-    with memoryview(data) as view:
-        heads = b"\n".join([view[a:b] for a, b in
-                            zip(starts[:n_good].tolist(), cut[:n_good].tolist())])
-    heads += b"\n"
-    n_good = heads.count(b"\n", 0, _HEADS_RE.match(heads).end())
-    columns = _parse_heads(heads, n_good)
-    mismatch = np.flatnonzero((columns["status"] == PHY) != no_payload[:n_good])
-    if mismatch.size:
-        n_good = int(mismatch[0])
-        columns = {name: column[:n_good] for name, column in columns.items()}
-    fault = None
-    if n_good < starts.size:
-        line = bytes(data[starts[n_good]:ends[n_good]])
-        fault = (_line_fault(line, n_bits), int(lines[n_good]))
-
-    # Move the payloads before that line down to the front of data, in
-    # line order, and decode them.
-    held = np.flatnonzero(~no_payload[:n_good])
+    # Move the payloads down to the front of data, in line order, and
+    # decode them.
+    held = np.flatnonzero(~no_payload)
     with memoryview(data) as view:
         for k, a in enumerate((cut[held] + 1).tolist()):
             view[k * width:(k + 1) * width] = view[a:a + width]
     del data[held.size * width:]
     try:
         packed = hex_to_packed(data, n_bits)
-    except PayloadError as exc:
-        payload = bytes(data[exc.index * width:(exc.index + 1) * width])
-        line_no = int(lines[held[exc.index]])
-        if b" " not in payload:
-            raise TraceFormatError(str(exc), str(path), line_no) from exc
-        # A space: the payload is the end of a malformed line, which comes
-        # after any bad pad bits before it.
-        try:
-            hex_to_packed(data[:exc.index * width], n_bits)
-        except PayloadError as pad:
-            raise TraceFormatError(str(pad), str(path),
-                                   int(lines[held[pad.index]])) from pad
-        head = heads.split(b"\n", held[exc.index] + 1)[held[exc.index]]
-        fault = (_line_fault(head + b" " + payload, n_bits), line_no)
+    except ValueError:
+        raise _first_fault(path) from None
     del data
-    if fault is not None:
-        raise TraceFormatError(fault[0], str(path), fault[1])
 
-    row = np.where(no_payload[:n_good], -1, np.cumsum(~no_payload[:n_good]) - 1)
+    row = np.where(no_payload, -1, np.cumsum(~no_payload) - 1)
     sides, line_of = {}, {}
     for name, pick in (("tx", ~columns["is_rx"]), ("rx", columns["is_rx"])):
         index = np.flatnonzero(pick)
@@ -413,6 +379,23 @@ def _read(path: Path) -> tuple[Trace, dict[str, np.ndarray]]:
         line = None if exc.record is None else int(line_of[exc.record[0]][exc.record[1]])
         raise TraceFormatError(str(exc), str(path), line) from exc
     return trace, line_of
+
+
+def _first_fault(path: Path) -> TraceFormatError:
+    """The fault of the first malformed record line in path, read line by line.
+
+    The file is read again, so a fault of its text or #meta line is raised
+    as it is found; one that changed since the column reader refused it
+    may hold no malformed record line at all.
+    """
+    data = _read_text(path)
+    meta, pos = _read_meta(data, path)
+    starts, ends, lines = _record_spans(data, pos)
+    for start, end, line in zip(starts.tolist(), ends.tolist(), lines.tolist()):
+        fault = _line_fault(bytes(data[start:end]), meta.frame_len)
+        if fault is not None:
+            return TraceFormatError(fault, str(path), line)
+    return TraceFormatError("file changed while it was read", str(path))
 
 
 def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:

@@ -265,9 +265,13 @@ class TestBitsHex:
 
     def test_nonzero_padding_rejected(self):
         for last in (b"a3f1", b"a3f8"):  # lowest and highest pad bit
-            with pytest.raises(ValueError, match="padding") as err:
+            with pytest.raises(ValueError, match="nonzero padding bits"):
                 hex_to_packed(b"a3f0" + last, 12)
-            assert err.value.index == 1
+
+    @pytest.mark.parametrize("payload", [b"A3F0", b"a3f0a3F0", b"a3 0", b"+3f0"])
+    def test_non_lowercase_hex_rejected(self, payload):
+        with pytest.raises(ValueError, match="must be lowercase hex digits"):
+            hex_to_packed(payload, 12)
 
     def test_wrong_digit_count(self):
         with pytest.raises(ValueError, match="digits"):

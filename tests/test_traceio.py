@@ -20,6 +20,7 @@ from hybridchan import (
     apply_channel,
     generate_tx,
     read_trace,
+    traceio,
     write_trace,
 )
 from hybridchan.traceio import load_pair
@@ -613,3 +614,47 @@ def test_space_in_payload_is_a_malformed_line(tmp_path):
         path.write_text(head + first + "tx 1 0 ok - a3 0\ntx 2 0 ok - a3f0\n")
         for read in (read_trace, reference_traceio.read):
             assert _outcome(read, path) == ("fault", line, f"{path}:{line}: {message}")
+
+
+# The column reader only accepts; _first_fault and _line_fault name faults.
+
+def test_valid_files_never_check_a_line(tmp_path, monkeypatch):
+    trace = three_frame_trace()
+    write_trace(trace, tmp_path / "t.trace")
+    write_trace(Trace(meta=trace.meta, tx=trace.tx), tmp_path / "tx.trace")
+    write_trace(Trace(meta=trace.meta, rx=trace.rx), tmp_path / "rx.trace")
+
+    def line_fault(line, n_bits):
+        raise AssertionError(f"line checked: {line!r}")
+
+    monkeypatch.setattr(traceio, "_line_fault", line_fault)
+    assert read_trace(tmp_path / "t.trace") == trace
+    assert load_pair(tmp_path / "tx.trace", tmp_path / "rx.trace") == trace
+
+
+@pytest.mark.parametrize("old,new", [
+    ("tx 1 20000 ok - a3f0", "tx 1 20000 ok - a3f00"),  # no payload width before LF
+    ("tx 1 20000 ok - a3f0", "tx 01 20000 ok - a3f0"),  # head the regex refuses
+    ("tx 1 20000 ok - a3f0", "tx 1 20000 phy - a3f0"),  # status against payload
+    ("tx 1 20000 ok - a3f0", "tx 1 20000 ok - a3f1"),  # payload hex
+])
+def test_malformed_file_is_located_once(tmp_path, monkeypatch, old, new):
+    path = tmp_path / "t.trace"
+    write_trace(three_frame_trace(), path)
+    path.write_text(path.read_text().replace(old, new))
+    calls = []
+    first_fault = traceio._first_fault
+    monkeypatch.setattr(traceio, "_first_fault",
+                        lambda p: calls.append(p) or first_fault(p))
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(path)
+    assert calls == [path] and err.value.line == 3
+
+
+def test_file_without_a_faulty_line_is_named_without_a_line(tmp_path):
+    """A file that changed after the column reader refused it."""
+    path = tmp_path / "t.trace"
+    write_trace(three_frame_trace(), path)
+    fault = traceio._first_fault(path)
+    assert (fault.path, fault.line) == (str(path), None)
+    assert str(fault).startswith(f"{path}: ")
