@@ -40,7 +40,6 @@ from .trace import (
     TraceError,
     TraceFormatError,
     TraceMeta,
-    xor_error_vector,
 )
 from .traceio import load_pair, read_trace, write_trace
 
@@ -89,5 +88,4 @@ __all__ = [
     "symmetry_report",
     "whiten_error_vector",
     "write_trace",
-    "xor_error_vector",
 ]

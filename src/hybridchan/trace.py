@@ -417,16 +417,3 @@ class Trace:
             return NotImplemented
         return self.meta == other.meta and self.tx == other.tx and self.rx == other.rx
 
-
-def xor_error_vector(tx_payload: np.ndarray, rx_payload: np.ndarray) -> np.ndarray:
-    """Bitwise difference of two payloads: 1 where the received bit is wrong.
-
-    Raises TraceError on length mismatch (a malformed trace pairing).
-    """
-    tx_payload = np.asarray(tx_payload, dtype=np.uint8)
-    rx_payload = np.asarray(rx_payload, dtype=np.uint8)
-    if tx_payload.shape != rx_payload.shape:
-        raise TraceError(
-            f"payload length mismatch: {tx_payload.size} vs {rx_payload.size}"
-        )
-    return np.bitwise_xor(tx_payload, rx_payload)

@@ -8,7 +8,7 @@ ErrorTable reductions against these.
 
 import numpy as np
 
-from hybridchan import ReceiveStatus, Segment, whiten_error_vector, xor_error_vector
+from hybridchan import ReceiveStatus, Segment, whiten_error_vector
 from hybridchan.runstest import runs_test
 
 
@@ -18,7 +18,7 @@ def corrupted_error_vectors(tx, rx, key=None):
     for rec in rx.rx:
         if rec.status is not ReceiveStatus.CRC_ERROR or rec.seq is None:
             continue
-        ev = xor_error_vector(tx.tx[rec.seq].payload, rec.payload)
+        ev = np.bitwise_xor(tx.tx[rec.seq].payload, rec.payload)
         if key is not None:
             ev = whiten_error_vector(ev, key, rec.seq)
         pairs.append((rec.seq, ev))

@@ -19,7 +19,6 @@ from hybridchan import (
     per_frame_runs_tests,
     segment_corrupted_frames,
     symmetry_report,
-    xor_error_vector,
 )
 from hybridchan import stats
 from hybridchan.runstest import RunsFlag
@@ -207,7 +206,7 @@ def test_segments_partition_corrupted_frames(pair, key):
         assert seg.n_frames == seg.end_frame - seg.start_frame + 1
         pos += seg.n_corrupted
         flips = sum(
-            int(xor_error_vector(tx.tx[rec.seq].payload, rec.payload).sum())
+            int(np.bitwise_xor(tx.tx[rec.seq].payload, rec.payload).sum())
             for rec in rx.rx
             if rec.seq in members and rec.status is ReceiveStatus.CRC_ERROR
         )
