@@ -26,7 +26,7 @@ import numpy as np
 from . import recovery, sim, stats
 from .capacity import capacity_report
 from .runstest import RunsFlag
-from .segments import Segment, mean_segment_duration, segment_corrupted_frames
+from .segments import mean_segment_duration, segment_corrupted_frames
 from .trace import (
     OK,
     STATUSES,
@@ -181,21 +181,6 @@ def _verdict(result) -> str:
     return "pass" if result.passed else "fail"
 
 
-def _segment_of(seqs: list[int], segs: list[Segment]) -> dict[int, int]:
-    """Map each seq to the highest-numbered segment whose span contains it.
-
-    Spans may overlap or run backwards in hand-built segment lists.
-    """
-    seqs = sorted(seqs)
-    firsts = np.searchsorted(seqs, [seg.start_frame for seg in segs], "left")
-    ends = np.searchsorted(seqs, [seg.end_frame for seg in segs], "right")
-    seg_of: dict[int, int] = {}
-    for i, (first, end) in enumerate(zip(firsts, ends)):
-        for seq in seqs[first:end]:
-            seg_of[seq] = i
-    return seg_of
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     trace = load_pair(args.tx_trace, args.rx_trace)
@@ -204,14 +189,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     rows = stats.per_frame_runs_tests(table, args.alpha)
     segs = segment_corrupted_frames(table, args.alpha)
-    seg_of = _segment_of([row.seq for row in rows], segs)
+    # The segments split the table's rows into consecutive runs, in order.
+    seg_of = np.repeat(np.arange(len(segs)), [seg.n_corrupted for seg in segs])
 
     # One line per rx record; the test columns only on corrupted ones.
     rx = trace.rx
     tested = {
         row.seq: [row.n_bit_errors, row.crossover, row.result.z,
-                  row.result.p_value, _verdict(row.result), seg_of.get(row.seq)]
-        for row in rows
+                  row.result.p_value, _verdict(row.result), seg]
+        for row, seg in zip(rows, seg_of.tolist())
     }
     untested = [None] * 6
     tokens = [status.value for status in STATUSES]

@@ -2,12 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from hybridchan import FrameRecord, ReceiveStatus, Trace, TraceMeta, write_trace
-from hybridchan.cli import _segment_of, main
-from hybridchan.segments import Segment
+from hybridchan.cli import main
 
 
 def run_cli(args):
@@ -344,26 +341,6 @@ class TestRecoverCmd:
                      flag, 10, "--out", tmp_path / "rec"])
         assert exc.value.code == 1
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-
-
-def span(start, end):
-    return Segment(start_frame=start, end_frame=end, n_frames=end - start + 1,
-                   n_corrupted=1, duration_us=0, pooled_p=0.0)
-
-
-@given(
-    st.sets(st.integers(0, 60), max_size=30),
-    st.lists(st.tuples(st.integers(-2, 62), st.integers(-2, 62)), max_size=12),
-)
-def test_segment_of_keeps_highest_spanning_segment(seqs, bounds):
-    # spans may overlap or run backwards (rx seqs need not be monotone)
-    segs = [span(start, end) for start, end in bounds]
-    want = {}
-    for i, seg in enumerate(segs):
-        for seq in seqs:
-            if seg.start_frame <= seq <= seg.end_frame:
-                want[seq] = i
-    assert _segment_of(list(seqs), segs) == want
 
 
 def test_commands_never_build_a_record(tmp_path, monkeypatch, capsys):
