@@ -289,6 +289,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
     trace = load_pair(args.tx_trace, args.rx_trace)
+    if not len(trace.rx):
+        raise TraceFormatError("rx trace has no records", str(args.rx_trace))
     report = capacity_report(trace, rssi_bin_width=args.rssi_bin)
     args.out.mkdir(parents=True, exist_ok=True)
     if report.per_rssi_bins:

@@ -280,6 +280,20 @@ class TestCapacityCmd:
         assert lines[0] == "rssi,n,fer,s_hat,p_hat,C_hybrid,C_erasure,gain"
         assert len(lines) == 3
 
+    def test_empty_rx_is_parse_error(self, tmp_path, capsys):
+        meta = TraceMeta(rate_bps=54e6, frame_len=16, interval_us=100)
+        write_trace(Trace.from_records(meta, tx=[FrameRecord(
+            seq=0, timestamp_us=0, status=ReceiveStatus.OK,
+            payload=np.ones(16, dtype=np.uint8))]), tmp_path / "tx.trace")
+        write_trace(Trace(meta=meta), tmp_path / "rx.trace")
+        rep = tmp_path / "cap"
+        code = run_cli(["capacity", tmp_path / "tx.trace", tmp_path / "rx.trace",
+                        "--out", rep])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"hybridchan: parse error: {tmp_path / 'rx.trace'}: rx trace has no records\n")
+        assert not rep.exists()
+
 
 class TestRecoverCmd:
     def test_scrub_reports_accuracy(self, tmp_path, capsys):
