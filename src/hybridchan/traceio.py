@@ -21,7 +21,7 @@ and converted with numpy, and every payload is decoded by one hex decode
 into one packed matrix.  That path only accepts.  When it meets any
 malformed record line it reads the file again, line by line, and the
 first line that fails the per-line checks (_line_fault) names the fault.
-Faults are so reported in file order, and within a line the payload's
+So faults are reported in file order, and within a line the payload's
 hex is checked last.
 """
 
