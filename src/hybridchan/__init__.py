@@ -18,7 +18,7 @@ from .capacity import (
 )
 from .interleaver import deinterleave, frame_key, interleave, whiten_error_vector
 from .recovery import recover_trace
-from .runstest import RunsAccumulator, RunsFlag, RunsTestResult, runs_test
+from .runstest import RunsFlag, RunsTestResult, runs_test
 from .segments import Segment, mean_segment_duration, segment_corrupted_frames
 from .sim import SimConfig, apply_channel, apply_periodic_noise, generate_tx
 from .stats import (
@@ -53,7 +53,6 @@ __all__ = [
     "OutcomeIidReport",
     "ParamEstimate",
     "ReceiveStatus",
-    "RunsAccumulator",
     "RunsFlag",
     "RunsTestResult",
     "Segment",

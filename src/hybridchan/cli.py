@@ -4,8 +4,8 @@ Subcommands cover the full pipeline: ``simulate`` writes a tx/rx trace
 pair, ``analyze`` runs the statistical battery and emits plot-ready CSVs,
 ``capacity`` reports parameter estimates and capacities (optionally per
 RSSI bin), ``recover`` re-identifies corrupted frames with damaged
-headers.  Every command is deterministic given its flags; the seed falls
-back to the HYBRIDCHAN_SEED environment variable.
+headers.  Every command is deterministic given its flags; --seed
+defaults to 0.  Every runs test is at the 5% level (runstest.ALPHA).
 
 Exit codes: 0 success, 1 usage error, 2 trace parse error, 3 internal
 invariant violation.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import recovery, sim, stats
 from .capacity import capacity_report
-from .runstest import RunsFlag
+from .runstest import ALPHA, RunsFlag
 from .segments import mean_segment_duration, segment_corrupted_frames
 from .trace import (
     OK,
@@ -68,10 +67,6 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("HYBRIDCHAN_SEED", "0"))
-
-
 def _add_common_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=float, default=0.0, help="erasure probability")
     p.add_argument("--s", type=float, default=1.0,
@@ -94,7 +89,7 @@ def build_parser() -> _Parser:
     _add_common_sim_flags(p_sim)
     p_sim.add_argument("--frames", type=int, required=True,
                        help="number of frames")
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--skew-ppm", type=float, default=0.0,
                        help="rx clock rate error [ppm]")
     p_sim.add_argument("--offset-us", type=int, default=0,
@@ -114,8 +109,7 @@ def build_parser() -> _Parser:
     p_an = sub.add_parser("analyze", help="run the statistical pipeline")
     p_an.add_argument("tx_trace", type=Path)
     p_an.add_argument("rx_trace", type=Path)
-    p_an.add_argument("--alpha", type=float, default=0.05)
-    p_an.add_argument("--seed", type=int, default=None,
+    p_an.add_argument("--seed", type=int, default=0,
                       help="base key for interleaving emulation")
     p_an.add_argument("--no-interleave", action="store_true",
                       help="analyze error vectors in raw (wire) bit order")
@@ -138,13 +132,12 @@ def build_parser() -> _Parser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     params = ChannelParams(
         r=args.r, s=args.s, p=args.p, rate_bps=args.rate,
         frame_len=args.frame_len, interval_us=args.interval_us,
     )
     config = sim.SimConfig(
-        params=params, seed=seed, n_frames=args.frames,
+        params=params, seed=args.seed, n_frames=args.frames,
         clock_skew_ppm=args.skew_ppm, clock_offset_us=args.offset_us,
         timestamp_jitter_us=args.jitter_us,
     )
@@ -156,7 +149,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             given = ", ".join(flag for flag, changed in hybrid.items() if changed)
             raise ValueError(f"--periodic noise does not use {given}")
         rx = sim.apply_periodic_noise(
-            tx, args.period, args.burst, args.p_burst, seed,
+            tx, args.period, args.burst, args.p_burst, args.seed,
             clock_skew_ppm=args.skew_ppm, clock_offset_us=args.offset_us,
         )
         noise = (f"periodic period={args.period} burst={args.burst} "
@@ -167,7 +160,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     write_trace(tx, args.out / "tx.trace")
     write_trace(rx, args.out / "rx.trace")
-    print(f"simulated {args.frames} frames ({noise}), seed={seed}")
+    print(f"simulated {args.frames} frames ({noise}), seed={args.seed}")
     print(f"frame_len={args.frame_len} bits, interval={args.interval_us} us, "
           f"rate={args.rate:g} bits/s")
     print(f"wrote {args.out / 'tx.trace'} and {args.out / 'rx.trace'}")
@@ -182,13 +175,12 @@ def _verdict(result) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     trace = load_pair(args.tx_trace, args.rx_trace)
-    table = stats.error_table(trace, None if args.no_interleave else seed)
+    table = stats.error_table(trace, None if args.no_interleave else args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
 
-    rows = stats.per_frame_runs_tests(table, args.alpha)
-    segs = segment_corrupted_frames(table, args.alpha)
+    rows = stats.per_frame_runs_tests(table)
+    segs = segment_corrupted_frames(table)
     # The segments split the table's rows into consecutive runs, in order.
     seg_of = np.repeat(np.arange(len(segs)), [seg.n_corrupted for seg in segs])
 
@@ -233,7 +225,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     _write_csv(args.out / "profile.csv", ["position", "error_frequency"],
                profile_rows)
 
-    outcome_report = stats.outcome_iid_tests(trace, segs, args.alpha)
+    outcome_report = stats.outcome_iid_tests(trace, segs)
     _write_csv(
         args.out / "outcomes.csv",
         ["outcome", "fraction", "pass_frames", "valid_frames",
@@ -259,7 +251,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "symmetric": rep.symmetric,
         }
     summary = {
-        "alpha": args.alpha,
+        "alpha": ALPHA,
         "interleave_emulation": not args.no_interleave,
         "n_tx_frames": len(trace.tx),
         "n_rx_frames": len(trace.rx),

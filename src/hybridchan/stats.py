@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import interleaver
-from .runstest import DEFAULT_ALPHA, RunsFlag, RunsTestResult, _result_from_counts
+from .runstest import RunsFlag, RunsTestResult, _result_from_counts
 from .trace import CRC, PHY, STATUSES, UNKNOWN_SEQ, ReceiveStatus, Trace
 
 if TYPE_CHECKING:
@@ -95,16 +95,14 @@ class FrameTestRow:
     result: RunsTestResult
 
 
-def per_frame_runs_tests(
-    table: ErrorTable, alpha: float = DEFAULT_ALPHA
-) -> list[FrameTestRow]:
+def per_frame_runs_tests(table: ErrorTable) -> list[FrameTestRow]:
     """Within-frame runs test for every corrupted frame, in trace order.
 
     An all-zero error vector (corruption confined to headers) is DEGENERATE.
     """
     n, columns = table.frame_len, (table.seqs, table.n1, table.runs)
     return [
-        FrameTestRow(seq, n1, n1 / n, _result_from_counts(runs, n1, n - n1, alpha))
+        FrameTestRow(seq, n1, n1 / n, _result_from_counts(runs, n1, n - n1))
         for seq, n1, runs in zip(*(col.tolist() for col in columns))
     ]
 
@@ -184,9 +182,7 @@ class OutcomeIidReport:
 
 
 def outcome_iid_tests(
-    trace: Trace,
-    segments: Sequence["Segment"],
-    alpha: float = DEFAULT_ALPHA,
+    trace: Trace, segments: Sequence["Segment"]
 ) -> OutcomeIidReport:
     """Per-outcome runs tests on the frame state sequence inside segments.
 
@@ -218,7 +214,7 @@ def outcome_iid_tests(
         seg_runs = (1 + changes[ends] - changes[starts]).tolist()
         pass_frames = valid_frames = tested = excluded = 0
         for seg, n1, n_runs in zip(segments, seg_n1, seg_runs):
-            result = _result_from_counts(n_runs, n1, seg.n_frames - n1, alpha)
+            result = _result_from_counts(n_runs, n1, seg.n_frames - n1)
             if result.flag is not RunsFlag.NORMAL:
                 excluded += 1
                 continue

@@ -315,13 +315,44 @@ def _record_spans(data: bytearray, pos: int) -> tuple[np.ndarray, ...]:
 def _read(path: Path) -> tuple[Trace, dict[str, np.ndarray]]:
     """The trace in path and the line of each record, by side.
 
+    _read_columns reads the file; when it refuses the file, _first_fault
+    reads it again and names the fault.  By then the first read's buffer
+    is gone, so the error path holds one copy of the file at a time.
+    """
+    read = _read_columns(path)
+    if read is None:
+        raise _first_fault(path)
+    meta, columns, packed, lines = read
+    sides, line_of = {}, {}
+    for name, pick in (("tx", ~columns["is_rx"]), ("rx", columns["is_rx"])):
+        index = np.flatnonzero(pick)
+        sides[name] = Side(
+            **{key: columns[key][index] for key in
+               ("seq", "timestamp_us", "status", "rssi", "has_rssi", "row")},
+            packed=packed, n_bits=meta.frame_len if packed.size else 0,
+        )
+        line_of[name] = lines[index]
+    trace = Trace(meta=meta, tx=sides["tx"], rx=sides["rx"])
+    try:
+        trace.validate()
+    except TraceError as exc:
+        line = None if exc.record is None else int(line_of[exc.record[0]][exc.record[1]])
+        raise TraceFormatError(str(exc), str(path), line) from exc
+    return trace, line_of
+
+
+def _read_columns(
+    path: Path,
+) -> tuple[TraceMeta, dict[str, np.ndarray], np.ndarray, np.ndarray] | None:
+    """(meta, columns, packed payloads, line numbers) of the records in path.
+
     The file is read into one bytearray and its lines located.  The head
     of each record line is its text before the payload, whose width the
     metadata fixes; the heads are joined, checked by one anchored regex
     and converted to columns.  Then each payload's hex is moved down to
     the front of the bytearray and all of them are decoded at once
     (hex_to_packed).  This path only accepts: at the first sign of a
-    malformed line it hands over to _first_fault, which names the fault.
+    malformed record line it returns None.
     """
     data = _read_text(path)
     meta, pos = _read_meta(data, path)
@@ -339,15 +370,15 @@ def _read(path: Path) -> tuple[Trace, dict[str, np.ndarray]]:
     shaped = no_payload | ((cut >= starts) & (byte[np.maximum(cut, 0)] == ord(" ")))
     del byte  # data is resized below
     if not shaped.all():
-        raise _first_fault(path)
+        return None
     with memoryview(data) as view:  # each head ends in LF; no records join to b""
         heads = b"\n".join([view[a:b] for a, b in zip(starts.tolist(), cut.tolist())]
                            + [b""])
     if _HEADS_RE.fullmatch(heads) is None:
-        raise _first_fault(path)
+        return None
     columns = _parse_heads(heads)
     if ((columns["status"] == PHY) != no_payload).any():
-        raise _first_fault(path)
+        return None
 
     # Move the payloads down to the front of data, in line order, and
     # decode them.
@@ -359,26 +390,9 @@ def _read(path: Path) -> tuple[Trace, dict[str, np.ndarray]]:
     try:
         packed = hex_to_packed(data, n_bits)
     except ValueError:
-        raise _first_fault(path) from None
-    del data
-
-    row = np.where(no_payload, -1, np.cumsum(~no_payload) - 1)
-    sides, line_of = {}, {}
-    for name, pick in (("tx", ~columns["is_rx"]), ("rx", columns["is_rx"])):
-        index = np.flatnonzero(pick)
-        sides[name] = Side(
-            **{key: columns[key][index] for key in
-               ("seq", "timestamp_us", "status", "rssi", "has_rssi")},
-            row=row[index], packed=packed, n_bits=n_bits if packed.size else 0,
-        )
-        line_of[name] = lines[index]
-    trace = Trace(meta=meta, tx=sides["tx"], rx=sides["rx"])
-    try:
-        trace.validate()
-    except TraceError as exc:
-        line = None if exc.record is None else int(line_of[exc.record[0]][exc.record[1]])
-        raise TraceFormatError(str(exc), str(path), line) from exc
-    return trace, line_of
+        return None
+    columns["row"] = np.where(no_payload, -1, np.cumsum(~no_payload) - 1)
+    return meta, columns, packed, lines
 
 
 def _first_fault(path: Path) -> TraceFormatError:

@@ -25,16 +25,16 @@ def corrupted_error_vectors(tx, rx, key=None):
     return pairs
 
 
-def per_frame_results(tx, rx, key=None, alpha=0.05):
+def per_frame_results(tx, rx, key=None):
     """(seq, bit errors, crossover, runs test result) per corrupted frame."""
     return [
         (seq, int(np.count_nonzero(ev)), np.count_nonzero(ev) / ev.size,
-         runs_test(ev, alpha))
+         runs_test(ev))
         for seq, ev in corrupted_error_vectors(tx, rx, key)
     ]
 
 
-def segments(tx, rx, key=None, alpha=0.05):
+def segments(tx, rx, key=None):
     """Greedy segmentation that re-tests each concatenation from scratch."""
     out, current = [], []
 
@@ -49,7 +49,7 @@ def segments(tx, rx, key=None, alpha=0.05):
 
     for seq, ev in corrupted_error_vectors(tx, rx, key):
         if current and runs_test(
-            np.concatenate([e for _, e in current] + [ev]), alpha
+            np.concatenate([e for _, e in current] + [ev])
         ).rejects:
             close()
             current = []
@@ -79,14 +79,14 @@ def symmetry_counts(tx, rx):
     return n1, n0, flips1, flips0
 
 
-def outcome_results(rx, segs, alpha=0.05):
+def outcome_results(rx, segs):
     """Runs test result per (outcome, segment), labels built frame by frame."""
     status_by_seq = {rec.seq: rec.status for rec in rx.rx if rec.seq is not None}
     return {
         (outcome, i): runs_test(np.fromiter(
             (status_by_seq.get(seq, ReceiveStatus.PHY_ERROR) is outcome
              for seq in range(seg.start_frame, seg.end_frame + 1)),
-            dtype=np.uint8, count=seg.n_frames), alpha)
+            dtype=np.uint8, count=seg.n_frames))
         for outcome in ReceiveStatus
         for i, seg in enumerate(segs)
     }

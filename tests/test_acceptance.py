@@ -57,7 +57,7 @@ def test_criterion_02_calibration():
         for i in range(1000):
             gen = hrng.stream(i, hrng.ROLE_CHANNEL, 0)
             seq = (gen.random(8000) < p).astype(np.uint8)
-            res = hc.runs_test(seq, alpha=0.05)
+            res = hc.runs_test(seq)
             if res.flag is RunsFlag.NORMAL:
                 n_valid += 1
                 n_pass += res.passed

@@ -68,16 +68,14 @@ class TestSimulate:
         assert f"--periodic noise does not use {named}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
+    def test_seed_defaults_to_zero_whatever_the_environment(self, tmp_path,
+                                                             monkeypatch):
         monkeypatch.setenv("HYBRIDCHAN_SEED", "5")
-        out_env = tmp_path / "env"
-        run_cli(["simulate", "--frames", 50, "--frame-len", 200,
-                 "--out", out_env])
-        monkeypatch.delenv("HYBRIDCHAN_SEED")
-        out_flag = tmp_path / "flag"
-        run_cli(["simulate", "--frames", 50, "--frame-len", 200,
-                 "--seed", 5, "--out", out_flag])
-        assert tree_bytes(out_env) == tree_bytes(out_flag)
+        flags = ["simulate", "--frames", 50, "--frame-len", 200, "--r", 0.1,
+                 "--s", 0.5, "--p", 0.02]
+        assert run_cli([*flags, "--out", tmp_path / "default"]) == 0
+        assert run_cli([*flags, "--seed", 0, "--out", tmp_path / "zero"]) == 0
+        assert tree_bytes(tmp_path / "default") == tree_bytes(tmp_path / "zero")
 
 
 class TestAnalyze:
@@ -98,6 +96,18 @@ class TestAnalyze:
         frames = (out / "frames.csv").read_text().splitlines()
         assert frames[0].startswith("seq,timestamp_us,status")
         assert len(frames) == 201
+
+    def test_alpha_is_not_a_flag(self, tmp_path, capsys):
+        run = simulate(tmp_path, "run")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["analyze", run / "tx.trace", run / "rx.trace",
+                     "--alpha", 0.01, "--out", tmp_path / "reports"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --alpha" in capsys.readouterr().err
+        assert run_cli(["analyze", run / "tx.trace", run / "rx.trace",
+                        "--out", tmp_path / "reports"]) == 0
+        summary = json.loads((tmp_path / "reports" / "summary.json").read_text())
+        assert summary["alpha"] == 0.05
 
     def test_deterministic_reports(self, tmp_path):
         run = simulate(tmp_path, "run")

@@ -134,9 +134,9 @@ def test_outcome_tests_match_label_arrays(hybrid_pair, spans, monkeypatch):
     counts = []
     from_counts = stats._result_from_counts
 
-    def recording(n_runs, n1, n0, alpha):
+    def recording(n_runs, n1, n0):
         counts.append((n_runs, n1, n0))
-        return from_counts(n_runs, n1, n0, alpha)
+        return from_counts(n_runs, n1, n0)
 
     monkeypatch.setattr(stats, "_result_from_counts", recording)
     report = outcome_iid_tests(joined(tx, rx), segs)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridchan import RunsAccumulator, RunsFlag, runs_test
-from hybridchan.runstest import count_runs
+from hybridchan import RunsFlag, runs_test
+from hybridchan.runstest import ALPHA
 from hybridchan import rng as hrng
 
 
@@ -70,7 +70,7 @@ def test_null_moment_identities(raw):
         (res.mu - 1) * (res.mu - 2) / (n - 1), rel=1e-12
     )
     if res.z is not None:
-        assert (res.p_value >= res.alpha) == res.passed
+        assert (res.p_value >= ALPHA) == res.passed
 
 
 @given(binary_seqs)
@@ -100,56 +100,3 @@ def test_calibration_on_iid_bernoulli():
     assert n_valid == 1000
     assert 0.93 <= n_pass / n_valid <= 0.97
 
-
-def add(acc, chunk):
-    """Append a 0/1 chunk by its counts, as segmentation appends a frame."""
-    chunk = np.asarray(chunk, dtype=np.uint8)
-    if chunk.size:
-        n1 = int(chunk.sum())
-        acc.add_counts(n1, chunk.size - n1, count_runs(chunk),
-                       int(chunk[0]), int(chunk[-1]))
-
-
-class TestAccumulator:
-    def test_matches_batch_on_fixed_chunks(self):
-        chunks = [bits("110"), bits("011"), bits("1"), bits("000")]
-        acc = RunsAccumulator()
-        for c in chunks:
-            add(acc, c)
-        whole = runs_test(np.concatenate(chunks))
-        res = acc.result()
-        assert (res.n_runs, res.n1, res.n0) == (whole.n_runs, whole.n1, whole.n0)
-        assert res.z == whole.z
-
-    def test_empty_chunk_is_noop(self):
-        acc = RunsAccumulator()
-        add(acc, bits("101"))
-        add(acc, np.array([], dtype=np.uint8))
-        add(acc, bits("1"))
-        assert acc.n_runs == runs_test(bits("1011")).n_runs
-
-    def test_copy_is_independent(self):
-        acc = RunsAccumulator()
-        add(acc, bits("10"))
-        snap = acc.copy()
-        add(acc, bits("01"))
-        assert snap.length == 2 and acc.length == 4
-
-    def test_result_without_data(self):
-        with pytest.raises(ValueError):
-            RunsAccumulator().result()
-
-    @given(
-        st.lists(st.integers(0, 1), min_size=1, max_size=200),
-        st.integers(min_value=1, max_value=7),
-    )
-    @settings(max_examples=100)
-    def test_matches_batch_on_random_chunkings(self, raw, n_chunks):
-        seq = np.array(raw, dtype=np.uint8)
-        bounds = np.linspace(0, seq.size, n_chunks + 1).astype(int)
-        acc = RunsAccumulator()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            add(acc, seq[lo:hi])
-        whole = runs_test(seq)
-        res = acc.result()
-        assert (res.n_runs, res.n1, res.n0) == (whole.n_runs, whole.n1, whole.n0)

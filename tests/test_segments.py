@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_pipeline
 from hybridchan import (
     FrameRecord,
     ReceiveStatus,
@@ -125,7 +128,7 @@ def test_outlier_frame_becomes_own_segment():
 
 def test_incremental_equals_batch_segmentation():
     # re-running the test from scratch on each prefix must give the same
-    # split points the incremental accumulator produced
+    # split points as merging each frame's counts into the open segment's
     from hybridchan.runstest import runs_test
 
     tx, rx = sim_pair(r=0.0, s=0.5, p=0.01, n_frames=400, frame_len=500, seed=6)
@@ -146,6 +149,28 @@ def test_incremental_equals_batch_segmentation():
         else:
             current.append(ev)
     assert sorted(by_start) == [pairs[0][0]] + expected_bounds
+
+
+@st.composite
+def error_vector_lists(draw):
+    """Error vectors of one length from 20 to 64 bits, noise or one burst each.
+
+    At 20 bits or more the runs test can reject, and bursts make it reject
+    often, so segments close and frames join on equal and unequal end bits.
+    """
+    n = draw(st.integers(20, 64))
+    noise = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    burst = st.tuples(st.integers(0, n - 1), st.integers(1, n)).map(
+        lambda b: [int(b[0] <= i < b[0] + b[1]) for i in range(n)])
+    return draw(st.lists(st.one_of(noise, burst), min_size=1, max_size=30))
+
+
+@given(error_vector_lists())
+@settings(max_examples=100, deadline=None)
+def test_merged_counts_equal_reference_segmentation(error_vectors):
+    tx, rx = crafted_pair(error_vectors, frame_len=len(error_vectors[0]))
+    assert (segment_corrupted_frames(error_table(joined(tx, rx)))
+            == reference_pipeline.segments(tx, rx))
 
 
 class TestMeanSegmentDuration:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -649,6 +650,41 @@ def test_malformed_file_is_located_once(tmp_path, monkeypatch, old, new):
     with pytest.raises(TraceFormatError) as err:
         read_trace(path)
     assert calls == [path] and err.value.line == 3
+
+
+def _read_peak(path):
+    """Peak bytes that read_trace allocates on path, whether it reads or refuses it."""
+    tracemalloc.start()
+    try:
+        try:
+            read_trace(path)
+        except TraceFormatError:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("bad", [
+    "rx ? 0 ok - not-hex",  # no payload width before LF
+    "rx 07 0 crc - " + "0" * 500,  # head the regex refuses
+    "rx ? 0 phy - " + "0" * 500,  # status against payload
+    "rx ? 0 crc - " + "z" * 500,  # payload hex
+], ids=["shape", "head", "status", "hex"])
+def test_error_path_holds_one_copy_of_the_file(tmp_path, bad):
+    """The locator's re-read does not overlap the column reader's buffer."""
+    n = 2000
+    hex_rows = np.random.default_rng(0).bytes(250 * n).hex()
+    text = '#meta R=54000000 frame_len=2000 interval_us=100 desc=""\n' + "".join(
+        f"rx {i} {100 * i} crc - {hex_rows[500 * i:500 * (i + 1)]}\n" for i in range(n)
+    )
+    good, faulty = tmp_path / "good.trace", tmp_path / "faulty.trace"
+    good.write_text(text)
+    faulty.write_text(text + bad + "\n")
+    assert len(read_trace(good).rx) == n
+    with pytest.raises(TraceFormatError, match=f":{n + 2}: "):
+        read_trace(faulty)
+    assert _read_peak(faulty) - _read_peak(good) < 0.01 * len(text)
 
 
 def test_file_without_a_faulty_line_is_named_without_a_line(tmp_path):
