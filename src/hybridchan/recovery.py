@@ -38,17 +38,13 @@ def _nearest(sorted_times: np.ndarray, centre: float, k: int) -> np.ndarray:
     """Indices of the k entries of sorted_times nearest centre, ascending.
 
     Selects exactly what a stable argsort of |sorted_times - centre| over
-    the whole array would keep in its first k (negative k as in slicing),
-    ties going to the lower index, but only sorts the at most 2k entries
-    around centre's insertion point.
+    the whole array would keep in its first k (k >= 1), ties going to the
+    lower index, but only sorts the at most 2k entries around centre's
+    insertion point.
     """
     n = sorted_times.size
-    if k < 0:
-        k = max(n + k, 0)
     if k >= n:
         return np.arange(n)
-    if k == 0:
-        return np.arange(0)
     pos = int(np.searchsorted(sorted_times, centre))
     lo, hi = max(pos - k, 0), min(pos + k, n)
     # entries equal to the slice's first one tie with it and win on index

@@ -11,18 +11,37 @@ All outcomes are drawn from per-frame counter-based streams (see rng), so
 a config reproduces bit-identical traces regardless of evaluation order.
 Each loop re-keys one stream family per frame and takes all of that
 frame's draws before moving on, as the family's validity rule requires.
-Payloads are drawn and flipped as bits, then packed into the side's
-payload matrix, and every other draw lands in a column (see trace).
+Both channel models share one receive loop: per frame it draws the rx
+timestamp, then calls the model's closure, which takes the model's draws
+and returns the frame's status and flips.  Payloads are drawn and flipped
+as bits, then packed into the side's payload matrix, and every other draw
+lands in a column (see trace).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import rng
 from .trace import CRC, OK, PHY, ChannelParams, Side, Trace, TraceMeta
+
+
+def _check_clock(interval_us: int, skew_ppm: float, jitter_us: int) -> None:
+    """Refuse a clock model under which rx timestamps could run backwards."""
+    if not math.isfinite(skew_ppm):
+        raise ValueError(f"clock_skew_ppm={skew_ppm} must be finite")
+    # Jitter moves each rx timestamp by less than its amplitude either way,
+    # so frames spaced at least twice that apart stay in order.
+    spacing = interval_us * (1.0 + skew_ppm * 1e-6)
+    if 2 * jitter_us > spacing:
+        raise ValueError(
+            f"rx timestamps could run backwards: twice the jitter ({jitter_us} us) "
+            f"exceeds the skewed frame spacing ({spacing:g} us)"
+        )
 
 
 @dataclass(frozen=True)
@@ -47,6 +66,8 @@ class SimConfig:
             raise ValueError("n_frames must be positive")
         if self.timestamp_jitter_us < 0:
             raise ValueError("timestamp_jitter_us must be non-negative")
+        _check_clock(self.params.interval_us, self.clock_skew_ppm,
+                     self.timestamp_jitter_us)
         prev = -1
         for idx, params in self.drift_schedule:
             if not prev < idx < self.n_frames:
@@ -73,15 +94,6 @@ class SimConfig:
         return current
 
 
-def _meta(params: ChannelParams, description: str) -> TraceMeta:
-    return TraceMeta(
-        rate_bps=params.rate_bps,
-        frame_len=params.frame_len,
-        interval_us=params.interval_us,
-        description=description,
-    )
-
-
 def generate_tx(config: SimConfig) -> Trace:
     """Generate the transmit side: uniform random payloads on a fixed cadence."""
     params = config.params
@@ -98,38 +110,29 @@ def generate_tx(config: SimConfig) -> Trace:
               status=np.full(seq.size, OK), rssi=np.zeros_like(seq),
               has_rssi=np.zeros(seq.size, dtype=bool), row=seq, packed=packed,
               n_bits=params.frame_len)
-    return Trace(meta=_meta(params, f"tx seed={config.seed}"), tx=tx)
+    meta = TraceMeta(params.rate_bps, params.frame_len, params.interval_us,
+                     f"tx seed={config.seed}")
+    return Trace(meta=meta, tx=tx)
 
 
-def _rx_side(tx: Side, timestamps: list[int], status: np.ndarray,
-             packed: np.ndarray, n_payloads: int) -> Side:
-    """The rx side of a channel run: one record per tx record, in seq order.
-
-    packed holds the payloads of the non-PHY records in order in its first
-    n_payloads rows.
-    """
-    held = status != PHY
-    return Side(seq=tx.seq, timestamp_us=timestamps, status=status,
-                rssi=np.zeros_like(tx.seq), has_rssi=np.zeros(tx.seq.size, dtype=bool),
-                row=np.where(held, np.cumsum(held) - 1, -1),
-                packed=packed[:n_payloads], n_bits=tx.n_bits)
-
-
-def _rx_timestamp(config: SimConfig, tx_ts: int, gen: np.random.Generator) -> int:
-    ts = tx_ts * (1.0 + config.clock_skew_ppm * 1e-6) + config.clock_offset_us
-    if config.timestamp_jitter_us:
-        j = config.timestamp_jitter_us
-        ts += gen.uniform(-j, j)
+def _rx_timestamp(tx_ts: int, gen: np.random.Generator, skew_ppm: float,
+                  offset_us: int, jitter_us: int) -> int:
+    ts = tx_ts * (1.0 + skew_ppm * 1e-6) + offset_us
+    if jitter_us:
+        ts += gen.uniform(-jitter_us, jitter_us)
     return int(round(ts))
 
 
-def apply_channel(tx: Trace, config: SimConfig) -> Trace:
-    """Run every tx frame through the hybrid channel.
+def _receive(tx: Trace, streams: rng.StreamFamily,
+             frame: Callable[[int, np.random.Generator], tuple[int, np.ndarray | None]],
+             skew_ppm: float, offset_us: int, jitter_us: int, description: str) -> Trace:
+    """The rx trace of one channel run: one record per tx record, in seq order.
 
-    Every frame yields an rx record: the simulator models no losses other
-    than PHY erasures (which keep their timestamp but drop the payload).
+    Each frame re-keys streams to its seq and draws its rx timestamp; then
+    frame(seq, generator) takes the model's draws and returns the status
+    code and the flips, a bit vector for CRC and None otherwise.  PHY
+    errors keep their timestamp but carry no payload.
     """
-    streams = rng.StreamFamily(config.seed, rng.ROLE_CHANNEL)
     sent = tx.tx
     timestamps = []
     status = np.empty(len(sent), dtype=np.int8)
@@ -139,35 +142,51 @@ def apply_channel(tx: Trace, config: SimConfig) -> Trace:
     for i, (seq, tx_ts, row) in enumerate(
         zip(sent.seq.tolist(), sent.timestamp_us.tolist(), sent.row.tolist())
     ):
-        params = config.params_at(seq)
         gen = streams.at(seq)
-        timestamps.append(_rx_timestamp(config, tx_ts, gen))
+        timestamps.append(_rx_timestamp(tx_ts, gen, skew_ppm, offset_us, jitter_us))
+        code, flips = frame(seq, gen)
+        status[i] = code
+        if code == PHY:
+            continue
+        packed[n_payloads] = (sent.packed[row] if flips is None
+                              else sent.packed[row] ^ np.packbits(flips))
+        n_payloads += 1
+    held = status != PHY
+    rx = Side(seq=sent.seq, timestamp_us=timestamps, status=status,
+              rssi=np.zeros_like(sent.seq), has_rssi=np.zeros(len(sent), dtype=bool),
+              row=np.where(held, np.cumsum(held) - 1, -1),
+              packed=packed[:n_payloads], n_bits=sent.n_bits)
+    return Trace(meta=replace(tx.meta, description=description), rx=rx)
+
+
+def apply_channel(tx: Trace, config: SimConfig) -> Trace:
+    """Run every tx frame through the hybrid channel.
+
+    Every frame yields an rx record: the simulator models no losses other
+    than PHY erasures (which keep their timestamp but drop the payload).
+    """
+
+    def frame(seq: int, gen: np.random.Generator):
+        params = config.params_at(seq)
         u_erase = gen.random()
         u_clean = gen.random()
         if u_erase < params.r:
-            status[i] = PHY
-            continue
+            return PHY, None
         if u_clean < params.s:
-            status[i] = OK
-            packed[n_payloads] = sent.packed[row]
-        else:
-            # The corrupted state is decided by the draw, not by whether any
-            # flip landed; downstream code treats all-zero error vectors as
-            # degenerate rather than clean.
-            flips = gen.random(params.frame_len) < params.p
-            status[i] = CRC
-            packed[n_payloads] = sent.packed[row] ^ np.packbits(flips)
-        n_payloads += 1
-    rx = _rx_side(sent, timestamps, status, packed, n_payloads)
-    return Trace(meta=_meta(config.params, f"rx seed={config.seed}"), rx=rx)
+            return OK, None
+        # The corrupted state is decided by the draw, not by whether any
+        # flip landed; downstream code treats all-zero error vectors as
+        # degenerate rather than clean.
+        return CRC, gen.random(params.frame_len) < params.p
+
+    return _receive(tx, rng.StreamFamily(config.seed, rng.ROLE_CHANNEL), frame,
+                    config.clock_skew_ppm, config.clock_offset_us,
+                    config.timestamp_jitter_us, f"rx seed={config.seed}")
 
 
 def periodic_window_mask(frame_len: int, period: int, burst_len: int) -> np.ndarray:
     """Boolean mask of the flip-eligible positions: burst_len bits every period."""
-    mask = np.zeros(frame_len, dtype=bool)
-    for start in range(0, frame_len, period):
-        mask[start : start + burst_len] = True
-    return mask
+    return np.arange(frame_len) % period < burst_len
 
 
 def apply_periodic_noise(
@@ -190,33 +209,13 @@ def apply_periodic_noise(
         raise ValueError("need 0 < burst_len <= period <= frame_len")
     if not 0.0 <= p_in_burst <= 1.0:
         raise ValueError("p_in_burst outside [0, 1]")
-    mask = periodic_window_mask(frame_len, period, burst_len)
-    window_idx = np.flatnonzero(mask)
-    config = SimConfig(
-        params=ChannelParams(0.0, 1.0, 0.0, tx.meta.rate_bps, frame_len,
-                             tx.meta.interval_us),
-        seed=seed,
-        n_frames=len(tx.tx),
-        clock_skew_ppm=clock_skew_ppm,
-        clock_offset_us=clock_offset_us,
-    )
-    streams = rng.StreamFamily(seed, rng.ROLE_PERIODIC)
-    sent = tx.tx
-    timestamps = []
-    status = np.empty(len(sent), dtype=np.int8)
-    packed = np.empty((len(sent), sent.packed.shape[1]), dtype=np.uint8)
-    for i, (seq, tx_ts, row) in enumerate(
-        zip(sent.seq.tolist(), sent.timestamp_us.tolist(), sent.row.tolist())
-    ):
-        gen = streams.at(seq)
-        timestamps.append(_rx_timestamp(config, tx_ts, gen))
-        flips = np.zeros(frame_len, dtype=np.uint8)
+    _check_clock(tx.meta.interval_us, clock_skew_ppm, 0)
+    window_idx = np.flatnonzero(periodic_window_mask(frame_len, period, burst_len))
+
+    def frame(seq: int, gen: np.random.Generator):
+        flips = np.zeros(frame_len, dtype=bool)
         flips[window_idx] = gen.random(window_idx.size) < p_in_burst
-        if flips.any():
-            packed[i] = sent.packed[row] ^ np.packbits(flips)
-            status[i] = CRC
-        else:
-            packed[i] = sent.packed[row]
-            status[i] = OK
-    rx = _rx_side(sent, timestamps, status, packed, len(sent))
-    return Trace(meta=_meta(config.params, f"rx periodic seed={seed}"), rx=rx)
+        return (CRC, flips) if flips.any() else (OK, None)
+
+    return _receive(tx, rng.StreamFamily(seed, rng.ROLE_PERIODIC), frame,
+                    clock_skew_ppm, clock_offset_us, 0, f"rx periodic seed={seed}")

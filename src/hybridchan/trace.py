@@ -15,6 +15,7 @@ for reading a row back; the package's own code works on the columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -87,8 +88,8 @@ class ChannelParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
-        if self.rate_bps <= 0:
-            raise ValueError(f"rate_bps={self.rate_bps} must be positive")
+        if not 0 < self.rate_bps < math.inf:
+            raise ValueError(f"rate_bps={self.rate_bps} must be positive and finite")
         if self.frame_len <= 0:
             raise ValueError(f"frame_len={self.frame_len} must be positive")
         if self.interval_us <= 0:

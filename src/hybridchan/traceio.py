@@ -130,6 +130,8 @@ def write_trace(trace: Trace, path: str | Path) -> None:
     desc = trace.meta.description
     if "\n" in desc or "\r" in desc:
         raise TraceError(f"description {desc!r} must not contain a line break")
+    if not 0 < trace.meta.rate_bps < math.inf:  # read_trace would refuse it
+        raise TraceError(f"R={trace.meta.rate_bps} must be positive and finite")
     trace.validate()
     # Line by line: the whole text at once would cost several copies of it.
     with Path(path).open("w", encoding="utf-8") as fh:

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from hybridchan import FrameRecord, ReceiveStatus, Trace, TraceMeta, write_trace
+from hybridchan import (
+    FrameRecord,
+    ReceiveStatus,
+    Trace,
+    TraceMeta,
+    load_pair,
+    write_trace,
+)
 from hybridchan.cli import main
 
 
@@ -67,6 +74,32 @@ class TestSimulate:
         assert code == 1
         assert f"--periodic noise does not use {named}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--interval-us", 100, "--jitter-us", 60], "rx timestamps could run backwards"),
+        (["--skew-ppm", -2000000], "rx timestamps could run backwards"),
+        (["--skew-ppm", "nan"], "clock_skew_ppm=nan must be finite"),
+        (["--rate", "nan"], "rate_bps=nan must be positive and finite"),
+        (["--rate", "inf"], "rate_bps=inf must be positive and finite"),
+        (["--rate", "1e400"], "rate_bps=inf must be positive and finite"),
+    ])
+    def test_unwritable_clock_or_rate_refused_before_any_file(
+            self, tmp_path, capsys, flags, message):
+        out = tmp_path / "run"
+        code = run_cli(["simulate", "--frames", 50, "--frame-len", 64,
+                        *flags, "--out", out])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jitter_of_half_the_interval_writes_a_readable_pair(self, tmp_path):
+        out = tmp_path / "run"
+        code = run_cli(["simulate", "--frames", 500, "--frame-len", 64,
+                        "--r", 0.1, "--s", 0.5, "--p", 0.02,
+                        "--interval-us", 100, "--jitter-us", 50, "--out", out])
+        assert code == 0
+        trace = load_pair(out / "tx.trace", out / "rx.trace")
+        assert len(trace.rx) == 500
 
     def test_seed_defaults_to_zero_whatever_the_environment(self, tmp_path,
                                                              monkeypatch):

@@ -341,7 +341,7 @@ class TestMatchesReference:
 @given(
     st.lists(st.integers(0, 12), max_size=40),
     st.integers(-2, 28).map(lambda c: c / 2),
-    st.integers(-3, 45),
+    st.integers(1, 45),
 )
 def test_nearest_matches_full_stable_argsort(values, centre, k):
     t = np.sort(np.array(values, dtype=np.float64))

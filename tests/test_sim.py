@@ -2,6 +2,8 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hybridchan import (
     ChannelParams,
@@ -165,11 +167,42 @@ class TestDriftSchedule:
                       drift_schedule=((5, drifted),))
 
 
+class TestClockModel:
+    @pytest.mark.parametrize("clock", [
+        {"clock_skew_ppm": float("nan")},
+        {"clock_skew_ppm": float("inf")},
+        {"clock_skew_ppm": -2e6},
+        {"timestamp_jitter_us": 51},
+        {"timestamp_jitter_us": 50, "clock_skew_ppm": -1.0},
+    ])
+    def test_clock_that_could_reorder_rx_refused(self, clock):
+        with pytest.raises(ValueError):
+            SimConfig(params=make_params(frame_len=64, interval_us=100),
+                      n_frames=10, **clock)
+
+    @pytest.mark.parametrize("skew", [float("nan"), -2e6])
+    def test_periodic_clock_that_could_reorder_rx_refused(self, skew):
+        cfg = SimConfig(params=make_params(frame_len=64, interval_us=100),
+                        n_frames=10)
+        with pytest.raises(ValueError, match="clock_skew_ppm=nan|run backwards"):
+            apply_periodic_noise(generate_tx(cfg), 32, 8, 0.1, seed=0,
+                                 clock_skew_ppm=skew)
+
+
 class TestPeriodicNoise:
     def test_mask_layout(self):
         mask = periodic_window_mask(10, period=4, burst_len=2)
         assert mask.tolist() == [True, True, False, False,
                                  True, True, False, False, True, True]
+
+    @given(st.integers(1, 80), st.data())
+    def test_mask_matches_window_loop(self, frame_len, data):
+        period = data.draw(st.integers(1, frame_len))
+        burst_len = data.draw(st.integers(1, period))
+        want = np.zeros(frame_len, dtype=bool)
+        for start in range(0, frame_len, period):
+            want[start : start + burst_len] = True
+        assert np.array_equal(periodic_window_mask(frame_len, period, burst_len), want)
 
     def test_no_flips_outside_windows(self):
         cfg = SimConfig(params=make_params(frame_len=2000), seed=10, n_frames=80)

@@ -49,7 +49,8 @@ class TestChannelParams:
 
     @pytest.mark.parametrize("field,value", [
         ("r", -0.1), ("r", 1.1), ("s", 2.0), ("p", -1e-9),
-        ("rate_bps", 0.0), ("frame_len", 0), ("interval_us", -5),
+        ("rate_bps", 0.0), ("rate_bps", float("nan")), ("rate_bps", float("inf")),
+        ("frame_len", 0), ("interval_us", -5),
     ])
     def test_invalid(self, field, value):
         kwargs = dict(r=0.0, s=1.0, p=0.0, rate_bps=54e6,

@@ -188,6 +188,17 @@ def test_line_break_in_description_rejected_at_write(tmp_path, desc):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -54e6])
+def test_rate_read_would_refuse_rejected_at_write(tmp_path, rate):
+    trace = three_frame_trace()
+    trace.meta = TraceMeta(rate_bps=rate, frame_len=12, interval_us=20000)
+    path = tmp_path / "t.trace"
+    with pytest.raises(TraceError, match="positive and finite") as err:
+        write_trace(trace, path)
+    assert not isinstance(err.value, TraceFormatError)
+    assert not path.exists()
+
+
 def test_lone_cr_in_description_rejected_at_read(tmp_path):
     path = tmp_path / "t.trace"
     path.write_bytes(b'#meta R=54000000 frame_len=4 interval_us=100 desc="a\rb"\n'
