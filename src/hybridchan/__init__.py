@@ -40,6 +40,7 @@ from .trace import (
     TraceError,
     TraceFormatError,
     TraceMeta,
+    UsageError,
 )
 from .traceio import load_pair, read_trace, write_trace
 
@@ -63,6 +64,7 @@ __all__ = [
     "TraceError",
     "TraceFormatError",
     "TraceMeta",
+    "UsageError",
     "apply_channel",
     "apply_periodic_noise",
     "binary_entropy",

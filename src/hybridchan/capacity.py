@@ -19,7 +19,7 @@ from math import log2, sqrt
 
 import numpy as np
 
-from .trace import CRC, OK, PHY, UNKNOWN_SEQ, Trace, TraceError
+from .trace import CRC, OK, PHY, UNKNOWN_SEQ, Trace, TraceError, UsageError
 
 
 def binary_entropy(p: float) -> float:
@@ -158,7 +158,7 @@ def capacity_report(trace: Trace, rssi_bin_width: int = 1) -> CapacityReport:
     leave p_hat at its pooled value over whatever flips were seen.
     """
     if rssi_bin_width <= 0:
-        raise ValueError("rssi_bin_width must be positive")
+        raise UsageError(f"rssi_bin_width={rssi_bin_width} must be positive")
     flips, bits = _flip_counts(trace)
     est = _estimate(trace, flips, bits)
     rate = trace.meta.rate_bps

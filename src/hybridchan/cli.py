@@ -7,8 +7,9 @@ RSSI bin), ``recover`` re-identifies corrupted frames with damaged
 headers.  Every command is deterministic given its flags; --seed
 defaults to 0.  Every runs test is at the 5% level (runstest.ALPHA).
 
-Exit codes: 0 success, 1 usage error, 2 trace parse error, 3 internal
-invariant violation.
+Exit codes: 0 success, 1 usage error (a bad flag or flag value), 2 trace
+parse error, 3 internal error (an invariant violation or any other
+ValueError).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .trace import (
     ChannelParams,
     TraceError,
     TraceFormatError,
+    UsageError,
 )
 from .traceio import load_pair, write_trace
 
@@ -147,7 +149,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                   "--jitter-us": args.jitter_us != 0}
         if any(hybrid.values()):
             given = ", ".join(flag for flag, changed in hybrid.items() if changed)
-            raise ValueError(f"--periodic noise does not use {given}")
+            raise UsageError(f"--periodic noise does not use {given}")
         rx = sim.apply_periodic_noise(
             tx, args.period, args.burst, args.p_burst, args.seed,
             clock_skew_ppm=args.skew_ppm, clock_offset_us=args.offset_us,
@@ -356,11 +358,14 @@ def main(argv: list[str] | None = None) -> int:
     except TraceFormatError as exc:
         print(f"hybridchan: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"hybridchan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TraceError as exc:
         print(f"hybridchan: invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
+        print(f"hybridchan: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

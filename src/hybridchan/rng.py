@@ -12,7 +12,10 @@ a whole (seed, role) family: ``StreamFamily(seed, role).at(index)``
 re-keys it to the frame's key with a zero counter and an empty buffer,
 which draws exactly what a freshly built ``Philox(key=...)`` would,
 without the cost of building one (and of collecting the OS entropy its
-constructor gathers before the key overrides it).
+constructor gathers before the key overrides it).  ``words(index, n)``
+re-keys the same way and returns the stream's first n raw 64-bit words,
+the words every Generator draw on the stream is computed from, so a
+caller can make many frames' draws in numpy at once.
 """
 
 from __future__ import annotations
@@ -74,6 +77,19 @@ class StreamFamily:
         self._key[0] = index & _MASK64
         self._bitgen.state = self._state
         return self._gen
+
+    def words(self, index: int, n: int) -> np.ndarray:
+        """The first n raw uint64 words of index's stream, in draw order.
+
+        These are the words the generator from at(index) draws from.
+        random() takes one word and is (word >> 11) * 2**-53; uniform(a, b)
+        is a + (b - a) * random(); integers(0, 2, n, uint8) takes ceil(n/8)
+        words and is the top bit of each of their little-endian bytes
+        (Lemire's method never rejects at range 2).  tests/test_rng.py
+        checks these rules against the installed numpy.
+        """
+        self.at(index)
+        return self._bitgen.random_raw(n)
 
 
 def stream(seed: int, role: int, index: int = 0) -> np.random.Generator:

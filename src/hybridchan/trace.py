@@ -46,6 +46,14 @@ class TraceFormatError(TraceError):
         super().__init__(prefix + message)
 
 
+class UsageError(ValueError):
+    """An argument outside what a command or constructor accepts.
+
+    The CLI exits 1 on it; any other ValueError is a fault of the program
+    and exits 3.
+    """
+
+
 class ReceiveStatus(Enum):
     """How a frame arrived: demodulation failure, failed CRC, or clean."""
 
@@ -87,13 +95,13 @@ class ChannelParams:
         for name in ("r", "s", "p"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
+                raise UsageError(f"{name}={v} outside [0, 1]")
         if not 0 < self.rate_bps < math.inf:
-            raise ValueError(f"rate_bps={self.rate_bps} must be positive and finite")
+            raise UsageError(f"rate_bps={self.rate_bps} must be positive and finite")
         if self.frame_len <= 0:
-            raise ValueError(f"frame_len={self.frame_len} must be positive")
+            raise UsageError(f"frame_len={self.frame_len} must be positive")
         if self.interval_us <= 0:
-            raise ValueError(f"interval_us={self.interval_us} must be positive")
+            raise UsageError(f"interval_us={self.interval_us} must be positive")
 
 
 @dataclass(frozen=True, eq=False, init=False, slots=True)

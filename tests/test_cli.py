@@ -111,6 +111,51 @@ class TestSimulate:
         assert tree_bytes(tmp_path / "default") == tree_bytes(tmp_path / "zero")
 
 
+class TestExitCodes:
+    """A bad argument exits 1; a ValueError from inside the program exits 3."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--frames", 10, "--r", 1.5], "r=1.5 outside [0, 1]"),
+        (["simulate", "--frames", 10, "--frame-len", 0], "frame_len=0 must be positive"),
+        (["simulate", "--frames", 0], "n_frames must be positive"),
+        (["simulate", "--frames", 10, "--jitter-us", -1],
+         "timestamp_jitter_us must be non-negative"),
+        (["simulate", "--frames", 10, "--periodic", "--p", 0.1],
+         "--periodic noise does not use --p"),
+        (["simulate", "--frames", 10, "--frame-len", 600, "--periodic",
+          "--burst", 300], "need 0 < burst_len <= period <= frame_len"),
+        (["capacity", "{run}/tx.trace", "{run}/rx.trace", "--rssi-bin", 0],
+         "rssi_bin_width=0 must be positive"),
+    ])
+    def test_argument_error_exits_1(self, tmp_path, capsys, args, message):
+        run = simulate(tmp_path, "run")
+        code = run_cli([str(a).format(run=run) for a in args]
+                       + ["--out", tmp_path / "out"])
+        assert code == 1
+        assert f"hybridchan: error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, target", [
+        ("simulate", "hybridchan.sim.apply_channel"),
+        ("analyze", "hybridchan.stats.error_table"),
+        ("capacity", "hybridchan.cli.capacity_report"),
+        ("recover", "hybridchan.recovery.recover_trace"),
+    ])
+    def test_value_error_inside_a_library_call_exits_3(
+            self, tmp_path, capsys, monkeypatch, command, target):
+        run = simulate(tmp_path, "run")
+
+        def broken(*args, **kwargs):
+            raise ValueError("a numpy call refused its input")
+
+        monkeypatch.setattr(target, broken)
+        args = (["--frames", 10] if command == "simulate"
+                else [run / "tx.trace", run / "rx.trace"])
+        assert run_cli([command, *args, "--out", tmp_path / "out"]) == 3
+        assert ("hybridchan: internal error: a numpy call refused its input"
+                in capsys.readouterr().err)
+
+
 class TestAnalyze:
     def test_reports_on_simulated_trace(self, tmp_path):
         run = simulate(tmp_path, "run")

@@ -14,8 +14,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from hybridchan import ChannelParams, SimConfig, apply_channel, generate_tx, write_trace
+from hybridchan import (
+    ChannelParams,
+    SimConfig,
+    apply_channel,
+    apply_periodic_noise,
+    generate_tx,
+    write_trace,
+)
 from hybridchan.cli import main
+from hybridchan.sim import _BLOCK_WORDS
+from hybridchan.trace import CRC
 from hybridchan.interleaver import interleave, whiten_error_vector
 
 
@@ -141,6 +150,61 @@ def test_drift_schedule_config_digests(tmp_path):
         "38371e11bb1e65ab9bf6f384de58b92cd8d10cdc306484183cc75827b5560062")
     assert sha256(tmp_path / "rx.trace") == (
         "74010ea48b0ed0f9b5a30e13bfca473c7ebdce5ab58d064eb50a6294f2a8a921")
+
+
+def block_rows(row_words):
+    """Frames per block of the simulator's raw words."""
+    return max(1, _BLOCK_WORDS // row_words)
+
+
+def test_block_crossing_hybrid_digests(tmp_path):
+    # 125-bit frames take 16 payload words, 3 head words (jitter, erase,
+    # clean) and 128 words per corrupted frame.  The change-point at 4096
+    # starts a payload block and the one at 10922 a head block.
+    def params(r, s, p):
+        return ChannelParams(r=r, s=s, p=p, rate_bps=11e6, frame_len=125,
+                             interval_us=1000)
+
+    config = SimConfig(
+        params=params(0.1, 0.5, 0.02),
+        seed=2024,
+        n_frames=22000,
+        clock_skew_ppm=25.0,
+        clock_offset_us=-1234,
+        drift_schedule=((4096, params(0.3, 0.2, 0.05)),
+                        (10922, params(0.05, 0.7, 0.005))),
+        timestamp_jitter_us=40,
+    )
+    tx = generate_tx(config)
+    rx = apply_channel(tx, config)
+    n_crc = int((rx.rx.status == CRC).sum())
+    assert config.n_frames > 2 * block_rows(16) and 4096 % block_rows(16) == 0
+    assert config.n_frames > 2 * block_rows(3) and 10922 % block_rows(3) == 0
+    assert n_crc > 2 * block_rows(128)
+    write_trace(tx, tmp_path / "tx.trace")
+    write_trace(rx, tmp_path / "rx.trace")
+    assert sha256(tmp_path / "tx.trace") == (
+        "ef46b223546e09141e13741ed2e10246dd70792ae101aeb6d6fc4c62fbff9efb")
+    assert sha256(tmp_path / "rx.trace") == (
+        "006df828d0a44c60af4d5e3db3665329958f65812740dd792c6a80da98d874a8")
+
+
+def test_block_crossing_periodic_digests(tmp_path):
+    # 1000-bit frames take 125 payload words and 160 window words (ten
+    # 16-bit bursts); about half the frames draw no flip.
+    params = ChannelParams(r=0.0, s=1.0, p=0.0, rate_bps=11e6, frame_len=1000,
+                           interval_us=1000)
+    config = SimConfig(params=params, seed=99, n_frames=1000)
+    assert config.n_frames > 2 * max(block_rows(125), block_rows(160))
+    tx = generate_tx(config)
+    rx = apply_periodic_noise(tx, 100, 16, 0.005, seed=99, clock_skew_ppm=-30.0,
+                              clock_offset_us=777)
+    write_trace(tx, tmp_path / "tx.trace")
+    write_trace(rx, tmp_path / "rx.trace")
+    assert sha256(tmp_path / "tx.trace") == (
+        "3e297adfef6f72891fee11aa2ca4c162bd0a045cd53db1bb0292b1b50a2c0924")
+    assert sha256(tmp_path / "rx.trace") == (
+        "ceb7cac4693b84fde6275b3f3b31a92f33e6523082262d1540ba6bb707a57ffd")
 
 
 def test_interleaver_digest():

@@ -1,6 +1,15 @@
-"""A re-keyed stream family draws exactly what freshly built generators draw."""
+"""A re-keyed stream family draws exactly what freshly built generators draw.
+
+The simulator decides every frame from raw Philox words, by the rules that
+StreamFamily.words documents.  The words tests check those rules against
+the installed numpy, so a numpy release that changes how Generator turns
+words into integers, doubles or uniforms fails here.
+"""
+
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,3 +83,51 @@ def test_alternating_families_do_not_interfere(seed_a, seed_b, role_a, role_b, k
         for _ in range(2):
             assert draws(gen_a) == draws(ref_a)
             assert draws(gen_b) == draws(ref_b)
+
+
+# A few (seed, role, index) keys, with the sign and top bits of each set.
+KEYS = [(0, rng.ROLE_TX_PAYLOAD, 0), (7, rng.ROLE_CHANNEL, 12345),
+        (-3, rng.ROLE_PERIODIC, MASK64), (1 << 63, rng.ROLE_PERMUTATION, 1 << 40)]
+
+
+@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("n", [1, 7, 37, 125, 257, 4093])
+def test_words_give_integer_bits_as_top_bits(key, n):
+    # integers(0, 2, n, uint8) is the top bit of each little-endian byte:
+    # Lemire's method never rejects at range 2
+    words = rng.StreamFamily(*key[:2]).words(key[2], -(-n // 8))
+    bits = words.astype("<u8").view(np.uint8)[:n] >> 7
+    assert np.array_equal(bits, fresh(*key).integers(0, 2, n, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_words_give_random_doubles(key):
+    words = rng.StreamFamily(*key[:2]).words(key[2], 101)
+    gen = fresh(*key)
+    assert gen.random() == (words[0] >> 11) * 2.0**-53
+    assert np.array_equal(gen.random(100), (words[1:] >> 11) * 2.0**-53)
+
+
+@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("p", [0.0, 0.005, 0.5, 1.0])
+def test_words_give_integer_flip_thresholds(key, p):
+    # random() < p exactly when (word >> 11) < ceil(p * 2**53)
+    words = rng.StreamFamily(*key[:2]).words(key[2], 4000)
+    below = (words >> 11) < np.uint64(math.ceil(p * 2.0**53))
+    assert np.array_equal(below, fresh(*key).random(4000) < p)
+
+
+@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("j", [1, 50, 10**6])
+def test_words_give_uniform_jitter(key, j):
+    words = rng.StreamFamily(*key[:2]).words(key[2], 1)
+    assert fresh(*key).uniform(-j, j) == -j + 2 * j * ((words[0] >> 11) * 2.0**-53)
+
+
+def test_words_rekey_like_at():
+    streams = rng.StreamFamily(5, rng.ROLE_CHANNEL)
+    leave_stale_state(streams.at(3))
+    first = streams.words(9, 6)
+    assert first.dtype == np.uint64
+    assert np.array_equal(first, fresh(5, rng.ROLE_CHANNEL, 9).bit_generator.random_raw(6))
+    assert np.array_equal(streams.words(9, 6), first)

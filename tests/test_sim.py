@@ -133,6 +133,43 @@ class TestApplyChannel:
         assert len(set(deltas)) > 1
 
 
+class TestRxTimestamps:
+    """rx timestamps are computed as floats and cast to the int64 column."""
+
+    # a float cast to int64 out of range wraps with a RuntimeWarning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("offset_us", [10**18 - 1, -10**18, 2**63, 10**19])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_past_18_digits_refused_not_wrapped(self, offset_us, periodic):
+        cfg = SimConfig(params=make_params(frame_len=16, interval_us=1000),
+                        seed=0, n_frames=3, clock_offset_us=offset_us)
+        tx = generate_tx(cfg)
+        with pytest.raises(TraceError, match="timestamp_us values must have at most 18"):
+            if periodic:
+                apply_periodic_noise(tx, 8, 2, 0.1, seed=0, clock_offset_us=offset_us)
+            else:
+                apply_channel(tx, cfg)
+
+    def test_largest_offset_in_range_kept(self):
+        offset_us = 10**18 - 2**10
+        cfg = SimConfig(params=make_params(frame_len=16, interval_us=1),
+                        seed=0, n_frames=3, clock_offset_us=offset_us)
+        rx = apply_channel(generate_tx(cfg), cfg)
+        assert rx.rx.timestamp_us.tolist() == [
+            int(round(k + float(offset_us))) for k in range(3)]
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_halves_round_to_even_as_round_does(self, periodic):
+        cfg = SimConfig(params=make_params(frame_len=16, interval_us=1),
+                        seed=0, n_frames=12, clock_skew_ppm=500000)
+        tx = generate_tx(cfg)
+        rx = (apply_periodic_noise(tx, 8, 2, 0.1, seed=0, clock_skew_ppm=500000)
+              if periodic else apply_channel(tx, cfg))
+        want = [round(k * 1.5) for k in range(12)]
+        assert want[:6] == [0, 2, 3, 4, 6, 8]
+        assert rx.rx.timestamp_us.tolist() == want
+
+
 class TestDriftSchedule:
     def test_params_switch_at_change_point(self):
         base = make_params(p=0.0, s=1.0, frame_len=64)
