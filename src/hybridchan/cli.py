@@ -53,20 +53,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _add_common_sim_flags(p: argparse.ArgumentParser) -> None:
@@ -328,9 +319,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     trace = load_pair(args.tx_trace, args.rx_trace)
     recovered, summary = recovery.recover_trace(trace, scrub=args.scrub)
     n_ok = np.count_nonzero((trace.rx.status == OK) & (trace.rx.seq != UNKNOWN_SEQ))
-    if n_ok == 0 and summary.n_attempted:
-        print("warning: no error-free frames available; "
-              "all corrupted frames unresolved", file=sys.stderr)
+    if n_ok < 2 and summary.n_attempted:
+        print("warning: fewer than two error-free frames with a known seq "
+              "to fit the clock; all corrupted frames unresolved", file=sys.stderr)
     args.out.mkdir(parents=True, exist_ok=True)
     write_trace(recovered, args.out / "recovered.trace")
     print(f"corrupted frames: {summary.n_corrupted}, attempted: "

@@ -14,7 +14,10 @@ candidate closest to the predicted time, then to the lower seq.
 
 The timestamps are indexed once per trace, from its columns: the anchors
 (error-free receptions with a known seq) sorted by receive time and the
-transmit records sorted by transmit time.  Each corrupted frame then costs a few
+transmit records sorted by transmit time.  The attempted frames then go
+through as arrays, a block at a time, one row per frame: its window of
+anchors, its clock fit, its candidates and their distances.  A block's
+largest temporaries stay within _BLOCK_BYTES.  Each frame costs a few
 bisections and work proportional to the window and candidate counts,
 O(log N) in the trace length.  "Nearest" always means smallest absolute
 time difference, with ties going to the earlier time (for equal times,
@@ -33,41 +36,50 @@ WINDOW_SIZE = 50
 MAX_CANDIDATES = 5
 MATCH_THRESHOLD = 0.4
 
+# Bytes of a block's largest temporaries, as stats._BLOCK_BITS.
+_BLOCK_BYTES = 1 << 18
 
-def _nearest(sorted_times: np.ndarray, centre: float, k: int) -> np.ndarray:
-    """Indices of the k entries of sorted_times nearest centre, ascending.
 
-    Selects exactly what a stable argsort of |sorted_times - centre| over
-    the whole array would keep in its first k (k >= 1), ties going to the
-    lower index, but only sorts the at most 2k entries around centre's
-    insertion point.
+def _nearest(sorted_times: np.ndarray, centres: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k entries of sorted_times nearest each centre: one
+    ascending row of min(k, n) indices per centre, exactly the first k of a
+    stable argsort of |sorted_times - centre|.
+
+    The k nearest distances are those of a contiguous run [lo, lo + k): lo
+    is the first start, from k before the centre's insertion point, whose
+    left end is no farther from the centre than the entry past its right
+    end.  The sort breaks ties by index, so where lo falls inside a run of
+    equal times, the row's part in that run moves to the run's start.
+    (Equal distances on one side of a centre come from equal times while
+    the times are integers less than 2**52 from it.)
     """
     n = sorted_times.size
-    if k >= n:
-        return np.arange(n)
-    pos = int(np.searchsorted(sorted_times, centre))
-    lo, hi = max(pos - k, 0), min(pos + k, n)
-    # entries equal to the slice's first one tie with it and win on index
-    lo = int(np.searchsorted(sorted_times, sorted_times[lo]))
-    part = sorted_times[lo:hi]
-    picked = np.argsort(np.abs(part - centre), kind="stable")[:k]
-    return np.sort(picked) + lo
+    k = min(k, n)
+    pos = np.searchsorted(sorted_times, centres)
+    padded = np.append(sorted_times, np.inf)
+    starts = np.clip(pos[:, None] + np.arange(-k, 1), 0, n - k)
+    keep = (np.abs(padded[starts] - centres[:, None])
+            <= np.abs(padded[starts + k] - centres[:, None]))
+    lo = starts[np.arange(starts.shape[0]), keep.argmax(axis=1)]
+    first = np.searchsorted(sorted_times, padded[lo])
+    past = np.searchsorted(sorted_times, padded[lo], "right")
+    cols = lo[:, None] + np.arange(k)
+    return np.where(cols < past[:, None], cols - (lo - first)[:, None], cols)
 
 
-def _ols(tx_t: np.ndarray, rx_t: np.ndarray) -> tuple[float, float] | None:
-    """(rate, offset) of the least-squares line rx_t = rate * tx_t + offset.
+def _ols(tx_t: np.ndarray, rx_t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rate, offset, ok) of the least-squares line rx_t = rate * tx_t + offset
+    through each row.
 
-    None when the fit is degenerate: every tx time equal, or a rate that is
-    not positive.
+    ok is False where the fit is degenerate: every tx time of the row equal
+    (rate then reads 0), or a rate that is not positive.
     """
-    dx = tx_t - tx_t.mean()
-    sxx = float(np.dot(dx, dx))
-    if sxx == 0.0:
-        return None
-    rate = float(np.dot(dx, rx_t - rx_t.mean())) / sxx
-    if rate <= 0.0:
-        return None
-    return rate, float(rx_t.mean() - rate * tx_t.mean())
+    tx_mean, rx_mean = tx_t.mean(axis=1), rx_t.mean(axis=1)
+    dx = tx_t - tx_mean[:, None]
+    sxx = np.vecdot(dx, dx)
+    rate = np.divide(np.vecdot(dx, rx_t - rx_mean[:, None]), sxx,
+                     out=np.zeros_like(sxx), where=sxx != 0)
+    return rate, rx_mean - rate * tx_mean, rate > 0
 
 
 @dataclass
@@ -105,45 +117,38 @@ def recover_trace(trace: Trace, scrub: bool = False) -> tuple[Trace, RecoverySum
     tx_order = np.argsort(tx.timestamp_us, kind="stable")
     tx_times = tx.timestamp_us[tx_order].astype(np.float64)
 
-    def identify(rx_time: int, payload: np.ndarray) -> int | None:
-        """Best tx seq for a corrupted frame's receive time and packed payload."""
-        if anchor_rx.size < 2:
-            return None
-        window = _nearest(anchor_rx, float(rx_time), WINDOW_SIZE)
-        fit = _ols(anchor_tx[window], anchor_rx[window])
-        if fit is None:
-            return None
-        rate, offset = fit
-        predicted_tx_us = (rx_time - offset) / rate
-        near = _nearest(tx_times, predicted_tx_us, MAX_CANDIDATES)
-        candidates = tx_order[near]
-        dists = np.bitwise_count(tx.payloads(candidates) ^ payload).sum(axis=1)
-        best_dist, _, best_seq = min(zip(
-            dists.tolist(),
-            np.abs(tx_times[near] - predicted_tx_us).tolist(),
-            tx.seq[candidates].tolist(),
-        ))
-        if best_dist / trace.meta.frame_len < MATCH_THRESHOLD:
-            return best_seq
-        return None
-
     corrupted = rx.status == CRC
     attempted = np.flatnonzero(corrupted if scrub else
                                corrupted & (rx.seq == UNKNOWN_SEQ))
-    summary = RecoverySummary(int(corrupted.sum()), attempted.size, 0, 0,
-                              n_correct=0 if scrub else None)
+    # the header seq is unknown, or ignored when scrubbing
     seq = rx.seq.copy()
-    for i, rx_time, truth in zip(attempted.tolist(),
-                                 rx.timestamp_us[attempted].tolist(),
-                                 rx.seq[attempted].tolist()):
-        # the header seq is unknown, or ignored when scrubbing
-        recovered = identify(rx_time, rx.payloads(i))
-        if recovered is None:
-            summary.n_unresolved += 1
-            seq[i] = UNKNOWN_SEQ
-        else:
-            summary.n_recovered += 1
-            if scrub and recovered == truth:
-                summary.n_correct += 1
-            seq[i] = recovered
+    seq[attempted] = UNKNOWN_SEQ
+    # a frame's largest temporaries: a row of the window matrix, or the
+    # payload rows of its candidates
+    step = max(1, _BLOCK_BYTES // max(8 * (WINDOW_SIZE + 1),
+                                      MAX_CANDIDATES * tx.packed.shape[1]))
+    # fewer than two anchors fit no clock, so nothing is resolved
+    fitted = attempted if anchor_rx.size > 1 else attempted[:0]
+    for lo in range(0, fitted.size, step):
+        frames = fitted[lo:lo + step]
+        rx_time = rx.timestamp_us[frames]
+        window = _nearest(anchor_rx, rx_time.astype(np.float64), WINDOW_SIZE)
+        rate, offset, ok = _ols(anchor_tx[window], anchor_rx[window])
+        frames, predicted = frames[ok], (rx_time[ok] - offset[ok]) / rate[ok]
+        near = _nearest(tx_times, predicted, MAX_CANDIDATES)
+        cand = tx_order[near]
+        dist = np.bitwise_count(tx.payloads(cand)
+                                ^ rx.payloads(frames)[:, None]).sum(axis=2)
+        dt = np.abs(tx_times[near] - predicted[:, None])
+        best = np.lexsort((tx.seq[cand], dt, dist))[:, :1]
+        hit = (np.take_along_axis(dist, best, 1)[:, 0] / trace.meta.frame_len
+               < MATCH_THRESHOLD)
+        seq[frames[hit]] = tx.seq[np.take_along_axis(cand, best, 1)[hit, 0]]
+    found = seq[attempted]
+    resolved = found != UNKNOWN_SEQ
+    n_recovered = int(resolved.sum())
+    # an unresolved frame whose stored seq is unknown too is not correct
+    n_correct = int((found == rx.seq[attempted])[resolved].sum()) if scrub else None
+    summary = RecoverySummary(int(corrupted.sum()), attempted.size, n_recovered,
+                              attempted.size - n_recovered, n_correct)
     return Trace(meta=trace.meta, rx=replace(rx, seq=seq)), summary

@@ -156,12 +156,14 @@ def _rx_timestamps(tx_ts: np.ndarray, skew_ppm: float, offset_us: int,
     even as round() does.
 
     Refuses a timestamp past the column's digits before the cast to
-    int64, which would wrap it silently.
+    int64, which would wrap it silently, and an offset past them before it
+    meets a float, which it may overflow.
     """
-    ts = np.rint(tx_ts * (1.0 + skew_ppm * 1e-6) + offset_us + jitter)
-    if not (np.abs(ts) < 10.0**MAX_DIGITS).all():
-        raise TraceError(f"timestamp_us values must have at most {MAX_DIGITS} digits")
-    return ts.astype(np.int64)
+    if abs(offset_us) < 10**MAX_DIGITS:
+        ts = np.rint(tx_ts * (1.0 + skew_ppm * 1e-6) + offset_us + jitter)
+        if (np.abs(ts) < 10.0**MAX_DIGITS).all():
+            return ts.astype(np.int64)
+    raise TraceError(f"timestamp_us values must have at most {MAX_DIGITS} digits")
 
 
 def _rx_trace(tx: Trace, status: np.ndarray, timestamp_us: np.ndarray,

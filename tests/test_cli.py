@@ -92,6 +92,20 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", [[], ["--periodic"]])
+    @pytest.mark.parametrize("offset_us", [10**19, 10**400, -10**400])
+    def test_offset_past_18_digits_exits_3_before_any_file(
+            self, tmp_path, capsys, model, offset_us):
+        # 10**400 is past any float: refused before it meets one
+        out = tmp_path / "run"
+        code = run_cli(["simulate", "--frames", 5, "--frame-len", 600, *model,
+                        "--offset-us", offset_us, "--out", out])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "hybridchan: invariant violation: "
+            "timestamp_us values must have at most 18 digits\n")
+        assert not out.exists()
+
     def test_jitter_of_half_the_interval_writes_a_readable_pair(self, tmp_path):
         out = tmp_path / "run"
         code = run_cli(["simulate", "--frames", 500, "--frame-len", 64,
@@ -403,13 +417,24 @@ class TestRecoverCmd:
         run = tmp_path / "run"
         run_cli(["simulate", "--frames", 40, "--frame-len", 400,
                  "--r", 0, "--s", 0, "--p", 0.02, "--seed", 2, "--out", run])
-        out = tmp_path / "rec"
-        code = run_cli(["recover", run / "tx.trace", run / "rx.trace",
-                        "--scrub", "--out", out])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "warning: no error-free frames" in captured.err
-        assert "unresolved: " in captured.out
+        trace = load_pair(run / "tx.trace", run / "rx.trace")
+        # then the first frame comes through clean: one anchor fixes no clock
+        rx = list(trace.rx)
+        rx[0] = trace.tx[0]
+        one = tmp_path / "one"
+        one.mkdir()
+        write_trace(Trace.from_records(trace.meta, rx=rx), one / "rx.trace")
+        for n_anchors, rx_trace in ((0, run / "rx.trace"), (1, one / "rx.trace")):
+            out = tmp_path / f"rec{n_anchors}"
+            code = run_cli(["recover", run / "tx.trace", rx_trace,
+                            "--scrub", "--out", out])
+            assert code == 0
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "warning: fewer than two error-free frames with a known seq "
+                "to fit the clock; all corrupted frames unresolved\n")
+            assert (f"attempted: {40 - n_anchors}, recovered: 0, "
+                    f"unresolved: {40 - n_anchors}") in captured.out
 
     @pytest.mark.parametrize("tx_ts, rx_ts", [
         ([0, 0, 0, 0], [0, 10, 20, 30]),      # every anchor at one tx time

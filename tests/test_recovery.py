@@ -1,8 +1,9 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hybridchan import (
@@ -12,27 +13,31 @@ from hybridchan import (
     TraceMeta,
     recover_trace,
 )
+from hybridchan import recovery
 from hybridchan.recovery import RecoverySummary, _nearest, _ols
+from hybridchan.trace import OK
 
 from conftest import joined, sim_pair
 
 
 class TestFitClock:
-    """The clock fit: _ols over the _nearest window of anchors."""
+    """The clock fit: _ols over the _nearest window of anchors, a row each."""
 
     def test_identity_clock(self):
         t = np.arange(10) * 1000.0
-        rate, offset = _ols(t, t)
-        assert rate == pytest.approx(1.0, rel=1e-12)
-        assert offset == pytest.approx(0.0, abs=1e-9)
+        rate, offset, ok = _ols(t[None], t[None])
+        assert ok.tolist() == [True]
+        assert rate[0] == pytest.approx(1.0, rel=1e-12)
+        assert offset[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_exact_affine_data(self):
-        rate, offset = 1.00005, 337
+        rates, offsets = np.array([1.00005, 0.99995, 2.0]), np.array([337, -5000, 0])
         tx_t = np.arange(100) * 20000.0
-        rx_t = np.round(rate * tx_t + offset)
-        fit_rate, fit_offset = _ols(tx_t, rx_t)
-        assert fit_rate == pytest.approx(rate, rel=1e-9)
-        assert fit_offset == pytest.approx(offset, rel=1e-6)
+        rx_t = np.round(rates[:, None] * tx_t + offsets[:, None])
+        fit_rate, fit_offset, ok = _ols(np.tile(tx_t, (3, 1)), rx_t)
+        assert ok.all()
+        assert fit_rate == pytest.approx(rates, rel=1e-9)
+        assert fit_offset == pytest.approx(offsets, rel=1e-6, abs=1e-6)
 
     def test_needs_two_anchors(self):
         # one clean frame cannot fix a clock, so the corrupted one stays open
@@ -45,8 +50,10 @@ class TestFitClock:
         assert recovered.rx.seq.tolist() == [0, 1, 1]
 
     def test_degenerate_same_tx_time(self):
-        assert _ols(np.array([5.0, 5.0]), np.array([10.0, 20.0])) is None
-        assert _ols(np.array([0.0, 1.0]), np.array([7.0, 7.0])) is None
+        rate, _, ok = _ols(np.array([[5.0, 5.0], [0.0, 1.0], [0.0, 1.0]]),
+                           np.array([[10.0, 20.0], [7.0, 7.0], [7.0, 6.0]]))
+        assert ok.tolist() == [False, False, False]
+        assert rate.tolist() == [0.0, 0.0, -1.0]
         for tx_ts, rx_ts in (([0, 0, 0], [0, 5, 10]), ([0, 10, 20], [7, 7, 7])):
             _, summary = recover_trace(anchored_trace(tx_ts, rx_ts))
             assert summary.n_attempted == summary.n_unresolved == 1
@@ -54,30 +61,49 @@ class TestFitClock:
     def test_window_selects_anchors_near_query(self):
         tx_t = np.arange(100) * 1000.0
         rx_t = tx_t.copy()
-        # corrupt the earliest anchor; a window near the end must ignore it
+        # corrupt the earliest anchor; a window near the end must ignore it,
+        # and one near its corrupted time must take it
         rx_t[0] = 999999.0
         order = np.argsort(rx_t, kind="stable")
-        window = _nearest(rx_t[order], 95_000.0, 10)
-        assert window.size == 10
-        assert 0 not in order[window]
-        rate, _ = _ols(tx_t[order][window], rx_t[order][window])
-        assert rate == pytest.approx(1.0, rel=1e-9)
+        window = _nearest(rx_t[order], np.array([95_000.0, 999_000.0]), 10)
+        assert window.shape == (2, 10)
+        assert 0 not in order[window[0]]
+        assert 0 in order[window[1]]
+        rate, _, ok = _ols(tx_t[order][window], rx_t[order][window])
+        assert ok[0] and rate[0] == pytest.approx(1.0, rel=1e-9)
+        assert rate[1] != pytest.approx(1.0, rel=1e-3)
 
     def test_rate_recovery_under_jitter(self):
         # 50 ppm skew, +/-50 us uniform jitter, 100 anchors spaced 60 ms:
         # the OLS rate standard error is sigma/sqrt(sum dx^2) ~ 1.7 ppm, so
         # the error stays below 5 ppm in at least 95% of seeds
         true_rate = 1 + 50e-6
-        hits = 0
         n_seeds = 200
-        for seed in range(n_seeds):
-            gen = np.random.default_rng(seed)
-            tx_t = np.arange(100) * 60000
-            rx_t = np.round(true_rate * tx_t + 5000
-                            + gen.uniform(-50, 50, 100)).astype(int)
-            rate, _ = _ols(tx_t.astype(np.float64), rx_t.astype(np.float64))
-            hits += abs(rate - true_rate) < 5e-6
-        assert hits / n_seeds >= 0.95
+        tx_t = np.arange(100) * 60000
+        rx_t = np.array([
+            np.round(true_rate * tx_t + 5000
+                     + np.random.default_rng(seed).uniform(-50, 50, 100))
+            for seed in range(n_seeds)
+        ])
+        rate, _, ok = _ols(np.tile(tx_t.astype(np.float64), (n_seeds, 1)), rx_t)
+        assert ok.all()
+        assert np.mean(np.abs(rate - true_rate) < 5e-6) >= 0.95
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 9, 31, 49, 50])
+    def test_ols_matches_reference_bit_for_bit(self, width):
+        # integer times as the traces hold them, around 1e9 us, and rows
+        # with one tx time, one rx time or a falling clock among them
+        gen = np.random.default_rng(width)
+        tx_t = np.sort(gen.integers(0, 10**9, (40, width)), axis=1).astype(np.float64)
+        rx_t = np.round(tx_t * gen.uniform(0.999, 1.001, (40, 1))
+                        + gen.integers(-10**4, 10**4, (40, 1))
+                        + gen.uniform(-50, 50, (40, width)))
+        tx_t[0], rx_t[1], rx_t[2] = tx_t[0, 0], rx_t[1, 0], -rx_t[2]
+        rate, offset, ok = _ols(tx_t, rx_t)
+        for i in range(40):
+            want_rate, want_offset = reference_fit(list(zip(tx_t[i], rx_t[i])), 0)
+            assert (rate[i], offset[i], ok[i]) == (want_rate, want_offset,
+                                                   want_rate > 0)
 
 
 def anchored_trace(anchor_tx, anchor_rx):
@@ -337,13 +363,67 @@ class TestMatchesReference:
         got = assert_matches_reference(tx, shuffled, scrub=True)
         assert got.rx == shuffled.rx
 
+    def test_attempted_frames_span_several_blocks(self):
+        # 8000-bit frames: 5 candidate rows of 1000 bytes each bound a
+        # block to 52 frames
+        tx, rx = sim_pair(r=0.1, s=0.5, p=0.05, n_frames=400, frame_len=8000,
+                          seed=35, clock_skew_ppm=50.0,
+                          clock_offset_us=10_000, timestamp_jitter_us=50)
+        step = recovery._BLOCK_BYTES // (recovery.MAX_CANDIDATES * 1000)
+        _, summary = recover_trace(joined(tx, rx), scrub=True)
+        assert summary.n_attempted > 3 * step
+        assert_matches_reference(tx, rx, scrub=True)
 
+    def test_anchors_on_one_rx_time_stay_within_the_block_budget(self):
+        # the anchors' run of equal times spans all of them, so a window
+        # that held the run would grow with the anchor count
+        tx, rx = sim_pair(r=0.0, s=0.75, p=0.02, n_frames=800, frame_len=64,
+                          seed=34)
+        shared = Trace.from_records(rx.meta, rx=[
+            replace(rec, timestamp_us=8_000_000)
+            if rec.status is ReceiveStatus.OK else rec
+            for rec in rx.rx
+        ])
+        trace = joined(tx, shared)
+        tracemalloc.start()
+        try:
+            _, summary = recover_trace(trace, scrub=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's few temporaries, against one float per frame and anchor
+        n_anchors = int((trace.rx.status == OK).sum())
+        assert peak < 3 * recovery._BLOCK_BYTES < 8 * n_anchors * summary.n_attempted
+        assert_matches_reference(tx, shared, scrub=True)
+
+    def test_scrub_never_scores_an_unknown_truth_correct(self):
+        # the corrupted copy's stored seq is `?`: left unresolved with one
+        # anchor, resolved with two, and correct in neither case
+        for anchor_tx in ([0], [0, 10]):
+            trace = anchored_trace(anchor_tx, anchor_tx)
+            tx = Trace(meta=trace.meta, tx=trace.tx)
+            rx = Trace(meta=trace.meta, rx=trace.rx)
+            got = assert_matches_reference(tx, rx, scrub=True)
+            _, summary = recover_trace(trace, scrub=True)
+            assert summary.n_attempted == 1
+            assert summary.n_recovered == len(anchor_tx) - 1
+            assert summary.n_correct == 0
+            assert got.rx[-1].seq == (None if len(anchor_tx) == 1 else 1)
+
+
+# values from a short range, so that windows often cut a run of equal times
+@example(values=[0, 0, 2], centres=[1.5], k=2)  # takes entry 0, not 1
+@example(values=[], centres=[1.0, -1.0, 7.5], k=3)
+@example(values=[], centres=[], k=1)
 @given(
-    st.lists(st.integers(0, 12), max_size=40),
-    st.integers(-2, 28).map(lambda c: c / 2),
-    st.integers(1, 45),
+    st.lists(st.integers(0, 6), max_size=40),
+    st.lists(st.integers(-2, 16).map(lambda c: c / 2), max_size=12),
+    st.integers(1, 20),
 )
-def test_nearest_matches_full_stable_argsort(values, centre, k):
+def test_nearest_matches_full_stable_argsort(values, centres, k):
     t = np.sort(np.array(values, dtype=np.float64))
-    want = np.sort(np.argsort(np.abs(t - centre), kind="stable")[:k])
-    assert np.array_equal(_nearest(t, centre, k), want)
+    got = _nearest(t, np.array(centres, dtype=np.float64), k)
+    assert got.shape == (len(centres), min(k, t.size))
+    for row, centre in zip(got, centres):
+        want = np.sort(np.argsort(np.abs(t - centre), kind="stable")[:k])
+        assert np.array_equal(row, want)

@@ -138,7 +138,9 @@ class TestRxTimestamps:
 
     # a float cast to int64 out of range wraps with a RuntimeWarning
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("offset_us", [10**18 - 1, -10**18, 2**63, 10**19])
+    # 10**400 is past any float too: refused before it meets one
+    @pytest.mark.parametrize("offset_us", [10**18 - 1, -10**18, 2**63, 10**19,
+                                           10**400, -10**400])
     @pytest.mark.parametrize("periodic", [False, True])
     def test_past_18_digits_refused_not_wrapped(self, offset_us, periodic):
         cfg = SimConfig(params=make_params(frame_len=16, interval_us=1000),
