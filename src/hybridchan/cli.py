@@ -28,7 +28,6 @@ from .capacity import capacity_report
 from .runstest import ALPHA, RunsFlag
 from .segments import mean_segment_duration, segment_corrupted_frames
 from .trace import (
-    OK,
     STATUSES,
     UNKNOWN_SEQ,
     ChannelParams,
@@ -318,8 +317,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     trace = load_pair(args.tx_trace, args.rx_trace)
     recovered, summary = recovery.recover_trace(trace, scrub=args.scrub)
-    n_ok = np.count_nonzero((trace.rx.status == OK) & (trace.rx.seq != UNKNOWN_SEQ))
-    if n_ok < 2 and summary.n_attempted:
+    if summary.n_anchors < 2 and summary.n_attempted:
         print("warning: fewer than two error-free frames with a known seq "
               "to fit the clock; all corrupted frames unresolved", file=sys.stderr)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -84,10 +84,14 @@ def _ols(tx_t: np.ndarray, rx_t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 @dataclass
 class RecoverySummary:
+    """Frame counts of one recovery; n_anchors counts the error-free frames
+    with a known seq that the clock is fitted to."""
+
     n_corrupted: int
     n_attempted: int
     n_recovered: int
     n_unresolved: int
+    n_anchors: int
     n_correct: int | None = None
 
     @property
@@ -150,5 +154,5 @@ def recover_trace(trace: Trace, scrub: bool = False) -> tuple[Trace, RecoverySum
     # an unresolved frame whose stored seq is unknown too is not correct
     n_correct = int((found == rx.seq[attempted])[resolved].sum()) if scrub else None
     summary = RecoverySummary(int(corrupted.sum()), attempted.size, n_recovered,
-                              attempted.size - n_recovered, n_correct)
+                              attempted.size - n_recovered, anchors.size, n_correct)
     return Trace(meta=trace.meta, rx=replace(rx, seq=seq)), summary

@@ -1,6 +1,6 @@
-"""Deterministic random streams for simulation and interleaving.
+"""Deterministic random streams and mixing for simulation and interleaving.
 
-All randomness in the package flows through Philox4x64 (a counter-based
+All of the simulator's randomness flows through Philox4x64 (a counter-based
 generator with a published algorithm, exposed through numpy).  Streams are
 keyed by a 128-bit value: the high 64 bits hold the user seed XORed with a
 role constant, the low 64 bits hold the frame index.  Two consumers of
@@ -16,6 +16,9 @@ constructor gathers before the key overrides it).  ``words(index, n)``
 re-keys the same way and returns the stream's first n raw 64-bit words,
 the words every Generator draw on the stream is computed from, so a
 caller can make many frames' draws in numpy at once.
+
+splitmix64 (scalar) and splitmix64_array (elementwise on uint64 arrays)
+are the same mix function; the interleaver keys its permutations with it.
 """
 
 from __future__ import annotations
@@ -97,9 +100,20 @@ def stream(seed: int, role: int, index: int = 0) -> np.random.Generator:
     return StreamFamily(seed, role).at(index)
 
 
+GAMMA = 0x9E3779B97F4A7C15
+
+
 def splitmix64(x: int) -> int:
     """One step of the splitmix64 mix function (public-domain constant set)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = (x + GAMMA) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of each element of a uint64 array (arithmetic wraps mod 2**64)."""
+    x = x + GAMMA
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
     return x ^ (x >> 31)

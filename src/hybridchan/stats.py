@@ -1,12 +1,15 @@
 """Per-frame and cross-frame error statistics.
 
 error_table makes one pass over a trace's columns, a block of corrupted
-frames at a time: it XORs their packed payloads and popcounts
-the bytes, then unpacks the block to whiten each error vector once when
-given a key (interleaver.whiten_error_vector) and to count its runs, and
-keeps only counts.  There is no per-vector hook: the per-frame runs
-tests, the bit profile, symmetry and segments.py are reductions over the
-table.
+frames at a time: it XORs their packed payloads, popcounts the bytes,
+and lists the block's error positions.  Given a key, one call to
+interleaver.whiten_positions maps every position of the block to where
+whitening moves it, without building any frame's full permutation, and
+one sort puts the images back in frame order.  Each frame's runs, first
+and last bit follow from its sorted positions, and the bit profile is one
+bincount of them; only counts are kept.  There is no per-vector hook: the
+per-frame runs tests, the bit profile, symmetry and segments.py are
+reductions over the table.
 """
 
 from __future__ import annotations
@@ -57,6 +60,14 @@ class ErrorTable:
         return self.seqs.size
 
 
+def _error_positions(ev_bytes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, bit position) of every set bit of packed rows, in row-major order."""
+    at = np.flatnonzero(ev_bytes)
+    bit = np.flatnonzero(np.unpackbits(ev_bytes.ravel()[at]))
+    row, byte = np.divmod(at[bit >> 3], ev_bytes.shape[1])
+    return row, 8 * byte + (bit & 7)
+
+
 def error_table(trace: Trace, key: int | None = None) -> ErrorTable:
     """Build the ErrorTable of a trace; key whitens, None keeps wire order."""
     tx, rx = trace.tx, trace.rx
@@ -70,19 +81,27 @@ def error_table(trace: Trace, key: int | None = None) -> ErrorTable:
     step = max(1, _BLOCK_BITS // frame_len)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        tx_bytes = tx.payloads(seqs[rows])
+        block = seqs[rows]
+        tx_bytes = tx.payloads(block)
         ev_bytes = tx_bytes ^ rx.payloads(picked[rows])
         tx_ones += int(np.bitwise_count(tx_bytes).sum())
         flips_on_ones += int(np.bitwise_count(ev_bytes & tx_bytes).sum())
-        n1[rows] = np.bitwise_count(ev_bytes).sum(axis=1)
-        ev = np.unpackbits(ev_bytes, axis=1, count=frame_len)
+        row, pos = _error_positions(ev_bytes)
         if key is not None:
-            for row, seq in zip(ev, seqs[rows].tolist()):
-                row[:] = interleaver.whiten_error_vector(row, key, seq)
-        runs[rows] = 1 + np.count_nonzero(ev[:, 1:] != ev[:, :-1], axis=1)
-        first[rows] = ev[:, 0]
-        last[rows] = ev[:, -1]
-        column_sums += ev.sum(axis=0, dtype=np.int64)
+            pos = interleaver.whiten_positions(pos, row, block, key, frame_len)
+            row, pos = np.divmod(np.sort(row * frame_len + pos), frame_len)
+        # An error starts a block of adjacent ones unless the one before it
+        # in its frame sits just before it.  With B blocks, a vector has
+        # 2B + 1 runs, less one if it starts with a one and one if it ends
+        # with one.
+        starts = np.ones(pos.size, dtype=bool)
+        starts[1:] = (pos[1:] != pos[:-1] + 1) | (row[1:] != row[:-1])
+        n1[rows] = np.bincount(row, minlength=block.size)
+        first[rows] = np.bincount(row[pos == 0], minlength=block.size)
+        last[rows] = np.bincount(row[pos == frame_len - 1], minlength=block.size)
+        runs[rows] = (2 * np.bincount(row[starts], minlength=block.size) + 1
+                      - first[rows] - last[rows])
+        column_sums += np.bincount(pos, minlength=frame_len)
     return ErrorTable(frame_len, trace.meta.interval_us, seqs, n1, runs, first,
                       last, column_sums, tx_ones, flips_on_ones)
 

@@ -11,6 +11,7 @@ from hybridchan import (
     load_pair,
     write_trace,
 )
+from hybridchan import recovery
 from hybridchan.cli import main
 
 
@@ -435,6 +436,28 @@ class TestRecoverCmd:
                 "to fit the clock; all corrupted frames unresolved\n")
             assert (f"attempted: {40 - n_anchors}, recovered: 0, "
                     f"unresolved: {40 - n_anchors}") in captured.out
+
+    @pytest.mark.parametrize("scrub", [True, False])
+    @pytest.mark.parametrize("n_clean", [0, 1, 2])
+    def test_warns_exactly_below_two_anchors(self, tmp_path, capsys, n_clean, scrub):
+        run = tmp_path / "run"
+        run_cli(["simulate", "--frames", 40, "--frame-len", 400,
+                 "--r", 0, "--s", 0, "--p", 0.02, "--seed", 2, "--out", run])
+        trace = load_pair(run / "tx.trace", run / "rx.trace")
+        # the first n_clean frames come through clean; without --scrub no
+        # frame is attempted, since every corrupted frame keeps its seq
+        rx = list(trace.rx)
+        rx[:n_clean] = list(trace.tx)[:n_clean]
+        write_trace(Trace.from_records(trace.meta, rx=rx), tmp_path / "rx.trace")
+        _, summary = recovery.recover_trace(
+            load_pair(run / "tx.trace", tmp_path / "rx.trace"), scrub=scrub)
+        assert summary.n_anchors == n_clean
+        capsys.readouterr()
+        assert run_cli(["recover", run / "tx.trace", tmp_path / "rx.trace",
+                        *(["--scrub"] if scrub else []), "--out", tmp_path / "rec"]) == 0
+        warned = "warning:" in capsys.readouterr().err
+        assert warned == (summary.n_anchors < 2 and summary.n_attempted > 0)
+        assert summary.n_attempted == (40 - n_clean if scrub else 0)
 
     @pytest.mark.parametrize("tx_ts, rx_ts", [
         ([0, 0, 0, 0], [0, 10, 20, 30]),      # every anchor at one tx time

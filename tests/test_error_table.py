@@ -66,19 +66,28 @@ def test_periodic_trace_matches_reference(periodic_pair, key):
     assert_matches_reference(*periodic_pair, key)
 
 
-def test_whitens_each_frame_once(hybrid_pair, monkeypatch):
-    calls = []
-    whiten = interleaver.whiten_error_vector
+def test_table_builds_no_full_permutation(hybrid_pair, monkeypatch):
+    # the table maps only error positions; the reference, built first,
+    # whitens whole vectors
+    tx, rx = hybrid_pair
+    want = {key: (ref.per_frame_results(tx, rx, key), ref.segments(tx, rx, key),
+                  ref.bit_profile(tx, rx, key)) for key in (5, 17)}
 
-    def counting(ev, base_key, seq):
-        calls.append(seq)
-        return whiten(ev, base_key, seq)
+    def refuse(n, key):
+        raise AssertionError("error_table built a full permutation")
 
-    monkeypatch.setattr(interleaver, "whiten_error_vector", counting)
-    table = error_table(joined(*hybrid_pair), key=5)
-    assert calls == table.seqs.tolist()
-    error_table(joined(*hybrid_pair), key=None)
-    assert len(calls) == len(table)
+    monkeypatch.setattr(interleaver, "_permutation", refuse)
+    for key, (results, segs, profile) in want.items():
+        for block_bits in (stats._BLOCK_BITS, 7 * 300):
+            monkeypatch.setattr(stats, "_BLOCK_BITS", block_bits)
+            table = error_table(joined(tx, rx), key)
+            rows = per_frame_runs_tests(table)
+            assert [(r.seq, r.n_bit_errors, r.crossover, r.result)
+                    for r in rows] == results
+            assert segment_corrupted_frames(table) == segs
+            assert np.array_equal(bit_position_profile(table), profile)
+    with pytest.raises(AssertionError, match="full permutation"):
+        interleaver.whiten_error_vector(np.ones(300, dtype=np.uint8), 5, 0)
 
 
 def test_all_zero_error_vectors_are_degenerate():
@@ -98,6 +107,22 @@ def test_all_zero_error_vectors_are_degenerate():
         assert not bit_position_profile(table).any()
         rep = symmetry_report(table)
         assert rep.z is None and rep.symmetric is True
+
+
+def test_runs_do_not_join_across_frames():
+    # the last error of one frame and the first of the next sit at adjacent
+    # positions of the block's flattened error list
+    tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=4, frame_len=64, seed=46)
+    flips = [[63], [0, 1, 62], [63], [0]]
+    rx = Trace.from_records(tx.meta, rx=[
+        FrameRecord(seq=rec.seq, timestamp_us=rec.timestamp_us,
+                    status=ReceiveStatus.CRC_ERROR,
+                    payload=rec.payload ^ np.isin(np.arange(64), bits))
+        for rec, bits in zip(tx.tx, flips)
+    ])
+    for key in (None, 3):
+        assert_matches_reference(tx, rx, key)
+    assert error_table(joined(tx, rx)).runs.tolist() == [2, 4, 2, 2]
 
 
 def test_no_corrupted_frames():

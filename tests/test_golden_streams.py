@@ -78,7 +78,7 @@ def with_rssi(rx_path, out_path):
 OUTPUT_DIGESTS = {
     "hybrid": {
         "analyze":
-            "670570c896205eb6bf4caeb7e0647a32d59da9a9ae3d9b78cb64d77cb0b1c5a9",
+            "f13b16e85fe465cc5a130f71c60df5517cff16086ea203533982c7777796b149",
         "analyze-raw":
             "d084bb62c03356e59941ddc25e0a5cb731f3e455c64c1fbfe433ede93cd74889",
         "capacity":
@@ -88,7 +88,7 @@ OUTPUT_DIGESTS = {
     },
     "periodic": {
         "analyze":
-            "bf9064ac0546f3fe74f2d14ca389c8a58d6587c7f390adb7427afbc812a99d14",
+            "403d1f472de1a739d1af87f51bad43d46c4ee72f046e32b63120cd4e625714af",
         "analyze-raw":
             "becb9cdeb300ce99bbdc0c425b7aec4a96fd200c14df3cb0d172fbb6956f9ccd",
         "capacity":
@@ -215,4 +215,4 @@ def test_interleaver_digest():
     for seq in range(5):
         h.update(whiten_error_vector(bits, 33, seq).tobytes())
     assert h.hexdigest() == (
-        "3484a4d4f867e6876215b2370a9f0d6a216a3ec75bc283ef3c9f1bd547c2393e")
+        "b6152d6d1f04dfb79bb834535e5edb409296bcf347c02e02f42eba85242de9a9")

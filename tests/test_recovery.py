@@ -264,7 +264,7 @@ def reference_recover_sequence(corrupted, rx_ok, tx):
 def reference_recover_trace(tx, rx, scrub):
     rx_ok = [rec for rec in rx.rx
              if rec.status is ReceiveStatus.OK and rec.seq is not None]
-    summary = RecoverySummary(0, 0, 0, 0, n_correct=0 if scrub else None)
+    summary = RecoverySummary(0, 0, 0, 0, len(rx_ok), n_correct=0 if scrub else None)
     new_rx = []
     for rec in rx.rx:
         if rec.status is not ReceiveStatus.CRC_ERROR:

@@ -131,3 +131,11 @@ def test_words_rekey_like_at():
     assert first.dtype == np.uint64
     assert np.array_equal(first, fresh(5, rng.ROLE_CHANNEL, 9).bit_generator.random_raw(6))
     assert np.array_equal(streams.words(9, 6), first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, MASK64), min_size=1, max_size=40))
+def test_splitmix64_array_matches_scalar(xs):
+    got = rng.splitmix64_array(np.array(xs, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [rng.splitmix64(x) for x in xs]

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridchan import RunsFlag, runs_test
-from hybridchan.runstest import ALPHA
+from hybridchan.runstest import ALPHA, _result_from_counts
 from hybridchan import rng as hrng
+
+from exact_law import exact_pass_probability
 
 
 def bits(text):
@@ -99,4 +103,22 @@ def test_calibration_on_iid_bernoulli():
             n_pass += res.passed
     assert n_valid == 1000
     assert 0.93 <= n_pass / n_valid <= 0.97
+
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_exact_pass_law_equals_enumeration(n):
+    # every arrangement of n bits, tallied by (ones, runs), each tally passed
+    # or failed by the package's own test
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    ones = bits.sum(axis=1)
+    runs = 1 + np.count_nonzero(np.diff(bits, axis=1), axis=1)
+    tally = np.bincount(ones * (n + 1) + runs, minlength=(n + 1) ** 2)
+    passing = np.zeros(n + 1, dtype=np.int64)
+    for cell in np.flatnonzero(tally):
+        n1, n_runs = divmod(int(cell), n + 1)
+        if _result_from_counts(n_runs, n1, n - n1).passed:
+            passing[n1] += tally[cell]
+    for n1 in range(n + 1):
+        assert exact_pass_probability(n1, n) == passing[n1] / math.comb(n, n1)
 
