@@ -16,7 +16,7 @@ from .capacity import (
     estimate_params,
     hybrid_capacity,
 )
-from .interleaver import deinterleave, frame_key, interleave, whiten_error_vector
+from .interleaver import deinterleave, interleave, whiten_error_vector
 from .recovery import recover_trace
 from .runstest import RunsFlag, RunsTestResult, runs_test
 from .segments import Segment, mean_segment_duration, segment_corrupted_frames
@@ -33,7 +33,6 @@ from .stats import (
 )
 from .trace import (
     ChannelParams,
-    FrameRecord,
     ReceiveStatus,
     Side,
     Trace,
@@ -50,7 +49,6 @@ __all__ = [
     "CapacityReport",
     "ChannelParams",
     "ErrorTable",
-    "FrameRecord",
     "OutcomeIidReport",
     "ParamEstimate",
     "ReceiveStatus",
@@ -74,7 +72,6 @@ __all__ = [
     "erasure_capacity",
     "error_table",
     "estimate_params",
-    "frame_key",
     "generate_tx",
     "hybrid_capacity",
     "interleave",

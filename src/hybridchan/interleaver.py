@@ -18,8 +18,9 @@ adjacent positions, pass a chi-square test over many keys
 with the exact i.i.d. law of the runs test.
 
 Each frame gets its own key derived from a base key and the frame
-sequence number; one shared permutation would also whiten position-locked
-noise, but distinct keys are the conservative choice and cost nothing.
+sequence number (frame_keys, the one rule both whitening forms use); one
+shared permutation would also whiten position-locked noise, but distinct
+keys are the conservative choice and cost nothing.
 
 Whitening can be applied after the fact: for noise that depends on bit
 position rather than bit value, permuting the observed error vector is
@@ -93,14 +94,14 @@ def deinterleave(payload: np.ndarray, key: int) -> np.ndarray:
     return out
 
 
-def frame_key(base_key: int, seq: int) -> int:
-    """Per-frame permutation key: splitmix64 mix of base key and frame seq."""
-    return rng.splitmix64((base_key ^ seq) & _MASK64)
+def frame_keys(base_key: int, seqs: np.ndarray) -> np.ndarray:
+    """Per-frame permutation keys: splitmix64 mix of base key and each frame seq."""
+    return rng.splitmix64_array(seqs.astype(np.uint64) ^ (base_key & _MASK64))
 
 
 def whiten_error_vector(ev: np.ndarray, base_key: int, seq: int) -> np.ndarray:
     """Error vector as it would appear had the frame been interleaved."""
-    return deinterleave(ev, frame_key(base_key, seq))
+    return deinterleave(ev, int(frame_keys(base_key, np.array([seq]))[0]))
 
 
 def whiten_positions(positions: np.ndarray, rows: np.ndarray, seqs: np.ndarray,
@@ -111,5 +112,4 @@ def whiten_positions(positions: np.ndarray, rows: np.ndarray, seqs: np.ndarray,
     its image is the position of that error in
     whiten_error_vector(ev, base_key, seqs[rows[j]]).
     """
-    keys = rng.splitmix64_array(seqs.astype(np.uint64) ^ (base_key & _MASK64))
-    return _feistel(positions, _round_keys(keys)[:, rows], n)
+    return _feistel(positions, _round_keys(frame_keys(base_key, seqs))[:, rows], n)

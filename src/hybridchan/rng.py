@@ -17,8 +17,9 @@ re-keys the same way and returns the stream's first n raw 64-bit words,
 the words every Generator draw on the stream is computed from, so a
 caller can make many frames' draws in numpy at once.
 
-splitmix64 (scalar) and splitmix64_array (elementwise on uint64 arrays)
-are the same mix function; the interleaver keys its permutations with it.
+splitmix64_array is the splitmix64 mix function (public-domain constant
+set) applied elementwise to a uint64 array; the interleaver keys its
+permutations with it.
 """
 
 from __future__ import annotations
@@ -101,14 +102,6 @@ def stream(seed: int, role: int, index: int = 0) -> np.random.Generator:
 
 
 GAMMA = 0x9E3779B97F4A7C15
-
-
-def splitmix64(x: int) -> int:
-    """One step of the splitmix64 mix function (public-domain constant set)."""
-    x = (x + GAMMA) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
 
 
 def splitmix64_array(x: np.ndarray) -> np.ndarray:

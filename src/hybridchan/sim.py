@@ -120,9 +120,6 @@ class SimConfig:
         return np.searchsorted([idx for idx, _ in self.drift_schedule],
                                frame_index, side="right")
 
-    def params_at(self, frame_index: int) -> ChannelParams:
-        return self.regimes[self.regime(frame_index)]
-
 
 def _blocks(n_rows: int, row_words: int):
     """Consecutive slices of range(n_rows), each at most _BLOCK_WORDS words

@@ -7,10 +7,9 @@ sequence number, timestamp, status code, RSSI with a presence mask, and
 the record's row in one packed payload matrix.  Payloads are stored
 packed, big-endian as in the trace file: ceil(n_bits/8) bytes per row with
 zero pad bits, so the analyses XOR and count bytes.  Columns and payloads
-are read-only, so sides can be shared freely.
-
-FrameRecord is one row as a value, for building small traces by hand and
-for reading a row back; the package's own code works on the columns.
+are read-only, so sides can be shared freely.  There is no row type: a
+record is an index into the columns, and its payload bits are
+np.unpackbits(side.payloads(i), count=side.n_bits).
 """
 
 from __future__ import annotations
@@ -104,92 +103,6 @@ class ChannelParams:
             raise UsageError(f"interval_us={self.interval_us} must be positive")
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
-class FrameRecord:
-    """One transmitted or received frame, as a value.
-
-    seq is None while the sequence number is unknown (corrupted frames
-    before recovery).  PHY-error frames carry no payload.  rssi is optional
-    because some hardware cannot report it for every reception.
-
-    The payload is given as a 0/1 bit vector, which is checked and packed,
-    or as packed bytes with their bit count.  packed is read-only and may
-    be a row of a side's payload matrix; payload unpacks it on every read.
-    """
-
-    seq: int | None
-    timestamp_us: int
-    status: ReceiveStatus
-    packed: np.ndarray | None
-    n_bits: int
-    rssi: int | None
-
-    def __init__(
-        self,
-        seq: int | None,
-        timestamp_us: int,
-        status: ReceiveStatus,
-        payload: np.ndarray | None = None,
-        rssi: int | None = None,
-        *,
-        packed: np.ndarray | None = None,
-        n_bits: int = 0,
-    ) -> None:
-        if payload is not None:
-            if packed is not None:
-                raise TraceError("payload given both as bits and packed")
-            bits = np.asarray(payload, dtype=np.uint8)
-            if bits.ndim != 1:
-                raise TraceError("payload must be a 1-D bit vector")
-            if bits.size and bits.max() > 1:
-                raise TraceError("payload bits must be 0 or 1")
-            packed, n_bits = np.packbits(bits), bits.size
-        elif packed is not None:
-            packed = np.asarray(packed)
-            if packed.dtype != np.uint8 or packed.shape != ((n_bits + 7) // 8,):
-                raise TraceError(f"packed payload must be {(n_bits + 7) // 8} "
-                                 f"uint8 bytes for {n_bits} bits")
-            if n_bits % 8 and packed[-1] & (0xFF >> n_bits % 8):
-                raise TraceError("nonzero padding bits past the declared bit length")
-        if status is ReceiveStatus.PHY_ERROR:
-            if packed is not None:
-                raise TraceError("PHY-error frame must not carry a payload")
-        elif packed is None:
-            raise TraceError(f"{status.value} frame must carry a payload")
-        if packed is None:
-            n_bits = 0
-        else:
-            packed.setflags(write=False)
-        for name, value in (("seq", seq), ("timestamp_us", timestamp_us),
-                            ("status", status), ("packed", packed),
-                            ("n_bits", n_bits), ("rssi", rssi)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def payload(self) -> np.ndarray | None:
-        """The payload bits (uint8 0/1, read-only), unpacked on each read."""
-        if self.packed is None:
-            return None
-        bits = np.unpackbits(self.packed, count=self.n_bits)
-        bits.setflags(write=False)
-        return bits
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FrameRecord):
-            return NotImplemented
-        if (self.seq, self.timestamp_us, self.status, self.rssi, self.n_bits) != (
-            other.seq,
-            other.timestamp_us,
-            other.status,
-            other.rssi,
-            other.n_bits,
-        ):
-            return False
-        if self.packed is None or other.packed is None:
-            return self.packed is other.packed
-        return bool(np.array_equal(self.packed, other.packed))
-
-
 _COLUMNS = (("seq", np.int64), ("timestamp_us", np.int64), ("status", np.int8),
             ("rssi", np.int64), ("has_rssi", np.bool_), ("row", np.int64))
 
@@ -256,55 +169,12 @@ class Side:
         none = np.zeros(0, dtype=np.int64)
         return cls(none, none, none, none, none, none, np.zeros((0, 0), np.uint8))
 
-    @classmethod
-    def from_records(cls, records) -> Side:
-        """Columns of FrameRecords, which must share one payload length."""
-        records = list(records)
-        held = [rec for rec in records if rec.packed is not None]
-        for rec in records:
-            if rec.seq is not None and rec.seq < 0:
-                raise TraceError(f"seq {rec.seq} is negative")
-        n_bits = held[0].n_bits if held else 0
-        for rec in held:
-            if rec.n_bits != n_bits:
-                raise TraceError(f"seq {rec.seq}: payload length {rec.n_bits} "
-                                 f"!= {n_bits} of the side's first payload")
-        row = np.cumsum([rec.packed is not None for rec in records], dtype=np.int64) - 1
-        return cls(
-            seq=[UNKNOWN_SEQ if rec.seq is None else rec.seq for rec in records],
-            timestamp_us=[rec.timestamp_us for rec in records],
-            status=[STATUSES.index(rec.status) for rec in records],
-            rssi=[0 if rec.rssi is None else rec.rssi for rec in records],
-            has_rssi=[rec.rssi is not None for rec in records],
-            row=np.where([rec.packed is not None for rec in records], row, -1),
-            packed=np.array([rec.packed for rec in held], dtype=np.uint8),
-            n_bits=n_bits,
-        )
-
     def payloads(self, index) -> np.ndarray:
         """Packed payload rows of the records at index (none may be PHY errors)."""
         return self.packed[self.row[index]]
 
     def __len__(self) -> int:
         return self.seq.size
-
-    def __getitem__(self, index):
-        """The record at an index as a FrameRecord; a slice gives a list."""
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]
-        seq, row = int(self.seq[i]), int(self.row[i])
-        return FrameRecord(
-            None if seq == UNKNOWN_SEQ else seq,
-            int(self.timestamp_us[i]),
-            STATUSES[self.status[i]],
-            rssi=int(self.rssi[i]) if self.has_rssi[i] else None,
-            packed=None if row < 0 else self.packed[row],
-            n_bits=self.n_bits if row >= 0 else 0,
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Side):
@@ -343,11 +213,6 @@ class Trace:
     meta: TraceMeta
     tx: Side = field(default_factory=Side.empty)
     rx: Side = field(default_factory=Side.empty)
-
-    @classmethod
-    def from_records(cls, meta: TraceMeta, tx=(), rx=()) -> Trace:
-        """A trace built from FrameRecords, for hand-made traces."""
-        return cls(meta, Side.from_records(tx), Side.from_records(rx))
 
     def validate(self) -> None:
         """Check the trace invariants; raise TraceError on violation."""

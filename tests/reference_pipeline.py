@@ -11,14 +11,17 @@ import numpy as np
 from hybridchan import ReceiveStatus, Segment, whiten_error_vector
 from hybridchan.runstest import runs_test
 
+from conftest import rows
+
 
 def corrupted_error_vectors(tx, rx, key=None):
     """(seq, error vector) for every corrupted rx frame with a known seq."""
     pairs = []
-    for rec in rx.rx:
+    tx_recs = rows(tx.tx)
+    for rec in rows(rx.rx):
         if rec.status is not ReceiveStatus.CRC_ERROR or rec.seq is None:
             continue
-        ev = np.bitwise_xor(tx.tx[rec.seq].payload, rec.payload)
+        ev = np.bitwise_xor(tx_recs[rec.seq].payload, rec.payload)
         if key is not None:
             ev = whiten_error_vector(ev, key, rec.seq)
         pairs.append((rec.seq, ev))
@@ -70,8 +73,9 @@ def bit_profile(tx, rx, key=None):
 def symmetry_counts(tx, rx):
     """(tx ones, tx zeros, flips on ones, flips on zeros) over corrupted frames."""
     n1 = n0 = flips1 = flips0 = 0
+    tx_recs = rows(tx.tx)
     for seq, ev in corrupted_error_vectors(tx, rx):
-        ones = tx.tx[seq].payload.astype(bool)
+        ones = tx_recs[seq].payload.astype(bool)
         n1 += int(np.count_nonzero(ones))
         n0 += int(np.count_nonzero(~ones))
         flips1 += int(np.count_nonzero(ev[ones]))
@@ -81,7 +85,7 @@ def symmetry_counts(tx, rx):
 
 def outcome_results(rx, segs):
     """Runs test result per (outcome, segment), labels built frame by frame."""
-    status_by_seq = {rec.seq: rec.status for rec in rx.rx if rec.seq is not None}
+    status_by_seq = {rec.seq: rec.status for rec in rows(rx.rx) if rec.seq is not None}
     return {
         (outcome, i): runs_test(np.fromiter(
             (status_by_seq.get(seq, ReceiveStatus.PHY_ERROR) is outcome

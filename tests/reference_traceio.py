@@ -1,12 +1,15 @@
 """Reference trace reader: the per-line parser, for checking hybridchan.traceio.
 
-It reads a file line by line into FrameRecords, checks each line's fields
+It reads a file line by line into plain tuples, checks each line's fields
 in turn, decodes the payloads with one hex decode and then checks the
 trace invariants record by record.  Tests compare traceio.read_trace
 against it: the same columns on valid files, and the same faulty line and
 message on malformed ones.
 
-It returns (meta, tx records, rx records) or raises TraceFormatError.
+It returns (meta, tx records, rx records) or raises TraceFormatError.  A
+record is (seq or None, timestamp_us, status, payload or None, rssi or
+None), the payload as its packed bytes; every payload is decoded at
+frame_len bits, so a record cannot disagree with the meta line on length.
 """
 
 import binascii
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hybridchan import FrameRecord, ReceiveStatus, TraceFormatError, TraceMeta
+from hybridchan import ReceiveStatus, TraceFormatError, TraceMeta
 
 _META_RE = re.compile(
     r'^#meta R=(?P<rate>[0-9.eE+-]+) frame_len=(?P<flen>0|[1-9][0-9]*) '
@@ -63,39 +66,35 @@ def _int(token, name):
     return value
 
 
-def _validate(meta, tx, rx):
+def _validate(tx, rx):
     """The record invariants, checked one record at a time."""
-    for i, rec in enumerate(tx):
-        if rec.seq != i:
+    for i, (seq, *_) in enumerate(tx):
+        if seq != i:
             raise _Fault(f"tx sequence numbers must be consecutive from 0; "
-                         f"record {i} has seq {rec.seq}", ("tx", i))
+                         f"record {i} has seq {seq}", ("tx", i))
     for side_name, side in (("tx", tx), ("rx", rx)):
         prev = None
-        for i, rec in enumerate(side):
-            if rec.packed is not None and rec.n_bits != meta.frame_len:
-                raise _Fault(f"{side_name} seq {rec.seq}: payload length "
-                             f"{rec.n_bits} != frame_len {meta.frame_len}",
-                             (side_name, i))
-            if prev is not None and rec.timestamp_us < prev:
+        for i, (_, timestamp, *_) in enumerate(side):
+            if prev is not None and timestamp < prev:
                 raise _Fault(f"{side_name} timestamps must be non-decreasing "
-                             f"(saw {rec.timestamp_us} after {prev})", (side_name, i))
-            prev = rec.timestamp_us
+                             f"(saw {timestamp} after {prev})", (side_name, i))
+            prev = timestamp
     prev_seq = None
-    for i, rec in enumerate(rx):
-        if rec.seq is None:
+    for i, (seq, *_) in enumerate(rx):
+        if seq is None:
             continue
-        if prev_seq is not None and rec.seq <= prev_seq:
-            if rec.seq == prev_seq:
-                raise _Fault(f"rx seq {rec.seq} appears more than once", ("rx", i))
+        if prev_seq is not None and seq <= prev_seq:
+            if seq == prev_seq:
+                raise _Fault(f"rx seq {seq} appears more than once", ("rx", i))
             raise _Fault(f"known rx seqs must increase in trace order "
-                         f"(saw {rec.seq} after {prev_seq})", ("rx", i))
-        prev_seq = rec.seq
+                         f"(saw {seq} after {prev_seq})", ("rx", i))
+        prev_seq = seq
     if tx and rx:
         if len(rx) > len(tx):
             raise _Fault("more rx records than tx records", ("rx", len(tx)))
-        for i, rec in enumerate(rx):
-            if rec.seq is not None and not 0 <= rec.seq < len(tx):
-                raise _Fault(f"rx seq {rec.seq} has no matching tx record", ("rx", i))
+        for i, (seq, *_) in enumerate(rx):
+            if seq is not None and not 0 <= seq < len(tx):
+                raise _Fault(f"rx seq {seq} has no matching tx record", ("rx", i))
 
 
 def read(path):
@@ -180,14 +179,13 @@ def read(path):
         line_of[side].append(lineno)
     packed = check_payloads()
     records = {
-        side: [FrameRecord(seq, timestamp, status, rssi=rssi,
-                           packed=None if index is None else packed[index],
-                           n_bits=0 if index is None else n_bits)
+        side: [(seq, timestamp, status,
+                None if index is None else packed[index].tobytes(), rssi)
                for seq, timestamp, status, rssi, index in side_rows]
         for side, side_rows in rows.items()
     }
     try:
-        _validate(meta, records["tx"], records["rx"])
+        _validate(records["tx"], records["rx"])
     except _Fault as exc:
         fail(str(exc), line_of[exc.record[0]][exc.record[1]])
     return meta, records["tx"], records["rx"]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hybridchan import (
-    FrameRecord,
     ReceiveStatus,
     Trace,
     TraceMeta,
@@ -13,7 +12,7 @@ from hybridchan import (
     hybrid_capacity,
 )
 
-from conftest import joined, sim_pair
+from conftest import Row, joined, rows, side, sim_pair
 
 
 class TestBinaryEntropy:
@@ -127,24 +126,22 @@ def binned_trace(bins, frame_len=1000, flips_per_frame=None):
     for rssi, n_ok, n_crc, flips in bins:
         for i in range(n_ok + n_crc):
             payload = gen.integers(0, 2, frame_len, dtype=np.uint8)
-            tx_recs.append(FrameRecord(seq=seq, timestamp_us=seq * 20000,
-                                       status=ReceiveStatus.OK,
-                                       payload=payload))
+            tx_recs.append(Row(seq=seq, timestamp_us=seq * 20000,
+                               status=ReceiveStatus.OK, payload=payload))
             if i < n_ok:
-                rx_recs.append(FrameRecord(
+                rx_recs.append(Row(
                     seq=seq, timestamp_us=seq * 20000,
                     status=ReceiveStatus.OK, payload=payload, rssi=rssi))
             else:
                 received = payload.copy()
                 flip_at = gen.choice(frame_len, size=flips, replace=False)
                 received[flip_at] ^= 1
-                rx_recs.append(FrameRecord(
+                rx_recs.append(Row(
                     seq=seq, timestamp_us=seq * 20000,
                     status=ReceiveStatus.CRC_ERROR, payload=received,
                     rssi=rssi))
             seq += 1
-    return (Trace.from_records(meta, tx=tx_recs),
-            Trace.from_records(meta, rx=rx_recs))
+    return Trace(meta, tx=side(tx_recs)), Trace(meta, rx=side(rx_recs))
 
 
 class TestCapacityReport:
@@ -183,11 +180,10 @@ class TestCapacityReport:
 
     def test_phy_error_frames_stay_out_of_bins(self):
         tx, rx = binned_trace([(-60, 50, 50, 5)])
-        records = list(rx.rx)
-        records[0] = FrameRecord(seq=records[0].seq,
-                                 timestamp_us=records[0].timestamp_us,
-                                 status=ReceiveStatus.PHY_ERROR, rssi=None)
-        rx = Trace.from_records(rx.meta, rx=records)
+        records = rows(rx.rx)
+        records[0] = records[0]._replace(status=ReceiveStatus.PHY_ERROR,
+                                         payload=None, rssi=None)
+        rx = Trace(rx.meta, rx=side(records))
         report = capacity_report(joined(tx, rx))
         assert report.per_rssi_bins[0].n_frames == 99
 
@@ -200,11 +196,10 @@ class TestCapacityReport:
 
     def test_phy_error_frames_with_rssi_stay_out_of_bins(self):
         tx, rx = binned_trace([(-60, 50, 50, 5)])
-        records = list(rx.rx)
-        records[0] = FrameRecord(seq=records[0].seq,
-                                 timestamp_us=records[0].timestamp_us,
-                                 status=ReceiveStatus.PHY_ERROR, rssi=-60)
-        rx = Trace.from_records(rx.meta, rx=records)
+        records = rows(rx.rx)
+        records[0] = records[0]._replace(status=ReceiveStatus.PHY_ERROR,
+                                         payload=None, rssi=-60)
+        rx = Trace(rx.meta, rx=side(records))
         [only] = capacity_report(joined(tx, rx)).per_rssi_bins
         assert only.n_frames == 99
         assert only.s_hat == 49 / 99

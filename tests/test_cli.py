@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hybridchan import (
-    FrameRecord,
     ReceiveStatus,
     Trace,
     TraceMeta,
@@ -13,6 +12,8 @@ from hybridchan import (
 )
 from hybridchan import recovery
 from hybridchan.cli import main
+
+from conftest import Row, rows, side
 
 
 def run_cli(args):
@@ -213,8 +214,8 @@ class TestAnalyze:
     def test_empty_rx_gives_empty_reports(self, tmp_path):
         meta = TraceMeta(rate_bps=54e6, frame_len=16, interval_us=100)
         payload = np.ones(16, dtype=np.uint8)
-        tx = Trace.from_records(meta, tx=[FrameRecord(
-            seq=0, timestamp_us=0, status=ReceiveStatus.OK, payload=payload)])
+        tx = Trace(meta, tx=side([Row(
+            seq=0, timestamp_us=0, status=ReceiveStatus.OK, payload=payload)]))
         rx = Trace(meta=meta)
         write_trace(tx, tmp_path / "tx.trace")
         write_trace(rx, tmp_path / "rx.trace")
@@ -359,22 +360,21 @@ class TestCapacityCmd:
         tx_recs, rx_recs = [], []
         for seq in range(60):
             payload = gen.integers(0, 2, 100, dtype=np.uint8)
-            tx_recs.append(FrameRecord(seq=seq, timestamp_us=100 * seq,
-                                       status=ReceiveStatus.OK,
-                                       payload=payload))
+            tx_recs.append(Row(seq=seq, timestamp_us=100 * seq,
+                               status=ReceiveStatus.OK, payload=payload))
             if seq % 3 == 0:
                 received = payload.copy()
                 received[:2] ^= 1
-                rec = FrameRecord(seq=seq, timestamp_us=100 * seq,
-                                  status=ReceiveStatus.CRC_ERROR,
-                                  payload=received, rssi=-60 - (seq % 2))
+                rec = Row(seq=seq, timestamp_us=100 * seq,
+                          status=ReceiveStatus.CRC_ERROR,
+                          payload=received, rssi=-60 - (seq % 2))
             else:
-                rec = FrameRecord(seq=seq, timestamp_us=100 * seq,
-                                  status=ReceiveStatus.OK, payload=payload,
-                                  rssi=-60 - (seq % 2))
+                rec = Row(seq=seq, timestamp_us=100 * seq,
+                          status=ReceiveStatus.OK, payload=payload,
+                          rssi=-60 - (seq % 2))
             rx_recs.append(rec)
-        write_trace(Trace.from_records(meta, tx=tx_recs), tmp_path / "tx.trace")
-        write_trace(Trace.from_records(meta, rx=rx_recs), tmp_path / "rx.trace")
+        write_trace(Trace(meta, tx=side(tx_recs)), tmp_path / "tx.trace")
+        write_trace(Trace(meta, rx=side(rx_recs)), tmp_path / "rx.trace")
         rep = tmp_path / "cap"
         code = run_cli(["capacity", tmp_path / "tx.trace",
                         tmp_path / "rx.trace", "--rssi-bin", 1, "--out", rep])
@@ -385,9 +385,9 @@ class TestCapacityCmd:
 
     def test_empty_rx_is_parse_error(self, tmp_path, capsys):
         meta = TraceMeta(rate_bps=54e6, frame_len=16, interval_us=100)
-        write_trace(Trace.from_records(meta, tx=[FrameRecord(
+        write_trace(Trace(meta, tx=side([Row(
             seq=0, timestamp_us=0, status=ReceiveStatus.OK,
-            payload=np.ones(16, dtype=np.uint8))]), tmp_path / "tx.trace")
+            payload=np.ones(16, dtype=np.uint8))])), tmp_path / "tx.trace")
         write_trace(Trace(meta=meta), tmp_path / "rx.trace")
         rep = tmp_path / "cap"
         code = run_cli(["capacity", tmp_path / "tx.trace", tmp_path / "rx.trace",
@@ -420,11 +420,11 @@ class TestRecoverCmd:
                  "--r", 0, "--s", 0, "--p", 0.02, "--seed", 2, "--out", run])
         trace = load_pair(run / "tx.trace", run / "rx.trace")
         # then the first frame comes through clean: one anchor fixes no clock
-        rx = list(trace.rx)
-        rx[0] = trace.tx[0]
+        rx = rows(trace.rx)
+        rx[0] = rows(trace.tx)[0]
         one = tmp_path / "one"
         one.mkdir()
-        write_trace(Trace.from_records(trace.meta, rx=rx), one / "rx.trace")
+        write_trace(Trace(trace.meta, rx=side(rx)), one / "rx.trace")
         for n_anchors, rx_trace in ((0, run / "rx.trace"), (1, one / "rx.trace")):
             out = tmp_path / f"rec{n_anchors}"
             code = run_cli(["recover", run / "tx.trace", rx_trace,
@@ -446,9 +446,9 @@ class TestRecoverCmd:
         trace = load_pair(run / "tx.trace", run / "rx.trace")
         # the first n_clean frames come through clean; without --scrub no
         # frame is attempted, since every corrupted frame keeps its seq
-        rx = list(trace.rx)
-        rx[:n_clean] = list(trace.tx)[:n_clean]
-        write_trace(Trace.from_records(trace.meta, rx=rx), tmp_path / "rx.trace")
+        rx = rows(trace.rx)
+        rx[:n_clean] = rows(trace.tx)[:n_clean]
+        write_trace(Trace(trace.meta, rx=side(rx)), tmp_path / "rx.trace")
         _, summary = recovery.recover_trace(
             load_pair(run / "tx.trace", tmp_path / "rx.trace"), scrub=scrub)
         assert summary.n_anchors == n_clean
@@ -467,14 +467,14 @@ class TestRecoverCmd:
                                                           tx_ts, rx_ts):
         meta = TraceMeta(rate_bps=54e6, frame_len=8, interval_us=10)
         payload = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
-        tx = [FrameRecord(seq=k, timestamp_us=t, status=ReceiveStatus.OK,
-                          payload=payload) for k, t in enumerate(tx_ts)]
-        rx = [FrameRecord(seq=k, timestamp_us=rx_ts[k], status=ReceiveStatus.OK,
-                          payload=payload) for k in range(3)]
-        rx.append(FrameRecord(seq=None, timestamp_us=rx_ts[3],
-                              status=ReceiveStatus.CRC_ERROR, payload=payload))
-        write_trace(Trace.from_records(meta, tx=tx), tmp_path / "tx.trace")
-        write_trace(Trace.from_records(meta, rx=rx), tmp_path / "rx.trace")
+        tx = [Row(seq=k, timestamp_us=t, status=ReceiveStatus.OK,
+                  payload=payload) for k, t in enumerate(tx_ts)]
+        rx = [Row(seq=k, timestamp_us=rx_ts[k], status=ReceiveStatus.OK,
+                  payload=payload) for k in range(3)]
+        rx.append(Row(seq=None, timestamp_us=rx_ts[3],
+                      status=ReceiveStatus.CRC_ERROR, payload=payload))
+        write_trace(Trace(meta, tx=side(tx)), tmp_path / "tx.trace")
+        write_trace(Trace(meta, rx=side(rx)), tmp_path / "rx.trace")
         code = run_cli(["recover", tmp_path / "tx.trace", tmp_path / "rx.trace",
                         "--out", tmp_path / "rec"])
         captured = capsys.readouterr()
@@ -491,42 +491,3 @@ class TestRecoverCmd:
                      flag, 10, "--out", tmp_path / "rec"])
         assert exc.value.code == 1
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-
-
-def test_commands_never_build_a_record(tmp_path, monkeypatch, capsys):
-    """Every command works on the columns, with no record object per frame."""
-    def no_record(self, *args, **kwargs):
-        raise AssertionError("a FrameRecord was built")
-
-    monkeypatch.setattr(FrameRecord, "__init__", no_record)
-    run = simulate(tmp_path, "run")
-    periodic = tmp_path / "periodic"
-    assert run_cli(["simulate", "--frames", 200, "--frame-len", 500, "--seed", 5,
-                    "--periodic", "--period", 100, "--burst", 10,
-                    "--p-burst", 0.1, "--out", periodic]) == 0
-    for pair in ([run / "tx.trace", run / "rx.trace"],
-                 [periodic / "tx.trace", periodic / "rx.trace"]):
-        out = tmp_path / "out" / pair[0].parent.name
-        assert run_cli(["analyze", *pair, "--out", out / "a"]) == 0
-        assert run_cli(["analyze", *pair, "--no-interleave", "--out", out / "b"]) == 0
-        assert run_cli(["capacity", *pair, "--out", out / "c"]) == 0
-        assert run_cli(["recover", *pair, "--scrub", "--out", out / "d"]) == 0
-    assert "recovery accuracy" in capsys.readouterr().out
-    with pytest.raises(AssertionError, match="FrameRecord was built"):
-        FrameRecord(seq=0, timestamp_us=0, status=ReceiveStatus.PHY_ERROR)
-
-
-def test_commands_never_unpack_a_record(tmp_path, monkeypatch, capsys):
-    """analyze, capacity and recover work on packed payload bytes only."""
-    run = simulate(tmp_path, "run")
-
-    def unpacked(self):
-        raise AssertionError("a record's payload was unpacked")
-
-    monkeypatch.setattr(FrameRecord, "payload", property(unpacked))
-    pair = [run / "tx.trace", run / "rx.trace"]
-    assert run_cli(["analyze", *pair, "--out", tmp_path / "a"]) == 0
-    assert run_cli(["analyze", *pair, "--no-interleave", "--out", tmp_path / "b"]) == 0
-    assert run_cli(["capacity", *pair, "--out", tmp_path / "c"]) == 0
-    assert run_cli(["recover", *pair, "--scrub", "--out", tmp_path / "d"]) == 0
-    assert "recovery accuracy" in capsys.readouterr().out

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import reference_pipeline as ref
 from hybridchan import (
-    FrameRecord,
     ReceiveStatus,
     Segment,
     Trace,
@@ -24,7 +23,7 @@ from hybridchan import stats
 from hybridchan.runstest import RunsFlag
 from hybridchan.sim import apply_periodic_noise
 
-from conftest import joined, sim_pair
+from conftest import Row, joined, rows, side, sim_pair
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +40,8 @@ def periodic_pair():
 
 def assert_matches_reference(tx, rx, key):
     table = error_table(joined(tx, rx), key)
-    rows = per_frame_runs_tests(table)
-    assert [(r.seq, r.n_bit_errors, r.crossover, r.result) for r in rows] \
+    frames = per_frame_runs_tests(table)
+    assert [(r.seq, r.n_bit_errors, r.crossover, r.result) for r in frames] \
         == ref.per_frame_results(tx, rx, key)
     assert segment_corrupted_frames(table) == ref.segments(tx, rx, key)
     assert np.array_equal(bit_position_profile(table), ref.bit_profile(tx, rx, key))
@@ -81,9 +80,9 @@ def test_table_builds_no_full_permutation(hybrid_pair, monkeypatch):
         for block_bits in (stats._BLOCK_BITS, 7 * 300):
             monkeypatch.setattr(stats, "_BLOCK_BITS", block_bits)
             table = error_table(joined(tx, rx), key)
-            rows = per_frame_runs_tests(table)
+            frames = per_frame_runs_tests(table)
             assert [(r.seq, r.n_bit_errors, r.crossover, r.result)
-                    for r in rows] == results
+                    for r in frames] == results
             assert segment_corrupted_frames(table) == segs
             assert np.array_equal(bit_position_profile(table), profile)
     with pytest.raises(AssertionError, match="full permutation"):
@@ -92,16 +91,13 @@ def test_table_builds_no_full_permutation(hybrid_pair, monkeypatch):
 
 def test_all_zero_error_vectors_are_degenerate():
     tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=30, frame_len=64, seed=43)
-    rx = Trace.from_records(tx.meta, rx=[
-        FrameRecord(seq=rec.seq, timestamp_us=rec.timestamp_us,
-                    status=ReceiveStatus.CRC_ERROR, payload=rec.payload)
-        for rec in tx.tx
-    ])
+    rx = Trace(tx.meta, rx=side(
+        rec._replace(status=ReceiveStatus.CRC_ERROR) for rec in rows(tx.tx)))
     for key in (None, 3):
         table = assert_matches_reference(tx, rx, key)
-        rows = per_frame_runs_tests(table)
-        assert all(r.result.flag is RunsFlag.DEGENERATE for r in rows)
-        assert all(r.n_bit_errors == 0 for r in rows)
+        frames = per_frame_runs_tests(table)
+        assert all(r.result.flag is RunsFlag.DEGENERATE for r in frames)
+        assert all(r.n_bit_errors == 0 for r in frames)
         [seg] = segment_corrupted_frames(table)
         assert (seg.n_corrupted, seg.pooled_p) == (30, 0.0)
         assert not bit_position_profile(table).any()
@@ -114,12 +110,11 @@ def test_runs_do_not_join_across_frames():
     # positions of the block's flattened error list
     tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=4, frame_len=64, seed=46)
     flips = [[63], [0, 1, 62], [63], [0]]
-    rx = Trace.from_records(tx.meta, rx=[
-        FrameRecord(seq=rec.seq, timestamp_us=rec.timestamp_us,
-                    status=ReceiveStatus.CRC_ERROR,
-                    payload=rec.payload ^ np.isin(np.arange(64), bits))
-        for rec, bits in zip(tx.tx, flips)
-    ])
+    rx = Trace(tx.meta, rx=side(
+        rec._replace(status=ReceiveStatus.CRC_ERROR,
+                     payload=rec.payload ^ np.isin(np.arange(64), bits))
+        for rec, bits in zip(rows(tx.tx), flips)
+    ))
     for key in (None, 3):
         assert_matches_reference(tx, rx, key)
     assert error_table(joined(tx, rx)).runs.tolist() == [2, 4, 2, 2]
@@ -188,12 +183,11 @@ def trace_pairs(draw):
     tx_recs, rx_recs = [], []
     for seq in range(n):
         payload = gen.integers(0, 2, frame_len, dtype=np.uint8)
-        tx_recs.append(FrameRecord(seq=seq, timestamp_us=100 * seq,
-                                   status=ReceiveStatus.OK, payload=payload))
+        tx_recs.append(Row(seq=seq, timestamp_us=100 * seq,
+                           status=ReceiveStatus.OK, payload=payload))
         status = draw(st.sampled_from(list(ReceiveStatus)))
         if status is ReceiveStatus.PHY_ERROR:
-            rx_recs.append(FrameRecord(seq=seq, timestamp_us=100 * seq,
-                                       status=status))
+            rx_recs.append(Row(seq=seq, timestamp_us=100 * seq, status=status))
             continue
         # quiet, noisy and bursty frames, so that segments do close
         flips = np.zeros(frame_len, dtype=np.uint8)
@@ -205,12 +199,12 @@ def trace_pairs(draw):
                 flips = (gen.random(frame_len) < 0.5).astype(np.uint8)
             elif kind == "burst":
                 flips[: frame_len // 2] = 1
-        rx_recs.append(FrameRecord(
+        rx_recs.append(Row(
             seq=draw(st.sampled_from([seq, None])) if status is
             ReceiveStatus.CRC_ERROR else seq,
             timestamp_us=100 * seq, status=status,
             payload=payload ^ flips))
-    return Trace.from_records(meta, tx=tx_recs), Trace.from_records(meta, rx=rx_recs)
+    return Trace(meta, tx=side(tx_recs)), Trace(meta, rx=side(rx_recs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,6 +215,7 @@ def test_segments_partition_corrupted_frames(pair, key):
     segs = segment_corrupted_frames(table)
     assert segs == ref.segments(tx, rx, key)
     corrupted = table.seqs.tolist()
+    tx_recs = rows(tx.tx)
     assert sum(seg.n_corrupted for seg in segs) == len(corrupted)
     pos = 0
     for prev, seg in zip([None] + segs, segs):
@@ -231,8 +226,8 @@ def test_segments_partition_corrupted_frames(pair, key):
         assert seg.n_frames == seg.end_frame - seg.start_frame + 1
         pos += seg.n_corrupted
         flips = sum(
-            int(np.bitwise_xor(tx.tx[rec.seq].payload, rec.payload).sum())
-            for rec in rx.rx
+            int(np.bitwise_xor(tx_recs[rec.seq].payload, rec.payload).sum())
+            for rec in rows(rx.rx)
             if rec.seq in members and rec.status is ReceiveStatus.CRC_ERROR
         )
         assert seg.pooled_p == flips / (len(members) * tx.meta.frame_len)

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hybridchan import (
-    FrameRecord,
     ReceiveStatus,
     Trace,
     TraceMeta,
@@ -15,9 +13,9 @@ from hybridchan import (
 )
 from hybridchan import recovery
 from hybridchan.recovery import RecoverySummary, _nearest, _ols
-from hybridchan.trace import OK
+from hybridchan.trace import CRC, OK, UNKNOWN_SEQ
 
-from conftest import joined, sim_pair
+from conftest import Row, joined, rows, side, sim_pair
 
 
 class TestFitClock:
@@ -111,20 +109,17 @@ def anchored_trace(anchor_tx, anchor_rx):
     a corrupted `?` copy received with the last of them."""
     meta = TraceMeta(rate_bps=54e6, frame_len=64, interval_us=20000)
     payload = np.random.default_rng(8).integers(0, 2, 64, dtype=np.uint8)
-    tx = [FrameRecord(seq=k, timestamp_us=t, status=ReceiveStatus.OK,
-                      payload=payload)
+    tx = [Row(seq=k, timestamp_us=t, status=ReceiveStatus.OK, payload=payload)
           for k, t in enumerate([*anchor_tx, anchor_tx[-1]])]
-    rx = [FrameRecord(seq=k, timestamp_us=t, status=ReceiveStatus.OK,
-                      payload=payload)
+    rx = [Row(seq=k, timestamp_us=t, status=ReceiveStatus.OK, payload=payload)
           for k, t in enumerate(anchor_rx)]
-    rx.append(FrameRecord(seq=None, timestamp_us=anchor_rx[-1],
-                          status=ReceiveStatus.CRC_ERROR, payload=payload))
-    return Trace.from_records(meta, tx=tx, rx=rx)
+    rx.append(Row(seq=None, timestamp_us=anchor_rx[-1],
+                  status=ReceiveStatus.CRC_ERROR, payload=payload))
+    return Trace(meta, side(tx), side(rx))
 
 
 def scrubbed(rec):
-    return FrameRecord(seq=None, timestamp_us=rec.timestamp_us,
-                       status=rec.status, payload=rec.payload, rssi=rec.rssi)
+    return rec._replace(seq=None)
 
 
 class TestRecoverSequence:
@@ -152,15 +147,14 @@ class TestRecoverSequence:
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=100, frame_len=1000,
                           seed=22)
         gen = np.random.default_rng(99)
-        alien = FrameRecord(seq=None, timestamp_us=50 * 20000 + 3,
-                            status=ReceiveStatus.CRC_ERROR,
-                            payload=gen.integers(0, 2, 1000, dtype=np.uint8))
-        records = list(rx.rx)
-        with_alien = Trace.from_records(rx.meta,
-                                        rx=records[:51] + [alien] + records[51:])
+        alien = Row(seq=None, timestamp_us=50 * 20000 + 3,
+                    status=ReceiveStatus.CRC_ERROR,
+                    payload=gen.integers(0, 2, 1000, dtype=np.uint8))
+        records = rows(rx.rx)
+        with_alien = Trace(rx.meta, rx=side(records[:51] + [alien] + records[51:]))
         recovered, summary = recover_trace(joined(tx, with_alien))
         assert (summary.n_attempted, summary.n_unresolved) == (1, 1)
-        assert recovered.rx[51].seq is None
+        assert recovered.rx.seq[51] == UNKNOWN_SEQ
         assert_matches_reference(tx, with_alien, scrub=False)
 
     def test_no_ok_frames_unresolved(self):
@@ -187,13 +181,13 @@ class TestRecoverTrace:
                           seed=25)
         stripped = []
         n_unknown = 0
-        for i, rec in enumerate(rx.rx):
+        for i, rec in enumerate(rows(rx.rx)):
             if rec.status is ReceiveStatus.CRC_ERROR and i % 2 == 0:
                 stripped.append(scrubbed(rec))
                 n_unknown += 1
             else:
                 stripped.append(rec)
-        rx_stripped = Trace.from_records(rx.meta, rx=stripped)
+        rx_stripped = Trace(rx.meta, rx=side(stripped))
         _, summary = recover_trace(joined(tx, rx_stripped))
         assert summary.n_attempted == n_unknown
         assert summary.n_correct is None and summary.accuracy is None
@@ -201,17 +195,15 @@ class TestRecoverTrace:
     def test_recovered_trace_fills_seqs(self):
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.01, n_frames=200, frame_len=500,
                           seed=26)
-        stripped = Trace.from_records(rx.meta, rx=[
+        stripped = Trace(rx.meta, rx=side(
             scrubbed(rec) if rec.status is ReceiveStatus.CRC_ERROR else rec
-            for rec in rx.rx
-        ])
+            for rec in rows(rx.rx)
+        ))
         recovered, summary = recover_trace(joined(tx, stripped))
         assert summary.n_unresolved == 0
-        filled = [rec.seq for rec in recovered.rx
-                  if rec.status is ReceiveStatus.CRC_ERROR]
-        truth = [rec.seq for rec in rx.rx
-                 if rec.status is ReceiveStatus.CRC_ERROR]
-        assert filled == truth
+        filled = recovered.rx.seq[recovered.rx.status == CRC]
+        truth = rx.rx.seq[rx.rx.status == CRC]
+        assert filled.tolist() == truth.tolist()
 
 
 # --- reference: recovery as it was before the per-trace index --------------
@@ -237,7 +229,7 @@ def reference_fit(anchors, query_rx_time_us):
 
 def reference_recover_sequence(corrupted, rx_ok, tx):
     anchors = [
-        (tx.tx[rec.seq].timestamp_us, rec.timestamp_us)
+        (tx[rec.seq].timestamp_us, rec.timestamp_us)
         for rec in rx_ok
         if rec.status is ReceiveStatus.OK and rec.seq is not None
     ]
@@ -247,26 +239,27 @@ def reference_recover_sequence(corrupted, rx_ok, tx):
     if rate <= 0.0:
         return None
     predicted_tx_us = (corrupted.timestamp_us - offset) / rate
-    tx_times = np.array([rec.timestamp_us for rec in tx.tx], dtype=np.float64)
+    tx_times = np.array([rec.timestamp_us for rec in tx], dtype=np.float64)
     order = np.argsort(np.abs(tx_times - predicted_tx_us), kind="stable")
     scored = []
     for idx in order[:5]:
-        cand = tx.tx[int(idx)]
+        cand = tx[int(idx)]
         dist = int(np.count_nonzero(cand.payload != corrupted.payload))
         scored.append((dist, abs(cand.timestamp_us - predicted_tx_us), cand.seq))
     if not scored:
         return None
     scored.sort()
     best_dist, _, best_seq = scored[0]
-    return best_seq if best_dist / tx.meta.frame_len < 0.4 else None
+    return best_seq if best_dist / corrupted.payload.size < 0.4 else None
 
 
 def reference_recover_trace(tx, rx, scrub):
-    rx_ok = [rec for rec in rx.rx
+    tx_recs, rx_recs = rows(tx.tx), rows(rx.rx)
+    rx_ok = [rec for rec in rx_recs
              if rec.status is ReceiveStatus.OK and rec.seq is not None]
     summary = RecoverySummary(0, 0, 0, 0, len(rx_ok), n_correct=0 if scrub else None)
     new_rx = []
-    for rec in rx.rx:
+    for rec in rx_recs:
         if rec.status is not ReceiveStatus.CRC_ERROR:
             new_rx.append(rec)
             continue
@@ -274,9 +267,9 @@ def reference_recover_trace(tx, rx, scrub):
         if rec.seq is not None and not scrub:
             new_rx.append(rec)
             continue
-        target = replace(rec, seq=None) if scrub else rec
+        target = scrubbed(rec) if scrub else rec
         summary.n_attempted += 1
-        recovered = reference_recover_sequence(target, rx_ok, tx)
+        recovered = reference_recover_sequence(target, rx_ok, tx_recs)
         if recovered is None:
             summary.n_unresolved += 1
             new_rx.append(target)
@@ -284,16 +277,16 @@ def reference_recover_trace(tx, rx, scrub):
             summary.n_recovered += 1
             if scrub and recovered == rec.seq:
                 summary.n_correct += 1
-            new_rx.append(replace(rec, seq=recovered))
-    return Trace.from_records(rx.meta, rx=new_rx), summary
+            new_rx.append(rec._replace(seq=recovered))
+    return Trace(rx.meta, rx=side(new_rx)), summary
 
 
 def coarsened(rx, step_us):
     """rx with timestamps rounded down to step_us, so neighbours share one."""
-    return Trace.from_records(rx.meta, rx=[
-        replace(rec, timestamp_us=rec.timestamp_us // step_us * step_us)
-        for rec in rx.rx
-    ])
+    return Trace(rx.meta, rx=side(
+        rec._replace(timestamp_us=rec.timestamp_us // step_us * step_us)
+        for rec in rows(rx.rx)
+    ))
 
 
 def assert_matches_reference(tx, rx, scrub):
@@ -310,11 +303,11 @@ class TestMatchesReference:
                           seed=31, clock_skew_ppm=50.0,
                           clock_offset_us=10_000, timestamp_jitter_us=50)
         assert_matches_reference(tx, rx, scrub=True)
-        stripped = Trace.from_records(rx.meta, rx=[
+        stripped = Trace(rx.meta, rx=side(
             scrubbed(rec) if rec.status is ReceiveStatus.CRC_ERROR
             and rec.seq % 3 == 0 else rec
-            for rec in rx.rx
-        ])
+            for rec in rows(rx.rx)
+        ))
         assert_matches_reference(tx, stripped, scrub=False)
 
     def test_duplicate_rx_timestamps(self):
@@ -324,7 +317,7 @@ class TestMatchesReference:
                           seed=32, clock_skew_ppm=50.0,
                           clock_offset_us=10_000, timestamp_jitter_us=50)
         rx = coarsened(rx, 50_000)
-        assert len({rec.timestamp_us for rec in rx.rx}) < len(rx.rx) // 2
+        assert len(np.unique(rx.rx.timestamp_us)) < len(rx.rx) // 2
         assert_matches_reference(tx, rx, scrub=True)
 
     def test_exact_midpoint_tie(self):
@@ -333,22 +326,21 @@ class TestMatchesReference:
         meta = TraceMeta(rate_bps=54e6, frame_len=64, interval_us=20000)
         gen = np.random.default_rng(5)
         shared = gen.integers(0, 2, 64, dtype=np.uint8)
-        tx = Trace.from_records(meta, tx=[
-            FrameRecord(seq=seq, timestamp_us=seq * 20000,
-                        status=ReceiveStatus.OK,
-                        payload=shared if seq in (3, 4)
-                        else gen.integers(0, 2, 64, dtype=np.uint8))
+        tx = Trace(meta, tx=side(
+            Row(seq=seq, timestamp_us=seq * 20000, status=ReceiveStatus.OK,
+                payload=shared if seq in (3, 4)
+                else gen.integers(0, 2, 64, dtype=np.uint8))
             for seq in range(8)
-        ])
+        ))
+        tx_recs = rows(tx.tx)
         for seq, scrub in ((None, False), (3, True), (4, True)):
-            corrupted = FrameRecord(seq=seq, timestamp_us=70000,
-                                    status=ReceiveStatus.CRC_ERROR,
-                                    payload=shared)
-            rx = Trace.from_records(meta, rx=[
-                *tx.tx[:3], corrupted, *(tx.tx[s] for s in (5, 6, 7))])
+            corrupted = Row(seq=seq, timestamp_us=70000,
+                            status=ReceiveStatus.CRC_ERROR, payload=shared)
+            rx = Trace(meta, rx=side(
+                [*tx_recs[:3], corrupted, *(tx_recs[s] for s in (5, 6, 7))]))
             got = assert_matches_reference(tx, rx, scrub=scrub)
             # equal distance and equal time difference: the lower seq wins
-            assert got.rx[3].seq == 3
+            assert got.rx.seq[3] == 3
 
     def test_unsorted_rx_ok(self):
         # an rx side out of time order, as no reader would accept it: the
@@ -356,10 +348,10 @@ class TestMatchesReference:
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.02, n_frames=300, frame_len=400,
                           seed=33, clock_skew_ppm=50.0,
                           clock_offset_us=10_000, timestamp_jitter_us=50)
-        records = list(rx.rx)
+        records = rows(rx.rx)
         np.random.default_rng(0).shuffle(records)
-        shuffled = Trace.from_records(rx.meta, rx=records)
-        assert sum(rec.status is ReceiveStatus.CRC_ERROR for rec in records) > 100
+        shuffled = Trace(rx.meta, rx=side(records))
+        assert (shuffled.rx.status == CRC).sum() > 100
         got = assert_matches_reference(tx, shuffled, scrub=True)
         assert got.rx == shuffled.rx
 
@@ -379,11 +371,11 @@ class TestMatchesReference:
         # that held the run would grow with the anchor count
         tx, rx = sim_pair(r=0.0, s=0.75, p=0.02, n_frames=800, frame_len=64,
                           seed=34)
-        shared = Trace.from_records(rx.meta, rx=[
-            replace(rec, timestamp_us=8_000_000)
+        shared = Trace(rx.meta, rx=side(
+            rec._replace(timestamp_us=8_000_000)
             if rec.status is ReceiveStatus.OK else rec
-            for rec in rx.rx
-        ])
+            for rec in rows(rx.rx)
+        ))
         trace = joined(tx, shared)
         tracemalloc.start()
         try:
@@ -408,7 +400,7 @@ class TestMatchesReference:
             assert summary.n_attempted == 1
             assert summary.n_recovered == len(anchor_tx) - 1
             assert summary.n_correct == 0
-            assert got.rx[-1].seq == (None if len(anchor_tx) == 1 else 1)
+            assert got.rx.seq[-1] == (UNKNOWN_SEQ if len(anchor_tx) == 1 else 1)
 
 
 # values from a short range, so that windows often cut a run of equal times

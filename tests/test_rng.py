@@ -17,6 +17,15 @@ from hybridchan import rng
 
 MASK64 = (1 << 64) - 1
 
+
+def splitmix64(x):
+    """One step of the splitmix64 mix function on a Python int (public-domain
+    constant set): the scalar reference for rng.splitmix64_array."""
+    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
 seeds = st.integers(-(1 << 70), 1 << 70)
 roles = st.one_of(
     st.sampled_from([rng.ROLE_TX_PAYLOAD, rng.ROLE_CHANNEL, rng.ROLE_PERIODIC,
@@ -138,4 +147,4 @@ def test_words_rekey_like_at():
 def test_splitmix64_array_matches_scalar(xs):
     got = rng.splitmix64_array(np.array(xs, dtype=np.uint64))
     assert got.dtype == np.uint64
-    assert got.tolist() == [rng.splitmix64(x) for x in xs]
+    assert got.tolist() == [splitmix64(x) for x in xs]

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import reference_pipeline
 from hybridchan import (
-    FrameRecord,
     ReceiveStatus,
     Segment,
     SimConfig,
@@ -18,7 +17,7 @@ from hybridchan import (
     segment_corrupted_frames,
 )
 
-from conftest import joined, make_params, sim_pair
+from conftest import Row, joined, make_params, side, sim_pair
 from reference_pipeline import corrupted_error_vectors
 
 
@@ -30,20 +29,20 @@ def crafted_pair(error_vectors, frame_len, interval_us=20000, gap=1):
     tx_recs, rx_recs = [], []
     for seq in range(n):
         payload = rng.integers(0, 2, frame_len, dtype=np.uint8)
-        tx_recs.append(FrameRecord(seq=seq, timestamp_us=seq * interval_us,
-                                   status=ReceiveStatus.OK, payload=payload))
+        tx_recs.append(Row(seq=seq, timestamp_us=seq * interval_us,
+                           status=ReceiveStatus.OK, payload=payload))
         if seq % gap == 0:
             ev = np.asarray(error_vectors[seq // gap], dtype=np.uint8)
-            rx_recs.append(FrameRecord(
+            rx_recs.append(Row(
                 seq=seq, timestamp_us=seq * interval_us,
                 status=ReceiveStatus.CRC_ERROR,
                 payload=np.bitwise_xor(payload, ev)))
         else:
-            rx_recs.append(FrameRecord(
+            rx_recs.append(Row(
                 seq=seq, timestamp_us=seq * interval_us,
                 status=ReceiveStatus.OK, payload=payload))
-    tx = Trace.from_records(meta, tx=tx_recs)
-    rx = Trace.from_records(meta, rx=rx_recs)
+    tx = Trace(meta, tx=side(tx_recs))
+    rx = Trace(meta, rx=side(rx_recs))
     return tx, rx
 
 

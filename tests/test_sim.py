@@ -15,16 +15,16 @@ from hybridchan import (
     generate_tx,
 )
 from hybridchan.sim import periodic_window_mask
+from hybridchan.trace import CRC, OK, PHY
 
-from conftest import make_params, sim_pair
+from conftest import make_params, rows, sim_pair
 
 
 class TestGenerateTx:
     def test_single_frame(self):
         cfg = SimConfig(params=make_params(frame_len=8), seed=1, n_frames=1)
         tx = generate_tx(cfg)
-        assert len(tx.tx) == 1
-        rec = tx.tx[0]
+        [rec] = rows(tx.tx)
         assert rec.seq == 0 and rec.timestamp_us == 0
         assert rec.payload.size == 8
 
@@ -41,7 +41,7 @@ class TestGenerateTx:
         cfg = SimConfig(params=make_params(frame_len=16, interval_us=20000),
                         seed=0, n_frames=10)
         tx = generate_tx(cfg)
-        assert [r.timestamp_us for r in tx.tx] == [20000 * k for k in range(10)]
+        assert tx.tx.timestamp_us.tolist() == [20000 * k for k in range(10)]
 
     def test_timestamps_past_18_digits_refused(self):
         cfg = SimConfig(params=make_params(frame_len=8, interval_us=10**17),
@@ -54,10 +54,11 @@ class TestGenerateTx:
                         seed=0, n_frames=10000)
         tx = generate_tx(cfg)
         assert len(tx.tx) == 10000
-        assert tx.tx[0].payload.size == 8000
-        assert tx.tx[-1].timestamp_us == 9999 * 20000
+        assert tx.tx.n_bits == 8000
+        assert tx.tx.timestamp_us[-1] == 9999 * 20000
         # payload bits are balanced, as uniform bits must be
-        ones = sum(int(tx.tx[k].payload.sum()) for k in range(0, 10000, 500))
+        sample = tx.tx.payloads(np.arange(0, 10000, 500))
+        ones = int(np.unpackbits(sample, axis=1, count=8000).sum())
         n = 20 * 8000
         assert abs(ones / n - 0.5) < 4 * sqrt(0.25 / n)
 
@@ -66,14 +67,14 @@ class TestApplyChannel:
     def test_noiseless_channel_copies_everything(self):
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=40, frame_len=128, seed=3)
         assert len(rx.rx) == len(tx.tx)
-        for t, r in zip(tx.tx, rx.rx):
+        for t, r in zip(rows(tx.tx), rows(rx.rx)):
             assert r.status is ReceiveStatus.OK
             assert np.array_equal(r.payload, t.payload)
 
     def test_all_erased(self):
         _, rx = sim_pair(r=1.0, s=1.0, p=0.0, n_frames=30, frame_len=64, seed=4)
-        assert all(r.status is ReceiveStatus.PHY_ERROR for r in rx.rx)
-        assert all(r.payload is None for r in rx.rx)
+        assert (rx.rx.status == PHY).all()
+        assert (rx.rx.row == -1).all()
 
     def test_determinism(self):
         params = make_params(r=0.2, s=0.5, p=0.01, frame_len=256)
@@ -83,9 +84,10 @@ class TestApplyChannel:
 
     def test_ok_frames_share_tx_payload_bits(self):
         tx, rx = sim_pair(r=0.0, s=0.5, p=0.01, n_frames=50, frame_len=200, seed=5)
-        for rec in rx.rx:
+        tx_recs = rows(tx.tx)
+        for rec in rows(rx.rx):
             if rec.status is ReceiveStatus.OK:
-                assert np.array_equal(rec.payload, tx.tx[rec.seq].payload)
+                assert np.array_equal(rec.payload, tx_recs[rec.seq].payload)
 
     def test_state_frequencies_match_binomial_moments(self):
         # law-of-large-numbers oracle: compare counts against exact binomial
@@ -94,7 +96,7 @@ class TestApplyChannel:
         frame_len = 400
         tx, rx = sim_pair(r=r, s=s, p=p, n_frames=n, frame_len=frame_len, seed=6)
         counts = {status: 0 for status in ReceiveStatus}
-        for rec in rx.rx:
+        for rec in rows(rx.rx):
             counts[rec.status] += 1
         expected = {
             ReceiveStatus.PHY_ERROR: r,
@@ -105,9 +107,10 @@ class TestApplyChannel:
             se = sqrt(prob * (1 - prob) * n)
             assert abs(counts[status] - prob * n) <= 3 * se, status
         flips = bits = 0
-        for rec in rx.rx:
+        tx_recs = rows(tx.tx)
+        for rec in rows(rx.rx):
             if rec.status is ReceiveStatus.CRC_ERROR:
-                flips += int(np.count_nonzero(rec.payload != tx.tx[rec.seq].payload))
+                flips += int(np.count_nonzero(rec.payload != tx_recs[rec.seq].payload))
                 bits += frame_len
         se_p = sqrt(p * (1 - p) / bits)
         assert abs(flips / bits - p) <= 3 * se_p
@@ -118,9 +121,8 @@ class TestApplyChannel:
                         clock_skew_ppm=100.0, clock_offset_us=12345)
         tx = generate_tx(cfg)
         rx = apply_channel(tx, cfg)
-        for t, r in zip(tx.tx, rx.rx):
-            expected = int(round(t.timestamp_us * (1 + 100e-6) + 12345))
-            assert r.timestamp_us == expected
+        for t, r in zip(tx.tx.timestamp_us.tolist(), rx.rx.timestamp_us.tolist()):
+            assert r == int(round(t * (1 + 100e-6) + 12345))
 
     def test_jitter_stays_bounded(self):
         params = make_params(frame_len=16, interval_us=20000)
@@ -128,7 +130,7 @@ class TestApplyChannel:
                         timestamp_jitter_us=50)
         tx = generate_tx(cfg)
         rx = apply_channel(tx, cfg)
-        deltas = [r.timestamp_us - t.timestamp_us for t, r in zip(tx.tx, rx.rx)]
+        deltas = (rx.rx.timestamp_us - tx.tx.timestamp_us).tolist()
         assert max(abs(d) for d in deltas) <= 51
         assert len(set(deltas)) > 1
 
@@ -178,13 +180,13 @@ class TestDriftSchedule:
         noisy = make_params(p=0.5, s=0.0, frame_len=64)
         cfg = SimConfig(params=base, seed=9, n_frames=100,
                         drift_schedule=((60, noisy),))
-        assert cfg.params_at(0) == base
-        assert cfg.params_at(59) == base
-        assert cfg.params_at(60) == noisy
+        assert cfg.regimes[cfg.regime(0)] == base
+        assert cfg.regimes[cfg.regime(59)] == base
+        assert cfg.regimes[cfg.regime(60)] == noisy
         tx = generate_tx(cfg)
         rx = apply_channel(tx, cfg)
-        assert all(r.status is ReceiveStatus.OK for r in rx.rx[:60])
-        assert all(r.status is ReceiveStatus.CRC_ERROR for r in rx.rx[60:])
+        assert (rx.rx.status[:60] == OK).all()
+        assert (rx.rx.status[60:] == CRC).all()
 
     def test_schedule_validation(self):
         base = make_params(frame_len=64)
@@ -250,7 +252,7 @@ class TestPeriodicNoise:
                                   p_in_burst=0.2, seed=10)
         mask = periodic_window_mask(2000, 288, 32)
         in_w = out_w = 0
-        for t, r in zip(tx.tx, rx.rx):
+        for t, r in zip(rows(tx.tx), rows(rx.rx)):
             if r.status is ReceiveStatus.CRC_ERROR:
                 ev = np.bitwise_xor(t.payload, r.payload)
                 in_w += int(ev[mask].sum())
@@ -261,7 +263,7 @@ class TestPeriodicNoise:
         cfg = SimConfig(params=make_params(frame_len=600), seed=11, n_frames=40)
         tx = generate_tx(cfg)
         rx = apply_periodic_noise(tx, 288, 32, p_in_burst=0.0, seed=11)
-        assert all(r.status is ReceiveStatus.OK for r in rx.rx)
+        assert (rx.rx.status == OK).all()
 
     def test_full_window_degenerates_to_uniform(self):
         # burst_len == period: every position eligible, marginal flip rate
@@ -274,7 +276,7 @@ class TestPeriodicNoise:
                                   p_in_burst=p, seed=12)
         total = np.zeros(frame_len, dtype=np.int64)
         n_bad = 0
-        for t, r in zip(tx.tx, rx.rx):
+        for t, r in zip(rows(tx.tx), rows(rx.rx)):
             if r.status is ReceiveStatus.CRC_ERROR:
                 total += np.bitwise_xor(t.payload, r.payload)
                 n_bad += 1

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from hybridchan import (
-    FrameRecord,
     ReceiveStatus,
-    Side,
     Trace,
     TraceMeta,
     bit_position_profile,
@@ -20,7 +18,7 @@ from hybridchan.runstest import RunsFlag
 from hybridchan.sim import apply_periodic_noise, periodic_window_mask
 from hybridchan.segments import Segment
 
-from conftest import joined, sim_pair
+from conftest import Row, joined, rows, side, sim_pair
 
 
 def bits(text):
@@ -30,12 +28,12 @@ def bits(text):
 def crossover(ev):
     """The crossover per_frame_runs_tests reports for one error vector."""
     meta = TraceMeta(rate_bps=54e6, frame_len=ev.size, interval_us=100)
-    trace = Trace.from_records(
+    trace = Trace(
         meta,
-        tx=[FrameRecord(seq=0, timestamp_us=0, status=ReceiveStatus.OK,
-                        payload=np.zeros(ev.size, dtype=np.uint8))],
-        rx=[FrameRecord(seq=0, timestamp_us=0, status=ReceiveStatus.CRC_ERROR,
-                        payload=ev)])
+        tx=side([Row(seq=0, timestamp_us=0, status=ReceiveStatus.OK,
+                     payload=np.zeros(ev.size, dtype=np.uint8))]),
+        rx=side([Row(seq=0, timestamp_us=0, status=ReceiveStatus.CRC_ERROR,
+                     payload=ev)]))
     [row] = per_frame_runs_tests(error_table(trace))
     return row.crossover
 
@@ -58,9 +56,8 @@ class TestFrameErrorRunsTest:
     per_frame_runs_tests."""
 
     @staticmethod
-    def _rows(tx, records):
-        return per_frame_runs_tests(
-            error_table(Trace(meta=tx.meta, tx=tx.tx, rx=Side.from_records(records))))
+    def _rows(tx, rx_side):
+        return per_frame_runs_tests(error_table(Trace(meta=tx.meta, tx=tx.tx, rx=rx_side)))
 
     def test_rejects_clean_frames(self):
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=3, frame_len=64, seed=1)
@@ -68,28 +65,27 @@ class TestFrameErrorRunsTest:
 
     def test_rejects_unknown_seq(self):
         payload = bits("1010")
-        rec = FrameRecord(seq=None, timestamp_us=0,
-                          status=ReceiveStatus.CRC_ERROR, payload=payload)
+        rec = Row(seq=None, timestamp_us=0,
+                  status=ReceiveStatus.CRC_ERROR, payload=payload)
         tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=3, frame_len=4, seed=1)
-        assert self._rows(tx, [rec]) == []
+        assert self._rows(tx, side([rec])) == []
 
     def test_all_zero_error_vector_is_degenerate(self):
         tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=3, frame_len=64, seed=2)
-        rec = FrameRecord(seq=0, timestamp_us=0,
-                          status=ReceiveStatus.CRC_ERROR,
-                          payload=tx.tx[0].payload)
-        [row] = self._rows(tx, [rec])
+        rec = Row(seq=0, timestamp_us=0,
+                  status=ReceiveStatus.CRC_ERROR, payload=rows(tx.tx)[0].payload)
+        [row] = self._rows(tx, side([rec]))
         assert row.result.flag is RunsFlag.DEGENERATE
         assert row.n_bit_errors == 0 and row.crossover == 0.0
 
     def test_single_flipped_bit(self):
         tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=1, frame_len=8000, seed=3)
         for pos in (0, 4000, 7999):
-            payload = tx.tx[0].payload.copy()
+            payload = rows(tx.tx)[0].payload
             payload[pos] ^= 1
-            rec = FrameRecord(seq=0, timestamp_us=0,
-                              status=ReceiveStatus.CRC_ERROR, payload=payload)
-            [row] = self._rows(tx, [rec])
+            rec = Row(seq=0, timestamp_us=0,
+                      status=ReceiveStatus.CRC_ERROR, payload=payload)
+            [row] = self._rows(tx, side([rec]))
             assert row.seq == 0 and row.n_bit_errors == 1
             assert row.result.flag is RunsFlag.NORMAL
             assert row.result.n_runs == (2 if pos in (0, 7999) else 3)
@@ -124,13 +120,12 @@ class TestSymmetryReport:
             flips = np.where(payload == 1,
                              gen.random(frame_len) < 0.01,
                              gen.random(frame_len) < 0.002)
-            tx_recs.append(FrameRecord(seq=seq, timestamp_us=seq,
-                                       status=ReceiveStatus.OK, payload=payload))
-            rx_recs.append(FrameRecord(
+            tx_recs.append(Row(seq=seq, timestamp_us=seq,
+                               status=ReceiveStatus.OK, payload=payload))
+            rx_recs.append(Row(
                 seq=seq, timestamp_us=seq, status=ReceiveStatus.CRC_ERROR,
                 payload=np.bitwise_xor(payload, flips.astype(np.uint8))))
-        rep = symmetry_report(error_table(
-            Trace.from_records(meta, tx=tx_recs, rx=rx_recs)))
+        rep = symmetry_report(error_table(Trace(meta, side(tx_recs), side(rx_recs))))
         assert rep.symmetric is False
         assert abs(rep.z) > 10
 
@@ -144,12 +139,12 @@ class TestSymmetryReport:
         payload = np.ones(32, dtype=np.uint8)
         received = payload.copy()
         received[:3] = 0
-        trace = Trace.from_records(
+        trace = Trace(
             meta,
-            tx=[FrameRecord(seq=0, timestamp_us=0, status=ReceiveStatus.OK,
-                            payload=payload)],
-            rx=[FrameRecord(seq=0, timestamp_us=0, status=ReceiveStatus.CRC_ERROR,
-                            payload=received)])
+            tx=side([Row(seq=0, timestamp_us=0, status=ReceiveStatus.OK,
+                         payload=payload)]),
+            rx=side([Row(seq=0, timestamp_us=0, status=ReceiveStatus.CRC_ERROR,
+                         payload=received)]))
         rep = symmetry_report(error_table(trace))
         assert rep.n0 == 0
         assert rep.mu0 is None and rep.se0 is None
@@ -160,11 +155,11 @@ class TestSymmetryReport:
 class TestBitPositionProfile:
     def test_single_frame_profile_is_its_error_vector(self):
         tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=1, frame_len=100, seed=9)
-        payload = tx.tx[0].payload.copy()
+        payload = rows(tx.tx)[0].payload
         payload[[4, 40]] ^= 1
-        rx = Trace.from_records(tx.meta, rx=[FrameRecord(
+        rx = Trace(tx.meta, rx=side([Row(
             seq=0, timestamp_us=0, status=ReceiveStatus.CRC_ERROR,
-            payload=payload)])
+            payload=payload)]))
         profile = bit_position_profile(error_table(joined(tx, rx)))
         expected = np.zeros(100)
         expected[[4, 40]] = 1.0
@@ -222,16 +217,16 @@ class TestOutcomeIidTests:
         tx_recs, rx_recs = [], []
         for seq in range(2000):
             payload = gen.integers(0, 2, 8, dtype=np.uint8)
-            tx_recs.append(FrameRecord(seq=seq, timestamp_us=100 * seq,
-                                       status=ReceiveStatus.OK, payload=payload))
+            tx_recs.append(Row(seq=seq, timestamp_us=100 * seq,
+                               status=ReceiveStatus.OK, payload=payload))
             if seq % 10 == 0:
-                rec = FrameRecord(seq=seq, timestamp_us=100 * seq,
-                                  status=ReceiveStatus.PHY_ERROR)
+                rec = Row(seq=seq, timestamp_us=100 * seq,
+                          status=ReceiveStatus.PHY_ERROR)
             else:
-                rec = FrameRecord(seq=seq, timestamp_us=100 * seq,
-                                  status=ReceiveStatus.OK, payload=payload)
+                rec = Row(seq=seq, timestamp_us=100 * seq,
+                          status=ReceiveStatus.OK, payload=payload)
             rx_recs.append(rec)
-        rx = Trace.from_records(meta, rx=rx_recs)
+        rx = Trace(meta, rx=side(rx_recs))
         seg = Segment(start_frame=0, end_frame=1999, n_frames=2000,
                       n_corrupted=0, duration_us=2000 * 100, pooled_p=0.0)
         report = outcome_iid_tests(rx, [seg])

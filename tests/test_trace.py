@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from hybridchan import (
     ChannelParams,
-    FrameRecord,
     ReceiveStatus,
     Side,
     Trace,
@@ -14,6 +13,8 @@ from hybridchan import (
 )
 from hybridchan.trace import CRC, OK, PHY, UNKNOWN_SEQ
 from hybridchan.traceio import hex_to_packed, packed_to_hex
+
+from conftest import Row, rows, side
 
 
 def bits(text):
@@ -60,41 +61,15 @@ class TestChannelParams:
             ChannelParams(**kwargs)
 
 
-class TestFrameRecord:
-    def test_phy_error_must_not_carry_payload(self):
-        with pytest.raises(TraceError):
-            FrameRecord(seq=0, timestamp_us=0, status=ReceiveStatus.PHY_ERROR,
-                        payload=bits("1010"))
-
-    def test_crc_error_needs_payload(self):
-        with pytest.raises(TraceError):
-            FrameRecord(seq=0, timestamp_us=0, status=ReceiveStatus.CRC_ERROR)
-
-    def test_payload_is_frozen(self):
-        rec = FrameRecord(seq=0, timestamp_us=0, status=ReceiveStatus.OK,
-                          payload=bits("1010"))
-        with pytest.raises(ValueError):
-            rec.payload[0] = 0
-
-    def test_equality_compares_payload_bits(self):
-        a = FrameRecord(seq=1, timestamp_us=5, status=ReceiveStatus.OK,
-                        payload=bits("1010"))
-        b = FrameRecord(seq=1, timestamp_us=5, status=ReceiveStatus.OK,
-                        payload=bits("1010"))
-        c = FrameRecord(seq=1, timestamp_us=5, status=ReceiveStatus.OK,
-                        payload=bits("1011"))
-        assert a == b and a != c
-
-
 class TestTraceValidate:
     def _trace(self, tx_seqs=(0, 1, 2), rx_seq=1, more_rx=()):
         meta = TraceMeta(rate_bps=54e6, frame_len=4, interval_us=100)
-        tx = [FrameRecord(seq=q, timestamp_us=100 * i, status=ReceiveStatus.OK,
-                          payload=bits("1010"))
+        tx = [Row(seq=q, timestamp_us=100 * i, status=ReceiveStatus.OK,
+                  payload=bits("1010"))
               for i, q in enumerate(tx_seqs)]
-        rx = [FrameRecord(seq=rx_seq, timestamp_us=150, status=ReceiveStatus.OK,
-                          payload=bits("1010")), *more_rx]
-        return Trace.from_records(meta, tx=tx, rx=rx)
+        rx = [Row(seq=rx_seq, timestamp_us=150, status=ReceiveStatus.OK,
+                  payload=bits("1010")), *more_rx]
+        return Trace(meta, side(tx), side(rx))
 
     def test_valid(self):
         self._trace().validate()
@@ -108,44 +83,41 @@ class TestTraceValidate:
             self._trace(rx_seq=7).validate()
 
     def test_payload_length_mismatch(self):
-        short = FrameRecord(seq=0, timestamp_us=300, status=ReceiveStatus.OK,
-                            payload=bits("10"))
-        # a side holds one payload width, so a mixed side cannot be built
-        with pytest.raises(TraceError, match="payload length"):
-            self._trace(more_rx=[short])
+        short = Row(seq=0, timestamp_us=300, status=ReceiveStatus.OK,
+                    payload=bits("10"))
         t = self._trace()
-        t.rx = Side.from_records([short])
+        t.rx = side([short])
         with pytest.raises(TraceError,
                            match=r"rx seq 0: payload length 2 != frame_len 4"):
             t.validate()
 
     def test_duplicate_rx_seq(self):
         t = self._trace(rx_seq=0, more_rx=[
-            FrameRecord(seq=0, timestamp_us=ts, status=ReceiveStatus.CRC_ERROR,
-                        payload=bits("1011"))
+            Row(seq=0, timestamp_us=ts, status=ReceiveStatus.CRC_ERROR,
+                payload=bits("1011"))
             for ts in (200, 250)])
         with pytest.raises(TraceError, match="rx seq 0 appears more than once"):
             t.validate()
 
     def test_decreasing_rx_seqs(self):
         t = self._trace(rx_seq=1, more_rx=[
-            FrameRecord(seq=None, timestamp_us=200,
-                        status=ReceiveStatus.CRC_ERROR, payload=bits("1011")),
-            FrameRecord(seq=0, timestamp_us=250,
-                        status=ReceiveStatus.CRC_ERROR, payload=bits("1011"))])
+            Row(seq=None, timestamp_us=200,
+                status=ReceiveStatus.CRC_ERROR, payload=bits("1011")),
+            Row(seq=0, timestamp_us=250,
+                status=ReceiveStatus.CRC_ERROR, payload=bits("1011"))])
         with pytest.raises(TraceError,
                            match=r"increase in trace order \(saw 0 after 1\)"):
             t.validate()
 
     def test_unknown_rx_seqs_may_repeat(self):
         t = self._trace(more_rx=[
-            FrameRecord(seq=None, timestamp_us=ts,
-                        status=ReceiveStatus.CRC_ERROR, payload=bits("1011"))
+            Row(seq=None, timestamp_us=ts,
+                status=ReceiveStatus.CRC_ERROR, payload=bits("1011"))
             for ts in (200, 250)])
         t.validate()
 
     def test_decreasing_timestamps(self):
-        t = self._trace(more_rx=[FrameRecord(
+        t = self._trace(more_rx=[Row(
             seq=0, timestamp_us=10, status=ReceiveStatus.OK, payload=bits("1010"))])
         with pytest.raises(TraceError, match="non-decreasing") as err:
             t.validate()
@@ -153,8 +125,8 @@ class TestTraceValidate:
 
     def test_tx_record_without_payload(self):
         t = self._trace()
-        t.tx = Side.from_records([*t.tx[:2], FrameRecord(
-            seq=2, timestamp_us=200, status=ReceiveStatus.PHY_ERROR)])
+        t.tx = side([*rows(t.tx)[:2],
+                     Row(seq=2, timestamp_us=200, status=ReceiveStatus.PHY_ERROR)])
         with pytest.raises(TraceError, match="tx seq 2 carries no payload") as err:
             t.validate()
         assert err.value.record == ("tx", 2)
@@ -162,93 +134,86 @@ class TestTraceValidate:
     def test_first_fault_of_a_side_is_reported(self):
         # a later payload-length fault loses to an earlier timestamp fault
         meta = TraceMeta(rate_bps=54e6, frame_len=2, interval_us=100)
-        t = Trace.from_records(meta, rx=[
-            FrameRecord(seq=None, timestamp_us=ts, status=status, payload=payload)
-            for ts, status, payload in ((50, ReceiveStatus.PHY_ERROR, None),
-                                        (40, ReceiveStatus.PHY_ERROR, None),
-                                        (60, ReceiveStatus.OK, bits("1010")))])
+        t = Trace(meta, rx=side([
+            (None, 50, ReceiveStatus.PHY_ERROR, None, None),
+            (None, 40, ReceiveStatus.PHY_ERROR, None, None),
+            (None, 60, ReceiveStatus.OK, bits("1010"), None)]))
         with pytest.raises(TraceError, match=r"saw 40 after 50") as err:
             t.validate()
         assert err.value.record == ("rx", 1)
 
 
 class TestSide:
-    def records(self):
-        return [
-            FrameRecord(seq=0, timestamp_us=5, status=ReceiveStatus.OK,
-                        payload=bits("10110"), rssi=-61),
-            FrameRecord(seq=None, timestamp_us=6, status=ReceiveStatus.CRC_ERROR,
-                        payload=bits("00111")),
-            FrameRecord(seq=2, timestamp_us=7, status=ReceiveStatus.PHY_ERROR,
-                        rssi=0),
-        ]
+    ROWS = [Row(0, 5, ReceiveStatus.OK, bits("10110"), -61),
+            Row(None, 6, ReceiveStatus.CRC_ERROR, bits("00111")),
+            Row(2, 7, ReceiveStatus.PHY_ERROR, rssi=0)]
+
+    @staticmethod
+    def columns():
+        """The columns of ROWS, written out."""
+        return dict(seq=[0, UNKNOWN_SEQ, 2], timestamp_us=[5, 6, 7],
+                    status=[OK, CRC, PHY], rssi=[-61, 0, 0],
+                    has_rssi=[True, False, True], row=[0, 1, -1],
+                    packed=[[0b10110000], [0b00111000]], n_bits=5)
 
     def test_columns_of_records(self):
-        side = Side.from_records(self.records())
-        assert side.seq.tolist() == [0, UNKNOWN_SEQ, 2]
-        assert side.timestamp_us.tolist() == [5, 6, 7]
-        assert side.status.tolist() == [OK, CRC, PHY]
-        assert side.rssi.tolist() == [-61, 0, 0]
-        assert side.has_rssi.tolist() == [True, False, True]
-        assert side.row.tolist() == [0, 1, -1]
-        assert side.n_bits == 5 and side.packed.shape == (2, 1)
-        assert side.payloads([1, 0]).tolist() == [[0b00111000], [0b10110000]]
+        s = side(self.ROWS)
+        for name, want in self.columns().items():
+            assert np.array_equal(getattr(s, name), want), name
+        assert s.packed.shape == (2, 1)
+        assert s.payloads([1, 0]).tolist() == [[0b00111000], [0b10110000]]
+        assert np.unpackbits(s.payloads(0), count=s.n_bits).tolist() == [1, 0, 1, 1, 0]
 
     def test_rows_read_back_as_records(self):
-        side = Side.from_records(self.records())
-        assert list(side) == self.records()
-        assert side[-1] == self.records()[2]
-        assert side[1:] == self.records()[1:]
-        with pytest.raises(IndexError):
-            side[3]
+        got = rows(side(self.ROWS))
+        assert [r[:3] + r[4:] for r in got] == [r[:3] + r[4:] for r in self.ROWS]
+        assert [None if r.payload is None else r.payload.tolist() for r in got] \
+            == [[1, 0, 1, 1, 0], [0, 0, 1, 1, 1], None]
+        assert side(got) == side(self.ROWS)
 
     def test_columns_are_read_only(self):
-        side = Side.from_records(self.records())
-        for column in (side.seq, side.timestamp_us, side.status, side.rssi,
-                       side.has_rssi, side.row, side.packed):
+        s = Side(**self.columns())
+        for column in (s.seq, s.timestamp_us, s.status, s.rssi,
+                       s.has_rssi, s.row, s.packed):
             with pytest.raises(ValueError):
                 column[0] = 1
 
     def test_equality_follows_payload_rows(self):
-        side = Side.from_records(self.records())
+        s = Side(**self.columns())
         # the same records with their payload rows stored in reverse order
-        shuffled = Side(seq=side.seq, timestamp_us=side.timestamp_us,
-                        status=side.status, rssi=side.rssi, has_rssi=side.has_rssi,
-                        row=[1, 0, -1], packed=side.packed[::-1], n_bits=5)
-        assert shuffled == side
-        assert Side.from_records(self.records()[:2]) != side
-        assert Side.empty() == Side.from_records([])
+        shuffled = Side(**{**self.columns(), "row": [1, 0, -1],
+                           "packed": s.packed[::-1]})
+        assert shuffled == s
+        flipped = Side(**{**self.columns(), "packed": [[0b10110000], [0b00110000]]})
+        assert flipped != s
+        assert side(self.ROWS[:2]) != s
+        assert Side.empty() == side([])
 
     def test_inconsistent_columns_rejected(self):
-        side = Side.from_records(self.records())
-        columns = dict(seq=side.seq, timestamp_us=side.timestamp_us,
-                       status=side.status, rssi=side.rssi, has_rssi=side.has_rssi,
-                       row=side.row, packed=side.packed, n_bits=5)
         for change, message in (
             (dict(seq=[0, 1]), "one entry per record"),
             (dict(seq=[0, -2, 2]), "must not be negative"),
             (dict(row=[0, 1, 1]), "carry no payload"),
+            (dict(row=[0, -1, -1]), "carry no payload"),
             (dict(row=[0, 2, -1]), "outside the payload matrix"),
             (dict(rssi=[-61, 3, 0]), "rssi must be 0"),
             (dict(packed=[[0b10110100], [0]]), "padding"),
+            (dict(packed=[[0b10110000], [0b00111001]]), "padding"),
             (dict(n_bits=9), "bytes per row"),
+            (dict(packed=[[0b10110000, 0], [0b00111000, 0]]), "bytes per row"),
         ):
             with pytest.raises(TraceError, match=message):
-                Side(**{**columns, **change})
+                Side(**{**self.columns(), **change})
 
     def test_values_past_18_digits_rejected(self):
         for value in (10**18, -10**18, 2**63):
             with pytest.raises(TraceError, match="at most 18 digits"):
-                Side.from_records([FrameRecord(seq=None, timestamp_us=value,
-                                               status=ReceiveStatus.PHY_ERROR)])
-        Side.from_records([FrameRecord(seq=10**18 - 1, timestamp_us=1 - 10**18,
-                                       status=ReceiveStatus.PHY_ERROR,
-                                       rssi=10**18 - 1)])
+                side([Row(None, value, ReceiveStatus.PHY_ERROR)])
+        side([Row(10**18 - 1, 1 - 10**18, ReceiveStatus.PHY_ERROR, rssi=10**18 - 1)])
 
     def test_negative_record_seq_rejected(self):
-        with pytest.raises(TraceError, match="seq -3 is negative"):
-            Side.from_records([FrameRecord(seq=-3, timestamp_us=0,
-                                           status=ReceiveStatus.PHY_ERROR)])
+        with pytest.raises(TraceError, match="sequence numbers must not be negative"):
+            Side(**{**self.columns(), "seq": [0, -3, 2]})
 
 
 class TestBitsHex:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import reference_traceio
 from hybridchan import (
     ChannelParams,
-    FrameRecord,
     ReceiveStatus,
     Side,
     SimConfig,
@@ -26,6 +25,8 @@ from hybridchan import (
 )
 from hybridchan.traceio import load_pair
 
+from conftest import Row, rows, side
+
 
 def bits(text):
     return np.array([int(c) for c in text], dtype=np.uint8)
@@ -35,18 +36,18 @@ def three_frame_trace():
     meta = TraceMeta(rate_bps=54e6, frame_len=12, interval_us=20000,
                      description='outdoor run "A" \\ test')
     tx = [
-        FrameRecord(seq=i, timestamp_us=20000 * i, status=ReceiveStatus.OK,
-                    payload=bits("101000111111"))
+        Row(seq=i, timestamp_us=20000 * i, status=ReceiveStatus.OK,
+            payload=bits("101000111111"))
         for i in range(3)
     ]
     rx = [
-        FrameRecord(seq=0, timestamp_us=37, status=ReceiveStatus.OK,
-                    payload=bits("101000111111"), rssi=-61),
-        FrameRecord(seq=None, timestamp_us=20040, status=ReceiveStatus.CRC_ERROR,
-                    payload=bits("101001111111"), rssi=-70),
-        FrameRecord(seq=2, timestamp_us=40038, status=ReceiveStatus.PHY_ERROR),
+        Row(seq=0, timestamp_us=37, status=ReceiveStatus.OK,
+            payload=bits("101000111111"), rssi=-61),
+        Row(seq=None, timestamp_us=20040, status=ReceiveStatus.CRC_ERROR,
+            payload=bits("101001111111"), rssi=-70),
+        Row(seq=2, timestamp_us=40038, status=ReceiveStatus.PHY_ERROR),
     ]
-    return Trace.from_records(meta, tx=tx, rx=rx)
+    return Trace(meta, side(tx), side(rx))
 
 
 def test_round_trip_identity(tmp_path):
@@ -169,8 +170,8 @@ def test_missing_meta_line(tmp_path):
 
 def test_fractional_rate_round_trips(tmp_path):
     meta = TraceMeta(rate_bps=5.5e6 + 0.25, frame_len=4, interval_us=10)
-    trace = Trace.from_records(meta, tx=[FrameRecord(
-        seq=0, timestamp_us=0, status=ReceiveStatus.OK, payload=bits("1011"))])
+    trace = Trace(meta, tx=side([Row(
+        seq=0, timestamp_us=0, status=ReceiveStatus.OK, payload=bits("1011"))]))
     path = tmp_path / "t.trace"
     write_trace(trace, path)
     assert read_trace(path).meta.rate_bps == meta.rate_bps
@@ -334,8 +335,9 @@ def test_load_pair_validates_each_side_once(tmp_path, monkeypatch):
 def test_load_pair_rx_seq_without_tx_names_rx_file(tmp_path):
     trace = three_frame_trace()
     tx_path, rx_path = tmp_path / "tx.trace", tmp_path / "rx.trace"
-    write_trace(Trace.from_records(trace.meta, tx=trace.tx[:2]), tx_path)
-    write_trace(Trace.from_records(trace.meta, rx=trace.rx[:1] + trace.rx[2:]), rx_path)
+    rx = rows(trace.rx)
+    write_trace(Trace(trace.meta, tx=side(rows(trace.tx)[:2])), tx_path)
+    write_trace(Trace(trace.meta, rx=side(rx[:1] + rx[2:])), rx_path)
     with pytest.raises(TraceFormatError) as info:
         load_pair(tx_path, rx_path)
     assert str(info.value) == f"{rx_path}:3: rx seq 2 has no matching tx record"
@@ -424,10 +426,9 @@ def _fuzz_bases():
                              interval_us=1000),
         seed=4, n_frames=8, timestamp_jitter_us=5)
     tx = generate_tx(config)
-    rx = list(apply_channel(tx, config).rx)
-    rx[3] = FrameRecord(seq=None, timestamp_us=rx[3].timestamp_us,
-                        status=rx[3].status, payload=rx[3].payload, rssi=-77)
-    sim = Trace(meta=tx.meta, tx=tx.tx, rx=Side.from_records(rx))
+    rx = rows(apply_channel(tx, config).rx)
+    rx[3] = rx[3]._replace(seq=None, rssi=-77)
+    sim = Trace(meta=tx.meta, tx=tx.tx, rx=side(rx))
     return [trace, sim, Trace(meta=trace.meta, tx=trace.tx),
             Trace(meta=sim.meta, rx=sim.rx)]
 
@@ -508,9 +509,9 @@ def valid_traces(draw):
         return gen.integers(0, 2, frame_len, dtype=np.uint8)
 
     n_tx = draw(st.integers(0, 8))
-    tx = [FrameRecord(seq=i, timestamp_us=t, rssi=draw(rssi), payload=payload(),
-                      status=draw(st.sampled_from([ReceiveStatus.OK,
-                                                   ReceiveStatus.CRC_ERROR])))
+    tx = [Row(seq=i, timestamp_us=t, rssi=draw(rssi), payload=payload(),
+              status=draw(st.sampled_from([ReceiveStatus.OK,
+                                           ReceiveStatus.CRC_ERROR])))
           for i, t in enumerate(times(n_tx))]
     n_rx = draw(st.integers(0, n_tx or 8))
     pool = range(n_tx) if n_tx else range(10**18)
@@ -519,7 +520,7 @@ def valid_traces(draw):
     rx = []
     for seq, t in zip(seqs, times(n_rx)):
         status = draw(st.sampled_from(list(ReceiveStatus)))
-        rx.append(FrameRecord(
+        rx.append(Row(
             seq=draw(st.sampled_from([seq, None])), timestamp_us=t, status=status,
             rssi=draw(rssi),
             payload=None if status is ReceiveStatus.PHY_ERROR else payload()))
@@ -527,7 +528,13 @@ def valid_traces(draw):
                      frame_len=frame_len, interval_us=draw(st.integers(0, 10**6)),
                      description=draw(st.text(max_size=8).filter(
                          lambda d: "\n" not in d and "\r" not in d)))
-    return Trace.from_records(meta, tx=tx, rx=rx)
+    return Trace(meta, side(tx), side(rx))
+
+
+def _records(trace_side):
+    """A side's records as the reference reader's tuples, payloads packed."""
+    return [(seq, ts, status, None if bits is None else np.packbits(bits).tobytes(), rssi)
+            for seq, ts, status, bits, rssi in rows(trace_side)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -538,8 +545,7 @@ def test_columns_match_reference_records(tmp_path_factory, trace):
     got = read_trace(path)
     meta, tx, rx = reference_traceio.read(path)
     assert got.meta == meta == trace.meta
-    assert list(got.tx) == tx and list(got.rx) == rx
-    assert got.tx == Side.from_records(tx) and got.rx == Side.from_records(rx)
+    assert _records(got.tx) == tx and _records(got.rx) == rx
     assert got == trace
 
 
@@ -550,7 +556,7 @@ def _outcome(read, path):
     except TraceFormatError as exc:
         return "fault", exc.line, str(exc)
     if isinstance(got, Trace):
-        got = got.meta, list(got.tx), list(got.rx)
+        got = got.meta, _records(got.tx), _records(got.rx)
     return "read", got
 
 
