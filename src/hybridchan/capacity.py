@@ -21,6 +21,9 @@ import numpy as np
 
 from .trace import CRC, OK, PHY, UNKNOWN_SEQ, Trace, TraceError, UsageError
 
+# Bytes of gathered payload rows per block, as recovery._BLOCK_BYTES.
+_BLOCK_BYTES = 1 << 18
+
 
 def binary_entropy(p: float) -> float:
     """H(p) in bits, with the limit convention H(0) = H(1) = 0."""
@@ -69,7 +72,11 @@ def _binomial_se(p: float, n: int) -> float:
 
 
 def _flip_counts(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """(flipped bits, bits) per rx frame; 0 and 0 unless corrupted with a seq."""
+    """(flipped bits, bits) per rx frame; 0 and 0 unless corrupted with a seq.
+
+    The tx and rx rows of the frames are gathered a block at a time, at
+    most _BLOCK_BYTES of them.
+    """
     tx, rx = trace.tx, trace.rx
     picked = np.flatnonzero((rx.status == CRC) & (rx.seq != UNKNOWN_SEQ))
     flips = np.zeros(len(rx), dtype=np.int64)
@@ -77,8 +84,11 @@ def _flip_counts(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     if picked.size:
         if tx.n_bits != rx.n_bits:
             raise TraceError(f"payload length mismatch: {tx.n_bits} vs {rx.n_bits}")
-        diff = tx.payloads(rx.seq[picked]) ^ rx.payloads(picked)
-        flips[picked] = np.bitwise_count(diff).sum(axis=1)
+        step = max(1, _BLOCK_BYTES // (2 * rx.packed.shape[1]))
+        for lo in range(0, picked.size, step):
+            frames = picked[lo:lo + step]
+            diff = tx.payloads(rx.seq[frames]) ^ rx.payloads(frames)
+            flips[frames] = np.bitwise_count(diff).sum(axis=1)
         bits[picked] = rx.n_bits
     return flips, bits
 

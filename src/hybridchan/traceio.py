@@ -15,24 +15,34 @@ numbers the literal ``?``, missing RSSI ``-``.  Integers are spelled
 digits; sequence numbers are not negative.  The description holds no
 line break.
 
-read_trace fills a trace's columns from the whole file at once: the line
-heads (everything before the payload) are checked by one anchored regex
-and converted with numpy, and every payload is decoded by one hex decode
-into one packed matrix.  That path only accepts.  When it meets any
-malformed record line it reads the file again, line by line, and the
-first line that fails the per-line checks (_line_fault) names the fault.
-So faults are reported in file order, and within a line the payload's
-hex is checked last.
+Both directions go a block of whole lines at a time, with no Python
+code per record, so neither holds the file's text, only a block of it
+(_BLOCK_BYTES read, _WRITE_BLOCK_BYTES written).  write_trace lays out the
+heads of a block of records (everything before the payload) as rows of
+bytes with NUL in the unused places, deletes the NULs and moves each
+payload's hex, from one hex encode, in after its head.  read_trace checks
+every head of a block with one anchored regex, converts them with numpy
+and decodes the block's payloads with one hex decode into the file's
+packed matrix, which is allocated once.  That path only accepts and keeps
+no line numbers.  When it meets any malformed record line it reads the
+file again, line by line, and the first line that fails the per-line
+checks (_line_fault) names the fault.  So faults are reported in file
+order, and within a line the payload's hex is checked last.  A broken
+invariant of the columns is named at its record's line, found by reading
+the file again too.
 """
 
 from __future__ import annotations
 
 import binascii
+import itertools
 import math
+import os
 import re
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .trace import (
     CRC,
@@ -49,6 +59,12 @@ from .trace import (
     TraceMeta,
 )
 
+# Bytes of file text in one block of records read, and in one written.
+# simulate writes while it holds both sides' payloads, so a written block's
+# temporaries are kept smaller.
+_BLOCK_BYTES = 1 << 19
+_WRITE_BLOCK_BYTES = 1 << 17
+
 _META_RE = re.compile(
     r'^#meta R=(?P<rate>[0-9.eE+-]+) frame_len=(?P<flen>0|[1-9][0-9]*) '
     r'interval_us=(?P<iv>0|[1-9][0-9]*) desc="(?P<desc>(?:[^"\\]|\\.)*)"$'
@@ -57,45 +73,57 @@ _META_RE = re.compile(
 # Canonical record integers of at most MAX_DIGITS digits.
 _NATURAL = rb"0|[1-9][0-9]{0,%d}" % (MAX_DIGITS - 1)
 _INT = rb"0|-?[1-9][0-9]{0,%d}" % (MAX_DIGITS - 1)
-# The heads of record lines, each ended by LF: side, seq, timestamp, status, rssi.
+# The heads of record lines, each padded with LFs: side, seq, timestamp,
+# status, rssi.
 _HEADS_RE = re.compile(
     rb"(?:(?:tx|rx) (?:\?|" + _NATURAL + rb") (?:" + _INT + rb") (?:ok|crc|phy) "
-    rb"(?:-|" + _INT + rb")\n)*"
+    rb"(?:-|" + _INT + rb")\n+)*"
 )
+# The longest head: side, seq, signed timestamp, status, signed rssi and
+# the four spaces between them.
+_MAX_HEAD = 2 + MAX_DIGITS + 2 * (MAX_DIGITS + 1) + 3 + 4
+# The shortest record line with a payload, less its payload's digits.
+_MIN_FRAME = len(b"tx 0 0 ok - \n")
 
 _STATUS_FROM_TOKEN = {s.value: s for s in ReceiveStatus}
-
-
-def packed_to_hex(packed: np.ndarray) -> str:
-    """Lowercase hex of packed payload bytes, bit 0 = MSB of the first digit."""
-    return packed.tobytes().hex()
+# Each status code's token, NUL-padded to three bytes.
+_TOKENS = np.frombuffer(b"".join(s.value.encode().ljust(3, b"\0") for s in STATUSES),
+                        dtype=np.uint8).reshape(len(STATUSES), 3)
 
 
 def hex_to_packed(payload_hex, n_bits: int) -> np.ndarray:
     """Decode back-to-back hex payloads of n_bits each into a packed matrix.
 
-    payload_hex is ASCII bytes or any buffer of them.  Returns a read-only
-    uint8 matrix with one row of ceil(n_bits/8) bytes per payload, from one
-    binascii.a2b_hex call over all of it.  Digits must be lowercase hex and
-    pad bits past n_bits zero; otherwise raises ValueError.
+    payload_hex is ASCII bytes.  Returns a read-only uint8 matrix with one
+    row of ceil(n_bits/8) bytes per payload, from one binascii.a2b_hex
+    call over all of it.  Digits must be lowercase hex and pad bits past
+    n_bits zero; otherwise raises ValueError.
     """
     width = 2 * ((n_bits + 7) // 8)
     if len(payload_hex) % width:
         raise ValueError(f"payload hex has {len(payload_hex)} digits, expected "
                          f"a multiple of {width} for {n_bits} bits")
+    # a2b_hex also takes uppercase digits; the format allows only lowercase.
+    # A memchr scan per digit is the fast test for them.
+    if any(payload_hex.find(c) >= 0 for c in b"ABCDEF"):
+        raise ValueError("payload must be lowercase hex digits")
+    return _unhex(payload_hex, n_bits)
+
+
+def _unhex(payload_hex, n_bits: int) -> np.ndarray:
+    """hex_to_packed without its checks of the length and of uppercase digits.
+
+    payload_hex is any buffer of whole payloads' digits.
+    """
     try:
         packed = binascii.a2b_hex(payload_hex)
     except binascii.Error:
-        packed = None
-    # a2b_hex also takes uppercase digits; the format allows only lowercase.
-    # A memchr scan per digit is the fast test for them.
-    if packed is None or any(payload_hex.find(c) >= 0 for c in b"ABCDEF"):
-        raise ValueError("payload must be lowercase hex digits")
+        raise ValueError("payload must be lowercase hex digits") from None
     matrix = np.frombuffer(packed, dtype=np.uint8)
     if not matrix.size:  # frame_len may exceed any array dimension then
         return matrix.reshape(0, 0)
-    matrix = matrix.reshape(-1, width // 2)
-    pad_bits = 4 * width - n_bits
+    matrix = matrix.reshape(-1, (n_bits + 7) // 8)
+    pad_bits = -n_bits % 8
     if pad_bits and (matrix[:, -1] & ((1 << pad_bits) - 1)).any():
         raise ValueError("nonzero padding bits past the declared bit length")
     return matrix
@@ -113,16 +141,55 @@ def _format_rate(rate: float) -> str:
     return str(int(rate)) if float(rate).is_integer() else repr(float(rate))
 
 
-def _record_lines(name: str, side: Side):
-    """The text lines of one side's records, from its columns."""
-    tokens = [s.value for s in STATUSES]
-    for seq, ts, status, rssi, has_rssi, row in zip(
-        side.seq.tolist(), side.timestamp_us.tolist(), side.status.tolist(),
-        side.rssi.tolist(), side.has_rssi.tolist(), side.row.tolist(),
-    ):
-        yield (f"{name} {'?' if seq == UNKNOWN_SEQ else seq} {ts} "
-               f"{tokens[status]} {rssi if has_rssi else '-'} "
-               f"{'-' if row < 0 else packed_to_hex(side.packed[row])}\n")
+def _decimal(values: np.ndarray) -> np.ndarray:
+    """The text of each value: a minus sign or NUL, then its digits,
+    NUL-padded in front, along a new last axis."""
+    mag = np.abs(values)[..., None]
+    n_digits = len(str(int(mag.max()))) if mag.size else 1
+    power = 10 ** np.arange(n_digits - 1, -1, -1, dtype=np.int64)
+    text = np.zeros(values.shape + (n_digits + 1,), dtype=np.uint8)
+    text[..., 0] = np.where(values < 0, ord("-"), 0)
+    # a leading zero is below its power of ten; the units digit is never one
+    text[..., 1:] = np.where(mag >= power, mag // power % 10 + ord("0"), 0)
+    text[..., -1] = mag[..., 0] % 10 + ord("0")
+    return text
+
+
+def _record_block(name: str, side: Side, records: slice) -> np.ndarray:
+    """The text lines of the records of side in the slice, from its columns."""
+    row = side.row[records]
+    held = row >= 0
+    ints = _decimal(np.stack([side.seq[records], side.timestamp_us[records],
+                              side.rssi[records]], axis=1))
+    for field, absent, token in ((0, side.seq[records] == UNKNOWN_SEQ, "?"),
+                                 (2, ~side.has_rssi[records], "-")):
+        ints[absent, field] = 0
+        ints[absent, field, -1] = ord(token)
+    # Each line's head, or a PHY error's whole line, in a row with NULs in
+    # the unused places; NUL is in no line, so deleting it joins the rows.
+    n, d = ints.shape[::2]
+    heads = np.zeros((n, 3 * d + 12), dtype=np.uint8)
+    heads[:, :2] = np.frombuffer(name.encode(), dtype=np.uint8)
+    heads[:, [2, 3 + d, 4 + 2 * d, 8 + 2 * d, 9 + 3 * d]] = ord(" ")
+    heads[:, 3:3 + d] = ints[:, 0]
+    heads[:, 4 + d:4 + 2 * d] = ints[:, 1]
+    heads[:, 5 + 2 * d:8 + 2 * d] = _TOKENS[side.status[records]]
+    heads[:, 9 + 2 * d:9 + 3 * d] = ints[:, 2]
+    heads[~held, 10 + 3 * d:] = np.frombuffer(b"-\n", dtype=np.uint8)
+    text = np.frombuffer(heads.tobytes().translate(None, b"\0"), dtype=np.uint8)
+    if not held.any():
+        return text
+    # Move the heads apart to make room for each payload and its LF.
+    width = 2 * side.packed.shape[1]
+    length = np.count_nonzero(heads, axis=1)
+    before = (np.cumsum(held) - held) * (width + 1)
+    lines = np.empty(text.size + held.sum() * (width + 1), dtype=np.uint8)
+    lines[np.arange(text.size) + np.repeat(before, length)] = text
+    at = (np.cumsum(length) + before)[held]
+    sliding_window_view(lines, width, writeable=True)[at] = np.frombuffer(
+        binascii.b2a_hex(side.packed[row[held]]), dtype=np.uint8).reshape(-1, width)
+    lines[at + width] = ord("\n")
+    return lines
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
@@ -133,16 +200,17 @@ def write_trace(trace: Trace, path: str | Path) -> None:
     if not 0 < trace.meta.rate_bps < math.inf:  # read_trace would refuse it
         raise TraceError(f"R={trace.meta.rate_bps} must be positive and finite")
     trace.validate()
-    # Line by line: the whole text at once would cost several copies of it.
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with Path(path).open("wb") as fh:
         fh.write(
             f'#meta R={_format_rate(trace.meta.rate_bps)} '
             f'frame_len={trace.meta.frame_len} '
             f'interval_us={trace.meta.interval_us} '
-            f'desc="{_quote(desc)}"\n'
+            f'desc="{_quote(desc)}"\n'.encode()
         )
         for name, side in (("tx", trace.tx), ("rx", trace.rx)):
-            fh.writelines(_record_lines(name, side))
+            step = max(1, _WRITE_BLOCK_BYTES // (2 * side.packed.shape[1] + _MAX_HEAD + 8))
+            for lo in range(0, len(side), step):
+                fh.write(_record_block(name, side, slice(lo, lo + step)))
 
 
 def _check_utf8(data: bytearray, path: Path) -> None:
@@ -210,35 +278,41 @@ def _line_fault(line: bytes, n_bits: int) -> str | None:
     return None
 
 
-def _int_column(heads: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """The integers spelled in heads[start:stop] per row, already checked canonical."""
-    values = np.zeros(start.size, dtype=np.int64)
-    for back in range(MAX_DIGITS, 0, -1):  # digit by digit, most significant first
-        at = stop - back
-        digit = heads[np.maximum(at, 0)].astype(np.int64) - ord("0")
-        values = values * 10 + np.where((at >= start) & (digit >= 0), digit, 0)
+def _int_columns(heads: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The integers spelled in heads[start:stop], elementwise, already checked
+    canonical: the last digits of each, as many as the widest has, times
+    their powers of ten."""
+    widest = int((stop - start).max(initial=0))
+    at = stop[..., None] - np.arange(widest, 0, -1)
+    digit = heads[np.maximum(at, 0)].astype(np.int64) - ord("0")
+    digit[(at < start[..., None]) | (digit < 0)] = 0
+    values = digit @ 10 ** np.arange(widest - 1, -1, -1, dtype=np.int64)
     return np.where(heads[start] == ord("-"), -values, values)
 
 
-def _parse_heads(heads: bytes) -> dict[str, np.ndarray]:
-    """Columns of the record heads, which _HEADS_RE has matched."""
-    hb = np.frombuffer(heads, dtype=np.uint8)
-    ends = np.flatnonzero((hb == ord(" ")) | (hb == ord("\n"))).reshape(-1, 5)
+def _parse_heads(heads: np.ndarray, length: np.ndarray) -> dict[str, np.ndarray]:
+    """Columns of the record heads, one per row of heads, which _HEADS_RE has
+    matched; length is each head's length before its padding."""
+    hb = heads.reshape(-1)
+    spaces = np.flatnonzero(hb == ord(" ")).reshape(-1, 4)
+    ends = np.empty((len(heads), 5), dtype=np.int64)
+    ends[:, :4] = spaces
+    ends[:, 4] = np.arange(len(heads)) * heads.shape[1] + length
     starts = np.empty_like(ends)
-    starts[:, 1:] = ends[:, :-1] + 1
-    starts[1:, 0] = ends[:-1, 4] + 1
-    starts[:1, 0] = 0
+    starts[:, 0] = ends[:, 4] - length
+    starts[:, 1:] = spaces + 1
     seq_known = hb[starts[:, 1]] != ord("?")
     has_rssi = hb[ends[:, 4] - 1] != ord("-")
     first = hb[starts[:, 3]]
     status = np.where(first == ord("p"), PHY, np.where(first == ord("c"), CRC, OK))
+    ints = [1, 2, 4]  # seq, timestamp, rssi
+    values = _int_columns(hb, starts[:, ints], ends[:, ints])
     return {
         "is_rx": hb[starts[:, 0]] == ord("r"),
-        "seq": np.where(seq_known, _int_column(hb, starts[:, 1], ends[:, 1]),
-                        UNKNOWN_SEQ),
-        "timestamp_us": _int_column(hb, starts[:, 2], ends[:, 2]),
+        "seq": np.where(seq_known, values[:, 0], UNKNOWN_SEQ),
+        "timestamp_us": values[:, 1].copy(),
         "status": status.astype(np.int8),
-        "rssi": np.where(has_rssi, _int_column(hb, starts[:, 4], ends[:, 4]), 0),
+        "rssi": np.where(has_rssi, values[:, 2], 0),
         "has_rssi": has_rssi,
     }
 
@@ -249,7 +323,7 @@ def read_trace(path: str | Path) -> Trace:
     Lines end in LF or CRLF.  A broken invariant of the parsed trace is
     reported at the line of the record at fault, where there is one.
     """
-    return _read(Path(path))[0]
+    return _read(Path(path))
 
 
 def _read_text(path: Path) -> bytearray:
@@ -268,10 +342,9 @@ def _read_text(path: Path) -> bytearray:
     return data
 
 
-def _read_meta(data: bytearray, path: Path) -> tuple[TraceMeta, int]:
-    """The #meta line's metadata and the offset of the line after it."""
-    pos = data.find(b"\n") + 1 or len(data)
-    m = _META_RE.match(data[:pos].rstrip(b"\n").decode())
+def _read_meta(line: bytes, path: Path) -> TraceMeta:
+    """The metadata of the #meta line, given without its line end."""
+    m = _META_RE.match(line.decode())
     if m is None:
         raise TraceFormatError("malformed #meta line", str(path), 1)
     try:
@@ -290,128 +363,223 @@ def _read_meta(data: bytearray, path: Path) -> tuple[TraceMeta, int]:
         raise TraceFormatError("frame_len must be positive", str(path), 1)
     if not 0 < meta.rate_bps < math.inf:
         raise TraceFormatError("R must be positive and finite", str(path), 1)
-    return meta, pos
+    return meta
 
 
-def _record_spans(data: bytearray, pos: int) -> tuple[np.ndarray, ...]:
-    """(start, end, line number) of each line from pos on that is not blank."""
-    ends = []
-    stop = data.find(b"\n", pos)
-    while stop >= 0:
-        ends.append(stop)
-        stop = data.find(b"\n", stop + 1)
-    if max(ends[-1] + 1 if ends else 0, pos) < len(data):
-        ends.append(len(data))  # a last line without LF
-    ends = np.array(ends, dtype=np.int64)
-    starts = np.concatenate(([pos], ends[:-1] + 1))[:ends.size].astype(np.int64)
-    lines = np.arange(2, ends.size + 2)
+def _line_spans(data, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(start, end) of each line of data[:size] that is not blank; data
+    holds whole lines, the last perhaps without its LF."""
+    byte = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(byte[:size] == ord("\n"))
+    if (ends[-1] + 1 if ends.size else 0) < size:
+        ends = np.append(ends, size)  # a last line without LF
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
     # A record line starts with a letter; anything else may be blank.
-    first = np.frombuffer(data, dtype=np.uint8)[starts]
-    for i in np.flatnonzero((first <= 32) | (first >= 127)).tolist():
-        if not data[starts[i]:ends[i]].decode().strip():
-            lines[i] = 0
-    keep = lines > 0
-    return starts[keep], ends[keep], lines[keep]
+    first = byte[starts]
+    odd = np.flatnonzero((first <= 32) | (first >= 127))
+    blank = [i for i in odd.tolist() if not data[starts[i]:ends[i]].decode().strip()]
+    if blank:
+        keep = np.ones(ends.size, dtype=bool)
+        keep[blank] = False
+        return starts[keep], ends[keep]
+    return starts, ends
 
 
-def _read(path: Path) -> tuple[Trace, dict[str, np.ndarray]]:
-    """The trace in path and the line of each record, by side.
+def _read(path: Path) -> Trace:
+    """The trace in path.
 
     _read_columns reads the file; when it refuses the file, _first_fault
-    reads it again and names the fault.  By then the first read's buffer
-    is gone, so the error path holds one copy of the file at a time.
+    reads it again and names the fault.
     """
     read = _read_columns(path)
     if read is None:
         raise _first_fault(path)
-    meta, columns, packed, lines = read
-    sides, line_of = {}, {}
+    meta, columns, packed = read
+    sides = {}
     for name, pick in (("tx", ~columns["is_rx"]), ("rx", columns["is_rx"])):
-        index = np.flatnonzero(pick)
+        # a side written as one run of lines is a slice of the columns
+        count = int(pick.sum())
+        first = int(pick.argmax()) if count else 0
+        index = (slice(first, first + count) if pick[first:first + count].all()
+                 else np.flatnonzero(pick))
         sides[name] = Side(
             **{key: columns[key][index] for key in
                ("seq", "timestamp_us", "status", "rssi", "has_rssi", "row")},
             packed=packed, n_bits=meta.frame_len if packed.size else 0,
         )
-        line_of[name] = lines[index]
     trace = Trace(meta=meta, tx=sides["tx"], rx=sides["rx"])
     try:
         trace.validate()
     except TraceError as exc:
-        line = None if exc.record is None else int(line_of[exc.record[0]][exc.record[1]])
-        raise TraceFormatError(str(exc), str(path), line) from exc
-    return trace, line_of
+        raise _record_fault(exc, path) from exc
+    return trace
+
+
+def _blocks(fh):
+    """The rest of fh as (block, size): block[:size] is whole lines, the
+    last perhaps without its LF, and past them block holds at least
+    _MAX_HEAD + 1 NUL bytes.  A block holds about _BLOCK_BYTES of text, or
+    one line if that is longer."""
+    carry = b""
+    capacity = _BLOCK_BYTES
+    while True:
+        block = bytearray(capacity + _MAX_HEAD + 1)
+        block[:len(carry)] = carry
+        with memoryview(block) as view:
+            size = len(carry) + fh.readinto(view[len(carry):capacity])
+        if size == len(carry):  # end of file
+            if carry:
+                yield block, size
+            return
+        cut = block.rfind(b"\n", 0, size) + 1
+        if not cut:  # no whole line yet
+            carry, capacity = block[:size], 2 * capacity
+            continue
+        carry = block[cut:size]
+        block[cut:size] = bytes(size - cut)
+        yield block, cut
+
+
+def _read_block(block: bytearray, size: int, n_bits: int,
+                packed: np.ndarray, row: int) -> dict[str, np.ndarray] | None:
+    """The columns of the record lines in block[:size] (see _blocks), whose
+    payloads go to packed from row on; None at the first sign of a
+    malformed record line."""
+    if not block.isascii():  # NUL padding is ASCII
+        try:
+            block.decode()
+        except UnicodeDecodeError:
+            return None
+    if block.find(b"\r", 0, size) >= 0:
+        block = block[:size].replace(b"\r\n", b"\n")
+        size = len(block)
+        block += bytes(_MAX_HEAD + 1)
+    # A valid record line holds no uppercase letter.
+    if any(block.find(c, 0, size) >= 0 for c in b"ABCDEF"):
+        return None
+    starts, ends = _line_spans(block, size)
+    byte = np.frombuffer(block, dtype=np.uint8)
+    width = 2 * ((n_bits + 7) // 8)
+
+    # Where each line's payload starts if the line is well formed: after
+    # the space before a lone "-", or width digits before the line end.
+    # A payload wider than the block fits on no line.
+    no_payload = ((ends - starts >= 2) & (byte[ends - 1] == ord("-"))
+                  & (byte[ends - 2] == ord(" ")))
+    cut = np.where(no_payload, ends - 2, ends - min(width, size) - 1)
+    shaped = no_payload | ((cut >= starts) & (byte[np.maximum(cut, 0)] == ord(" ")))
+    length = cut - starts
+    if not shaped.all() or (length < 1).any() or (length > _MAX_HEAD).any():
+        return None
+    # Each head in a row of its own, LFs after it; an LF ends no head.
+    longest = int(length.max(initial=0))
+    heads = sliding_window_view(byte, longest + 1)[starts]
+    heads[np.arange(longest + 1) >= length[:, None]] = ord("\n")
+    if _HEADS_RE.fullmatch(heads) is None:
+        return None
+    columns = _parse_heads(heads, length)
+    if ((columns["status"] == PHY) != no_payload).any():
+        return None
+
+    held = np.flatnonzero(~no_payload)
+    if held.size:
+        try:  # a file grown since its size was taken may overfill packed
+            packed[row:row + held.size] = _unhex(
+                sliding_window_view(byte, width)[cut[held] + 1], n_bits)
+        except ValueError:
+            return None
+    columns["row"] = np.where(no_payload, -1, row + np.cumsum(~no_payload) - 1)
+    return columns
+
+
+# The columns _read_columns returns: a Side's and "is_rx".
+_COLUMN_TYPES = (("is_rx", bool), ("seq", np.int64), ("timestamp_us", np.int64),
+                 ("status", np.int8), ("rssi", np.int64), ("has_rssi", bool),
+                 ("row", np.int64))
 
 
 def _read_columns(
     path: Path,
-) -> tuple[TraceMeta, dict[str, np.ndarray], np.ndarray, np.ndarray] | None:
-    """(meta, columns, packed payloads, line numbers) of the records in path.
+) -> tuple[TraceMeta, dict[str, np.ndarray], np.ndarray] | None:
+    """(meta, columns, packed payloads) of the records in path.
 
-    The file is read into one bytearray and its lines located.  The head
-    of each record line is its text before the payload, whose width the
-    metadata fixes; the heads are joined, checked by one anchored regex
-    and converted to columns.  Then each payload's hex is moved down to
-    the front of the bytearray and all of them are decoded at once
-    (hex_to_packed).  This path only accepts: at the first sign of a
-    malformed record line it returns None.
+    The file is read a block at a time (_read_block).  This path only
+    accepts: at the first sign of a malformed record line, or of a fault of
+    the #meta line or of the text, it returns None.
     """
-    data = _read_text(path)
-    meta, pos = _read_meta(data, path)
-    n_bits = meta.frame_len
-    width = 2 * ((n_bits + 7) // 8)
-    starts, ends, lines = _record_spans(data, pos)
+    with path.open("rb") as fh:
+        rest = os.fstat(fh.fileno()).st_size
+        first = fh.readline()
+        line = first[:-2] if first.endswith(b"\r\n") else first.rstrip(b"\n")
+        try:
+            meta = _read_meta(line, path)
+        except (TraceFormatError, UnicodeDecodeError):
+            return None
+        n_bits = meta.frame_len
+        # Room for every payload: a line holding one is at least its hex
+        # digits plus _MIN_FRAME bytes long, less the LF on the last line.
+        rows = (rest - len(first) + 1) // (2 * ((n_bits + 7) // 8) + _MIN_FRAME)
+        packed = np.empty((rows, (n_bits + 7) // 8) if rows else (0, 0), dtype=np.uint8)
+        parts, row = [], 0
+        for block, size in _blocks(fh):
+            columns = _read_block(block, size, n_bits, packed, row)
+            if columns is None:
+                return None
+            parts.append(columns)
+            row += int((columns["row"] >= 0).sum())
+    if row:
+        packed.resize((row, packed.shape[1]), refcheck=False)
+    else:
+        packed = packed[:0, :0]
+    # a column at a time, so that the blocks' columns and the file's
+    # overlap by one column only
+    columns = {key: np.concatenate([part.pop(key) for part in parts]) if parts
+               else np.zeros(0, dtype=dtype) for key, dtype in _COLUMN_TYPES}
+    return meta, columns, packed
 
-    # Where each line's payload starts if the line is well formed: after
-    # the space before a lone "-", or width digits before the line end.
-    # A payload wider than the file fits on no line.
-    byte = np.frombuffer(data, dtype=np.uint8)
-    no_payload = ((ends - starts >= 2) & (byte[ends - 1] == ord("-"))
-                  & (byte[ends - 2] == ord(" ")))
-    cut = np.where(no_payload, ends - 2, ends - min(width, len(data)) - 1)
-    shaped = no_payload | ((cut >= starts) & (byte[np.maximum(cut, 0)] == ord(" ")))
-    del byte  # data is resized below
-    if not shaped.all():
-        return None
-    with memoryview(data) as view:  # each head ends in LF; no records join to b""
-        heads = b"\n".join([view[a:b] for a, b in zip(starts.tolist(), cut.tolist())]
-                           + [b""])
-    if _HEADS_RE.fullmatch(heads) is None:
-        return None
-    columns = _parse_heads(heads)
-    if ((columns["status"] == PHY) != no_payload).any():
-        return None
 
-    # Move the payloads down to the front of data, in line order, and
-    # decode them.
-    held = np.flatnonzero(~no_payload)
-    with memoryview(data) as view:
-        for k, a in enumerate((cut[held] + 1).tolist()):
-            view[k * width:(k + 1) * width] = view[a:a + width]
-    del data[held.size * width:]
-    try:
-        packed = hex_to_packed(data, n_bits)
-    except ValueError:
-        return None
-    columns["row"] = np.where(no_payload, -1, np.cumsum(~no_payload) - 1)
-    return meta, columns, packed, lines
+def _record_lines(data: bytearray):
+    """(line number, text) of each line of data after the first that is not
+    blank; data is a file's text as _read_text gives it."""
+    end, line = data.find(b"\n"), 1
+    while end >= 0:
+        start, end, line = end + 1, data.find(b"\n", end + 1), line + 1
+        text = bytes(data[start:] if end < 0 else data[start:end])
+        # A record line starts with a letter; anything else may be blank.
+        if 32 < (text or b" ")[0] < 127 or text.decode().strip():
+            yield line, text
 
 
 def _first_fault(path: Path) -> TraceFormatError:
     """The fault of the first malformed record line in path, read line by line.
 
-    The file is read again, so a fault of its text or #meta line is raised
-    as it is found; one that changed since the column reader refused it
-    may hold no malformed record line at all.
+    The file is read again, whole, so a fault of its text or #meta line
+    is raised as it is found; one that changed since the column reader
+    refused it may hold no malformed record line at all.
     """
     data = _read_text(path)
-    meta, pos = _read_meta(data, path)
-    starts, ends, lines = _record_spans(data, pos)
-    for start, end, line in zip(starts.tolist(), ends.tolist(), lines.tolist()):
-        fault = _line_fault(bytes(data[start:end]), meta.frame_len)
+    end = data.find(b"\n")
+    meta = _read_meta(data[:end] if end >= 0 else data, path)
+    for line, text in _record_lines(data):
+        fault = _line_fault(text, meta.frame_len)
         if fault is not None:
             return TraceFormatError(fault, str(path), line)
     return TraceFormatError("file changed while it was read", str(path))
+
+
+def _record_fault(exc: TraceError, path: Path) -> TraceFormatError:
+    """exc, a broken invariant of the trace read from path, at the line of
+    the record at fault, where there is one.  That line is found by reading
+    the file again, line by line: the column reader keeps no line numbers.
+    """
+    line = None
+    if exc.record is not None:
+        name, index = exc.record
+        lines = (line for line, text in _record_lines(_read_text(path))
+                 if text.startswith(name.encode()))
+        line = next(itertools.islice(lines, index, None), None)
+    return TraceFormatError(str(exc), str(path), line)
 
 
 def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
@@ -421,7 +589,7 @@ def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
     keeps the rx file's meta, description included.
     """
     tx = read_trace(tx_path)
-    rx, rx_lines = _read(Path(rx_path))
+    rx = read_trace(rx_path)
     if (tx.meta.rate_bps, tx.meta.frame_len, tx.meta.interval_us) != (
         rx.meta.rate_bps,
         rx.meta.frame_len,
@@ -435,6 +603,5 @@ def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
     try:
         merged.validate_pairing()
     except TraceError as exc:
-        line = None if exc.record is None else int(rx_lines["rx"][exc.record[1]])
-        raise TraceFormatError(str(exc), str(rx_path), line) from exc
+        raise _record_fault(exc, Path(rx_path)) from exc
     return merged

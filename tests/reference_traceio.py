@@ -1,8 +1,8 @@
-"""Reference trace reader: the per-line parser, for checking hybridchan.traceio.
+"""Reference trace reader and writer, line by line, for checking hybridchan.traceio.
 
-It reads a file line by line into plain tuples, checks each line's fields
-in turn, decodes the payloads with one hex decode and then checks the
-trace invariants record by record.  Tests compare traceio.read_trace
+read reads a file line by line into plain tuples, checks each line's
+fields in turn, decodes the payloads with one hex decode and then checks
+the trace invariants record by record.  Tests compare traceio.read_trace
 against it: the same columns on valid files, and the same faulty line and
 message on malformed ones.
 
@@ -10,6 +10,9 @@ It returns (meta, tx records, rx records) or raises TraceFormatError.  A
 record is (seq or None, timestamp_us, status, payload or None, rssi or
 None), the payload as its packed bytes; every payload is decoded at
 frame_len bits, so a record cannot disagree with the meta line on length.
+
+write formats a trace one f-string per record; traceio.write_trace must
+write the same bytes.
 """
 
 import binascii
@@ -20,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from hybridchan import ReceiveStatus, TraceFormatError, TraceMeta
+from hybridchan.trace import STATUSES, UNKNOWN_SEQ
 
 _META_RE = re.compile(
     r'^#meta R=(?P<rate>[0-9.eE+-]+) frame_len=(?P<flen>0|[1-9][0-9]*) '
@@ -189,3 +193,33 @@ def read(path):
     except _Fault as exc:
         fail(str(exc), line_of[exc.record[0]][exc.record[1]])
     return meta, records["tx"], records["rx"]
+
+
+def packed_to_hex(packed):
+    """Lowercase hex of packed payload bytes, bit 0 = MSB of the first digit."""
+    return packed.tobytes().hex()
+
+
+def _record_lines(name, side):
+    """The text lines of one side's records, from its columns."""
+    tokens = [s.value for s in STATUSES]
+    for seq, ts, status, rssi, has_rssi, row in zip(
+        side.seq.tolist(), side.timestamp_us.tolist(), side.status.tolist(),
+        side.rssi.tolist(), side.has_rssi.tolist(), side.row.tolist(),
+    ):
+        yield (f"{name} {'?' if seq == UNKNOWN_SEQ else seq} {ts} "
+               f"{tokens[status]} {rssi if has_rssi else '-'} "
+               f"{'-' if row < 0 else packed_to_hex(side.packed[row])}\n")
+
+
+def write(trace, path):
+    """Write a trace that traceio.write_trace accepts, a line at a time."""
+    meta = trace.meta
+    rate = (str(int(meta.rate_bps)) if float(meta.rate_bps).is_integer()
+            else repr(float(meta.rate_bps)))
+    desc = meta.description.replace("\\", "\\\\").replace('"', '\\"')
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f'#meta R={rate} frame_len={meta.frame_len} '
+                 f'interval_us={meta.interval_us} desc="{desc}"\n')
+        for name, side in (("tx", trace.tx), ("rx", trace.rx)):
+            fh.writelines(_record_lines(name, side))

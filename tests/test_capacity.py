@@ -3,6 +3,7 @@ import pytest
 
 from hybridchan import (
     ReceiveStatus,
+    capacity,
     Trace,
     TraceMeta,
     binary_entropy,
@@ -112,6 +113,24 @@ class TestEstimateParams:
         assert est_large.r_se < est_small.r_se
         assert est_large.s_se < est_small.s_se
         assert est_large.p_se < est_small.p_se
+
+    @pytest.mark.parametrize("frames_per_block", [1, 7])
+    def test_flip_counts_in_blocks(self, monkeypatch, frames_per_block):
+        """Counts gathered a block at a time equal each frame's own count."""
+        tx, rx = sim_pair(r=0.1, s=0.3, p=0.05, n_frames=60, frame_len=100,
+                          seed=6, clock_offset_us=5)
+        trace = joined(tx, rx)
+        monkeypatch.setattr(capacity, "_BLOCK_BYTES",
+                            frames_per_block * 2 * trace.rx.packed.shape[1])
+        flips, bits = capacity._flip_counts(trace)
+        sent = rows(trace.tx)
+        counted = [r.status is ReceiveStatus.CRC_ERROR and r.seq is not None
+                   for r in rows(trace.rx)]
+        assert sum(counted) > 2 * frames_per_block
+        assert flips.tolist() == [
+            int((r.payload != sent[r.seq].payload).sum()) if c else 0
+            for r, c in zip(rows(trace.rx), counted)]
+        assert bits.tolist() == [100 * c for c in counted]
 
 
 def binned_trace(bins, frame_len=1000, flips_per_frame=None):

@@ -12,9 +12,10 @@ from hybridchan import (
     TraceMeta,
 )
 from hybridchan.trace import CRC, OK, PHY, UNKNOWN_SEQ
-from hybridchan.traceio import hex_to_packed, packed_to_hex
+from hybridchan.traceio import hex_to_packed
 
 from conftest import Row, rows, side
+from reference_traceio import packed_to_hex
 
 
 def bits(text):

@@ -1,3 +1,4 @@
+import contextlib
 import re
 import tracemalloc
 from dataclasses import replace
@@ -23,6 +24,7 @@ from hybridchan import (
     traceio,
     write_trace,
 )
+from hybridchan.trace import CRC
 from hybridchan.traceio import load_pair
 
 from conftest import Row, rows, side
@@ -436,9 +438,37 @@ def _fuzz_bases():
 _BASES = _fuzz_bases()
 
 
+@contextlib.contextmanager
+def _blocks_of(size):
+    """traceio reading and writing blocks of about size bytes of text."""
+    saved = traceio._BLOCK_BYTES, traceio._WRITE_BLOCK_BYTES
+    traceio._BLOCK_BYTES = traceio._WRITE_BLOCK_BYTES = size
+    try:
+        yield
+    finally:
+        traceio._BLOCK_BYTES, traceio._WRITE_BLOCK_BYTES = saved
+
+
+# A few dozen bytes or less: seams fall inside lines, between CR and LF,
+# at blank lines and before a last line without LF.
+_small_blocks = st.integers(1, 64)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(range(len(_BASES))), st.lists(_mutations, min_size=1, max_size=3))
 def test_read_trace_fuzz(tmp_path_factory, base, mutations):
+    _read_mutated(tmp_path_factory, base, mutations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(_BASES))), st.lists(_mutations, min_size=1, max_size=3),
+       _small_blocks)
+def test_read_trace_fuzz_in_small_blocks(tmp_path_factory, base, mutations, block):
+    with _blocks_of(block):
+        _read_mutated(tmp_path_factory, base, mutations)
+
+
+def _read_mutated(tmp_path_factory, base, mutations):
     path = tmp_path_factory.mktemp("fuzz") / "t.trace"
     write_trace(_BASES[base], path)
     data = path.read_bytes()
@@ -540,6 +570,17 @@ def _records(trace_side):
 @settings(max_examples=150, deadline=None)
 @given(valid_traces())
 def test_columns_match_reference_records(tmp_path_factory, trace):
+    _columns_match_reference(tmp_path_factory, trace)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_traces(), _small_blocks)
+def test_columns_match_reference_records_in_small_blocks(tmp_path_factory, trace, block):
+    with _blocks_of(block):
+        _columns_match_reference(tmp_path_factory, trace)
+
+
+def _columns_match_reference(tmp_path_factory, trace):
     path = tmp_path_factory.mktemp("valid") / "t.trace"
     write_trace(trace, path)
     got = read_trace(path)
@@ -547,6 +588,16 @@ def test_columns_match_reference_records(tmp_path_factory, trace):
     assert got.meta == meta == trace.meta
     assert _records(got.tx) == tx and _records(got.rx) == rx
     assert got == trace
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_traces(), st.none() | _small_blocks)
+def test_writer_matches_reference_writer(tmp_path_factory, trace, block):
+    tmp = tmp_path_factory.mktemp("write")
+    with _blocks_of(block) if block else contextlib.nullcontext():
+        write_trace(trace, tmp / "a.trace")
+    reference_traceio.write(trace, tmp / "b.trace")
+    assert (tmp / "a.trace").read_bytes() == (tmp / "b.trace").read_bytes()
 
 
 def _outcome(read, path):
@@ -579,6 +630,18 @@ def _new_fault(data, line, message):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(range(len(_BASES))), st.lists(_mutations, min_size=1, max_size=3))
 def test_faults_match_reference(tmp_path_factory, base, mutations):
+    _faults_match_reference(tmp_path_factory, base, mutations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(_BASES))), st.lists(_mutations, min_size=1, max_size=3),
+       _small_blocks)
+def test_faults_match_reference_in_small_blocks(tmp_path_factory, base, mutations, block):
+    with _blocks_of(block):
+        _faults_match_reference(tmp_path_factory, base, mutations)
+
+
+def _faults_match_reference(tmp_path_factory, base, mutations):
     path = tmp_path_factory.mktemp("mutated") / "t.trace"
     write_trace(_BASES[base], path)
     data = path.read_bytes()
@@ -669,6 +732,62 @@ def test_malformed_file_is_located_once(tmp_path, monkeypatch, old, new):
     assert calls == [path] and err.value.line == 3
 
 
+def test_sides_may_alternate(tmp_path):
+    """tx and rx lines may come in any order; each side keeps its own."""
+    path = tmp_path / "t.trace"
+    write_trace(three_frame_trace(), path)
+    meta, *lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(meta + b"".join(lines[i] for i in (0, 3, 1, 4, 5, 2)))
+    assert read_trace(path) == three_frame_trace()
+    assert _outcome(reference_traceio.read, path) == _outcome(read_trace, path)
+
+
+_SEAMS = (
+    '#meta R=54000000 frame_len=12 interval_us=20000 desc="seams \u00e9"\r\n'
+    "tx 0 0 ok - a3f0\r\n"
+    "\r\n"
+    "tx 1 20000 crc -61 a3f0\n"
+    " \u00a0\t\n"
+    "tx 2 40000 ok - a3f0\n"
+    "rx 0 37 ok -61 a3f0\r\n"
+    "\n"
+    "\x0c\n"
+    "rx ? 20040 crc -70 a7f0\n"
+    "rx 2 40038 phy - -"
+)
+
+
+def test_every_block_seam(tmp_path):
+    """A seam anywhere: inside a line, between CR and LF, at a blank line
+    (ASCII or not) and before a last line without LF."""
+    path = tmp_path / "t.trace"
+    path.write_bytes(_SEAMS.encode())
+    want = read_trace(path)
+    _, tx, rx = reference_traceio.read(path)
+    assert len(tx) == len(rx) == 3
+    assert _records(want.tx) == tx and _records(want.rx) == rx
+    for block in range(1, len(_SEAMS.encode()) + 1):
+        with _blocks_of(block):
+            assert read_trace(path) == want, block
+
+
+@pytest.mark.parametrize("text,line", [
+    (_SEAMS + "\n" + "rx 3 40039 phy - -", 12),  # more rx records than tx records
+    (_SEAMS.replace("40038", "20039"), 11),  # rx timestamps out of order
+    (_SEAMS + "\r\nrx ? 0 phy - a3f0", 12),  # status against payload
+    (_SEAMS.replace("a7f0", "a7F0"), 10),  # payload hex
+    (_SEAMS.replace("\u00a0", "\u00a0x"), 5),  # not blank: expected 6 fields
+])
+def test_every_block_seam_of_a_faulty_file(tmp_path, text, line):
+    path = tmp_path / "t.trace"
+    path.write_bytes(text.encode())
+    want = _outcome(reference_traceio.read, path)
+    assert want[:2] == ("fault", line)
+    for block in range(1, len(text.encode()) + 1):
+        with _blocks_of(block):
+            assert _outcome(read_trace, path) == want, block
+
+
 def _read_peak(path):
     """Peak bytes that read_trace allocates on path, whether it reads or refuses it."""
     tracemalloc.start()
@@ -682,6 +801,14 @@ def _read_peak(path):
         tracemalloc.stop()
 
 
+def _rx_text(n, seed=0):
+    """A trace file of n rx records with 2000-bit payloads, about 520 bytes a line."""
+    hex_rows = np.random.default_rng(seed).bytes(250 * n).hex()
+    return '#meta R=54000000 frame_len=2000 interval_us=100 desc=""\n' + "".join(
+        f"rx {i} {100 * i} crc - {hex_rows[500 * i:500 * (i + 1)]}\n" for i in range(n)
+    )
+
+
 @pytest.mark.parametrize("bad", [
     "rx ? 0 ok - not-hex",  # no payload width before LF
     "rx 07 0 crc - " + "0" * 500,  # head the regex refuses
@@ -689,19 +816,50 @@ def _read_peak(path):
     "rx ? 0 crc - " + "z" * 500,  # payload hex
 ], ids=["shape", "head", "status", "hex"])
 def test_error_path_holds_one_copy_of_the_file(tmp_path, bad):
-    """The locator's re-read does not overlap the column reader's buffer."""
+    """The locator's re-read holds one copy of the file, and the column
+    reader's blocks and payload rows are gone by then."""
     n = 2000
-    hex_rows = np.random.default_rng(0).bytes(250 * n).hex()
-    text = '#meta R=54000000 frame_len=2000 interval_us=100 desc=""\n' + "".join(
-        f"rx {i} {100 * i} crc - {hex_rows[500 * i:500 * (i + 1)]}\n" for i in range(n)
-    )
+    text = _rx_text(n)
     good, faulty = tmp_path / "good.trace", tmp_path / "faulty.trace"
     good.write_text(text)
     faulty.write_text(text + bad + "\n")
     assert len(read_trace(good).rx) == n
     with pytest.raises(TraceFormatError, match=f":{n + 2}: "):
         read_trace(faulty)
-    assert _read_peak(faulty) - _read_peak(good) < 0.01 * len(text)
+    # A reader that held the whole file peaked at 2.2 times it on either path.
+    assert _read_peak(faulty) < 2 * len(text)
+    # With blocks far smaller than the file, the locator's copy is the peak.
+    with _blocks_of(1 << 15):
+        assert _read_peak(faulty) < 1.1 * len(text)
+
+
+def test_read_holds_no_copy_of_the_file(tmp_path):
+    """read_trace holds its packed rows and columns, and a few blocks."""
+    small, large = tmp_path / "small.trace", tmp_path / "large.trace"
+    small.write_text(_rx_text(4000))  # about 2 MB, half of it packed rows
+    large.write_text(_rx_text(8000))
+    with _blocks_of(1 << 15):
+        assert _read_peak(small) < 0.7 * small.stat().st_size
+    # 4000 more records add their packed rows and columns, no more.
+    assert _read_peak(large) - _read_peak(small) < 4000 * (250 + 64)
+
+
+def test_write_peak_does_not_grow_with_records(tmp_path):
+    peaks = []
+    for n in (2000, 8000):
+        frames = np.arange(n)
+        rx = Side(seq=frames, timestamp_us=100 * frames, status=np.full(n, CRC),
+                  rssi=np.zeros(n, dtype=np.int64), has_rssi=np.zeros(n, dtype=bool),
+                  row=frames, n_bits=2000,
+                  packed=np.random.default_rng(n).integers(0, 256, (n, 250), dtype=np.uint8))
+        trace = Trace(TraceMeta(rate_bps=54e6, frame_len=2000, interval_us=100), rx=rx)
+        tracemalloc.start()
+        try:
+            write_trace(trace, tmp_path / "t.trace")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 4096
 
 
 def test_file_without_a_faulty_line_is_named_without_a_line(tmp_path):
