@@ -21,10 +21,10 @@ code per record, so neither holds the file's text, only a block of it
 heads of a block of records (everything before the payload) as rows of
 bytes with NUL in the unused places, deletes the NULs and moves each
 payload's hex, from one hex encode, in after its head.  read_trace checks
-every head of a block with one anchored regex, converts them with numpy
-and decodes the block's payloads with one hex decode into the file's
-packed matrix, which is allocated once.  That path only accepts and keeps
-no line numbers.  When it meets any malformed record line it reads the
+the heads of a block with an anchored regex, converts them with numpy and
+decodes the block's payloads, a hex decode per quarter block, into the
+file's packed matrix, which is allocated once.  That path only accepts
+and keeps no line numbers.  When it meets any malformed record line it reads the
 file again, line by line, and the first line that fails the per-line
 checks (_line_fault) names the fault.  So faults are reported in file
 order, and within a line the payload's hex is checked last.  A broken
@@ -62,7 +62,7 @@ from .trace import (
 # Bytes of file text in one block of records read, and in one written.
 # simulate writes while it holds both sides' payloads, so a written block's
 # temporaries are kept smaller.
-_BLOCK_BYTES = 1 << 19
+_BLOCK_BYTES = 1 << 20
 _WRITE_BLOCK_BYTES = 1 << 17
 
 _META_RE = re.compile(
@@ -208,7 +208,8 @@ def write_trace(trace: Trace, path: str | Path) -> None:
             f'desc="{_quote(desc)}"\n'.encode()
         )
         for name, side in (("tx", trace.tx), ("rx", trace.rx)):
-            step = max(1, _WRITE_BLOCK_BYTES // (2 * side.packed.shape[1] + _MAX_HEAD + 8))
+            line = 2 * side.packed.shape[1] + _MAX_HEAD + 2
+            step = max(1, _WRITE_BLOCK_BYTES // line)
             for lo in range(0, len(side), step):
                 fh.write(_record_block(name, side, slice(lo, lo + step)))
 
@@ -278,15 +279,14 @@ def _line_fault(line: bytes, n_bits: int) -> str | None:
     return None
 
 
-def _int_columns(heads: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """The integers spelled in heads[start:stop], elementwise, already checked
-    canonical: the last digits of each, as many as the widest has, times
-    their powers of ten."""
-    widest = int((stop - start).max(initial=0))
-    at = stop[..., None] - np.arange(widest, 0, -1)
-    digit = heads[np.maximum(at, 0)].astype(np.int64) - ord("0")
-    digit[(at < start[..., None]) | (digit < 0)] = 0
-    values = digit @ 10 ** np.arange(widest - 1, -1, -1, dtype=np.int64)
+def _int_column(heads: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The integers spelled in heads[start:stop] per row, already checked canonical."""
+    values = np.zeros(start.size, dtype=np.int64)
+    # digit by digit, most significant first, as many as the widest has
+    for back in range(int((stop - start).max(initial=0)), 0, -1):
+        at = stop - back
+        digit = heads[np.maximum(at, 0)].astype(np.int64) - ord("0")
+        values = values * 10 + np.where((at >= start) & (digit >= 0), digit, 0)
     return np.where(heads[start] == ord("-"), -values, values)
 
 
@@ -305,14 +305,13 @@ def _parse_heads(heads: np.ndarray, length: np.ndarray) -> dict[str, np.ndarray]
     has_rssi = hb[ends[:, 4] - 1] != ord("-")
     first = hb[starts[:, 3]]
     status = np.where(first == ord("p"), PHY, np.where(first == ord("c"), CRC, OK))
-    ints = [1, 2, 4]  # seq, timestamp, rssi
-    values = _int_columns(hb, starts[:, ints], ends[:, ints])
     return {
         "is_rx": hb[starts[:, 0]] == ord("r"),
-        "seq": np.where(seq_known, values[:, 0], UNKNOWN_SEQ),
-        "timestamp_us": values[:, 1].copy(),
+        "seq": np.where(seq_known, _int_column(hb, starts[:, 1], ends[:, 1]),
+                        UNKNOWN_SEQ),
+        "timestamp_us": _int_column(hb, starts[:, 2], ends[:, 2]),
         "status": status.astype(np.int8),
-        "rssi": np.where(has_rssi, values[:, 2], 0),
+        "rssi": np.where(has_rssi, _int_column(hb, starts[:, 4], ends[:, 4]), 0),
         "has_rssi": has_rssi,
     }
 
@@ -370,7 +369,10 @@ def _line_spans(data, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(start, end) of each line of data[:size] that is not blank; data
     holds whole lines, the last perhaps without its LF."""
     byte = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(byte[:size] == ord("\n"))
+    step = max(1, _BLOCK_BYTES // 4)  # a quarter block of bools at a time
+    ends = np.concatenate([
+        lo + np.flatnonzero(byte[lo:min(lo + step, size)] == ord("\n"))
+        for lo in range(0, size, step)])
     if (ends[-1] + 1 if ends.size else 0) < size:
         ends = np.append(ends, size)  # a last line without LF
     starts = np.zeros_like(ends)
@@ -433,12 +435,13 @@ def _blocks(fh):
                 yield block, size
             return
         cut = block.rfind(b"\n", 0, size) + 1
-        if not cut:  # no whole line yet
+        if cut:
+            carry = block[cut:size]
+            block[cut:size] = bytes(size - cut)
+            yield block, cut
+        else:  # no whole line yet
             carry, capacity = block[:size], 2 * capacity
-            continue
-        carry = block[cut:size]
-        block[cut:size] = bytes(size - cut)
-        yield block, cut
+        del block  # the caller drops it too, so that one block is held at a time
 
 
 def _read_block(block: bytearray, size: int, n_bits: int,
@@ -476,17 +479,23 @@ def _read_block(block: bytearray, size: int, n_bits: int,
     longest = int(length.max(initial=0))
     heads = sliding_window_view(byte, longest + 1)[starts]
     heads[np.arange(longest + 1) >= length[:, None]] = ord("\n")
-    if _HEADS_RE.fullmatch(heads) is None:
+    # The regex holds about 600 bytes of state per head it repeats over.
+    if any(_HEADS_RE.fullmatch(heads[lo:lo + 256]) is None
+           for lo in range(0, len(heads), 256)):
         return None
     columns = _parse_heads(heads, length)
     if ((columns["status"] == PHY) != no_payload).any():
         return None
 
-    held = np.flatnonzero(~no_payload)
-    if held.size:
+    # A quarter block of payloads at a time, so that their gathered hex and
+    # its bytes take less room than the block.
+    payload = cut[~no_payload] + 1
+    step = max(1, _BLOCK_BYTES // 4 // width)
+    for lo in range(0, payload.size, step):
+        at = payload[lo:lo + step]
         try:  # a file grown since its size was taken may overfill packed
-            packed[row:row + held.size] = _unhex(
-                sliding_window_view(byte, width)[cut[held] + 1], n_bits)
+            packed[row + lo:row + lo + at.size] = _unhex(
+                sliding_window_view(byte, width)[at], n_bits)
         except ValueError:
             return None
     columns["row"] = np.where(no_payload, -1, row + np.cumsum(~no_payload) - 1)
@@ -524,6 +533,7 @@ def _read_columns(
         parts, row = [], 0
         for block, size in _blocks(fh):
             columns = _read_block(block, size, n_bits, packed, row)
+            del block
             if columns is None:
                 return None
             parts.append(columns)

@@ -772,12 +772,12 @@ def test_every_block_seam(tmp_path):
 
 
 @pytest.mark.parametrize("text,line", [
-    (_SEAMS + "\n" + "rx 3 40039 phy - -", 12),  # more rx records than tx records
-    (_SEAMS.replace("40038", "20039"), 11),  # rx timestamps out of order
-    (_SEAMS + "\r\nrx ? 0 phy - a3f0", 12),  # status against payload
-    (_SEAMS.replace("a7f0", "a7F0"), 10),  # payload hex
-    (_SEAMS.replace("\u00a0", "\u00a0x"), 5),  # not blank: expected 6 fields
-])
+    (_SEAMS + "\n" + "rx 3 40039 phy - -", 12),
+    (_SEAMS.replace("40038", "20039"), 11),
+    (_SEAMS + "\r\nrx ? 0 phy - a3f0", 12),
+    (_SEAMS.replace("a7f0", "a7F0"), 10),
+    (_SEAMS.replace("\u00a0", "\u00a0x"), 5),
+], ids=["rx-count", "rx-order", "phy-payload", "hex", "not-blank"])
 def test_every_block_seam_of_a_faulty_file(tmp_path, text, line):
     path = tmp_path / "t.trace"
     path.write_bytes(text.encode())
@@ -826,8 +826,10 @@ def test_error_path_holds_one_copy_of_the_file(tmp_path, bad):
     assert len(read_trace(good).rx) == n
     with pytest.raises(TraceFormatError, match=f":{n + 2}: "):
         read_trace(faulty)
-    # A reader that held the whole file peaked at 2.2 times it on either path.
-    assert _read_peak(faulty) < 2 * len(text)
+    assert _outcome(read_trace, faulty) == _outcome(reference_traceio.read, faulty)
+    # The file is one block here; a reader that held the whole file peaked
+    # at 2.2 times it on either path.
+    assert _read_peak(faulty) < 2.2 * len(text)
     # With blocks far smaller than the file, the locator's copy is the peak.
     with _blocks_of(1 << 15):
         assert _read_peak(faulty) < 1.1 * len(text)
@@ -840,8 +842,10 @@ def test_read_holds_no_copy_of_the_file(tmp_path):
     large.write_text(_rx_text(8000))
     with _blocks_of(1 << 15):
         assert _read_peak(small) < 0.7 * small.stat().st_size
-    # 4000 more records add their packed rows and columns, no more.
+    # 4000 more records add their packed rows and columns, no more; besides
+    # those the reader holds about one and a half blocks.
     assert _read_peak(large) - _read_peak(small) < 4000 * (250 + 64)
+    assert _read_peak(large) - 8000 * (250 + 48) < 1.75 * traceio._BLOCK_BYTES
 
 
 def test_write_peak_does_not_grow_with_records(tmp_path):
