@@ -18,9 +18,10 @@ line break.
 Both directions go a block of whole lines at a time, with no Python
 code per record, so neither holds the file's text, only a block of it
 (_BLOCK_BYTES read, _WRITE_BLOCK_BYTES written).  write_trace lays out the
-heads of a block of records (everything before the payload) as rows of
-bytes with NUL in the unused places, deletes the NULs and moves each
-payload's hex, from one hex encode, in after its head.  read_trace checks
+heads of _HEAD_RECORDS records (everything before the payload) as rows of
+bytes with NUL in the unused places and deletes the NULs; then for each
+block of lines it moves each payload's hex, from one hex encode, in after
+its head.  read_trace checks
 the heads of a block with an anchored regex, converts them with numpy and
 decodes the block's payloads, a hex decode per quarter block, into the
 file's packed matrix, which is allocated once.  That path only accepts
@@ -61,9 +62,11 @@ from .trace import (
 
 # Bytes of file text in one block of records read, and in one written.
 # simulate writes while it holds both sides' payloads, so a written block's
-# temporaries are kept smaller.
+# temporaries are kept smaller.  The writer formats the heads of at least
+# _HEAD_RECORDS records at a time.
 _BLOCK_BYTES = 1 << 20
 _WRITE_BLOCK_BYTES = 1 << 17
+_HEAD_RECORDS = 1024
 
 _META_RE = re.compile(
     r'^#meta R=(?P<rate>[0-9.eE+-]+) frame_len=(?P<flen>0|[1-9][0-9]*) '
@@ -144,29 +147,27 @@ def _format_rate(rate: float) -> str:
 def _decimal(values: np.ndarray) -> np.ndarray:
     """The text of each value: a minus sign or NUL, then its digits,
     NUL-padded in front, along a new last axis."""
-    mag = np.abs(values)[..., None]
+    mag = np.abs(values)
     n_digits = len(str(int(mag.max()))) if mag.size else 1
-    power = 10 ** np.arange(n_digits - 1, -1, -1, dtype=np.int64)
     text = np.zeros(values.shape + (n_digits + 1,), dtype=np.uint8)
     text[..., 0] = np.where(values < 0, ord("-"), 0)
-    # a leading zero is below its power of ten; the units digit is never one
-    text[..., 1:] = np.where(mag >= power, mag // power % 10 + ord("0"), 0)
-    text[..., -1] = mag[..., 0] % 10 + ord("0")
+    for col in range(n_digits, 0, -1):  # least significant first
+        text[..., col] = np.where((mag > 0) | (col == n_digits), mag % 10 + ord("0"), 0)
+        mag //= 10
     return text
 
 
-def _record_block(name: str, side: Side, records: slice) -> np.ndarray:
-    """The text lines of the records of side in the slice, from its columns."""
-    row = side.row[records]
-    held = row >= 0
+def _heads(name: str, side: Side, records: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The heads of the records of side in the slice, or a PHY error's whole
+    line, joined, and the length of each."""
     ints = _decimal(np.stack([side.seq[records], side.timestamp_us[records],
                               side.rssi[records]], axis=1))
     for field, absent, token in ((0, side.seq[records] == UNKNOWN_SEQ, "?"),
                                  (2, ~side.has_rssi[records], "-")):
         ints[absent, field] = 0
         ints[absent, field, -1] = ord(token)
-    # Each line's head, or a PHY error's whole line, in a row with NULs in
-    # the unused places; NUL is in no line, so deleting it joins the rows.
+    # A row per record with NULs in the unused places; NUL is in no line,
+    # so deleting it joins the rows.
     n, d = ints.shape[::2]
     heads = np.zeros((n, 3 * d + 12), dtype=np.uint8)
     heads[:, :2] = np.frombuffer(name.encode(), dtype=np.uint8)
@@ -175,13 +176,21 @@ def _record_block(name: str, side: Side, records: slice) -> np.ndarray:
     heads[:, 4 + d:4 + 2 * d] = ints[:, 1]
     heads[:, 5 + 2 * d:8 + 2 * d] = _TOKENS[side.status[records]]
     heads[:, 9 + 2 * d:9 + 3 * d] = ints[:, 2]
-    heads[~held, 10 + 3 * d:] = np.frombuffer(b"-\n", dtype=np.uint8)
+    heads[side.row[records] < 0, 10 + 3 * d:] = np.frombuffer(b"-\n", dtype=np.uint8)
     text = np.frombuffer(heads.tobytes().translate(None, b"\0"), dtype=np.uint8)
+    return text, np.count_nonzero(heads, axis=1)
+
+
+def _lines(side: Side, records: slice, text: np.ndarray,
+           length: np.ndarray) -> np.ndarray:
+    """The text lines of the records of side in the slice, from their heads
+    joined in text and the length of each (_heads)."""
+    row = side.row[records]
+    held = row >= 0
     if not held.any():
         return text
     # Move the heads apart to make room for each payload and its LF.
     width = 2 * side.packed.shape[1]
-    length = np.count_nonzero(heads, axis=1)
     before = (np.cumsum(held) - held) * (width + 1)
     lines = np.empty(text.size + held.sum() * (width + 1), dtype=np.uint8)
     lines[np.arange(text.size) + np.repeat(before, length)] = text
@@ -190,6 +199,24 @@ def _record_block(name: str, side: Side, records: slice) -> np.ndarray:
         binascii.b2a_hex(side.packed[row[held]]), dtype=np.uint8).reshape(-1, width)
     lines[at + width] = ord("\n")
     return lines
+
+
+def _record_blocks(name: str, side: Side):
+    """The text lines of side's records, about _WRITE_BLOCK_BYTES at a time.
+
+    The heads are formatted for at least _HEAD_RECORDS records at a time:
+    a head is short, and its numpy calls cost as much for one record as
+    for hundreds.
+    """
+    line = 2 * side.packed.shape[1] + _MAX_HEAD + 2  # at most, with its LF
+    step = max(1, _WRITE_BLOCK_BYTES // line)
+    many = step * max(1, _HEAD_RECORDS // step)  # whole blocks of lines
+    for lo in range(0, len(side), many):
+        text, length = _heads(name, side, slice(lo, lo + many))
+        start = np.concatenate(([0], np.cumsum(length)))
+        for a in range(0, length.size, step):
+            b = min(a + step, length.size)
+            yield _lines(side, slice(lo + a, lo + b), text[start[a]:start[b]], length[a:b])
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
@@ -208,10 +235,7 @@ def write_trace(trace: Trace, path: str | Path) -> None:
             f'desc="{_quote(desc)}"\n'.encode()
         )
         for name, side in (("tx", trace.tx), ("rx", trace.rx)):
-            line = 2 * side.packed.shape[1] + _MAX_HEAD + 2
-            step = max(1, _WRITE_BLOCK_BYTES // line)
-            for lo in range(0, len(side), step):
-                fh.write(_record_block(name, side, slice(lo, lo + step)))
+            fh.writelines(_record_blocks(name, side))
 
 
 def _check_utf8(data: bytearray, path: Path) -> None:

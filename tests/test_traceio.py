@@ -440,13 +440,14 @@ _BASES = _fuzz_bases()
 
 @contextlib.contextmanager
 def _blocks_of(size):
-    """traceio reading and writing blocks of about size bytes of text."""
-    saved = traceio._BLOCK_BYTES, traceio._WRITE_BLOCK_BYTES
-    traceio._BLOCK_BYTES = traceio._WRITE_BLOCK_BYTES = size
+    """traceio reading and writing blocks of about size bytes of text, and
+    formatting the heads of size records at a time."""
+    saved = traceio._BLOCK_BYTES, traceio._WRITE_BLOCK_BYTES, traceio._HEAD_RECORDS
+    traceio._BLOCK_BYTES = traceio._WRITE_BLOCK_BYTES = traceio._HEAD_RECORDS = size
     try:
         yield
     finally:
-        traceio._BLOCK_BYTES, traceio._WRITE_BLOCK_BYTES = saved
+        traceio._BLOCK_BYTES, traceio._WRITE_BLOCK_BYTES, traceio._HEAD_RECORDS = saved
 
 
 # A few dozen bytes or less: seams fall inside lines, between CR and LF,
