@@ -216,7 +216,8 @@ def _record_blocks(name: str, side: Side):
         start = np.concatenate(([0], np.cumsum(length)))
         for a in range(0, length.size, step):
             b = min(a + step, length.size)
-            yield _lines(side, slice(lo + a, lo + b), text[start[a]:start[b]], length[a:b])
+            yield _lines(side, slice(lo + a, lo + b), text[start[a]:start[b]],
+                         length[a:b])
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
