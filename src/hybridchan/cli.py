@@ -15,11 +15,13 @@ ValueError).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,11 +33,12 @@ from .trace import (
     STATUSES,
     UNKNOWN_SEQ,
     ChannelParams,
+    Trace,
     TraceError,
     TraceFormatError,
     UsageError,
 )
-from .traceio import load_pair, write_trace
+from .traceio import _HEAD_RECORDS, load_pair, write_run, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -123,6 +126,56 @@ def build_parser() -> _Parser:
     return parser
 
 
+# simulate draws and writes a block of frames at a time.  A block holds
+# about _BLOCK_BYTES: each frame's tx and rx payload rows, plus about
+# _FRAME_BYTES of its columns and channel temporaries (measured at 400
+# bits).  It is at least _HEAD_RECORDS frames, as many records as the
+# writer formats heads for at once.
+_BLOCK_BYTES = 1 << 20
+_FRAME_BYTES = 170
+
+
+def _block_frames(frame_len: int) -> int:
+    """Frames in one block of a simulate run of frame_len-bit payloads."""
+    return max(_HEAD_RECORDS, _BLOCK_BYTES // (2 * ((frame_len + 7) // 8) + _FRAME_BYTES))
+
+
+@contextlib.contextmanager
+def _made_dir(path: Path):
+    """Make the directory path, with its parents; if the body raises,
+    remove again those of them that this made and that are empty."""
+    made = list(itertools.takewhile(lambda d: not d.exists(), (path, *path.parents)))
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for directory in made:  # the deepest first
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+
+
+def _simulate_into(out: Path, config: sim.SimConfig,
+                   channel: Callable[[Trace], Trace]) -> None:
+    """Write config's run through channel, which gives a tx trace's rx
+    trace, to out/tx.trace and out/rx.trace, a block of frames at a time.
+
+    Every draw is keyed by its frame, so a block's records are those of
+    the whole run and the files hold the bytes write_trace gives the
+    whole run.  On any exception out is left as it was (write_run).
+    """
+    def block(frames: range) -> tuple[Trace, Trace]:
+        tx = sim.generate_tx(config, frames)
+        return tx, channel(tx)
+
+    # map holds no block once it has given it, so one block is held at a time
+    n, step = config.n_frames, _block_frames(config.params.frame_len)
+    blocks = map(block, (range(start, min(start + step, n))
+                         for start in range(0, n, step)))
+    with _made_dir(out):
+        write_run(blocks, out / "tx.trace", out / "rx.trace")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = ChannelParams(
         r=args.r, s=args.s, p=args.p, rate_bps=args.rate,
@@ -133,25 +186,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         clock_skew_ppm=args.skew_ppm, clock_offset_us=args.offset_us,
         timestamp_jitter_us=args.jitter_us,
     )
-    tx = sim.generate_tx(config)
     if args.periodic:
         hybrid = {"--r": args.r != 0.0, "--s": args.s != 1.0, "--p": args.p != 0.0,
                   "--jitter-us": args.jitter_us != 0}
         if any(hybrid.values()):
             given = ", ".join(flag for flag, changed in hybrid.items() if changed)
             raise UsageError(f"--periodic noise does not use {given}")
-        rx = sim.apply_periodic_noise(
-            tx, args.period, args.burst, args.p_burst, args.seed,
-            clock_skew_ppm=args.skew_ppm, clock_offset_us=args.offset_us,
-        )
+
+        def channel(tx: Trace) -> Trace:
+            return sim.apply_periodic_noise(
+                tx, args.period, args.burst, args.p_burst, args.seed,
+                clock_skew_ppm=args.skew_ppm, clock_offset_us=args.offset_us,
+            )
         noise = (f"periodic period={args.period} burst={args.burst} "
                  f"p_in_burst={args.p_burst}")
     else:
-        rx = sim.apply_channel(tx, config)
+        def channel(tx: Trace) -> Trace:
+            return sim.apply_channel(tx, config)
         noise = f"hybrid r={args.r} s={args.s} p={args.p}"
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_trace(tx, args.out / "tx.trace")
-    write_trace(rx, args.out / "rx.trace")
+    _simulate_into(args.out, config, channel)
     print(f"simulated {args.frames} frames ({noise}), seed={args.seed}")
     print(f"frame_len={args.frame_len} bits, interval={args.interval_us} us, "
           f"rate={args.rate:g} bits/s")

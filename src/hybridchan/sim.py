@@ -15,6 +15,13 @@ and copy those words into a block; every decision is numpy over a block
 of frames.  A block holds at most _BLOCK_WORDS words, which keeps the
 simulator's working memory flat whatever the trace's size.
 
+For the same reason a run can be simulated a range of frames at a time:
+generate_tx(config, frames) gives the tx records of those frames, and
+either channel turns any tx trace into its rx records, keying each draw
+by the record's seq.  Each range gives exactly its records of the whole
+run; the simulate command writes a run that way, so that it never holds
+the run's payloads.
+
 - generate_tx: a payload's bits are the top bits of the first frame_len
   bytes of the frame's ceil(frame_len / 8) words, packed per block.
 - apply_channel takes two passes.  The first takes each frame's head
@@ -176,31 +183,42 @@ def _rx_trace(tx: Trace, status: np.ndarray, timestamp_us: np.ndarray,
     return Trace(meta=replace(tx.meta, description=description), rx=rx)
 
 
-def generate_tx(config: SimConfig) -> Trace:
-    """Generate the transmit side: uniform random payloads on a fixed cadence."""
+def generate_tx(config: SimConfig, frames: range | None = None) -> Trace:
+    """Generate the transmit side: uniform random payloads on a fixed cadence.
+
+    frames, a range of frame indices with step 1, limits the trace to the
+    records of those frames; by default it holds the whole run.  A frame's
+    record is the same whichever range holds it.
+    """
     params = config.params
+    if frames is None:
+        frames = range(config.n_frames)
+    elif frames.step != 1 or not 0 <= frames.start <= frames.stop <= config.n_frames:
+        raise UsageError(f"frames={frames} must be consecutive frames of "
+                         f"range({config.n_frames})")
     n_words = (params.frame_len + 7) // 8
     streams = rng.StreamFamily(config.seed, rng.ROLE_TX_PAYLOAD)
-    packed = np.empty((config.n_frames, n_words), dtype=np.uint8)
-    for rows in _blocks(config.n_frames, n_words):
-        words = _words(streams, range(rows.start, rows.stop), n_words)
+    packed = np.empty((len(frames), n_words), dtype=np.uint8)
+    for rows in _blocks(len(frames), n_words):
+        words = _words(streams, frames[rows], n_words)
         # integers(0, 2, frame_len, uint8): the top bit of each byte
         payload_bytes = words.astype("<u8", copy=False).view(np.uint8)
         packed[rows] = np.packbits(payload_bytes[:, :params.frame_len] >> 7, axis=1)
-    seq = np.arange(config.n_frames, dtype=np.int64)
+    seq = np.arange(frames.start, frames.stop, dtype=np.int64)
     # Python ints, so a cadence past the timestamp column's range is refused
     # rather than wrapped.
-    tx = Side(seq=seq, timestamp_us=[k * params.interval_us for k in range(seq.size)],
+    tx = Side(seq=seq, timestamp_us=[k * params.interval_us for k in frames],
               status=np.full(seq.size, OK), rssi=np.zeros_like(seq),
-              has_rssi=np.zeros(seq.size, dtype=bool), row=seq, packed=packed,
-              n_bits=params.frame_len)
+              has_rssi=np.zeros(seq.size, dtype=bool), row=np.arange(seq.size),
+              packed=packed, n_bits=params.frame_len)
     meta = TraceMeta(params.rate_bps, params.frame_len, params.interval_us,
                      f"tx seed={config.seed}")
     return Trace(meta=meta, tx=tx)
 
 
 def apply_channel(tx: Trace, config: SimConfig) -> Trace:
-    """Run every tx frame through the hybrid channel.
+    """Run every tx frame of tx, the whole run or a range of its frames,
+    through the hybrid channel.
 
     Every frame yields an rx record: the simulator models no losses other
     than PHY erasures (which keep their timestamp but drop the payload).

@@ -226,41 +226,44 @@ class Trace:
         of the first check to fail, in the order the checks are listed.
         """
         tx, rx = self.tx, self.rx
-        bad = np.flatnonzero(tx.seq != np.arange(len(tx)))
-        if bad.size:
-            i = int(bad[0])
+        # Each check is a mask over the records; argmax finds its first fault.
+        bad = tx.seq != np.arange(len(tx))
+        if bad.any():
+            i = int(bad.argmax())
             raise TraceError(
                 f"tx sequence numbers must be consecutive from 0; "
                 f"record {i} has seq {_seq_text(tx.seq[i])}", ("tx", i)
             )
-        bad = np.flatnonzero(tx.row < 0)
-        if bad.size:
-            i = int(bad[0])
+        bad = tx.row < 0
+        if bad.any():
+            i = int(bad.argmax())
             raise TraceError(f"tx seq {i} carries no payload", ("tx", i))
         for side_name, side in (("tx", tx), ("rx", rx)):
             # per record, payload length before timestamp order
             faults = []
-            held = np.flatnonzero(side.row >= 0)
-            if held.size and side.n_bits != self.meta.frame_len:
-                i = int(held[0])
-                faults.append((i, 0, f"{side_name} seq {_seq_text(side.seq[i])}: "
-                                     f"payload length {side.n_bits} != frame_len "
-                                     f"{self.meta.frame_len}"))
+            if side.n_bits != self.meta.frame_len:
+                held = side.row >= 0
+                if held.any():
+                    i = int(held.argmax())
+                    faults.append((i, 0, f"{side_name} seq {_seq_text(side.seq[i])}: "
+                                         f"payload length {side.n_bits} != frame_len "
+                                         f"{self.meta.frame_len}"))
             ts = side.timestamp_us
-            back = np.flatnonzero(ts[1:] < ts[:-1])
-            if back.size:
-                i = int(back[0]) + 1
+            back = ts[1:] < ts[:-1]
+            if back.any():
+                i = int(back.argmax()) + 1
                 faults.append((i, 1, f"{side_name} timestamps must be non-decreasing "
                                      f"(saw {ts[i]} after {ts[i - 1]})"))
             if faults:
                 i, _, message = min(faults)
                 raise TraceError(message, (side_name, i))
-        known = np.flatnonzero(rx.seq != UNKNOWN_SEQ)
+        known = rx.seq != UNKNOWN_SEQ
         seqs = rx.seq[known]
-        bad = np.flatnonzero(seqs[1:] <= seqs[:-1])
-        if bad.size:
-            j = int(bad[0]) + 1
-            seq, prev, i = int(seqs[j]), int(seqs[j - 1]), int(known[j])
+        bad = seqs[1:] <= seqs[:-1]
+        if bad.any():
+            j = int(bad.argmax()) + 1
+            seq, prev = int(seqs[j]), int(seqs[j - 1])
+            i = int(np.flatnonzero(known)[j])  # the record of the j-th known seq
             if seq == prev:
                 raise TraceError(f"rx seq {seq} appears more than once", ("rx", i))
             raise TraceError(
@@ -279,9 +282,9 @@ class Trace:
             if n_rx > n_tx:
                 raise TraceError("more rx records than tx records", ("rx", n_tx))
             seq = self.rx.seq
-            bad = np.flatnonzero(seq >= n_tx)
-            if bad.size:
-                i = int(bad[0])
+            bad = seq >= n_tx
+            if bad.any():
+                i = int(bad.argmax())
                 raise TraceError(
                     f"rx seq {seq[i]} has no matching tx record", ("rx", i)
                 )

@@ -21,7 +21,11 @@ code per record, so neither holds the file's text, only a block of it
 heads of _HEAD_RECORDS records (everything before the payload) as rows of
 bytes with NUL in the unused places and deletes the NULs; then for each
 block of lines it moves each payload's hex, from one hex encode, in after
-its head.  read_trace checks
+its head.  write_run writes a simulated run's tx and rx files on the same
+meta-line and record-line code, a block of frames at a time as the
+simulator gives them, so that it never holds the run's payloads; it
+validates the run's gathered columns and only then gives both files
+their names.  read_trace checks
 the heads of a block with an anchored regex, converts them with numpy and
 decodes the block's payloads, a hex decode per quarter block, into the
 file's packed matrix, which is allocated once.  That path only accepts
@@ -61,12 +65,16 @@ from .trace import (
 )
 
 # Bytes of file text in one block of records read, and in one written.
-# simulate writes while it holds both sides' payloads, so a written block's
-# temporaries are kept smaller.  The writer formats the heads of at least
+# A written block's temporaries (its payloads' hex and its lines) come on
+# top of the payload rows the writer is given, which it cannot drop, so
+# they are kept smaller.  The writer formats the heads of at least
 # _HEAD_RECORDS records at a time.
 _BLOCK_BYTES = 1 << 20
 _WRITE_BLOCK_BYTES = 1 << 17
 _HEAD_RECORDS = 1024
+
+# A Side's columns, one entry per record.
+_SIDE_COLUMNS = ("seq", "timestamp_us", "status", "rssi", "has_rssi", "row")
 
 _META_RE = re.compile(
     r'^#meta R=(?P<rate>[0-9.eE+-]+) frame_len=(?P<flen>0|[1-9][0-9]*) '
@@ -210,7 +218,7 @@ def _record_blocks(name: str, side: Side):
     """
     line = 2 * side.packed.shape[1] + _MAX_HEAD + 2  # at most, with its LF
     step = max(1, _WRITE_BLOCK_BYTES // line)
-    many = step * max(1, _HEAD_RECORDS // step)  # whole blocks of lines
+    many = step * -(-_HEAD_RECORDS // step)  # whole blocks of lines
     for lo in range(0, len(side), many):
         text, length = _heads(name, side, slice(lo, lo + many))
         start = np.concatenate(([0], np.cumsum(length)))
@@ -220,23 +228,111 @@ def _record_blocks(name: str, side: Side):
                          length[a:b])
 
 
-def write_trace(trace: Trace, path: str | Path) -> None:
-    """Write a trace; the on-disk form round-trips bit-exactly."""
-    desc = trace.meta.description
+def _meta_line(meta: TraceMeta) -> bytes:
+    """The #meta line of meta, with its LF; refuses what read_trace would."""
+    desc = meta.description
     if "\n" in desc or "\r" in desc:
         raise TraceError(f"description {desc!r} must not contain a line break")
-    if not 0 < trace.meta.rate_bps < math.inf:  # read_trace would refuse it
-        raise TraceError(f"R={trace.meta.rate_bps} must be positive and finite")
+    if not 0 < meta.rate_bps < math.inf:
+        raise TraceError(f"R={meta.rate_bps} must be positive and finite")
+    return (f'#meta R={_format_rate(meta.rate_bps)} frame_len={meta.frame_len} '
+            f'interval_us={meta.interval_us} desc="{_quote(desc)}"\n').encode()
+
+
+def write_trace(trace: Trace, path: str | Path) -> None:
+    """Write a trace; the on-disk form round-trips bit-exactly."""
+    meta_line = _meta_line(trace.meta)
     trace.validate()
     with Path(path).open("wb") as fh:
-        fh.write(
-            f'#meta R={_format_rate(trace.meta.rate_bps)} '
-            f'frame_len={trace.meta.frame_len} '
-            f'interval_us={trace.meta.interval_us} '
-            f'desc="{_quote(desc)}"\n'.encode()
-        )
+        fh.write(meta_line)
         for name, side in (("tx", trace.tx), ("rx", trace.rx)):
             fh.writelines(_record_blocks(name, side))
+
+
+class _SideWriter:
+    """One side of a run, written to fh a block of records at a time.
+
+    The first block writes the #meta line.  Each block's columns are kept,
+    and which of its records hold a payload, so that trace() gives the
+    run's columns without its payload rows.
+    """
+
+    def __init__(self, name: str, fh) -> None:
+        self.name, self.fh = name, fh
+        self.meta: TraceMeta | None = None
+        self.n_bits: int | None = None  # that of the blocks with payload rows
+        self.columns: dict[str, list[np.ndarray]] = {
+            key: [] for key in _SIDE_COLUMNS if key != "row"}
+        self.held: list[np.ndarray] = []
+
+    def write(self, trace: Trace) -> None:
+        side, other = (trace.tx, trace.rx) if self.name == "tx" else (trace.rx, trace.tx)
+        if self.meta is None:
+            self.fh.write(_meta_line(trace.meta))
+            self.meta = trace.meta
+        if len(side.packed) and self.n_bits is None:
+            self.n_bits = side.n_bits
+        if (trace.meta != self.meta or len(other)
+                or len(side.packed) and side.n_bits != self.n_bits):
+            raise ValueError(f"a block of a run's {self.name} trace must hold only "
+                             f"{self.name} records, with the first block's metadata "
+                             f"and payload length")
+        self.fh.writelines(_record_blocks(self.name, side))
+        for key, column in self.columns.items():
+            column.append(getattr(side, key))
+        self.held.append(side.row >= 0)
+
+    def trace(self) -> Trace:
+        """The trace of the run's records, with every payload zero: its
+        packed matrix is one row of zero bytes, broadcast."""
+        n_bits = self.n_bits or 0
+        width = (n_bits + 7) // 8
+        held = np.concatenate(self.held)
+        # popped, so that each block's parts go once their column is whole
+        side = Side(**{key: np.concatenate(self.columns.pop(key))
+                       for key in list(self.columns)},
+                    row=np.where(held, np.cumsum(held) - 1, -1),
+                    packed=np.broadcast_to(np.zeros(width, dtype=np.uint8),
+                                           (int(held.sum()), width)),
+                    n_bits=n_bits)
+        return Trace(self.meta, **{self.name: side})
+
+
+def write_run(blocks, tx_path: str | Path, rx_path: str | Path) -> None:
+    """Write a simulated run a block of frames at a time: its tx trace to
+    tx_path and its rx trace to rx_path.
+
+    blocks yields a (tx, rx) pair of traces per block of consecutive
+    frames, as sim.generate_tx and a channel give them: tx holds only tx
+    records and rx only rx records, and every block has the metadata of the
+    first.  The files get the bytes write_trace gives the whole run's tx
+    and rx traces, and the same checks: each block's Side has checked its
+    columns and payload rows, and Trace.validate runs over the whole run's
+    columns once every block is written.  No payload row outlives its block.
+
+    Both files are written under temporary names next to their paths and
+    take those names only once both traces are valid.  On any exception
+    both temporaries are removed, so each path keeps what it held.
+    """
+    paths = [Path(tx_path), Path(rx_path)]
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    try:
+        with temps[0].open("wb") as tx_fh, temps[1].open("wb") as rx_fh:
+            writers = [_SideWriter("tx", tx_fh), _SideWriter("rx", rx_fh)]
+            for tx, rx in blocks:
+                writers[0].write(tx)
+                writers[1].write(rx)
+                del tx, rx  # the caller drops them too: one block is held at a time
+        if writers[0].meta is None:
+            raise ValueError("a run must have at least one block")
+        for writer in writers:
+            writer.trace().validate()
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
 
 
 def _check_utf8(data: bytearray, path: Path) -> None:
@@ -431,8 +527,7 @@ def _read(path: Path) -> Trace:
         index = (slice(first, first + count) if pick[first:first + count].all()
                  else np.flatnonzero(pick))
         sides[name] = Side(
-            **{key: columns[key][index] for key in
-               ("seq", "timestamp_us", "status", "rssi", "has_rssi", "row")},
+            **{key: columns[key][index] for key in _SIDE_COLUMNS},
             packed=packed, n_bits=meta.frame_len if packed.size else 0,
         )
     trace = Trace(meta=meta, tx=sides["tx"], rx=sides["rx"])

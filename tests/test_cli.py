@@ -1,17 +1,25 @@
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from hybridchan import (
+    ChannelParams,
     ReceiveStatus,
+    SimConfig,
     Trace,
     TraceMeta,
+    apply_channel,
+    apply_periodic_noise,
+    generate_tx,
     load_pair,
     write_trace,
 )
-from hybridchan import recovery
+from hybridchan import cli, recovery, sim
 from hybridchan.cli import main
+from hybridchan.trace import CRC, OK, PHY
 
 from conftest import Row, rows, side
 
@@ -125,6 +133,177 @@ class TestSimulate:
         assert run_cli([*flags, "--out", tmp_path / "default"]) == 0
         assert run_cli([*flags, "--seed", 0, "--out", tmp_path / "zero"]) == 0
         assert tree_bytes(tmp_path / "default") == tree_bytes(tmp_path / "zero")
+
+
+# (frames per block, frames): each run crosses several block seams
+BLOCK_SIZES = [(1, 23), (2, 23), (7, 50), (1024, 2100)]
+
+
+def write_whole(out, tx, rx):
+    """tx and rx written by write_trace, as the in-memory run's reference."""
+    out.mkdir()
+    write_trace(tx, out / "tx.trace")
+    write_trace(rx, out / "rx.trace")
+    return tree_bytes(out)
+
+
+class TestSimulateBlocks:
+    """simulate draws and writes a block of frames at a time; every block
+    size gives the bytes of the whole run written at once."""
+
+    @pytest.mark.parametrize("size, frames", BLOCK_SIZES)
+    def test_hybrid_blocks_write_the_whole_run(self, tmp_path, monkeypatch,
+                                                size, frames):
+        monkeypatch.setattr(cli, "_block_frames", lambda frame_len: size)
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--frames", frames, "--frame-len", 125,
+                        "--r", 0.2, "--s", 0.5, "--p", 0.05, "--skew-ppm", 40,
+                        "--offset-us", -700, "--jitter-us", 30, "--interval-us", 1000,
+                        "--seed", 17, "--out", out]) == 0
+        config = SimConfig(
+            params=ChannelParams(r=0.2, s=0.5, p=0.05, rate_bps=54e6,
+                                 frame_len=125, interval_us=1000),
+            seed=17, n_frames=frames, clock_skew_ppm=40, clock_offset_us=-700,
+            timestamp_jitter_us=30)
+        tx = generate_tx(config)
+        rx = apply_channel(tx, config)
+        assert set(rx.rx.status.tolist()) == {PHY, CRC, OK}
+        assert tree_bytes(out) == write_whole(tmp_path / "whole", tx, rx)
+
+    @pytest.mark.parametrize("size, frames", BLOCK_SIZES)
+    def test_periodic_blocks_write_the_whole_run(self, tmp_path, monkeypatch,
+                                                  size, frames):
+        monkeypatch.setattr(cli, "_block_frames", lambda frame_len: size)
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--periodic", "--frames", frames,
+                        "--frame-len", 300, "--period", 100, "--burst", 10,
+                        "--p-burst", 0.02, "--skew-ppm", -15, "--offset-us", 90,
+                        "--seed", 4, "--out", out]) == 0
+        config = SimConfig(
+            params=ChannelParams(r=0.0, s=1.0, p=0.0, rate_bps=54e6,
+                                 frame_len=300, interval_us=20000),
+            seed=4, n_frames=frames)
+        tx = generate_tx(config)
+        rx = apply_periodic_noise(tx, 100, 10, 0.02, 4, clock_skew_ppm=-15,
+                                  clock_offset_us=90)
+        assert set(rx.rx.status.tolist()) == {CRC, OK}
+        assert tree_bytes(out) == write_whole(tmp_path / "whole", tx, rx)
+
+    @pytest.mark.parametrize("size, frames", BLOCK_SIZES)
+    def test_drift_at_a_seam(self, tmp_path, monkeypatch, size, frames):
+        """A drift_schedule whose first change starts a block and whose
+        second falls inside one, unless blocks are single frames."""
+        monkeypatch.setattr(cli, "_block_frames", lambda frame_len: size)
+
+        def params(r, s, p):
+            return ChannelParams(r=r, s=s, p=p, rate_bps=11e6, frame_len=77,
+                                 interval_us=500)
+
+        config = SimConfig(
+            params=params(0.05, 0.8, 0.01), seed=-9, n_frames=frames,
+            clock_skew_ppm=-12.5, clock_offset_us=300, timestamp_jitter_us=20,
+            drift_schedule=((2 * size, params(0.5, 0.1, 0.2)),
+                            (2 * size + 1, params(0.0, 0.3, 0.001))))
+        cli._simulate_into(tmp_path / "run", config,
+                           lambda tx: apply_channel(tx, config))
+        tx = generate_tx(config)
+        rx = apply_channel(tx, config)
+        assert tree_bytes(tmp_path / "run") == write_whole(tmp_path / "whole", tx, rx)
+
+    def test_one_block_is_held_at_a_time(self, tmp_path, monkeypatch):
+        """Every earlier block is gone when the next is drawn."""
+        monkeypatch.setattr(cli, "_block_frames", lambda frame_len: 7)
+        drawn, real = [], sim.generate_tx
+
+        def generate_tx(config, frames):
+            assert all(block() is None for block in drawn), len(drawn)
+            tx = real(config, frames)
+            drawn.append(weakref.ref(tx))
+            return tx
+
+        monkeypatch.setattr(sim, "generate_tx", generate_tx)
+        assert run_cli(["simulate", "--frames", 30, "--frame-len", 64, "--r", 0.2,
+                        "--s", 0.5, "--p", 0.1, "--out", tmp_path / "run"]) == 0
+        assert len(drawn) == 5
+
+    def test_peak_grows_by_columns_not_payload_rows(self, tmp_path):
+        """At 2 000-bit frames, 6 000 more frames add 3 MB of payload rows
+        to the two sides; simulate holds only their columns."""
+        assert cli._block_frames(2000) <= 2000  # both runs span whole blocks
+        flags = ["--frame-len", 2000, "--r", 0.1, "--s", 0.5, "--p", 0.01,
+                 "--jitter-us", 50, "--skew-ppm", 20]
+        assert run_cli(["simulate", "--frames", 10, *flags,
+                        "--out", tmp_path / "warm"]) == 0
+        peaks = []
+        for n in (2000, 8000):
+            tracemalloc.start()
+            try:
+                assert run_cli(["simulate", "--frames", n, *flags,
+                                "--out", tmp_path / str(n)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # The columns of both sides are about 50 bytes a frame.
+        assert peaks[1] - peaks[0] < 6000 * 100
+
+
+class TestSimulateAllOrNothing:
+    """A simulate run that fails leaves --out as it found it: the pair
+    already there byte-identical, and no temporary file."""
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        """A directory holding a trace pair, and its files' bytes."""
+        out = simulate(tmp_path, "run")
+        return out, tree_bytes(out)
+
+    def test_failure_mid_stream(self, pair, capsys, monkeypatch):
+        out, before = pair
+        monkeypatch.setattr(cli, "_block_frames", lambda frame_len: 100)
+        seen = []
+
+        def third_block_fails(tx, config):
+            seen.append(sorted(p.name for p in out.iterdir()))
+            if len(seen) == 3:
+                raise ValueError("a numpy call refused its input")
+            return apply_channel(tx, config)
+
+        monkeypatch.setattr(sim, "apply_channel", third_block_fails)
+        assert run_cli(["simulate", "--frames", 500, "--frame-len", 500,
+                        "--r", 0.1, "--s", 0.6, "--p", 0.01, "--out", out]) == 3
+        assert capsys.readouterr().err == (
+            "hybridchan: internal error: a numpy call refused its input\n")
+        # the temporaries were there while the blocks were written
+        assert len(seen) == 3 and len(seen[2]) == 4
+        assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize("flags", [
+        # rx timestamps pass 18 digits at frame 2667, in the third block
+        ["--frames", 3000, "--interval-us", 3 * 10**14, "--offset-us", 2 * 10**17],
+        # tx timestamps pass 18 digits at frame 3334, in the fourth block
+        ["--frames", 5000, "--interval-us", 3 * 10**14],
+    ], ids=["rx", "tx"])
+    def test_timestamp_past_18_digits(self, pair, capsys, monkeypatch, flags):
+        out, before = pair
+        monkeypatch.setattr(cli, "_block_frames", lambda frame_len: 1024)
+        assert run_cli(["simulate", "--frame-len", 64, *flags, "--out", out]) == 3
+        assert capsys.readouterr().err == (
+            "hybridchan: invariant violation: "
+            "timestamp_us values must have at most 18 digits\n")
+        assert tree_bytes(out) == before
+
+    def test_refused_clock(self, pair, capsys):
+        out, before = pair
+        assert run_cli(["simulate", "--frames", 50, "--interval-us", 100,
+                        "--jitter-us", 60, "--out", out]) == 1
+        assert "rx timestamps could run backwards" in capsys.readouterr().err
+        assert tree_bytes(out) == before
+
+    def test_new_directories_are_removed(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert run_cli(["simulate", "--frames", 5, "--frame-len", 64,
+                        "--interval-us", 10**18, "--out", out]) == 3
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:

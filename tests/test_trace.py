@@ -144,6 +144,46 @@ class TestTraceValidate:
         assert err.value.record == ("rx", 1)
 
 
+OK_, CRC_, PHY_ = ReceiveStatus.OK, ReceiveStatus.CRC_ERROR, ReceiveStatus.PHY_ERROR
+TX3 = [(0, 0, OK_, bits("1010")), (1, 100, OK_, bits("0110")), (2, 200, OK_, bits("1111"))]
+
+
+@pytest.mark.parametrize("tx, rx, message, record", [
+    ([*TX3[:2], (3, 200, OK_, bits("1111"))], [],
+     "tx sequence numbers must be consecutive from 0; record 2 has seq 3", ("tx", 2)),
+    ([TX3[0], (None, 100, OK_, bits("0110")), TX3[2]], [],
+     "tx sequence numbers must be consecutive from 0; record 1 has seq None",
+     ("tx", 1)),
+    ([*TX3[:2], (2, 200, PHY_, None)], [], "tx seq 2 carries no payload", ("tx", 2)),
+    ([(0, 0, OK_, bits("10"))], [], "tx seq 0: payload length 2 != frame_len 4",
+     ("tx", 0)),
+    (TX3, [(None, 10, PHY_, None), (1, 30, CRC_, bits("10")), (2, 40, OK_, bits("11"))],
+     "rx seq 1: payload length 2 != frame_len 4", ("rx", 1)),
+    ([*TX3[:2], (2, 50, OK_, bits("1111"))], [],
+     "tx timestamps must be non-decreasing (saw 50 after 100)", ("tx", 2)),
+    (TX3, [(0, 50, OK_, bits("1010")), (None, 60, PHY_, None), (2, 40, OK_, bits("1111"))],
+     "rx timestamps must be non-decreasing (saw 40 after 60)", ("rx", 2)),
+    (TX3, [(1, 10, OK_, bits("1010")), (None, 20, CRC_, bits("1010")),
+           (None, 30, CRC_, bits("1010")), (1, 40, CRC_, bits("1011"))],
+     "rx seq 1 appears more than once", ("rx", 3)),
+    (TX3, [(None, 10, PHY_, None), (2, 20, OK_, bits("1111")),
+           (None, 30, PHY_, None), (0, 40, CRC_, bits("1011"))],
+     "known rx seqs must increase in trace order (saw 0 after 2)", ("rx", 3)),
+    (TX3, [(None, 10, PHY_, None), (7, 20, OK_, bits("1111")), (8, 30, PHY_, None)],
+     "rx seq 7 has no matching tx record", ("rx", 1)),
+    (TX3[:2], [(None, t, PHY_, None) for t in (10, 20, 30)],
+     "more rx records than tx records", ("rx", 2)),
+], ids=["tx-seq", "tx-seq-unknown", "tx-payload", "tx-length", "rx-length",
+        "tx-time", "rx-time", "rx-duplicate", "rx-order", "rx-unmatched", "rx-count"])
+def test_each_fault_names_its_message_and_record(tx, rx, message, record):
+    """Every fault validate finds, with its whole message and the index of
+    the first record at fault, which readers turn into a line number."""
+    meta = TraceMeta(rate_bps=54e6, frame_len=4, interval_us=100)
+    with pytest.raises(TraceError) as err:
+        Trace(meta, side(tx), side(rx)).validate()
+    assert (str(err.value), err.value.record) == (message, record)
+
+
 class TestSide:
     ROWS = [Row(0, 5, ReceiveStatus.OK, bits("10110"), -61),
             Row(None, 6, ReceiveStatus.CRC_ERROR, bits("00111")),

@@ -601,6 +601,72 @@ def test_writer_matches_reference_writer(tmp_path_factory, trace, block):
     assert (tmp / "a.trace").read_bytes() == (tmp / "b.trace").read_bytes()
 
 
+def _cut(trace_side, cuts):
+    """trace_side as consecutive Sides split at cuts, each sharing its
+    payload matrix (so that each holds rows its records do not use)."""
+    bounds = [0, *cuts, len(trace_side)]
+    return [Side(**{key: getattr(trace_side, key)[a:b] for key in traceio._SIDE_COLUMNS},
+                 packed=trace_side.packed, n_bits=trace_side.n_bits)
+            for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_traces(), st.data())
+def test_write_run_matches_write_trace(tmp_path_factory, trace, data):
+    """Any cut of the sides into blocks, empty ones too, writes the bytes
+    write_trace gives each whole side."""
+    tmp = tmp_path_factory.mktemp("run")
+    n_blocks = data.draw(st.integers(1, 4))
+    blocks = zip(*(
+        [Trace(trace.meta, **{name: block}) for block in _cut(
+            getattr(trace, name),
+            sorted(data.draw(st.lists(st.integers(0, len(getattr(trace, name))),
+                                      min_size=n_blocks - 1, max_size=n_blocks - 1))))]
+        for name in ("tx", "rx")))
+    with _blocks_of(data.draw(_small_blocks)):
+        traceio.write_run(blocks, tmp / "tx.trace", tmp / "rx.trace")
+    write_trace(Trace(trace.meta, tx=trace.tx), tmp / "whole-tx.trace")
+    write_trace(Trace(trace.meta, rx=trace.rx), tmp / "whole-rx.trace")
+    for name in ("tx", "rx"):
+        assert (tmp / f"{name}.trace").read_bytes() == (
+            tmp / f"whole-{name}.trace").read_bytes()
+    assert sorted(p.name for p in tmp.iterdir()) == [
+        "rx.trace", "tx.trace", "whole-rx.trace", "whole-tx.trace"]
+
+
+def _run_blocks(rx_seqs, meta=None):
+    """Blocks of one tx record each and one rx record of seq rx_seqs[k]."""
+    meta = meta or [three_frame_trace().meta] * len(rx_seqs)
+    return [(Trace(m, tx=side([(k, 10 * k, ReceiveStatus.OK, bits("1" * 12))])),
+             Trace(m, rx=side([(seq, 10 * k, ReceiveStatus.OK, bits("0" * 12))])))
+            for k, (seq, m) in enumerate(zip(rx_seqs, meta))]
+
+
+@pytest.mark.parametrize("blocks, error, message, record", [
+    # faults across a seam, which no block's Side sees: validate's message
+    # and record for the whole run
+    (_run_blocks([0, None, 1, 1]), TraceError, "rx seq 1 appears more than once",
+     ("rx", 3)),
+    (_run_blocks([0, 2, 1]), TraceError,
+     "known rx seqs must increase in trace order (saw 1 after 2)", ("rx", 2)),
+    (_run_blocks([0, 1], [three_frame_trace().meta, TraceMeta(54e6, 12, 7)]),
+     ValueError, "a block of a run's tx trace must hold only tx records, with "
+                 "the first block's metadata and payload length", None),
+    (_run_blocks([0], [TraceMeta(54e6, 12, 7, "a\nb")]), TraceError,
+     "description 'a\\nb' must not contain a line break", None),
+    ([], ValueError, "a run must have at least one block", None),
+], ids=["duplicate", "order", "meta", "description", "empty"])
+def test_refused_run_leaves_the_old_pair(tmp_path, blocks, error, message, record):
+    write_trace(three_frame_trace(), tmp_path / "tx.trace")
+    write_trace(three_frame_trace(), tmp_path / "rx.trace")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(error) as err:
+        traceio.write_run(iter(blocks), tmp_path / "tx.trace", tmp_path / "rx.trace")
+    assert str(err.value) == message
+    assert getattr(err.value, "record", None) == record
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def _outcome(read, path):
     """("read", (meta, tx records, rx records)) or ("fault", line, message)."""
     try:
