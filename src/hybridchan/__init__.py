@@ -18,7 +18,7 @@ from .capacity import (
 )
 from .interleaver import deinterleave, interleave, whiten_error_vector
 from .recovery import recover_trace
-from .runstest import RunsFlag, RunsTestResult, runs_test
+from .runstest import RunsTests, runs_test, runs_tests
 from .segments import Segment, mean_segment_duration, segment_corrupted_frames
 from .sim import SimConfig, apply_channel, apply_periodic_noise, generate_tx
 from .stats import (
@@ -52,8 +52,7 @@ __all__ = [
     "OutcomeIidReport",
     "ParamEstimate",
     "ReceiveStatus",
-    "RunsFlag",
-    "RunsTestResult",
+    "RunsTests",
     "Segment",
     "Side",
     "SimConfig",
@@ -82,6 +81,7 @@ __all__ = [
     "read_trace",
     "recover_trace",
     "runs_test",
+    "runs_tests",
     "segment_corrupted_frames",
     "symmetry_report",
     "whiten_error_vector",

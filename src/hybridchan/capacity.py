@@ -19,7 +19,7 @@ from math import log2, sqrt
 
 import numpy as np
 
-from .trace import CRC, OK, PHY, UNKNOWN_SEQ, Trace, TraceError, UsageError
+from .trace import OK, PHY, Trace, TraceError, UsageError
 
 # Bytes of gathered payload rows per block, as recovery._BLOCK_BYTES.
 _BLOCK_BYTES = 1 << 18
@@ -78,7 +78,7 @@ def _flip_counts(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     most _BLOCK_BYTES of them.
     """
     tx, rx = trace.tx, trace.rx
-    picked = np.flatnonzero((rx.status == CRC) & (rx.seq != UNKNOWN_SEQ))
+    picked = rx.corrupted()
     flips = np.zeros(len(rx), dtype=np.int64)
     bits = np.zeros(len(rx), dtype=np.int64)
     if picked.size:

@@ -6,6 +6,8 @@ pair, ``analyze`` runs the statistical battery and emits plot-ready CSVs,
 RSSI bin), ``recover`` re-identifies corrupted frames with damaged
 headers.  Every command is deterministic given its flags; --seed
 defaults to 0.  Every runs test is at the 5% level (runstest.ALPHA).
+analyze's frames.csv gives each corrupted frame's runs-test z and p,
+empty where no z exists, and its verdict, one of runstest.VERDICTS.
 
 Exit codes: 0 success, 1 usage error (a bad flag or flag value), 2 trace
 parse error, 3 internal error (an invariant violation or any other
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import recovery, sim, stats
 from .capacity import capacity_report
-from .runstest import ALPHA, RunsFlag
+from .runstest import ALPHA, FAIL, PASS, VERDICTS
 from .segments import mean_segment_duration, segment_corrupted_frames
 from .trace import (
     STATUSES,
@@ -212,37 +214,34 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verdict(result) -> str:
-    """pass or fail, or the flag of a result that decides neither."""
-    if result.flag is not RunsFlag.NORMAL:
-        return result.flag.value
-    return "pass" if result.passed else "fail"
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     trace = load_pair(args.tx_trace, args.rx_trace)
     table = stats.error_table(trace, None if args.no_interleave else args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
 
-    rows = stats.per_frame_runs_tests(table)
+    tests = stats.per_frame_runs_tests(table)
     segs = segment_corrupted_frames(table)
     # The segments split the table's rows into consecutive runs, in order.
     seg_of = np.repeat(np.arange(len(segs)), [seg.n_corrupted for seg in segs])
 
-    # One line per rx record; the test columns only on corrupted ones.
+    # One line per rx record.  The table's rows are the corrupted records
+    # in trace order, and only they get the test columns; the rest, and a
+    # z or p that does not exist, are written as empty fields.
     rx = trace.rx
-    tested = {
-        row.seq: [row.n_bit_errors, row.crossover, row.result.z,
-                  row.result.p_value, _verdict(row.result), seg]
-        for row, seg in zip(rows, seg_of.tolist())
-    }
-    untested = [None] * 6
+    tested = np.full((len(rx), 6), None, dtype=object)
+    corrupted = rx.corrupted()
+    for j, column in enumerate((
+        table.n1, table.n1 / table.frame_len,
+        np.where(np.isnan(tests.z), None, tests.z),
+        np.where(np.isnan(tests.p), None, tests.p),
+        np.array(VERDICTS, dtype=object)[tests.verdict], seg_of,
+    )):
+        tested[corrupted, j] = column
     tokens = [status.value for status in STATUSES]
     frame_rows = (
-        ["?" if seq == UNKNOWN_SEQ else seq, ts, tokens[status],
-         *tested.get(seq, untested)]
-        for seq, ts, status in zip(rx.seq.tolist(), rx.timestamp_us.tolist(),
-                                   rx.status.tolist())
+        ["?" if seq == UNKNOWN_SEQ else seq, ts, tokens[status], *test]
+        for seq, ts, status, test in zip(rx.seq.tolist(), rx.timestamp_us.tolist(),
+                                         rx.status.tolist(), tested.tolist())
     )
     _write_csv(
         args.out / "frames.csv",
@@ -262,7 +261,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         ],
     )
 
-    if rows:
+    if len(table):
         profile = stats.bit_position_profile(table)
         profile_rows = [[i, float(f)] for i, f in enumerate(profile)]
     else:
@@ -282,13 +281,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         ],
     )
 
-    decided = [r for r in rows if r.result.flag is RunsFlag.NORMAL]
-    pass_rate = (
-        sum(1 for r in decided if r.result.passed) / len(decided)
-        if decided else None
-    )
+    counts = np.bincount(tests.verdict, minlength=len(VERDICTS)).tolist()
+    n_pass, n_decided = counts[PASS], counts[PASS] + counts[FAIL]
+    pass_rate = n_pass / n_decided if n_decided else None
     symmetry = None
-    if rows:
+    if len(table):
         rep = stats.symmetry_report(table)
         symmetry = {
             "n1": rep.n1, "n0": rep.n0, "mu1": rep.mu1, "se1": rep.se1,
@@ -300,12 +297,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "interleave_emulation": not args.no_interleave,
         "n_tx_frames": len(trace.tx),
         "n_rx_frames": len(trace.rx),
-        "n_corrupted": len(rows),
+        "n_corrupted": len(table),
         "per_frame_pass_rate": pass_rate,
         "n_segments": len(segs),
-        "mean_segment_duration_s": mean_segment_duration(
-            segs, trace.meta.interval_us
-        ),
+        "mean_segment_duration_s": mean_segment_duration(segs),
         "covered_frames": outcome_report.covered_frames,
         "outcome_pass_fractions": {
             frac.outcome.value: frac.fraction
@@ -316,7 +311,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     (args.out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"analyzed {len(trace.rx)} rx frames: {len(rows)} corrupted, "
+    print(f"analyzed {len(trace.rx)} rx frames: {len(table)} corrupted, "
           f"{len(segs)} segments")
     if pass_rate is not None:
         print(f"per-frame runs-test pass rate: {pass_rate:.4f}")

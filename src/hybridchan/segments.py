@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .runstest import _result_from_counts
+from .runstest import rejects
 from .stats import ErrorTable
 
 
@@ -67,7 +67,7 @@ def segment_corrupted_frames(table: ErrorTable) -> list[Segment]:
     ):
         zeros = frame_len - ones
         merged = runs + frame_runs - (first == last)
-        if seqs and _result_from_counts(merged, n1 + ones, n0 + zeros).rejects:
+        if seqs and rejects(merged, n1 + ones, n0 + zeros):
             segments.append(_close(seqs, n1, n0, interval_us))
             seqs, n1, n0, merged = [], 0, 0, frame_runs
         n1, n0, runs, last = n1 + ones, n0 + zeros, merged, frame_last
@@ -77,11 +77,8 @@ def segment_corrupted_frames(table: ErrorTable) -> list[Segment]:
     return segments
 
 
-def mean_segment_duration(
-    segments: list[Segment], interval_us: int
-) -> float | None:
+def mean_segment_duration(segments: list[Segment]) -> float | None:
     """Arithmetic mean of segment durations in seconds; None when empty."""
     if not segments:
         return None
-    total_frames = sum(seg.n_frames for seg in segments)
-    return total_frames * interval_us / 1e6 / len(segments)
+    return sum(seg.duration_us for seg in segments) / 1e6 / len(segments)

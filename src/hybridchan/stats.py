@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import interleaver
-from .runstest import RunsFlag, RunsTestResult, _result_from_counts
-from .trace import CRC, PHY, STATUSES, UNKNOWN_SEQ, ReceiveStatus, Trace
+from .runstest import FAIL, PASS, RunsTests, runs_tests
+from .trace import PHY, STATUSES, UNKNOWN_SEQ, ReceiveStatus, Trace
 
 if TYPE_CHECKING:
     from .segments import Segment
@@ -72,7 +72,7 @@ def error_table(trace: Trace, key: int | None = None) -> ErrorTable:
     """Build the ErrorTable of a trace; key whitens, None keeps wire order."""
     tx, rx = trace.tx, trace.rx
     frame_len = trace.meta.frame_len
-    picked = np.flatnonzero((rx.status == CRC) & (rx.seq != UNKNOWN_SEQ))
+    picked = rx.corrupted()
     seqs = rx.seq[picked]
     n = seqs.size
     n1, runs, first, last = np.empty((4, n), dtype=np.int64)
@@ -106,24 +106,12 @@ def error_table(trace: Trace, key: int | None = None) -> ErrorTable:
                       last, column_sums, tx_ones, flips_on_ones)
 
 
-@dataclass(frozen=True)
-class FrameTestRow:
-    seq: int
-    n_bit_errors: int
-    crossover: float
-    result: RunsTestResult
+def per_frame_runs_tests(table: ErrorTable) -> RunsTests:
+    """Within-frame runs test of every corrupted frame, in trace order.
 
-
-def per_frame_runs_tests(table: ErrorTable) -> list[FrameTestRow]:
-    """Within-frame runs test for every corrupted frame, in trace order.
-
-    An all-zero error vector (corruption confined to headers) is DEGENERATE.
+    An all-zero error vector (corruption confined to headers) is degenerate.
     """
-    n, columns = table.frame_len, (table.seqs, table.n1, table.runs)
-    return [
-        FrameTestRow(seq, n1, n1 / n, _result_from_counts(runs, n1, n - n1))
-        for seq, n1, runs in zip(*(col.tolist() for col in columns))
-    ]
+    return runs_tests(table.runs, table.n1, table.frame_len - table.n1)
 
 
 @dataclass(frozen=True)
@@ -214,6 +202,7 @@ def outcome_iid_tests(
     """
     starts = np.array([seg.start_frame for seg in segments], dtype=np.int64)
     ends = np.array([seg.end_frame for seg in segments], dtype=np.int64)
+    n_frames = np.array([seg.n_frames for seg in segments], dtype=np.int64)
     if (ends < starts).any():
         raise ValueError("segment span runs backwards")
     n_seqs = int(ends.max()) + 1 if segments else 0
@@ -222,34 +211,30 @@ def outcome_iid_tests(
     seen = (rx.seq != UNKNOWN_SEQ) & (rx.seq < n_seqs)
     status[rx.seq[seen]] = rx.status[seen]
     fractions: dict[ReceiveStatus, OutcomeFraction] = {}
-    covered = sum(seg.n_frames for seg in segments)
     for code, outcome in enumerate(STATUSES):
         # Prefix sums of the labels and of their transitions give each
         # segment's ones and run count without building its label array.
         labels = status == code
         ones = np.concatenate(([0], np.cumsum(labels)))
         changes = np.concatenate(([0], np.cumsum(labels[1:] != labels[:-1])))
-        seg_n1 = (ones[ends + 1] - ones[starts]).tolist()
-        seg_runs = (1 + changes[ends] - changes[starts]).tolist()
-        pass_frames = valid_frames = tested = excluded = 0
-        for seg, n1, n_runs in zip(segments, seg_n1, seg_runs):
-            result = _result_from_counts(n_runs, n1, seg.n_frames - n1)
-            if result.flag is not RunsFlag.NORMAL:
-                excluded += 1
-                continue
-            tested += 1
-            valid_frames += seg.n_frames
-            if result.passed:
-                pass_frames += seg.n_frames
+        seg_n1 = ones[ends + 1] - ones[starts]
+        verdict = runs_tests(1 + changes[ends] - changes[starts], seg_n1,
+                             n_frames - seg_n1).verdict
+        passed = verdict == PASS
+        decided = passed | (verdict == FAIL)
+        pass_frames = int(n_frames[passed].sum())
+        valid_frames = int(n_frames[decided].sum())
+        tested = int(decided.sum())
         fractions[outcome] = OutcomeFraction(
             outcome=outcome,
             fraction=pass_frames / valid_frames if valid_frames else None,
             n_pass_frames=pass_frames,
             n_valid_frames=valid_frames,
             n_segments_tested=tested,
-            n_excluded=excluded,
+            n_excluded=len(segments) - tested,
         )
-    return OutcomeIidReport(fractions=fractions, covered_frames=covered)
+    return OutcomeIidReport(fractions=fractions,
+                            covered_frames=int(n_frames.sum()))
 
 
 def bit_position_profile(table: ErrorTable) -> np.ndarray:

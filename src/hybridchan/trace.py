@@ -169,6 +169,11 @@ class Side:
         none = np.zeros(0, dtype=np.int64)
         return cls(none, none, none, none, none, none, np.zeros((0, 0), np.uint8))
 
+    def corrupted(self) -> np.ndarray:
+        """Indices of the corrupted records, CRC errors with a known seq:
+        the frames whose error vectors the analyses read."""
+        return np.flatnonzero((self.status == CRC) & (self.seq != UNKNOWN_SEQ))
+
     def payloads(self, index) -> np.ndarray:
         """Packed payload rows of the records at index (none may be PHY errors)."""
         return self.packed[self.row[index]]

@@ -47,10 +47,11 @@ def exact_pass_probability(n1: int, n: int) -> float:
     return passing / math.comb(n, n1)
 
 
-def pass_count_z(rows, n: int) -> float:
-    """z of the passing frames among per_frame_runs_tests rows with a verdict,
-    against the law's expectation given each frame's error count."""
-    decided = [row for row in rows if row.result.passed is not None]
-    probs = np.array([exact_pass_probability(row.n_bit_errors, n) for row in decided])
-    n_pass = sum(row.result.passed for row in decided)
+def pass_count_z(tests, n: int) -> float:
+    """z of the passing frames among per_frame_runs_tests columns with a p,
+    against the law's expectation given each frame's error count.  A frame
+    passes at p >= ALPHA, whatever its verdict."""
+    decided = ~np.isnan(tests.p)
+    probs = np.array([exact_pass_probability(n1, n) for n1 in tests.n1[decided].tolist()])
+    n_pass = int((tests.p[decided] >= ALPHA).sum())
     return (n_pass - probs.sum()) / math.sqrt((probs * (1.0 - probs)).sum())

@@ -9,7 +9,7 @@ ErrorTable reductions against these.
 import numpy as np
 
 from hybridchan import ReceiveStatus, Segment, whiten_error_vector
-from hybridchan.runstest import runs_test
+from hybridchan.runstest import FAIL, runs_test
 
 from conftest import rows
 
@@ -28,11 +28,20 @@ def corrupted_error_vectors(tx, rx, key=None):
     return pairs
 
 
+def runs_rows(tests):
+    """Each test of runs-test columns as a tuple of plain values: n_runs,
+    n1, n0, mu, sigma2, z, p and verdict, with None for a NaN."""
+    columns = (tests.n_runs, tests.n1, tests.n0, tests.mu, tests.sigma2,
+               tests.z, tests.p, tests.verdict)
+    return [tuple(None if v != v else v for v in row)
+            for row in zip(*(col.tolist() for col in columns))]
+
+
 def per_frame_results(tx, rx, key=None):
-    """(seq, bit errors, crossover, runs test result) per corrupted frame."""
+    """(seq, bit errors, crossover, runs test row) per corrupted frame."""
     return [
         (seq, int(np.count_nonzero(ev)), np.count_nonzero(ev) / ev.size,
-         runs_test(ev))
+         *runs_rows(runs_test(ev)))
         for seq, ev in corrupted_error_vectors(tx, rx, key)
     ]
 
@@ -53,7 +62,7 @@ def segments(tx, rx, key=None):
     for seq, ev in corrupted_error_vectors(tx, rx, key):
         if current and runs_test(
             np.concatenate([e for _, e in current] + [ev])
-        ).rejects:
+        ).verdict[0] == FAIL:
             close()
             current = []
         current.append((seq, ev))

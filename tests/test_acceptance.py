@@ -17,7 +17,7 @@ import pytest
 import hybridchan as hc
 from hybridchan import rng as hrng
 from hybridchan.cli import main as cli_main
-from hybridchan.runstest import RunsFlag
+from hybridchan.runstest import FAIL, PASS, VERDICTS
 from hybridchan.segments import Segment
 from hybridchan.stats import error_table, per_frame_runs_tests
 
@@ -35,16 +35,18 @@ def test_criterion_01_runs_test_formulas():
     start = time.perf_counter()
     res = hc.runs_test(seq)
     elapsed = time.perf_counter() - start
+    [(n_runs, n1, n0, mu, sigma2)] = zip(
+        *(col.tolist() for col in (res.n_runs, res.n1, res.n0, res.mu, res.sigma2)))
     ok = (
-        res.n_runs == 5
-        and res.n1 == 7
-        and res.n0 == 3
-        and abs(res.mu - 5.2) <= 1e-12 * 5.2
-        and abs(res.sigma2 - 1.4933333333333333) <= 1e-12 * res.sigma2
+        n_runs == 5
+        and n1 == 7
+        and n0 == 3
+        and abs(mu - 5.2) <= 1e-12 * 5.2
+        and abs(sigma2 - 1.4933333333333333) <= 1e-12 * sigma2
         and elapsed < 1e-3
     )
     report("1", "runs-test formulas on 1100110111", ok,
-           f"n_runs={res.n_runs} mu={res.mu} sigma2={res.sigma2} "
+           f"n_runs={n_runs} mu={mu} sigma2={sigma2} "
            f"t={elapsed * 1e6:.0f}us")
     assert ok
 
@@ -57,10 +59,10 @@ def test_criterion_02_calibration():
         for i in range(1000):
             gen = hrng.stream(i, hrng.ROLE_CHANNEL, 0)
             seq = (gen.random(8000) < p).astype(np.uint8)
-            res = hc.runs_test(seq)
-            if res.flag is RunsFlag.NORMAL:
+            [verdict] = hc.runs_test(seq).verdict.tolist()
+            if verdict in (PASS, FAIL):
                 n_valid += 1
-                n_pass += res.passed
+                n_pass += verdict == PASS
         rates[p] = n_pass / n_valid
     elapsed = time.perf_counter() - start
     ok = all(0.93 <= r <= 0.97 for r in rates.values()) and elapsed < 30
@@ -89,10 +91,15 @@ def periodic_run():
     return _periodic_pair(P_IN_BURST)
 
 
-def _decided_rates(rows):
-    valid = [r for r in rows if r.result.flag is RunsFlag.NORMAL]
-    n_fail = sum(1 for r in valid if not r.result.passed)
-    return n_fail / len(valid), 1 - n_fail / len(valid)
+def _decided(tests):
+    """Frames that pass and frames that fail among per-frame runs tests."""
+    counts = np.bincount(tests.verdict, minlength=len(VERDICTS)).tolist()
+    return counts[PASS], counts[FAIL]
+
+
+def _decided_rates(tests):
+    n_pass, n_fail = _decided(tests)
+    return n_fail / (n_pass + n_fail), 1 - n_fail / (n_pass + n_fail)
 
 
 def exact_periodic_power(frame_len, period, burst_len, p_in_burst):
@@ -155,9 +162,9 @@ def test_criterion_03a_exact_power_oracle():
     """
     low = exact_periodic_power(8000, 288, 32, 0.05)
     tx, rx = _periodic_pair(0.05)
-    rows = per_frame_runs_tests(error_table(joined(tx, rx)))
-    n_valid = sum(1 for r in rows if r.result.flag is RunsFlag.NORMAL)
-    fail_rate, _ = _decided_rates(rows)
+    tests = per_frame_runs_tests(error_table(joined(tx, rx)))
+    n_valid = sum(_decided(tests))
+    fail_rate, _ = _decided_rates(tests)
     se = sqrt(low * (1 - low) / n_valid)
     power = exact_periodic_power(8000, 288, 32, P_IN_BURST)
     ok = abs(low - 0.6825) < 5e-5 and abs(fail_rate - low) <= 3 * se \
@@ -201,8 +208,8 @@ def test_criterion_03a_periodic_noise_fails_before_interleaving(periodic_run):
 def test_criterion_03b_interleaving_whitens(periodic_run):
     tx, rx = periodic_run
     start = time.perf_counter()
-    rows = per_frame_runs_tests(error_table(joined(tx, rx), key=33))
-    _, pass_rate = _decided_rates(rows)
+    tests = per_frame_runs_tests(error_table(joined(tx, rx), key=33))
+    _, pass_rate = _decided_rates(tests)
     elapsed = time.perf_counter() - start
     ok = pass_rate >= 0.9 and elapsed < 120
     report("3b", "per-frame runs test passes >=90% after interleaving", ok,
@@ -266,8 +273,8 @@ def test_criterion_06_segment_duration_arithmetic():
         return Segment(start_frame=0, end_frame=n - 1, n_frames=n,
                        n_corrupted=n, duration_us=n * 20000, pooled_p=0.001)
 
-    d1 = hc.mean_segment_duration([seg(3865)], 20000)
-    d2 = hc.mean_segment_duration([seg(6118)], 20000)
+    d1 = hc.mean_segment_duration([seg(3865)])
+    d2 = hc.mean_segment_duration([seg(6118)])
     ok = d1 == 77.3 and d2 == 122.36
     report("6", "segment durations 3865->77.3s and 6118->122.36s", ok,
            f"d1={d1} d2={d2}")

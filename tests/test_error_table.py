@@ -20,7 +20,7 @@ from hybridchan import (
     symmetry_report,
 )
 from hybridchan import stats
-from hybridchan.runstest import RunsFlag
+from hybridchan.runstest import DEGENERATE, FAIL, PASS, runs_tests
 from hybridchan.sim import apply_periodic_noise
 
 from conftest import Row, joined, rows, side, sim_pair
@@ -38,11 +38,16 @@ def periodic_pair():
                                     p_in_burst=0.1, seed=42)
 
 
+def frame_results(table):
+    """(seq, bit errors, crossover, runs test row) per frame of a table."""
+    return list(zip(table.seqs.tolist(), table.n1.tolist(),
+                    (table.n1 / table.frame_len).tolist(),
+                    ref.runs_rows(per_frame_runs_tests(table))))
+
+
 def assert_matches_reference(tx, rx, key):
     table = error_table(joined(tx, rx), key)
-    frames = per_frame_runs_tests(table)
-    assert [(r.seq, r.n_bit_errors, r.crossover, r.result) for r in frames] \
-        == ref.per_frame_results(tx, rx, key)
+    assert frame_results(table) == ref.per_frame_results(tx, rx, key)
     assert segment_corrupted_frames(table) == ref.segments(tx, rx, key)
     assert np.array_equal(bit_position_profile(table), ref.bit_profile(tx, rx, key))
     rep = symmetry_report(table)
@@ -80,9 +85,7 @@ def test_table_builds_no_full_permutation(hybrid_pair, monkeypatch):
         for block_bits in (stats._BLOCK_BITS, 7 * 300):
             monkeypatch.setattr(stats, "_BLOCK_BITS", block_bits)
             table = error_table(joined(tx, rx), key)
-            frames = per_frame_runs_tests(table)
-            assert [(r.seq, r.n_bit_errors, r.crossover, r.result)
-                    for r in frames] == results
+            assert frame_results(table) == results
             assert segment_corrupted_frames(table) == segs
             assert np.array_equal(bit_position_profile(table), profile)
     with pytest.raises(AssertionError, match="full permutation"):
@@ -95,9 +98,8 @@ def test_all_zero_error_vectors_are_degenerate():
         rec._replace(status=ReceiveStatus.CRC_ERROR) for rec in rows(tx.tx)))
     for key in (None, 3):
         table = assert_matches_reference(tx, rx, key)
-        frames = per_frame_runs_tests(table)
-        assert all(r.result.flag is RunsFlag.DEGENERATE for r in frames)
-        assert all(r.n_bit_errors == 0 for r in frames)
+        assert (per_frame_runs_tests(table).verdict == DEGENERATE).all()
+        assert not table.n1.any()
         [seg] = segment_corrupted_frames(table)
         assert (seg.n_corrupted, seg.pooled_p) == (30, 0.0)
         assert not bit_position_profile(table).any()
@@ -125,12 +127,24 @@ def test_no_corrupted_frames():
     for key in (None, 3):
         table = error_table(joined(tx, rx), key)
         assert len(table) == 0 and not table.column_sums.any()
-        assert per_frame_runs_tests(table) == []
+        assert len(per_frame_runs_tests(table)) == 0
         assert segment_corrupted_frames(table) == []
         for stat in (bit_position_profile, symmetry_report):
             with pytest.raises(ValueError,
                                match="trace pair contains no corrupted frames"):
                 stat(table)
+
+
+def test_per_frame_runs_tests_has_a_row_per_frame(hybrid_pair):
+    # perfbench/tracer.py counts stats.corrupted_frames as the length of
+    # what per_frame_runs_tests returns
+    tx, rx = hybrid_pair
+    full = error_table(joined(tx, rx))
+    empty = error_table(joined(*sim_pair(r=0.3, s=1.0, p=0.0, n_frames=40,
+                                         frame_len=64, seed=44)))
+    assert len(full) > 400 and len(empty) == 0
+    for table in (full, empty):
+        assert len(per_frame_runs_tests(table)) == len(table)
 
 
 def short_spans(n_frames, seed):
@@ -151,23 +165,21 @@ def test_outcome_tests_match_label_arrays(hybrid_pair, spans, monkeypatch):
     tx, rx = hybrid_pair
     segs = (segment_corrupted_frames(error_table(joined(tx, rx))) if spans == "segmented"
             else short_spans(len(tx.tx), seed=45))
-    counts = []
-    from_counts = stats._result_from_counts
+    calls = []
 
     def recording(n_runs, n1, n0):
-        counts.append((n_runs, n1, n0))
-        return from_counts(n_runs, n1, n0)
+        calls.append(runs_tests(n_runs, n1, n0))
+        return calls[-1]
 
-    monkeypatch.setattr(stats, "_result_from_counts", recording)
+    monkeypatch.setattr(stats, "runs_tests", recording)
     report = outcome_iid_tests(joined(tx, rx), segs)
     results = ref.outcome_results(rx, segs)
-    assert counts == [(r.n_runs, r.n1, r.n0) for r in results.values()]
+    assert [row for tests in calls for row in ref.runs_rows(tests)] \
+        == [row for tests in results.values() for row in ref.runs_rows(tests)]
     for outcome, frac in report.fractions.items():
-        tested = [seg for i, seg in enumerate(segs)
-                  if results[outcome, i].flag is RunsFlag.NORMAL]
-        passed = [seg for i, seg in enumerate(segs)
-                  if results[outcome, i].flag is RunsFlag.NORMAL
-                  and results[outcome, i].passed]
+        verdicts = [results[outcome, i].verdict[0] for i in range(len(segs))]
+        tested = [seg for seg, v in zip(segs, verdicts) if v in (PASS, FAIL)]
+        passed = [seg for seg, v in zip(segs, verdicts) if v == PASS]
         assert frac.n_segments_tested == len(tested)
         assert frac.n_excluded == len(segs) - len(tested)
         assert frac.n_valid_frames == sum(seg.n_frames for seg in tested)

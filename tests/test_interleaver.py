@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hybridchan import deinterleave, interleave, whiten_error_vector
 from hybridchan.interleaver import (_feistel, _permutation, _round_keys, frame_keys,
                                     whiten_positions)
-from hybridchan.runstest import RunsFlag, runs_test
+from hybridchan.runstest import FAIL, PASS
 from hybridchan.sim import SimConfig, apply_periodic_noise, generate_tx
 from hybridchan.stats import error_table, per_frame_runs_tests
 
@@ -163,10 +163,9 @@ class TestWhitening:
     rate; after interleaving emulation it passes at the nominal rate."""
 
     @staticmethod
-    def _rates(rows):
-        valid = [r for r in rows if r.result.flag is RunsFlag.NORMAL]
-        n_fail = sum(1 for r in valid if not r.result.passed)
-        return n_fail / len(valid), 1 - n_fail / len(valid)
+    def _rates(tests):
+        n_pass, n_fail = (int((tests.verdict == v).sum()) for v in (PASS, FAIL))
+        return n_fail / (n_pass + n_fail), 1 - n_fail / (n_pass + n_fail)
 
     def test_raw_error_vectors_fail_often(self, periodic_pair):
         tx, rx = periodic_pair
@@ -175,10 +174,10 @@ class TestWhitening:
 
     def test_whitened_error_vectors_pass_at_nominal_rate(self, periodic_pair):
         tx, rx = periodic_pair
-        rows = per_frame_runs_tests(error_table(joined(tx, rx), key=21))
-        _, pass_rate = self._rates(rows)
+        tests = per_frame_runs_tests(error_table(joined(tx, rx), key=21))
+        _, pass_rate = self._rates(tests)
         assert pass_rate >= 0.9
-        assert abs(pass_count_z(rows, 8000)) < N_SE
+        assert abs(pass_count_z(tests, 8000)) < N_SE
 
 
 def test_whitened_hybrid_pass_count_follows_exact_law():
@@ -186,6 +185,6 @@ def test_whitened_hybrid_pass_count_follows_exact_law():
     # the passing frames follow the exact law given their error counts
     tx, rx = sim_pair(r=0.1, s=0.3, p=0.005, n_frames=3000, frame_len=2000, seed=31)
     for key in (31, None):
-        rows = per_frame_runs_tests(error_table(joined(tx, rx), key))
-        assert len(rows) > 1500
-        assert abs(pass_count_z(rows, 2000)) < N_SE, key
+        tests = per_frame_runs_tests(error_table(joined(tx, rx), key))
+        assert len(tests) > 1500
+        assert abs(pass_count_z(tests, 2000)) < N_SE, key

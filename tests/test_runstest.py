@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridchan import RunsFlag, runs_test
-from hybridchan.runstest import ALPHA, _result_from_counts
+from hybridchan import runs_test, runs_tests
+from hybridchan.runstest import ALPHA, MIN_NORMAL_LENGTH, VERDICTS, rejects
 from hybridchan import rng as hrng
 
 from exact_law import exact_pass_probability
@@ -16,46 +16,107 @@ def bits(text):
     return np.array([int(c) for c in text], dtype=np.uint8)
 
 
+def verdict(res):
+    """The verdict of a test of one sequence, by name."""
+    [v] = res.verdict.tolist()
+    return VERDICTS[v]
+
+
 class TestKnownSequences:
     def test_textbook_example(self):
         # 1100110111: runs are 11|00|11|0|111
         res = runs_test(bits("1100110111"))
-        assert res.n_runs == 5
-        assert res.n1 == 7 and res.n0 == 3
-        assert res.mu == 5.2
-        assert res.sigma2 == pytest.approx(1.4933333333333333, rel=1e-12)
-        assert res.z == pytest.approx(-0.16366341767699428, rel=1e-12)
-        assert res.p_value == pytest.approx(0.8699961176213896, rel=1e-12)
-        assert res.passed is True
-        assert res.flag is RunsFlag.SMALL_SAMPLE
+        assert res.n_runs[0] == 5
+        assert res.n1[0] == 7 and res.n0[0] == 3
+        assert res.mu[0] == 5.2
+        assert res.sigma2[0] == pytest.approx(1.4933333333333333, rel=1e-12)
+        assert res.z[0] == pytest.approx(-0.16366341767699428, rel=1e-12)
+        assert res.p[0] == pytest.approx(0.8699961176213896, rel=1e-12)
+        assert res.p[0] >= ALPHA
+        assert verdict(res) == "small_sample"
 
     def test_alternating_sequence_rejects(self):
         seq = np.tile([0, 1], 50)
         res = runs_test(seq)
-        assert res.n_runs == 100
-        assert res.mu == 51.0
-        assert res.z == pytest.approx(9.849873095629202, rel=1e-12)
-        assert res.passed is False
-        assert res.flag is RunsFlag.NORMAL
+        assert res.n_runs[0] == 100
+        assert res.mu[0] == 51.0
+        assert res.z[0] == pytest.approx(9.849873095629202, rel=1e-12)
+        assert verdict(res) == "fail"
+        assert rejects(100, 50, 50)
 
     def test_degenerate_all_zeros(self):
         res = runs_test(np.zeros(50, dtype=np.uint8))
-        assert res.flag is RunsFlag.DEGENERATE
-        assert res.n_runs == 1
-        assert res.z is None and res.p_value is None and res.passed is None
-        assert not res.rejects
+        assert verdict(res) == "degenerate"
+        assert res.n_runs[0] == 1
+        assert np.isnan(res.z[0]) and np.isnan(res.p[0])
+        assert not rejects(1, 0, 50)
 
     def test_degenerate_all_ones(self):
         res = runs_test(np.ones(30, dtype=np.uint8))
-        assert res.flag is RunsFlag.DEGENERATE
+        assert verdict(res) == "degenerate"
 
     def test_empty_sequence(self):
         with pytest.raises(ValueError):
             runs_test(np.array([], dtype=np.uint8))
+        with pytest.raises(ValueError):
+            runs_tests([1, 1], [3, 0], [2, 0])
 
     def test_small_sample_flag_threshold(self):
-        assert runs_test(bits("0101010101010101010")).flag is RunsFlag.SMALL_SAMPLE
-        assert runs_test(bits("01010101010101010101")).flag is RunsFlag.NORMAL
+        assert verdict(runs_test(bits("0101010101010101010"))) == "small_sample"
+        assert verdict(runs_test(bits("01010101010101010101"))) == "fail"
+        assert not rejects(19, 9, 10) and rejects(20, 10, 10)
+
+
+def closed_form(n_runs, n1, n0):
+    """mu, sigma2, z, p and the verdict of one test, from the textbook
+    moments in math's double precision; z and p are None where no z exists."""
+    n = n1 + n0
+    mu = 2.0 * n1 * n0 / n + 1.0
+    sigma2 = (mu - 1.0) * (mu - 2.0) / (n - 1.0) if n > 1 else 0.0
+    if n1 == 0 or n0 == 0:
+        return mu, sigma2, None, None, "degenerate"
+    if sigma2 == 0.0:  # n1 == n0 == 1
+        return mu, sigma2, None, None, "small_sample"
+    z = (n_runs - mu) / math.sqrt(sigma2)
+    p = math.erfc(abs(z) / math.sqrt(2.0))
+    if n < MIN_NORMAL_LENGTH:
+        return mu, sigma2, z, p, "small_sample"
+    return mu, sigma2, z, p, "pass" if p >= ALPHA else "fail"
+
+
+def assert_closed_form(counts):
+    """runs_tests on columns of counts equals closed_form bit for bit."""
+    res = runs_tests(*zip(*counts))
+    assert len(res) == len(counts)
+    for i, (n_runs, n1, n0) in enumerate(counts):
+        mu, sigma2, z, p, name = closed_form(n_runs, n1, n0)
+        assert (res.n_runs[i], res.n1[i], res.n0[i]) == (n_runs, n1, n0)
+        assert (res.mu[i], res.sigma2[i]) == (mu, sigma2)
+        if z is None:
+            assert np.isnan(res.z[i]) and np.isnan(res.p[i])
+        else:
+            assert (res.z[i], res.p[i]) == (z, p)
+        assert VERDICTS[res.verdict[i]] == name
+        assert rejects(n_runs, n1, n0) == (name == "fail")
+
+
+def test_every_short_count_matches_closed_form():
+    # every run count a length-n sequence could have, n1 = n0 = 1 included
+    assert_closed_form([(n_runs, n1, n - n1) for n in range(1, 17)
+                        for n1 in range(n + 1) for n_runs in range(1, n + 1)])
+
+
+@st.composite
+def counts(draw):
+    n = draw(st.integers(1, 8000))
+    n1 = draw(st.integers(0, n))
+    return draw(st.integers(1, n)), n1, n - n1
+
+
+@given(st.lists(counts(), min_size=1, max_size=50))
+@settings(max_examples=200)
+def test_long_counts_match_closed_form(batch):
+    assert_closed_form(batch)
 
 
 binary_seqs = st.lists(st.integers(0, 1), min_size=2, max_size=400).filter(
@@ -68,13 +129,15 @@ binary_seqs = st.lists(st.integers(0, 1), min_size=2, max_size=400).filter(
 def test_null_moment_identities(raw):
     seq = np.array(raw, dtype=np.uint8)
     res = runs_test(seq)
-    n = res.n1 + res.n0
-    assert res.mu == pytest.approx(2 * res.n1 * res.n0 / n + 1, rel=1e-12)
-    assert res.sigma2 == pytest.approx(
-        (res.mu - 1) * (res.mu - 2) / (n - 1), rel=1e-12
+    n1, n0 = int(res.n1[0]), int(res.n0[0])
+    n = n1 + n0
+    assert n == seq.size and n1 == seq.sum()
+    assert res.mu[0] == pytest.approx(2 * n1 * n0 / n + 1, rel=1e-12)
+    assert res.sigma2[0] == pytest.approx(
+        (res.mu[0] - 1) * (res.mu[0] - 2) / (n - 1), rel=1e-12
     )
-    if res.z is not None:
-        assert (res.p_value >= ALPHA) == res.passed
+    if n >= MIN_NORMAL_LENGTH:
+        assert verdict(res) == ("pass" if res.p[0] >= ALPHA else "fail")
 
 
 @given(binary_seqs)
@@ -83,12 +146,12 @@ def test_label_inversion_symmetry(raw):
     seq = np.array(raw, dtype=np.uint8)
     a = runs_test(seq)
     b = runs_test(1 - seq)
-    assert a.n_runs == b.n_runs
-    assert a.mu == b.mu and a.sigma2 == b.sigma2
-    if a.z is None:
-        assert b.z is None
+    assert a.n_runs[0] == b.n_runs[0]
+    assert a.mu[0] == b.mu[0] and a.sigma2[0] == b.sigma2[0]
+    if np.isnan(a.z[0]):
+        assert np.isnan(b.z[0])
     else:
-        assert a.z == pytest.approx(b.z, rel=1e-12)
+        assert a.z[0] == pytest.approx(b.z[0], rel=1e-12)
 
 
 def test_calibration_on_iid_bernoulli():
@@ -97,10 +160,10 @@ def test_calibration_on_iid_bernoulli():
     for i in range(1000):
         gen = hrng.stream(i, hrng.ROLE_CHANNEL, 0)
         seq = (gen.random(8000) < 0.3).astype(np.uint8)
-        res = runs_test(seq)
-        if res.flag is RunsFlag.NORMAL:
+        name = verdict(runs_test(seq))
+        if name in ("pass", "fail"):
             n_valid += 1
-            n_pass += res.passed
+            n_pass += name == "pass"
     assert n_valid == 1000
     assert 0.93 <= n_pass / n_valid <= 0.97
 
@@ -114,11 +177,9 @@ def test_exact_pass_law_equals_enumeration(n):
     ones = bits.sum(axis=1)
     runs = 1 + np.count_nonzero(np.diff(bits, axis=1), axis=1)
     tally = np.bincount(ones * (n + 1) + runs, minlength=(n + 1) ** 2)
-    passing = np.zeros(n + 1, dtype=np.int64)
-    for cell in np.flatnonzero(tally):
-        n1, n_runs = divmod(int(cell), n + 1)
-        if _result_from_counts(n_runs, n1, n - n1).passed:
-            passing[n1] += tally[cell]
-    for n1 in range(n + 1):
-        assert exact_pass_probability(n1, n) == passing[n1] / math.comb(n, n1)
-
+    cells = np.flatnonzero(tally)
+    n1, n_runs = np.divmod(cells, n + 1)
+    passed = runs_tests(n_runs, n1, n - n1).p >= ALPHA
+    passing = np.bincount(n1[passed], tally[cells[passed]], minlength=n + 1)
+    for k in range(n + 1):
+        assert exact_pass_probability(k, n) == passing[k] / math.comb(n, k)

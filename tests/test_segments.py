@@ -128,7 +128,7 @@ def test_outlier_frame_becomes_own_segment():
 def test_incremental_equals_batch_segmentation():
     # re-running the test from scratch on each prefix must give the same
     # split points as merging each frame's counts into the open segment's
-    from hybridchan.runstest import runs_test
+    from hybridchan.runstest import FAIL, runs_test
 
     tx, rx = sim_pair(r=0.0, s=0.5, p=0.01, n_frames=400, frame_len=500, seed=6)
     pairs = corrupted_error_vectors(tx, rx)
@@ -141,8 +141,7 @@ def test_incremental_equals_batch_segmentation():
         if not current:
             current = [ev]
             continue
-        res = runs_test(np.concatenate(current + [ev]))
-        if res.flag.value == "normal" and not res.passed:
+        if runs_test(np.concatenate(current + [ev])).verdict[0] == FAIL:
             expected_bounds.append(seq)
             current = [ev]
         else:
@@ -179,12 +178,12 @@ class TestMeanSegmentDuration:
                        duration_us=n_frames * interval_us, pooled_p=0.001)
 
     def test_reference_durations_exact(self):
-        assert mean_segment_duration([self._segment(3865)], 20000) == 77.3
-        assert mean_segment_duration([self._segment(6118)], 20000) == 122.36
+        assert mean_segment_duration([self._segment(3865)]) == 77.3
+        assert mean_segment_duration([self._segment(6118)]) == 122.36
 
     def test_mean_over_segments(self):
         segs = [self._segment(100), self._segment(300)]
-        assert mean_segment_duration(segs, 20000) == pytest.approx(4.0)
+        assert mean_segment_duration(segs) == pytest.approx(4.0)
 
     def test_empty_is_absent(self):
-        assert mean_segment_duration([], 20000) is None
+        assert mean_segment_duration([]) is None

@@ -14,7 +14,7 @@ from hybridchan import (
     segment_corrupted_frames,
     symmetry_report,
 )
-from hybridchan.runstest import RunsFlag
+from hybridchan.runstest import DEGENERATE, FAIL, PASS
 from hybridchan.sim import apply_periodic_noise, periodic_window_mask
 from hybridchan.segments import Segment
 
@@ -26,7 +26,8 @@ def bits(text):
 
 
 def crossover(ev):
-    """The crossover per_frame_runs_tests reports for one error vector."""
+    """The crossover analyze reports for one error vector: its frame's
+    ones in the error table over the frame length."""
     meta = TraceMeta(rate_bps=54e6, frame_len=ev.size, interval_us=100)
     trace = Trace(
         meta,
@@ -34,8 +35,9 @@ def crossover(ev):
                      payload=np.zeros(ev.size, dtype=np.uint8))]),
         rx=side([Row(seq=0, timestamp_us=0, status=ReceiveStatus.CRC_ERROR,
                      payload=ev)]))
-    [row] = per_frame_runs_tests(error_table(trace))
-    return row.crossover
+    table = error_table(trace)
+    [n1] = table.n1.tolist()
+    return n1 / table.frame_len
 
 
 class TestPerFrameCrossover:
@@ -52,31 +54,35 @@ class TestPerFrameCrossover:
 
 
 class TestFrameErrorRunsTest:
-    """The runs test on each corrupted frame's error vector, as rows of
+    """The runs test on each corrupted frame's error vector, as columns of
     per_frame_runs_tests."""
 
     @staticmethod
-    def _rows(tx, rx_side):
-        return per_frame_runs_tests(error_table(Trace(meta=tx.meta, tx=tx.tx, rx=rx_side)))
+    def _table(tx, rx_side):
+        return error_table(Trace(meta=tx.meta, tx=tx.tx, rx=rx_side))
+
+    @classmethod
+    def _tests(cls, tx, rx_side):
+        return per_frame_runs_tests(cls._table(tx, rx_side))
 
     def test_rejects_clean_frames(self):
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=3, frame_len=64, seed=1)
-        assert self._rows(tx, rx.rx) == []
+        assert len(self._tests(tx, rx.rx)) == 0
 
     def test_rejects_unknown_seq(self):
         payload = bits("1010")
         rec = Row(seq=None, timestamp_us=0,
                   status=ReceiveStatus.CRC_ERROR, payload=payload)
         tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=3, frame_len=4, seed=1)
-        assert self._rows(tx, side([rec])) == []
+        assert len(self._tests(tx, side([rec]))) == 0
 
     def test_all_zero_error_vector_is_degenerate(self):
         tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=3, frame_len=64, seed=2)
         rec = Row(seq=0, timestamp_us=0,
                   status=ReceiveStatus.CRC_ERROR, payload=rows(tx.tx)[0].payload)
-        [row] = self._rows(tx, side([rec]))
-        assert row.result.flag is RunsFlag.DEGENERATE
-        assert row.n_bit_errors == 0 and row.crossover == 0.0
+        tests = self._tests(tx, side([rec]))
+        assert tests.verdict.tolist() == [DEGENERATE]
+        assert tests.n1.tolist() == [0]
 
     def test_single_flipped_bit(self):
         tx, _ = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=1, frame_len=8000, seed=3)
@@ -85,18 +91,19 @@ class TestFrameErrorRunsTest:
             payload[pos] ^= 1
             rec = Row(seq=0, timestamp_us=0,
                       status=ReceiveStatus.CRC_ERROR, payload=payload)
-            [row] = self._rows(tx, side([rec]))
-            assert row.seq == 0 and row.n_bit_errors == 1
-            assert row.result.flag is RunsFlag.NORMAL
-            assert row.result.n_runs == (2 if pos in (0, 7999) else 3)
+            table = self._table(tx, side([rec]))
+            tests = per_frame_runs_tests(table)
+            assert table.seqs.tolist() == [0] and tests.n1.tolist() == [1]
+            assert tests.verdict[0] in (PASS, FAIL)
+            assert tests.n_runs.tolist() == [2 if pos in (0, 7999) else 3]
 
     def test_iid_frames_pass_at_nominal_rate(self):
         tx, rx = sim_pair(r=0.0, s=0.0, p=0.01, n_frames=1000,
                           frame_len=8000, seed=4)
-        results = [row.result for row in self._rows(tx, rx.rx)]
-        assert len(results) == 1000
-        valid = [r for r in results if r.flag is RunsFlag.NORMAL]
-        rate = sum(r.passed for r in valid) / len(valid)
+        tests = self._tests(tx, rx.rx)
+        assert len(tests) == 1000
+        n_pass, n_fail = (int((tests.verdict == v).sum()) for v in (PASS, FAIL))
+        rate = n_pass / (n_pass + n_fail)
         assert 0.93 <= rate <= 0.97
 
 
