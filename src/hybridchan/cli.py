@@ -240,8 +240,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     tokens = [status.value for status in STATUSES]
     frame_rows = (
         ["?" if seq == UNKNOWN_SEQ else seq, ts, tokens[status], *test]
-        for seq, ts, status, test in zip(rx.seq.tolist(), rx.timestamp_us.tolist(),
-                                         rx.status.tolist(), tested.tolist())
+        for seq, ts, status, *test in zip(rx.seq.tolist(), rx.timestamp_us.tolist(),
+                                          rx.status.tolist(), *tested.T)
     )
     _write_csv(
         args.out / "frames.csv",
