@@ -19,7 +19,7 @@ from .capacity import (
 from .interleaver import deinterleave, interleave, whiten_error_vector
 from .recovery import recover_trace
 from .runstest import RunsTests, runs_test, runs_tests
-from .segments import Segment, mean_segment_duration, segment_corrupted_frames
+from .segments import Segments, mean_segment_duration, segment_corrupted_frames
 from .sim import SimConfig, apply_channel, apply_periodic_noise, generate_tx
 from .stats import (
     ErrorTable,
@@ -53,7 +53,7 @@ __all__ = [
     "ParamEstimate",
     "ReceiveStatus",
     "RunsTests",
-    "Segment",
+    "Segments",
     "Side",
     "SimConfig",
     "SymmetryReport",

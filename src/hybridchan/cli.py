@@ -222,7 +222,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     tests = stats.per_frame_runs_tests(table)
     segs = segment_corrupted_frames(table)
     # The segments split the table's rows into consecutive runs, in order.
-    seg_of = np.repeat(np.arange(len(segs)), [seg.n_corrupted for seg in segs])
+    seg_of = np.repeat(np.arange(len(segs)), segs.n_corrupted)
 
     # One line per rx record.  The table's rows are the corrupted records
     # in trace order, and only they get the test columns; the rest, and a
@@ -254,11 +254,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         args.out / "segments.csv",
         ["segment", "start_frame", "end_frame", "n_frames", "n_corrupted",
          "duration_s", "pooled_p"],
-        [
-            [i, seg.start_frame, seg.end_frame, seg.n_frames, seg.n_corrupted,
-             seg.duration_us / 1e6, seg.pooled_p]
-            for i, seg in enumerate(segs)
-        ],
+        zip(range(len(segs)), *(col.tolist() for col in (
+            segs.start_frame, segs.end_frame, segs.n_frames, segs.n_corrupted,
+            segs.duration_us / 1e6, segs.pooled_p))),
     )
 
     if len(table):

@@ -9,14 +9,15 @@ one sort puts the images back in frame order.  Each frame's runs, first
 and last bit follow from its sorted positions, and the bit profile is one
 bincount of them; only counts are kept.  There is no per-vector hook: the
 per-frame runs tests, the bit profile, symmetry and segments.py are
-reductions over the table.
+reductions over the table, and the outcome tests reduce the segments'
+columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .runstest import FAIL, PASS, RunsTests, runs_tests
 from .trace import PHY, STATUSES, UNKNOWN_SEQ, ReceiveStatus, Trace
 
 if TYPE_CHECKING:
-    from .segments import Segment
+    from .segments import Segments
 
 SYMMETRY_Z_THRESHOLD = 1.96
 
@@ -188,9 +189,7 @@ class OutcomeIidReport:
     covered_frames: int
 
 
-def outcome_iid_tests(
-    trace: Trace, segments: Sequence["Segment"]
-) -> OutcomeIidReport:
+def outcome_iid_tests(trace: Trace, segments: Segments) -> OutcomeIidReport:
     """Per-outcome runs tests on the frame state sequence inside segments.
 
     For each outcome class the frames spanned by a segment are labelled 1
@@ -200,12 +199,11 @@ def outcome_iid_tests(
     excluded from both numerator and denominator.  Frames missing from the
     rx side count as PHY errors (a frame never seen is an erasure).
     """
-    starts = np.array([seg.start_frame for seg in segments], dtype=np.int64)
-    ends = np.array([seg.end_frame for seg in segments], dtype=np.int64)
-    n_frames = np.array([seg.n_frames for seg in segments], dtype=np.int64)
+    starts, ends = segments.start_frame, segments.end_frame
+    n_frames = segments.n_frames
     if (ends < starts).any():
         raise ValueError("segment span runs backwards")
-    n_seqs = int(ends.max()) + 1 if segments else 0
+    n_seqs = int(ends.max()) + 1 if len(segments) else 0
     rx = trace.rx
     status = np.full(n_seqs, PHY, dtype=np.int8)
     seen = (rx.seq != UNKNOWN_SEQ) & (rx.seq < n_seqs)

@@ -6,9 +6,12 @@ package did before it kept only per-frame counts.  Tests compare the
 ErrorTable reductions against these.
 """
 
+from collections import namedtuple
+from dataclasses import fields
+
 import numpy as np
 
-from hybridchan import ReceiveStatus, Segment, whiten_error_vector
+from hybridchan import ReceiveStatus, Segments, whiten_error_vector
 from hybridchan.runstest import FAIL, runs_test
 
 from conftest import rows
@@ -37,6 +40,24 @@ def runs_rows(tests):
             for row in zip(*(col.tolist() for col in columns))]
 
 
+# One segment of Segments columns, as plain values.
+SegmentRow = namedtuple("SegmentRow", [f.name for f in fields(Segments)])
+
+
+def segment_rows(segments):
+    """Each segment of Segments columns as a SegmentRow of plain values."""
+    return [SegmentRow(*row) for row in zip(
+        *(getattr(segments, name).tolist() for name in SegmentRow._fields))]
+
+
+def segment_columns(segment_list):
+    """The Segments columns of SegmentRows; segment_rows reads them back."""
+    values = list(zip(*segment_list)) or [()] * len(SegmentRow._fields)
+    return Segments(*(np.array(column, dtype=np.float64 if name == "pooled_p"
+                               else np.int64)
+                      for name, column in zip(SegmentRow._fields, values)))
+
+
 def per_frame_results(tx, rx, key=None):
     """(seq, bit errors, crossover, runs test row) per corrupted frame."""
     return [
@@ -47,13 +68,14 @@ def per_frame_results(tx, rx, key=None):
 
 
 def segments(tx, rx, key=None):
-    """Greedy segmentation that re-tests each concatenation from scratch."""
+    """Greedy segmentation that re-tests each concatenation from scratch,
+    as SegmentRows."""
     out, current = [], []
 
     def close():
         bits = np.concatenate([ev for _, ev in current])
         start, end = current[0][0], current[-1][0]
-        out.append(Segment(
+        out.append(SegmentRow(
             start_frame=start, end_frame=end, n_frames=end - start + 1,
             n_corrupted=len(current),
             duration_us=(end - start + 1) * tx.meta.interval_us,
@@ -93,7 +115,8 @@ def symmetry_counts(tx, rx):
 
 
 def outcome_results(rx, segs):
-    """Runs test result per (outcome, segment), labels built frame by frame."""
+    """Runs test result per (outcome, segment index) of Segments columns,
+    labels built frame by frame."""
     status_by_seq = {rec.seq: rec.status for rec in rows(rx.rx) if rec.seq is not None}
     return {
         (outcome, i): runs_test(np.fromiter(
@@ -101,5 +124,5 @@ def outcome_results(rx, segs):
              for seq in range(seg.start_frame, seg.end_frame + 1)),
             dtype=np.uint8, count=seg.n_frames))
         for outcome in ReceiveStatus
-        for i, seg in enumerate(segs)
+        for i, seg in enumerate(segment_rows(segs))
     }

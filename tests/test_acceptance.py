@@ -18,10 +18,10 @@ import hybridchan as hc
 from hybridchan import rng as hrng
 from hybridchan.cli import main as cli_main
 from hybridchan.runstest import FAIL, PASS, VERDICTS
-from hybridchan.segments import Segment
 from hybridchan.stats import error_table, per_frame_runs_tests
 
 from conftest import joined, make_params, sim_pair
+from reference_pipeline import SegmentRow, segment_columns
 from test_capacity import binned_trace
 
 
@@ -241,8 +241,7 @@ def test_criterion_05_segmentation():
         tx, rx = sim_pair(r=0.0, s=0.9577, p=0.003, n_frames=10000,
                           frame_len=2000, seed=seed)
         segs = hc.segment_corrupted_frames(error_table(joined(tx, rx)))
-        total = sum(s.n_corrupted for s in segs)
-        coverages.append(max(s.n_corrupted for s in segs) / total)
+        coverages.append(segs.n_corrupted.max() / segs.n_corrupted.sum())
     median_cov = float(np.median(coverages))
 
     localized = 0
@@ -258,7 +257,7 @@ def test_criterion_05_segmentation():
         seqs = table.seqs.tolist()
         idx_of = {s: i for i, s in enumerate(seqs)}
         cp_idx = next(i for i, s in enumerate(seqs) if s >= 5000)
-        bounds = [idx_of[seg.start_frame] for seg in segs[1:]]
+        bounds = [idx_of[start] for start in segs.start_frame[1:].tolist()]
         if bounds and min(abs(b - cp_idx) for b in bounds) <= 50:
             localized += 1
 
@@ -270,11 +269,12 @@ def test_criterion_05_segmentation():
 
 def test_criterion_06_segment_duration_arithmetic():
     def seg(n):
-        return Segment(start_frame=0, end_frame=n - 1, n_frames=n,
-                       n_corrupted=n, duration_us=n * 20000, pooled_p=0.001)
+        return segment_columns([SegmentRow(
+            start_frame=0, end_frame=n - 1, n_frames=n, n_corrupted=n,
+            duration_us=n * 20000, pooled_p=0.001)])
 
-    d1 = hc.mean_segment_duration([seg(3865)])
-    d2 = hc.mean_segment_duration([seg(6118)])
+    d1 = hc.mean_segment_duration(seg(3865))
+    d2 = hc.mean_segment_duration(seg(6118))
     ok = d1 == 77.3 and d2 == 122.36
     report("6", "segment durations 3865->77.3s and 6118->122.36s", ok,
            f"d1={d1} d2={d2}")

@@ -15,9 +15,10 @@ from hybridchan import (
     apply_periodic_noise,
     generate_tx,
     load_pair,
+    segment_corrupted_frames,
     write_trace,
 )
-from hybridchan import cli, recovery, sim
+from hybridchan import cli, recovery, sim, stats
 from hybridchan.cli import main
 from hybridchan.trace import CRC, OK, PHY
 
@@ -369,6 +370,21 @@ class TestAnalyze:
         frames = (out / "frames.csv").read_text().splitlines()
         assert frames[0].startswith("seq,timestamp_us,status")
         assert len(frames) == 201
+
+    def test_segment_count_matches_reports(self, tmp_path):
+        # perfbench/tracer.py counts segments.segments as the length of
+        # what segment_corrupted_frames returns
+        run, out = tmp_path / "run", tmp_path / "reports"
+        run_cli(["simulate", "--frames", 500, "--frame-len", 1000,
+                 "--periodic", "--seed", 3, "--out", run])
+        assert run_cli(["analyze", run / "tx.trace", run / "rx.trace",
+                        "--no-interleave", "--out", out]) == 0
+        table = stats.error_table(load_pair(run / "tx.trace", run / "rx.trace"))
+        n_rows = (out / "segments.csv").read_text().count("\n") - 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(table) == 500
+        assert len(segment_corrupted_frames(table)) == n_rows \
+            == summary["n_segments"] > 1
 
     def test_alpha_is_not_a_flag(self, tmp_path, capsys):
         run = simulate(tmp_path, "run")

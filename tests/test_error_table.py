@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import reference_pipeline as ref
 from hybridchan import (
     ReceiveStatus,
-    Segment,
     Trace,
     TraceMeta,
     bit_position_profile,
@@ -48,7 +47,8 @@ def frame_results(table):
 def assert_matches_reference(tx, rx, key):
     table = error_table(joined(tx, rx), key)
     assert frame_results(table) == ref.per_frame_results(tx, rx, key)
-    assert segment_corrupted_frames(table) == ref.segments(tx, rx, key)
+    assert (ref.segment_rows(segment_corrupted_frames(table))
+            == ref.segments(tx, rx, key))
     assert np.array_equal(bit_position_profile(table), ref.bit_profile(tx, rx, key))
     rep = symmetry_report(table)
     assert (rep.n1, rep.n0, rep.flips1, rep.flips0) == ref.symmetry_counts(tx, rx)
@@ -86,7 +86,7 @@ def test_table_builds_no_full_permutation(hybrid_pair, monkeypatch):
             monkeypatch.setattr(stats, "_BLOCK_BITS", block_bits)
             table = error_table(joined(tx, rx), key)
             assert frame_results(table) == results
-            assert segment_corrupted_frames(table) == segs
+            assert ref.segment_rows(segment_corrupted_frames(table)) == segs
             assert np.array_equal(bit_position_profile(table), profile)
     with pytest.raises(AssertionError, match="full permutation"):
         interleaver.whiten_error_vector(np.ones(300, dtype=np.uint8), 5, 0)
@@ -100,7 +100,7 @@ def test_all_zero_error_vectors_are_degenerate():
         table = assert_matches_reference(tx, rx, key)
         assert (per_frame_runs_tests(table).verdict == DEGENERATE).all()
         assert not table.n1.any()
-        [seg] = segment_corrupted_frames(table)
+        [seg] = ref.segment_rows(segment_corrupted_frames(table))
         assert (seg.n_corrupted, seg.pooled_p) == (30, 0.0)
         assert not bit_position_profile(table).any()
         rep = symmetry_report(table)
@@ -128,7 +128,7 @@ def test_no_corrupted_frames():
         table = error_table(joined(tx, rx), key)
         assert len(table) == 0 and not table.column_sums.any()
         assert len(per_frame_runs_tests(table)) == 0
-        assert segment_corrupted_frames(table) == []
+        assert ref.segment_rows(segment_corrupted_frames(table)) == []
         for stat in (bit_position_profile, symmetry_report):
             with pytest.raises(ValueError,
                                match="trace pair contains no corrupted frames"):
@@ -153,11 +153,11 @@ def short_spans(n_frames, seed):
     segs, start = [], 0
     while start < n_frames:
         end = min(start + int(gen.integers(5, 60)), n_frames) - 1
-        segs.append(Segment(start_frame=start, end_frame=end,
-                            n_frames=end - start + 1, n_corrupted=1,
-                            duration_us=0, pooled_p=0.0))
+        segs.append(ref.SegmentRow(start_frame=start, end_frame=end,
+                                   n_frames=end - start + 1, n_corrupted=1,
+                                   duration_us=0, pooled_p=0.0))
         start = end + 1 + int(gen.integers(0, 5))
-    return segs
+    return ref.segment_columns(segs)
 
 
 @pytest.mark.parametrize("spans", ["segmented", "short"])
@@ -176,10 +176,11 @@ def test_outcome_tests_match_label_arrays(hybrid_pair, spans, monkeypatch):
     results = ref.outcome_results(rx, segs)
     assert [row for tests in calls for row in ref.runs_rows(tests)] \
         == [row for tests in results.values() for row in ref.runs_rows(tests)]
+    seg_rows = ref.segment_rows(segs)
     for outcome, frac in report.fractions.items():
         verdicts = [results[outcome, i].verdict[0] for i in range(len(segs))]
-        tested = [seg for seg, v in zip(segs, verdicts) if v in (PASS, FAIL)]
-        passed = [seg for seg, v in zip(segs, verdicts) if v == PASS]
+        tested = [seg for seg, v in zip(seg_rows, verdicts) if v in (PASS, FAIL)]
+        passed = [seg for seg, v in zip(seg_rows, verdicts) if v == PASS]
         assert frac.n_segments_tested == len(tested)
         assert frac.n_excluded == len(segs) - len(tested)
         assert frac.n_valid_frames == sum(seg.n_frames for seg in tested)
@@ -224,7 +225,7 @@ def trace_pairs(draw):
 def test_segments_partition_corrupted_frames(pair, key):
     tx, rx = pair
     table = error_table(joined(tx, rx), key)
-    segs = segment_corrupted_frames(table)
+    segs = ref.segment_rows(segment_corrupted_frames(table))
     assert segs == ref.segments(tx, rx, key)
     corrupted = table.seqs.tolist()
     tx_recs = rows(tx.tx)

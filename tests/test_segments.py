@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 import reference_pipeline
 from hybridchan import (
     ReceiveStatus,
-    Segment,
     SimConfig,
     Trace,
     TraceMeta,
@@ -18,7 +19,12 @@ from hybridchan import (
 )
 
 from conftest import Row, joined, make_params, side, sim_pair
-from reference_pipeline import corrupted_error_vectors
+from reference_pipeline import (
+    SegmentRow,
+    corrupted_error_vectors,
+    segment_columns,
+    segment_rows,
+)
 
 
 def crafted_pair(error_vectors, frame_len, interval_us=20000, gap=1):
@@ -50,7 +56,7 @@ def test_single_corrupted_frame_is_one_segment():
     ev = np.zeros(8000, dtype=np.uint8)
     ev[[5, 900, 4400]] = 1
     tx, rx = crafted_pair([ev], frame_len=8000)
-    segs = segment_corrupted_frames(error_table(joined(tx, rx)))
+    segs = segment_rows(segment_corrupted_frames(error_table(joined(tx, rx))))
     assert len(segs) == 1
     seg = segs[0]
     assert seg.start_frame == seg.end_frame == 0
@@ -59,8 +65,14 @@ def test_single_corrupted_frame_is_one_segment():
 
 
 def test_empty_input_gives_empty_list():
+    # perfbench/tracer.py counts segments.segments as len() of the result
     tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=10, frame_len=64, seed=1)
-    assert segment_corrupted_frames(error_table(joined(tx, rx))) == []
+    segs = segment_corrupted_frames(error_table(joined(tx, rx)))
+    assert len(segs) == 0 and segment_rows(segs) == []
+    for name in SegmentRow._fields:
+        column = getattr(segs, name)
+        assert column.shape == (0,)
+        assert column.dtype == (np.float64 if name == "pooled_p" else np.int64)
 
 
 def test_pooled_p_is_flip_ratio_not_mean_of_ratios():
@@ -71,14 +83,14 @@ def test_pooled_p_is_flip_ratio_not_mean_of_ratios():
     segs = segment_corrupted_frames(error_table(joined(tx, rx)))
     assert len(segs) == 1
     total_flips = int(ev_a.sum() + ev_b.sum())
-    assert segs[0].pooled_p == total_flips / 8000
+    assert segs.pooled_p.tolist() == [total_flips / 8000]
 
 
 def test_span_counts_clean_frames_between_corrupted_ones():
     gen = np.random.default_rng(3)
     evs = [(gen.random(4000) < 0.01).astype(np.uint8) for _ in range(5)]
     tx, rx = crafted_pair(evs, frame_len=4000, gap=3)
-    segs = segment_corrupted_frames(error_table(joined(tx, rx)))
+    segs = segment_rows(segment_corrupted_frames(error_table(joined(tx, rx))))
     assert len(segs) == 1
     seg = segs[0]
     assert (seg.start_frame, seg.end_frame) == (0, 12)
@@ -93,8 +105,7 @@ def test_homogeneous_trace_yields_dominant_segment():
         tx, rx = sim_pair(r=0.0, s=0.9577, p=0.003, n_frames=10000,
                           frame_len=2000, seed=seed)
         segs = segment_corrupted_frames(error_table(joined(tx, rx)))
-        total = sum(s.n_corrupted for s in segs)
-        coverages.append(max(s.n_corrupted for s in segs) / total)
+        coverages.append(segs.n_corrupted.max() / segs.n_corrupted.sum())
     assert float(np.median(coverages)) >= 0.95
 
 
@@ -111,7 +122,7 @@ def test_change_point_splits_near_boundary():
     seqs = table.seqs.tolist()
     idx_of = {s: i for i, s in enumerate(seqs)}
     cp_idx = next(i for i, s in enumerate(seqs) if s >= 5000)
-    boundaries = [idx_of[seg.start_frame] for seg in segs[1:]]
+    boundaries = [idx_of[start] for start in segs.start_frame[1:].tolist()]
     assert min(abs(b - cp_idx) for b in boundaries) <= 50
 
 
@@ -121,7 +132,7 @@ def test_outlier_frame_becomes_own_segment():
     loud = (gen.random(8000) < 0.3).astype(np.uint8)
     evs = quiet[:3] + [loud] + quiet[3:]
     tx, rx = crafted_pair(evs, frame_len=8000)
-    segs = segment_corrupted_frames(error_table(joined(tx, rx)))
+    segs = segment_rows(segment_corrupted_frames(error_table(joined(tx, rx))))
     assert any(s.n_corrupted == 1 and s.start_frame == 3 for s in segs)
 
 
@@ -134,7 +145,7 @@ def test_incremental_equals_batch_segmentation():
     pairs = corrupted_error_vectors(tx, rx)
     segs = segment_corrupted_frames(error_table(joined(tx, rx)))
 
-    by_start = {seg.start_frame: seg for seg in segs}
+    starts = segs.start_frame.tolist()
     current: list[np.ndarray] = []
     expected_bounds = []
     for seq, ev in pairs:
@@ -146,7 +157,25 @@ def test_incremental_equals_batch_segmentation():
             current = [ev]
         else:
             current.append(ev)
-    assert sorted(by_start) == [pairs[0][0]] + expected_bounds
+    assert starts == [pairs[0][0]] + expected_bounds
+
+
+@pytest.mark.parametrize("interval_us", [10**18, 10**20])
+def test_durations_stay_exact_past_int64(interval_us):
+    # a trace may declare any interval, whatever its timestamps; here the
+    # durations' total passes int64, and at 10**20 the interval itself
+    gen = np.random.default_rng(5)
+    evs = [(gen.random(64) < 0.1).astype(np.uint8) for _ in range(20)]
+    evs[10][:32] = 1
+    tx, rx = crafted_pair(evs, frame_len=64, gap=2)
+    meta = replace(tx.meta, interval_us=interval_us)
+    tx, rx = Trace(meta, tx=tx.tx), Trace(meta, rx=rx.rx)
+    segs = segment_corrupted_frames(error_table(joined(tx, rx)))
+    want = reference_pipeline.segments(tx, rx)
+    assert len(want) > 1
+    assert segment_rows(segs) == want
+    assert (mean_segment_duration(segs)
+            == sum(seg.duration_us for seg in want) / 1e6 / len(want))
 
 
 @st.composite
@@ -167,23 +196,23 @@ def error_vector_lists(draw):
 @settings(max_examples=100, deadline=None)
 def test_merged_counts_equal_reference_segmentation(error_vectors):
     tx, rx = crafted_pair(error_vectors, frame_len=len(error_vectors[0]))
-    assert (segment_corrupted_frames(error_table(joined(tx, rx)))
+    assert (segment_rows(segment_corrupted_frames(error_table(joined(tx, rx))))
             == reference_pipeline.segments(tx, rx))
 
 
 class TestMeanSegmentDuration:
     def _segment(self, n_frames, interval_us=20000):
-        return Segment(start_frame=0, end_frame=n_frames - 1,
-                       n_frames=n_frames, n_corrupted=n_frames // 2 + 1,
-                       duration_us=n_frames * interval_us, pooled_p=0.001)
+        return SegmentRow(start_frame=0, end_frame=n_frames - 1,
+                          n_frames=n_frames, n_corrupted=n_frames // 2 + 1,
+                          duration_us=n_frames * interval_us, pooled_p=0.001)
 
     def test_reference_durations_exact(self):
-        assert mean_segment_duration([self._segment(3865)]) == 77.3
-        assert mean_segment_duration([self._segment(6118)]) == 122.36
+        assert mean_segment_duration(segment_columns([self._segment(3865)])) == 77.3
+        assert mean_segment_duration(segment_columns([self._segment(6118)])) == 122.36
 
     def test_mean_over_segments(self):
-        segs = [self._segment(100), self._segment(300)]
+        segs = segment_columns([self._segment(100), self._segment(300)])
         assert mean_segment_duration(segs) == pytest.approx(4.0)
 
     def test_empty_is_absent(self):
-        assert mean_segment_duration([]) is None
+        assert mean_segment_duration(segment_columns([])) is None

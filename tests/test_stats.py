@@ -16,9 +16,9 @@ from hybridchan import (
 )
 from hybridchan.runstest import DEGENERATE, FAIL, PASS
 from hybridchan.sim import apply_periodic_noise, periodic_window_mask
-from hybridchan.segments import Segment
 
 from conftest import Row, joined, rows, side, sim_pair
+from reference_pipeline import SegmentRow, segment_columns
 
 
 def bits(text):
@@ -234,15 +234,15 @@ class TestOutcomeIidTests:
                           status=ReceiveStatus.OK, payload=payload)
             rx_recs.append(rec)
         rx = Trace(meta, rx=side(rx_recs))
-        seg = Segment(start_frame=0, end_frame=1999, n_frames=2000,
-                      n_corrupted=0, duration_us=2000 * 100, pooled_p=0.0)
-        report = outcome_iid_tests(rx, [seg])
+        seg = SegmentRow(start_frame=0, end_frame=1999, n_frames=2000,
+                         n_corrupted=0, duration_us=2000 * 100, pooled_p=0.0)
+        report = outcome_iid_tests(rx, segment_columns([seg]))
         assert report.fractions[ReceiveStatus.PHY_ERROR].fraction == 0.0
 
     def test_no_segments_reports_nothing(self):
         tx, rx = sim_pair(r=0.0, s=1.0, p=0.0, n_frames=10, frame_len=64,
                           seed=15)
-        report = outcome_iid_tests(joined(tx, rx), [])
+        report = outcome_iid_tests(joined(tx, rx), segment_columns([]))
         assert report.covered_frames == 0
         for frac in report.fractions.values():
             assert frac.fraction is None
