@@ -22,24 +22,34 @@ by the record's seq.  Each range gives exactly its records of the whole
 run; the simulate command writes a run that way, so that it never holds
 the run's payloads.
 
-- generate_tx: a payload's bits are the top bits of the first frame_len
-  bytes of the frame's ceil(frame_len / 8) words, packed per block.
+- generate_tx: a payload takes ceil(frame_len / 64) words.  Their
+  little-endian bytes, cut to ceil(frame_len / 8), are the packed row,
+  with the pad bits of its last byte cleared.
 - apply_channel takes two passes.  The first takes each frame's head
   words: the rx timestamp jitter if there is any, then the erase and the
   clean draw.  Statuses and timestamps are vector compares and sums.  The
-  second re-keys only the corrupted frames, for the frame_len words after
-  the head: a bit flips where its word is below p's threshold (_below).
-- apply_periodic_noise takes one word per window position of every
-  frame; a frame is corrupted where any of them flips.
+  second re-keys only the corrupted frames and draws their flips from the
+  words after the head (_flips).
+- apply_periodic_noise draws each frame's flips over its window
+  positions from the start of its stream, the same way; a frame is
+  corrupted where it draws at least one.
 
-An rx payload is its frame's tx row, XORed with the packed flips of a
-corrupted frame.
+_flips draws the flips of n positions at crossover p as geometric gaps,
+one word a flip.  Word i gives the gap g_i = #{k in 1..n : word < T_k},
+where T_0 = 2**64 and T_k = (T_{k-1} * Q) >> 64 with
+Q = 2**64 - ceil(p * 2**64), so that P(g_i >= k) = T_k / 2**64, which is
+(1 - p)**k to within k * 2**-64.  The flips are at pos_i = pos_{i-1} + g_i + 1
+from pos_0 = -1, up to the first pos_i >= n.  The thresholds are Python
+ints, so no float arithmetic, whose SIMD results may differ between CPUs,
+decides a flip.  An rx payload is its frame's tx row with its flips XORed
+in.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -154,6 +164,72 @@ def _below(words: np.ndarray, p) -> np.ndarray:
     return (words >> 11) < np.ceil(np.multiply(p, 2.0**53)).astype(np.uint64)
 
 
+@functools.lru_cache(maxsize=16)
+def _gap_table(p: float, n: int) -> np.ndarray:
+    """The thresholds T_k - 1 of the gaps of n positions at crossover p,
+    for the k in 1..n with T_k > 0, ascending, as read-only uint64.
+
+    T_k is computed in Python ints, so T_0 = 2**64 needs no special case
+    and no float rounds a threshold; T_k - 1 fits in a uint64.
+    """
+    q = (1 << 64) - math.ceil(p * 2.0**64)
+    table = np.empty(n, dtype=np.uint64)
+    t, k = 1 << 64, n
+    while k and (t := (t * q) >> 64):  # T_k stays 0 once it is 0
+        k -= 1
+        table[k] = t - 1
+    table = table[k:]
+    table.flags.writeable = False
+    return table
+
+
+def _gaps(table: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The gap each uint64 word gives: how many thresholds T_k - 1 of
+    table are at or above it, that is how many k have word < T_k."""
+    return table.size - np.searchsorted(table, words)
+
+
+def _budget(n: int, p: float) -> int:
+    """Gap words a frame of n positions at crossover p draws first: its
+    mean flips plus six standard deviations and 8, at most the n + 1 words
+    any frame needs.  A frame that uses them all up draws again with twice
+    as many, so the budget changes no flip."""
+    mean = n * p
+    return min(n + 1, int(mean + 6.0 * math.sqrt(mean)) + 8)
+
+
+def _flips(streams: rng.StreamFamily, seqs: np.ndarray, skip: int, n: int,
+           p: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The flips of n positions at crossover p of each seq's stream, drawn
+    from the words after its first skip, a block of frames at a time:
+    (frame, position) pairs, frame an index into seqs.  Every frame's
+    flips come in one block."""
+    table = _gap_table(p, n)
+    todo, budget = np.arange(len(seqs)), _budget(n, p)
+    while todo.size:
+        width = skip + budget
+        short = []
+        for rows in _blocks(todo.size, width):
+            block = todo[rows]
+            words = _words(streams, seqs[block].tolist(), width)[:, skip:]
+            pos = _gaps(table, words)
+            pos += 1
+            np.cumsum(pos, axis=1, out=pos)
+            pos -= 1
+            done = pos[:, -1] >= n
+            pos = pos[done]
+            row, col = np.nonzero(pos < n)
+            yield block[done][row], pos[row, col]
+            short.append(block[~done])
+        todo, budget = np.concatenate(short), min(2 * budget, n + 1)
+
+
+def _xor_flips(packed: np.ndarray, rows: np.ndarray, positions: np.ndarray) -> None:
+    """Flip the bit at each position of each row of packed, in place."""
+    np.bitwise_xor.at(packed, (rows, positions >> 3),
+                      (0x80 >> (positions & 7)).astype(np.uint8))
+
+
 def _rx_timestamps(tx_ts: np.ndarray, skew_ppm: float, offset_us: int,
                    jitter) -> np.ndarray:
     """The affine clock of the tx timestamps plus jitter, rounded half to
@@ -196,14 +272,13 @@ def generate_tx(config: SimConfig, frames: range | None = None) -> Trace:
     elif frames.step != 1 or not 0 <= frames.start <= frames.stop <= config.n_frames:
         raise UsageError(f"frames={frames} must be consecutive frames of "
                          f"range({config.n_frames})")
-    n_words = (params.frame_len + 7) // 8
+    n_words, n_bytes = -(-params.frame_len // 64), -(-params.frame_len // 8)
     streams = rng.StreamFamily(config.seed, rng.ROLE_TX_PAYLOAD)
-    packed = np.empty((len(frames), n_words), dtype=np.uint8)
+    packed = np.empty((len(frames), n_bytes), dtype=np.uint8)
     for rows in _blocks(len(frames), n_words):
         words = _words(streams, frames[rows], n_words)
-        # integers(0, 2, frame_len, uint8): the top bit of each byte
-        payload_bytes = words.astype("<u8", copy=False).view(np.uint8)
-        packed[rows] = np.packbits(payload_bytes[:, :params.frame_len] >> 7, axis=1)
+        packed[rows] = words.astype("<u8", copy=False).view(np.uint8)[:, :n_bytes]
+    packed[:, -1] &= (0xFF << (-params.frame_len % 8)) & 0xFF  # the pad bits
     seq = np.arange(frames.start, frames.stop, dtype=np.int64)
     # Python ints, so a cadence past the timestamp column's range is refused
     # rather than wrapped.
@@ -223,7 +298,7 @@ def apply_channel(tx: Trace, config: SimConfig) -> Trace:
     Every frame yields an rx record: the simulator models no losses other
     than PHY erasures (which keep their timestamp but drop the payload).
     A frame's stream holds its jitter draw if there is jitter, its erase
-    and clean draws, then one flip draw per bit if it is corrupted.
+    and clean draws, then the gap words of its flips if it is corrupted.
     """
     sent = tx.tx
     seqs = sent.seq.tolist()
@@ -231,8 +306,8 @@ def apply_channel(tx: Trace, config: SimConfig) -> Trace:
     jitter_us = config.timestamp_jitter_us
     n_head = 3 if jitter_us else 2
     regime = config.regime(sent.seq)
-    r, s, p = (np.array([getattr(params, name) for params in config.regimes])[regime]
-               for name in ("r", "s", "p"))
+    r, s = (np.array([getattr(params, name) for params in config.regimes])[regime]
+            for name in ("r", "s"))
 
     status = np.empty(len(sent), dtype=np.int8)
     jitter = np.zeros(len(sent))
@@ -254,12 +329,11 @@ def apply_channel(tx: Trace, config: SimConfig) -> Trace:
     packed = sent.packed[sent.row[held]]
     rx_row = np.cumsum(held) - 1
     crc = np.flatnonzero(status == CRC)
-    n_words = n_head + config.params.frame_len
-    for rows in _blocks(crc.size, n_words):
-        frames = crc[rows]
-        words = _words(streams, sent.seq[frames].tolist(), n_words)
-        flips = _below(words[:, n_head:], p[frames, None])
-        packed[rx_row[frames]] ^= np.packbits(flips, axis=1)
+    for index, params in enumerate(config.regimes):
+        frames = crc[regime[crc] == index]
+        for hit, positions in _flips(streams, sent.seq[frames], n_head,
+                                     params.frame_len, params.p):
+            _xor_flips(packed, rx_row[frames[hit]], positions)
     return _rx_trace(tx, status, timestamp_us, packed, f"rx seed={config.seed}")
 
 
@@ -282,7 +356,8 @@ def apply_periodic_noise(
     Bits inside each window flip independently with p_in_burst; bits
     outside never flip.  burst_len == period degenerates to uniform
     Bernoulli flipping.  Frames that draw no flips are received clean.
-    A frame's stream holds one flip draw per window position.
+    A frame's stream holds the gap words of its flips over the window
+    positions.
     """
     frame_len = tx.meta.frame_len
     if not 0 < burst_len <= period <= frame_len:
@@ -292,17 +367,12 @@ def apply_periodic_noise(
     _check_clock(tx.meta.interval_us, clock_skew_ppm, 0)
     window_idx = np.flatnonzero(periodic_window_mask(frame_len, period, burst_len))
     sent = tx.tx
-    seqs = sent.seq.tolist()
     streams = rng.StreamFamily(seed, rng.ROLE_PERIODIC)
 
     status = np.full(len(sent), OK, dtype=np.int8)
     packed = sent.packed[sent.row]  # no frame is erased
-    for rows in _blocks(len(sent), window_idx.size):
-        in_window = _below(_words(streams, seqs[rows], window_idx.size), p_in_burst)
-        hit = rows.start + np.flatnonzero(in_window.any(axis=1))
-        flips = np.zeros((hit.size, frame_len), dtype=bool)
-        flips[:, window_idx] = in_window[hit - rows.start]
-        packed[hit] ^= np.packbits(flips, axis=1)
+    for hit, positions in _flips(streams, sent.seq, 0, window_idx.size, p_in_burst):
         status[hit] = CRC
+        _xor_flips(packed, hit, window_idx[positions])
     timestamp_us = _rx_timestamps(sent.timestamp_us, clock_skew_ppm, clock_offset_us, 0.0)
     return _rx_trace(tx, status, timestamp_us, packed, f"rx periodic seed={seed}")

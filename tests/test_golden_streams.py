@@ -23,7 +23,7 @@ from hybridchan import (
     write_trace,
 )
 from hybridchan.cli import main
-from hybridchan.sim import _BLOCK_WORDS
+from hybridchan.sim import _BLOCK_WORDS, _budget
 from hybridchan.trace import CRC
 from hybridchan.interleaver import interleave, whiten_error_vector
 
@@ -37,30 +37,31 @@ CLI_CASES = {
         ["--frames", 300, "--frame-len", 400, "--r", 0.1, "--s", 0.6,
          "--p", 0.02, "--skew-ppm", 50, "--offset-us", 10000,
          "--jitter-us", 50, "--seed", 601],
-        "557293481b378c95a82310b2e229ba2618d2132234f3c7940a949b55bd07d82b",
-        "e4eff55c71961835997e21acd4b18664bc389ce9c315d2a6d15ee3fee00c57ee",
+        "6c0000fdaa727aae409850a28690559ef764a42c584dda249832a2eb466478af",
+        "5471668249a32bed9d04703cb0b3e371d7a50c8c8ff06a64053d88fcfcbe83e3",
     ),
     "periodic": (
         ["--frames", 120, "--frame-len", 600, "--periodic", "--period", 288,
          "--burst", 32, "--p-burst", 0.1, "--skew-ppm", -20,
          "--offset-us", 500, "--seed", 7],
-        "1970e56f3f33495026afbc9465d05bd2dfa4915d8ba284cec50abb9d903d44d0",
-        "22adfcbf18f23ccd2a54944d332570f6e797f5fa0478ab8aef3c53a4a83c7830",
+        "103cf40f33af3e481499cece05b630c6d6997738a45914445b046cd2d8973251",
+        "79dbc7a6a8bbc03a5fe2ab725ff79698b7f9369e75dd65a8333b1a2223b2d0dd",
     ),
     # Frames too short for the runs test's normal approximation: 16 bits
-    # give small-sample rows with a z and degenerate rows, 2 bits give
-    # small-sample rows without a z (one error and one clean bit).
+    # give small-sample rows with a z, 2 bits give small-sample rows
+    # without a z (one error and one clean bit) and degenerate rows (no
+    # error or two).
     "short": (
         ["--frames", 200, "--frame-len", 16, "--r", 0, "--s", 0.2,
          "--p", 0.3, "--seed", 4],
-        "c3c6cab9ecd72a5f0de130771c5c75a60a05ec5affd3e28907f9b8ef9d01caac",
-        "2085b89dc1094341009b78f59f6928a6c50cd70bbfd2201bb232fbf0e5ae91e5",
+        "97ae59ceb1cab61ed85fe3a380f3e99190c76fec66c1090639ea9d1c1bfbef0f",
+        "83b4886014f75898bb430dc02e0410eacf6351838462b7fcbee7137e69eb9cd9",
     ),
     "two-bit": (
         ["--frames", 200, "--frame-len", 2, "--r", 0.1, "--s", 0.2,
          "--p", 0.5, "--seed", 5],
-        "47b68e77424ef331ea0677d2e738ca3adbdeebda357f20bcd7691cc2f677a3f0",
-        "875d209ec333be8d5d102e9daae22d31c60d0e45a9c23d5c7ba818f451e08bbb",
+        "7caf2c2f97d3efb7113f0727869fdd46c22dd2b211bbaab6e4ac71aeeb293128",
+        "2b62a39e17de48ce942604900d74070644b56ec2a6da560e8616897397e1ea18",
     ),
 }
 
@@ -95,39 +96,39 @@ def with_rssi(rx_path, out_path):
 OUTPUT_DIGESTS = {
     "hybrid": {
         "analyze":
-            "f13b16e85fe465cc5a130f71c60df5517cff16086ea203533982c7777796b149",
+            "91b8b930a1a7786cae197aab89cd50d475a19c21bedce12e8a62f0227bdf8c49",
         "analyze-raw":
-            "d084bb62c03356e59941ddc25e0a5cb731f3e455c64c1fbfe433ede93cd74889",
+            "af067fdb23f17c7d927595d8fbf098b9602246d230ba40e321c72aba700e6222",
         "capacity":
-            "e0c326e63cdea4b1afd8cec5e3400631eb55463914fae8121de53fceabdf287c",
+            "9efc9c62e3dacee73ed0ba77ee8b639d90058aeab395878d64570f2687bcd86f",
         "recover":
-            "e265e5795a14e8003e1f81c7e5e10da7af517698197cda358b19a671bc26e1d7",
+            "a3ebb98bbb402451a4795521c1943a05ad87391099d49c37f72fc7f79ac4fe0f",
     },
     "periodic": {
         "analyze":
-            "403d1f472de1a739d1af87f51bad43d46c4ee72f046e32b63120cd4e625714af",
+            "2bc00a0cddd44059c9891479ac11f9343dc81baf424a52d684fa404e2fc3a919",
         "analyze-raw":
-            "becb9cdeb300ce99bbdc0c425b7aec4a96fd200c14df3cb0d172fbb6956f9ccd",
+            "299156ad84bf7bff8f27f613c5f9e25212496e5b028f444d3a72369a4d49d4f7",
         "capacity":
-            "1c49bb38fa2c0fa271a9647cd9df3685d5e34f790671a9a812a4b8d732fb9eff",
+            "1178fbde5f06b0b384e54c0112e2fd03b4ac2fb1da970c9c2834a43cf481e765",
         "recover":
-            "d0d9812c854ab104ca8095288cf128b0ba2f8afad013079d27167c046bfbabb8",
+            "1352c5de017a640bbecdb82a6cb30d5f46c47650f8dabae30d118aec19db4c5c",
     },
     "short": {
         "analyze":
-            "82e34caaf86b882d3c8002057a95d7a455d902ca9b3635829766a688fe7956f3",
+            "1bdfaf189540c3bff144fe65851b4d46d308e70a0bc9a3cd66e10ca677112d67",
         "analyze-raw":
-            "5f99ba47425ede512a64c99b8d3723a348505ff218d6eeb1b024925737292385",
+            "8bc9a61cf8bd630253922777f0609c827848f7eae2fff2079ceed131ef563b17",
         "capacity":
-            "b8ef5d2e52af1622a0c1f174aab23bb4023631e2fb7faade5a30276efb47739b",
+            "f9e1363c9fc8c11ef2f3084db160c27bb142d0eb8bebba013be8bd75ac351d15",
     },
     "two-bit": {
         "analyze":
-            "86c9fbc8e3e0e8def3bb33bbb9ad487e90a9a129d082608be7f31b5fe88b76fd",
+            "0e255a05ee572a02c76057b0ff9337df3d5ffce16a4fbbf44a85694be0aca437",
         "analyze-raw":
-            "fc595e6fc6c43b278a0c8e4b4d9a1b6c7557fa9773d0b2b50d3ed22028bd6509",
+            "2f77ffd12277adaa28a9663357a81842f08748b9b6e98fc2475e32f9e93a06c9",
         "capacity":
-            "aa6571c04c111d1fa0a29e7a71a311def0822a4cb1da1c517542320262f32bd6",
+            "a58d4370a8b65becc5ed83b72346685c82251d054a75544f245da066b4f5655d",
     },
 }
 
@@ -181,9 +182,9 @@ def test_drift_schedule_config_digests(tmp_path):
     write_trace(tx, tmp_path / "tx.trace")
     write_trace(apply_channel(tx, config), tmp_path / "rx.trace")
     assert sha256(tmp_path / "tx.trace") == (
-        "38371e11bb1e65ab9bf6f384de58b92cd8d10cdc306484183cc75827b5560062")
+        "175571055cb47b7b4668e751a4a4a7b24a4853ac535e38d09cc71f892aba5d9a")
     assert sha256(tmp_path / "rx.trace") == (
-        "74010ea48b0ed0f9b5a30e13bfca473c7ebdce5ab58d064eb50a6294f2a8a921")
+        "cfcd77fa21dbc58e0421e25374f945aaf4eeed4d5cb8b3ed19811fa832d198f7")
 
 
 def block_rows(row_words):
@@ -192,9 +193,11 @@ def block_rows(row_words):
 
 
 def test_block_crossing_hybrid_digests(tmp_path):
-    # 125-bit frames take 16 payload words, 3 head words (jitter, erase,
-    # clean) and 128 words per corrupted frame.  The change-point at 4096
-    # starts a payload block and the one at 10922 a head block.
+    # 125-bit frames take 2 payload words, 3 head words (jitter, erase,
+    # clean) and, in the first regime, 3 + 19 words per corrupted frame.
+    # The change-point at 10922 starts a head block and the one at 16384 a
+    # payload block; the first regime's corrupted frames fill more than two
+    # flip blocks.
     def params(r, s, p):
         return ChannelParams(r=r, s=s, p=p, rate_bps=11e6, frame_len=125,
                              interval_us=1000)
@@ -202,43 +205,45 @@ def test_block_crossing_hybrid_digests(tmp_path):
     config = SimConfig(
         params=params(0.1, 0.5, 0.02),
         seed=2024,
-        n_frames=22000,
+        n_frames=33000,
         clock_skew_ppm=25.0,
         clock_offset_us=-1234,
-        drift_schedule=((4096, params(0.3, 0.2, 0.05)),
-                        (10922, params(0.05, 0.7, 0.005))),
+        drift_schedule=((10922, params(0.3, 0.2, 0.05)),
+                        (16384, params(0.05, 0.7, 0.005))),
         timestamp_jitter_us=40,
     )
     tx = generate_tx(config)
     rx = apply_channel(tx, config)
-    n_crc = int((rx.rx.status == CRC).sum())
-    assert config.n_frames > 2 * block_rows(16) and 4096 % block_rows(16) == 0
+    n_crc = int((rx.rx.status[:10922] == CRC).sum())
+    assert config.n_frames > 2 * block_rows(2) and 16384 % block_rows(2) == 0
     assert config.n_frames > 2 * block_rows(3) and 10922 % block_rows(3) == 0
-    assert n_crc > 2 * block_rows(128)
+    assert _budget(125, 0.02) == 19 and n_crc > 2 * block_rows(3 + 19)
     write_trace(tx, tmp_path / "tx.trace")
     write_trace(rx, tmp_path / "rx.trace")
     assert sha256(tmp_path / "tx.trace") == (
-        "ef46b223546e09141e13741ed2e10246dd70792ae101aeb6d6fc4c62fbff9efb")
+        "046821ab2eb16f6d0d4cac923030827ac5a21067d79620cfd7f77a68c8447f94")
     assert sha256(tmp_path / "rx.trace") == (
-        "006df828d0a44c60af4d5e3db3665329958f65812740dd792c6a80da98d874a8")
+        "5c5b2318dcdd06a7443a91f3d31a2f8d52e660d24201534bc7771d3d1b3b07b4")
 
 
 def test_block_crossing_periodic_digests(tmp_path):
-    # 1000-bit frames take 125 payload words and 160 window words (ten
-    # 16-bit bursts); about half the frames draw no flip.
+    # 1000-bit frames take 16 payload words and 14 gap words over 160
+    # window positions (ten 16-bit bursts); about half the frames draw no
+    # flip.
     params = ChannelParams(r=0.0, s=1.0, p=0.0, rate_bps=11e6, frame_len=1000,
                            interval_us=1000)
-    config = SimConfig(params=params, seed=99, n_frames=1000)
-    assert config.n_frames > 2 * max(block_rows(125), block_rows(160))
+    config = SimConfig(params=params, seed=99, n_frames=5000)
+    assert _budget(160, 0.005) == 14
+    assert config.n_frames > 2 * max(block_rows(16), block_rows(14))
     tx = generate_tx(config)
     rx = apply_periodic_noise(tx, 100, 16, 0.005, seed=99, clock_skew_ppm=-30.0,
                               clock_offset_us=777)
     write_trace(tx, tmp_path / "tx.trace")
     write_trace(rx, tmp_path / "rx.trace")
     assert sha256(tmp_path / "tx.trace") == (
-        "3e297adfef6f72891fee11aa2ca4c162bd0a045cd53db1bb0292b1b50a2c0924")
+        "c5a0b1b647cbc742eba22b04181e03c9ad2504b3e23c81c5ee904ca32b09ef29")
     assert sha256(tmp_path / "rx.trace") == (
-        "ceb7cac4693b84fde6275b3f3b31a92f33e6523082262d1540ba6bb707a57ffd")
+        "dd400918eb997b9cc62f0e69c825f8d19e61b42a65df17f877f4330761c15929")
 
 
 def test_interleaver_digest():

@@ -1,3 +1,4 @@
+import math
 from math import sqrt
 
 import numpy as np
@@ -14,10 +15,53 @@ from hybridchan import (
     apply_periodic_noise,
     generate_tx,
 )
-from hybridchan.sim import periodic_window_mask
+from hybridchan import rng, sim, write_trace
+from hybridchan.sim import _budget, _flips, _gap_table, _gaps, periodic_window_mask
 from hybridchan.trace import CRC, OK, PHY
 
 from conftest import make_params, rows, sim_pair
+from exact_law import N_SE
+
+
+def chi_square_z(observed, expected):
+    """Wilson-Hilferty z of a chi-square test of observed bin counts against
+    expected ones, with neighbouring bins lumped from the left until each
+    expects at least 5."""
+    lumps, e, o = [], 0.0, 0
+    for e_k, o_k in zip(expected.tolist(), observed.tolist()):
+        e, o = e + e_k, o + o_k
+        if e >= 5:
+            lumps.append((e, o))
+            e, o = 0.0, 0
+    lumps[-1] = (lumps[-1][0] + e, lumps[-1][1] + o)
+    stat = sum((o - e) ** 2 / e for e, o in lumps)
+    dof = len(lumps) - 1
+    return ((stat / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / sqrt(2 / (9 * dof))
+
+
+def binomial_pmf(n, p):
+    """P(k) of Binomial(n, p) for k = 0..n, by the ratio of neighbours."""
+    pmf = [(1 - p) ** n]
+    for k in range(1, n + 1):
+        pmf.append(pmf[-1] * (n - k + 1) / k * p / (1 - p))
+    return np.array(pmf)
+
+
+def error_bits(tx, rx):
+    """The error vectors of rx's frames against their tx rows, one 0/1 row
+    each (all zero for a frame received clean); no frame may be erased."""
+    assert (rx.rx.row >= 0).all()
+    xor = tx.tx.packed[tx.tx.row] ^ rx.rx.packed[rx.rx.row]
+    return np.unpackbits(xor, axis=1, count=tx.tx.n_bits)
+
+
+def thresholds(p, n):
+    """T_0..T_n of the draw contract, in Python ints."""
+    q = 2**64 - math.ceil(p * 2**64)
+    ts = [2**64]
+    for _ in range(n):
+        ts.append(ts[-1] * q >> 64)
+    return ts
 
 
 class TestGenerateTx:
@@ -293,3 +337,157 @@ class TestPeriodicNoise:
         with pytest.raises(ValueError):
             apply_periodic_noise(tx, period=200, burst_len=10, p_in_burst=0.1,
                                  seed=0)
+
+
+class TestPayloadContract:
+    """A payload is the little-endian bytes of ceil(frame_len / 64) words,
+    cut to ceil(frame_len / 8) bytes, with the pad bits cleared."""
+
+    @pytest.mark.parametrize("frame_len", [1, 7, 9, 63, 64, 65])
+    def test_rows_are_word_bytes_balanced_with_pad_bits_zero(self, frame_len):
+        n_frames, n_bytes = 4000, -(-frame_len // 8)
+        cfg = SimConfig(params=make_params(frame_len=frame_len), seed=21,
+                        n_frames=n_frames)
+        packed = generate_tx(cfg).tx.packed
+        assert packed.shape == (n_frames, n_bytes)
+        pad = (1 << (-frame_len % 8)) - 1
+        assert not (packed[:, -1] & pad).any()
+        streams = rng.StreamFamily(21, rng.ROLE_TX_PAYLOAD)
+        for k in (0, 1, n_frames - 1):
+            words = streams.words(k, -(-frame_len // 64))
+            row = words.astype("<u8").view(np.uint8)[:n_bytes].copy()
+            row[-1] &= 0xFF ^ pad
+            assert np.array_equal(packed[k], row)
+        bits = np.unpackbits(packed, axis=1, count=frame_len)
+        assert abs(bits.mean() - 0.5) < N_SE * sqrt(0.25 / bits.size)
+        assert (abs(bits.mean(axis=0) - 0.5) < N_SE * sqrt(0.25 / n_frames)).all()
+
+
+class TestFlipContract:
+    """Flips are geometric gaps, one word each, against integer thresholds."""
+
+    @pytest.mark.parametrize("p, frame_len", [(0.005, 2000), (0.3, 64)])
+    def test_counts_are_binomial_and_positions_uniform(self, p, frame_len):
+        n_frames = 5000
+        tx, rx = sim_pair(r=0.0, s=0.0, p=p, n_frames=n_frames,
+                          frame_len=frame_len, seed=31)
+        assert (rx.rx.status == CRC).all()
+        errors = error_bits(tx, rx)
+        counts = np.bincount(errors.sum(axis=1), minlength=frame_len + 1)
+        assert chi_square_z(counts, n_frames * binomial_pmf(frame_len, p)) < N_SE
+        bins = np.bincount(np.nonzero(errors)[1] * 16 // frame_len, minlength=16)
+        assert chi_square_z(bins, np.full(16, bins.sum() / 16)) < N_SE
+
+    def test_periodic_flips_are_binomial_inside_the_windows(self):
+        frame_len, period, burst, p, n_frames = 1000, 100, 16, 0.05, 5000
+        cfg = SimConfig(params=make_params(frame_len=frame_len), seed=32,
+                        n_frames=n_frames)
+        tx = generate_tx(cfg)
+        rx = apply_periodic_noise(tx, period, burst, p, seed=32)
+        errors = error_bits(tx, rx)
+        mask = periodic_window_mask(frame_len, period, burst)
+        assert not errors[:, ~mask].any()
+        in_window = errors[:, mask]
+        n_flips = in_window.sum(axis=1)
+        # a frame is corrupted exactly when it draws a flip
+        assert np.array_equal(rx.rx.status == CRC, n_flips > 0)
+        w = int(mask.sum())
+        counts = np.bincount(n_flips, minlength=w + 1)
+        assert chi_square_z(counts, n_frames * binomial_pmf(w, p)) < N_SE
+        bins = np.bincount(np.nonzero(in_window)[1] * 16 // w, minlength=16)
+        assert chi_square_z(bins, np.full(16, bins.sum() / 16)) < N_SE
+
+    @pytest.mark.parametrize("p", [0.005, 0.3, 1e-12])
+    def test_words_at_a_threshold(self, p):
+        # T_k - 1 is below T_k and not below T_{k+1}; T_k is below T_{k-1}.
+        # Next to 2**64 a word and its successor round to one float64, so
+        # any cast through float would break these.
+        n = 100
+        ts = thresholds(p, n)
+        table = _gap_table(p, n)
+        assert table.dtype == np.uint64 and not table.flags.writeable
+        assert table.tolist() == [t - 1 for t in reversed(ts[1:])]
+        for k in (1, 2, 50, n):
+            words = np.array([ts[k] - 1, ts[k]], dtype=np.uint64)
+            assert _gaps(table, words).tolist() == [k, k - 1]
+        words = np.array([0, 2**64 - 1], dtype=np.uint64)
+        assert _gaps(table, words).tolist() == [n, 0]
+
+    def test_p_zero_flips_no_bit_and_p_one_every_bit(self):
+        for p, want in ((0.0, 0), (1.0, 1)):
+            tx, rx = sim_pair(r=0.0, s=0.0, p=p, n_frames=50, frame_len=77, seed=33)
+            assert (rx.rx.status == CRC).all()
+            assert (error_bits(tx, rx) == want).all()
+            assert not (rx.rx.packed[:, -1] & 0x07).any()  # 3 pad bits
+        cfg = SimConfig(params=make_params(frame_len=77), seed=33, n_frames=50)
+        tx = generate_tx(cfg)
+        rx = apply_periodic_noise(tx, 8, 3, 1.0, seed=33)
+        assert (error_bits(tx, rx) == periodic_window_mask(77, 8, 3)).all()
+
+    def test_tiny_p_draws_no_flip(self):
+        tx, rx = sim_pair(r=0.0, s=0.0, p=1e-12, n_frames=200, frame_len=8000,
+                          seed=34)
+        assert (rx.rx.status == CRC).all()
+        assert not error_bits(tx, rx).any()
+
+    def test_drift_draws_each_regime_from_its_table(self):
+        def params(p):
+            return make_params(r=0.0, s=0.0, p=p, frame_len=400)
+
+        ps = (0.01, 0.2, 0.6)
+        cfg = SimConfig(params=params(ps[0]), seed=35, n_frames=3000,
+                        drift_schedule=((1000, params(ps[1])), (2000, params(ps[2]))))
+        tx = generate_tx(cfg)
+        errors = error_bits(tx, apply_channel(tx, cfg))
+        streams = rng.StreamFamily(35, rng.ROLE_CHANNEL)
+        for index, p in enumerate(ps):
+            seqs = np.arange(1000 * index, 1000 * (index + 1))
+            got = errors[seqs]
+            # two head words (erase and clean draws), then the gap words
+            want = np.zeros_like(got)
+            for hit, positions in _flips(streams, seqs, 2, 400, p):
+                want[hit, positions] = 1
+            assert np.array_equal(got, want)
+            assert abs(got.mean() - p) < N_SE * sqrt(p * (1 - p) / got.size)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_one_word_budget_gives_the_same_bytes(self, tmp_path, monkeypatch,
+                                                  periodic):
+        # Every frame with a flip uses up a budget of one word, so it draws
+        # again with 2, 4, ... words: word i of its stream is the same.
+        def rx_bytes(name):
+            cfg = SimConfig(params=make_params(r=0.1, s=0.3, p=0.02, frame_len=300),
+                            seed=36, n_frames=300, timestamp_jitter_us=10)
+            tx = generate_tx(cfg)
+            rx = (apply_periodic_noise(tx, 50, 10, 0.1, seed=36) if periodic
+                  else apply_channel(tx, cfg))
+            write_trace(rx, tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        want = rx_bytes("budget.trace")
+        monkeypatch.setattr(sim, "_budget", lambda n, p: 1)
+        assert rx_bytes("one-word.trace") == want
+
+    def test_budget_is_mean_plus_six_sd_and_8_at_most_n_plus_one(self):
+        assert _budget(8000, 0.005) == 40 + 37 + 8
+        assert _budget(100, 1.0) == _budget(100, 0.9) == 101
+        assert _budget(100, 0.0) == 8
+
+
+def test_reference_workload_draws_at_most_200_words_a_frame(monkeypatch):
+    # ROADMAP's reference channel: 125 payload words a frame, 3 head words,
+    # and for the 27% of frames corrupted 3 + 85 head and gap words.  The
+    # per-bit rules took 1 000 + 3 + 0.27 * 8 003 words, about 3 200.
+    drawn = []
+    words = rng.StreamFamily.words
+
+    def counted(self, index, n):
+        drawn.append(n)
+        return words(self, index, n)
+
+    monkeypatch.setattr(rng.StreamFamily, "words", counted)
+    cfg = SimConfig(params=make_params(r=0.1, s=0.7, p=0.005, frame_len=8000),
+                    seed=37, n_frames=1000, clock_skew_ppm=50.0,
+                    clock_offset_us=10000, timestamp_jitter_us=50)
+    apply_channel(generate_tx(cfg), cfg)
+    assert sum(drawn) <= 200 * cfg.n_frames
