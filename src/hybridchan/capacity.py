@@ -19,10 +19,7 @@ from math import log2, sqrt
 
 import numpy as np
 
-from .trace import OK, PHY, Trace, TraceError, UsageError
-
-# Bytes of gathered payload rows per block, as recovery._BLOCK_BYTES.
-_BLOCK_BYTES = 1 << 18
+from .trace import OK, PHY, Trace, TraceError, UsageError, row_blocks
 
 
 def binary_entropy(p: float) -> float:
@@ -74,8 +71,8 @@ def _binomial_se(p: float, n: int) -> float:
 def _flip_counts(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     """(flipped bits, bits) per rx frame; 0 and 0 unless corrupted with a seq.
 
-    The tx and rx rows of the frames are gathered a block at a time, at
-    most _BLOCK_BYTES of them.
+    The tx and rx rows of the frames are gathered a block at a time
+    (trace.row_blocks).
     """
     tx, rx = trace.tx, trace.rx
     picked = rx.corrupted()
@@ -84,9 +81,8 @@ def _flip_counts(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     if picked.size:
         if tx.n_bits != rx.n_bits:
             raise TraceError(f"payload length mismatch: {tx.n_bits} vs {rx.n_bits}")
-        step = max(1, _BLOCK_BYTES // (2 * rx.packed.shape[1]))
-        for lo in range(0, picked.size, step):
-            frames = picked[lo:lo + step]
+        for rows in row_blocks(picked.size, 2 * rx.packed.shape[1]):
+            frames = picked[rows]
             diff = tx.payloads(rx.seq[frames]) ^ rx.payloads(frames)
             flips[frames] = np.bitwise_count(diff).sum(axis=1)
         bits[picked] = rx.n_bits

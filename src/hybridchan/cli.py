@@ -28,6 +28,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import recovery, sim, stats
+from . import trace as _trace
 from .capacity import capacity_report
 from .runstest import ALPHA, FAIL, PASS, VERDICTS
 from .segments import mean_segment_duration, segment_corrupted_frames
@@ -129,17 +130,17 @@ def build_parser() -> _Parser:
 
 
 # simulate draws and writes a block of frames at a time.  A block holds
-# about _BLOCK_BYTES: each frame's tx and rx payload rows, plus about
-# _FRAME_BYTES of its columns and channel temporaries (measured at 400
-# bits).  It is at least _HEAD_RECORDS frames, as many records as the
+# about 4 * trace.BLOCK_BYTES: each frame's tx and rx payload rows, plus
+# about _FRAME_BYTES of its columns and channel temporaries (measured at
+# 400 bits).  It is at least _HEAD_RECORDS frames, as many records as the
 # writer formats heads for at once.
-_BLOCK_BYTES = 1 << 20
 _FRAME_BYTES = 170
 
 
 def _block_frames(frame_len: int) -> int:
     """Frames in one block of a simulate run of frame_len-bit payloads."""
-    return max(_HEAD_RECORDS, _BLOCK_BYTES // (2 * ((frame_len + 7) // 8) + _FRAME_BYTES))
+    return max(_HEAD_RECORDS, 4 * _trace.BLOCK_BYTES
+               // (2 * ((frame_len + 7) // 8) + _FRAME_BYTES))
 
 
 @contextlib.contextmanager

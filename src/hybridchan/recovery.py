@@ -17,7 +17,7 @@ The timestamps are indexed once per trace, from its columns: the anchors
 transmit records sorted by transmit time.  The attempted frames then go
 through as arrays, a block at a time, one row per frame: its window of
 anchors, its clock fit, its candidates and their distances.  A block's
-largest temporaries stay within _BLOCK_BYTES.  Each frame costs a few
+largest temporaries stay within trace.BLOCK_BYTES.  Each frame costs a few
 bisections and work proportional to the window and candidate counts,
 O(log N) in the trace length.  "Nearest" always means smallest absolute
 time difference, with ties going to the earlier time (for equal times,
@@ -30,14 +30,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .trace import CRC, OK, UNKNOWN_SEQ, Trace
+from .trace import CRC, OK, UNKNOWN_SEQ, Trace, row_blocks
 
 WINDOW_SIZE = 50
 MAX_CANDIDATES = 5
 MATCH_THRESHOLD = 0.4
-
-# Bytes of a block's largest temporaries, as stats._BLOCK_BITS.
-_BLOCK_BYTES = 1 << 18
 
 
 def _nearest(sorted_times: np.ndarray, centres: np.ndarray, k: int) -> np.ndarray:
@@ -127,14 +124,13 @@ def recover_trace(trace: Trace, scrub: bool = False) -> tuple[Trace, RecoverySum
     # the header seq is unknown, or ignored when scrubbing
     seq = rx.seq.copy()
     seq[attempted] = UNKNOWN_SEQ
-    # a frame's largest temporaries: a row of the window matrix, or the
-    # payload rows of its candidates
-    step = max(1, _BLOCK_BYTES // max(8 * (WINDOW_SIZE + 1),
-                                      MAX_CANDIDATES * tx.packed.shape[1]))
     # fewer than two anchors fit no clock, so nothing is resolved
     fitted = attempted if anchor_rx.size > 1 else attempted[:0]
-    for lo in range(0, fitted.size, step):
-        frames = fitted[lo:lo + step]
+    # a frame's largest temporaries: a row of the window matrix, or the
+    # payload rows of its candidates
+    row_bytes = max(8 * (WINDOW_SIZE + 1), MAX_CANDIDATES * tx.packed.shape[1])
+    for rows in row_blocks(fitted.size, row_bytes):
+        frames = fitted[rows]
         rx_time = rx.timestamp_us[frames]
         window = _nearest(anchor_rx, rx_time.astype(np.float64), WINDOW_SIZE)
         rate, offset, ok = _ols(anchor_tx[window], anchor_rx[window])

@@ -12,8 +12,8 @@ a config reproduces bit-identical traces regardless of evaluation order.
 Every draw is a fixed function of the raw words of its frame's stream
 (rng.StreamFamily.words), so the only per-frame Python work is to re-key
 and copy those words into a block; every decision is numpy over a block
-of frames.  A block holds at most _BLOCK_WORDS words, which keeps the
-simulator's working memory flat whatever the trace's size.
+of frames.  A block's words take at most trace.BLOCK_BYTES (row_blocks),
+which keeps the simulator's working memory flat whatever the trace's size.
 
 For the same reason a run can be simulated a range of frames at a time:
 generate_tx(config, frames) gives the tx records of those frames, and
@@ -66,11 +66,8 @@ from .trace import (
     TraceError,
     TraceMeta,
     UsageError,
+    row_blocks,
 )
-
-# Raw words per block: 2**15, 256 KB.  Blocks of 2**18 words raised
-# simulate's peak RSS by 8-10%; at 2**15 it does not move.
-_BLOCK_WORDS = 1 << 15
 
 
 def _check_clock(interval_us: int, skew_ppm: float, jitter_us: int) -> None:
@@ -138,14 +135,6 @@ class SimConfig:
                                frame_index, side="right")
 
 
-def _blocks(n_rows: int, row_words: int):
-    """Consecutive slices of range(n_rows), each at most _BLOCK_WORDS words
-    of row_words words a row, and at least one row."""
-    step = max(1, _BLOCK_WORDS // row_words)
-    return (slice(start, min(start + step, n_rows))
-            for start in range(0, n_rows, step))
-
-
 def _words(streams: rng.StreamFamily, indices: Sequence[int], n: int) -> np.ndarray:
     """The first n raw words of each index's stream, one row per index."""
     block = np.empty((len(indices), n), dtype=np.uint64)
@@ -209,7 +198,7 @@ def _flips(streams: rng.StreamFamily, seqs: np.ndarray, skip: int, n: int,
     while todo.size:
         width = skip + budget
         short = []
-        for rows in _blocks(todo.size, width):
+        for rows in row_blocks(todo.size, 8 * width):
             block = todo[rows]
             words = _words(streams, seqs[block].tolist(), width)[:, skip:]
             pos = _gaps(table, words)
@@ -275,7 +264,7 @@ def generate_tx(config: SimConfig, frames: range | None = None) -> Trace:
     n_words, n_bytes = -(-params.frame_len // 64), -(-params.frame_len // 8)
     streams = rng.StreamFamily(config.seed, rng.ROLE_TX_PAYLOAD)
     packed = np.empty((len(frames), n_bytes), dtype=np.uint8)
-    for rows in _blocks(len(frames), n_words):
+    for rows in row_blocks(len(frames), 8 * n_words):
         words = _words(streams, frames[rows], n_words)
         packed[rows] = words.astype("<u8", copy=False).view(np.uint8)[:, :n_bytes]
     packed[:, -1] &= (0xFF << (-params.frame_len % 8)) & 0xFF  # the pad bits
@@ -311,7 +300,7 @@ def apply_channel(tx: Trace, config: SimConfig) -> Trace:
 
     status = np.empty(len(sent), dtype=np.int8)
     jitter = np.zeros(len(sent))
-    for rows in _blocks(len(sent), n_head):
+    for rows in row_blocks(len(sent), 8 * n_head):
         head = _words(streams, seqs[rows], n_head)
         if jitter_us:
             # uniform(-jitter_us, jitter_us), of random() = (word >> 11) * 2**-53

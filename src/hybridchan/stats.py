@@ -1,8 +1,9 @@
 """Per-frame and cross-frame error statistics.
 
 error_table makes one pass over a trace's columns, a block of corrupted
-frames at a time: it XORs their packed payloads, popcounts the bytes,
-and lists the block's error positions.  Given a key, one call to
+frames at a time (trace.row_blocks, by their tx and rx payload rows): it
+XORs their packed payloads, popcounts the bytes, and lists the block's
+error positions.  Given a key, one call to
 interleaver.whiten_positions maps every position of the block to where
 whitening moves it, without building any frame's full permutation, and
 one sort puts the images back in frame order.  Each frame's runs, first
@@ -23,18 +24,12 @@ import numpy as np
 
 from . import interleaver
 from .runstest import FAIL, PASS, RunsTests, runs_tests
-from .trace import PHY, STATUSES, UNKNOWN_SEQ, ReceiveStatus, Trace
+from .trace import PHY, STATUSES, UNKNOWN_SEQ, ReceiveStatus, Trace, row_blocks
 
 if TYPE_CHECKING:
     from .segments import Segments
 
 SYMMETRY_Z_THRESHOLD = 1.96
-
-# Error bits per block while building an ErrorTable, one byte each once
-# unpacked: 32 frames of 8000 bits.  Blocks of a few MB raised peak RSS,
-# because freed blocks that large stay in the heap; blocks this small go
-# back to the OS.
-_BLOCK_BITS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +74,7 @@ def error_table(trace: Trace, key: int | None = None) -> ErrorTable:
     n1, runs, first, last = np.empty((4, n), dtype=np.int64)
     column_sums = np.zeros(frame_len, dtype=np.int64)
     tx_ones = flips_on_ones = 0
-    step = max(1, _BLOCK_BITS // frame_len)
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
+    for rows in row_blocks(n, 2 * ((frame_len + 7) // 8)):
         block = seqs[rows]
         tx_bytes = tx.payloads(block)
         ev_bytes = tx_bytes ^ rx.payloads(picked[rows])

@@ -73,6 +73,26 @@ UNKNOWN_SEQ = -1
 # file, so every value fits an int64 column.
 MAX_DIGITS = 18
 
+# The one block budget: every pass over many rows (the simulator's draws,
+# the error table, flip counts, recovery's scoring, trace reads and writes)
+# takes them a block at a time, each block's temporaries about BLOCK_BYTES.
+# Blocks of a few MB raised peak RSS, because freed blocks that large stay
+# in the heap; blocks this small go back to the OS.  Every pass gives the
+# same result whatever the budget.
+BLOCK_BYTES = 1 << 18
+
+
+def row_blocks(n_rows: int, row_bytes: int):
+    """Consecutive slices of range(n_rows), each of at most BLOCK_BYTES at
+    row_bytes bytes a row, and at least one row.
+
+    The budget is read at each call, so setting BLOCK_BYTES reaches every
+    pass.
+    """
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return (slice(start, min(start + step, n_rows))
+            for start in range(0, n_rows, step))
+
 
 @dataclass(frozen=True)
 class ChannelParams:

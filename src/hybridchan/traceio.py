@@ -16,8 +16,9 @@ digits; sequence numbers are not negative.  The description holds no
 line break.
 
 Both directions go a block of whole lines at a time, with no Python
-code per record, so neither holds the file's text, only a block of it
-(_BLOCK_BYTES read, _WRITE_BLOCK_BYTES written).  write_trace lays out the
+code per record, so neither holds the file's text, only a block of it:
+4 * trace.BLOCK_BYTES read, and lines whose hex and text take about
+trace.BLOCK_BYTES written (trace.row_blocks).  write_trace lays out the
 heads of _HEAD_RECORDS records (everything before the payload) as rows of
 bytes with NUL in the unused places and deletes the NULs; then for each
 block of lines it moves each payload's hex, from one hex encode, in after
@@ -27,7 +28,7 @@ simulator gives them, so that it never holds the run's payloads; it
 validates the run's gathered columns and only then gives both files
 their names.  read_trace checks
 the heads of a block with an anchored regex, converts them with numpy and
-decodes the block's payloads, a hex decode per quarter block, into the
+decodes the block's payloads, a hex decode per budget of hex, into the
 file's packed matrix, which is allocated once.  That path only accepts
 and keeps no line numbers.  When it meets any malformed record line it reads the
 file again, line by line, and the first line that fails the per-line
@@ -49,6 +50,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import trace as _trace
 from .trace import (
     CRC,
     MAX_DIGITS,
@@ -62,15 +64,10 @@ from .trace import (
     TraceError,
     TraceFormatError,
     TraceMeta,
+    row_blocks,
 )
 
-# Bytes of file text in one block of records read, and in one written.
-# A written block's temporaries (its payloads' hex and its lines) come on
-# top of the payload rows the writer is given, which it cannot drop, so
-# they are kept smaller.  The writer formats the heads of at least
-# _HEAD_RECORDS records at a time.
-_BLOCK_BYTES = 1 << 20
-_WRITE_BLOCK_BYTES = 1 << 17
+# The writer formats the heads of at least _HEAD_RECORDS records at a time.
 _HEAD_RECORDS = 1024
 
 # A Side's columns, one entry per record.
@@ -210,22 +207,23 @@ def _lines(side: Side, records: slice, text: np.ndarray,
 
 
 def _record_blocks(name: str, side: Side):
-    """The text lines of side's records, about _WRITE_BLOCK_BYTES at a time.
+    """The text lines of side's records, a block at a time: a block's
+    payload hex and lines take about trace.BLOCK_BYTES.
 
-    The heads are formatted for at least _HEAD_RECORDS records at a time:
-    a head is short, and its numpy calls cost as much for one record as
-    for hundreds.
+    The heads are formatted for at least _HEAD_RECORDS records at a time,
+    whole blocks of lines: a head is short, and its numpy calls cost as
+    much for one record as for hundreds.
     """
     line = 2 * side.packed.shape[1] + _MAX_HEAD + 2  # at most, with its LF
-    step = max(1, _WRITE_BLOCK_BYTES // line)
-    many = step * -(-_HEAD_RECORDS // step)  # whole blocks of lines
-    for lo in range(0, len(side), many):
-        text, length = _heads(name, side, slice(lo, lo + many))
-        start = np.concatenate(([0], np.cumsum(length)))
-        for a in range(0, length.size, step):
-            b = min(a + step, length.size)
-            yield _lines(side, slice(lo + a, lo + b), text[start[a]:start[b]],
-                         length[a:b])
+    end = 0
+    for rows in row_blocks(len(side), 2 * line):  # a record's hex and its line
+        if rows.stop > end:
+            lo, step = rows.start, rows.stop - rows.start
+            end = lo + step * -(-_HEAD_RECORDS // step)
+            text, length = _heads(name, side, slice(lo, end))
+            start = np.concatenate(([0], np.cumsum(length)))
+        a, b = rows.start - lo, rows.stop - lo
+        yield _lines(side, rows, text[start[a]:start[b]], length[a:b])
 
 
 def _meta_line(meta: TraceMeta) -> bytes:
@@ -490,10 +488,9 @@ def _line_spans(data, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(start, end) of each line of data[:size] that is not blank; data
     holds whole lines, the last perhaps without its LF."""
     byte = np.frombuffer(data, dtype=np.uint8)
-    step = max(1, _BLOCK_BYTES // 4)  # a quarter block of bools at a time
-    ends = np.concatenate([
-        lo + np.flatnonzero(byte[lo:min(lo + step, size)] == ord("\n"))
-        for lo in range(0, size, step)])
+    ends = np.concatenate([  # a bool per byte
+        rows.start + np.flatnonzero(byte[rows] == ord("\n"))
+        for rows in row_blocks(size, 1)])
     if (ends[-1] + 1 if ends.size else 0) < size:
         ends = np.append(ends, size)  # a last line without LF
     starts = np.zeros_like(ends)
@@ -541,10 +538,10 @@ def _read(path: Path) -> Trace:
 def _blocks(fh):
     """The rest of fh as (block, size): block[:size] is whole lines, the
     last perhaps without its LF, and past them block holds at least
-    _MAX_HEAD + 1 NUL bytes.  A block holds about _BLOCK_BYTES of text, or
-    one line if that is longer."""
+    _MAX_HEAD + 1 NUL bytes.  A block holds about 4 * trace.BLOCK_BYTES of
+    text, or one line if that is longer."""
     carry = b""
-    capacity = _BLOCK_BYTES
+    capacity = 4 * _trace.BLOCK_BYTES
     while True:
         block = bytearray(capacity + _MAX_HEAD + 1)
         block[:len(carry)] = carry
@@ -599,23 +596,22 @@ def _read_block(block: bytearray, size: int, n_bits: int,
     longest = int(length.max(initial=0))
     heads = sliding_window_view(byte, longest + 1)[starts]
     heads[np.arange(longest + 1) >= length[:, None]] = ord("\n")
-    # The regex holds about 600 bytes of state per head it repeats over.
-    if any(_HEADS_RE.fullmatch(heads[lo:lo + 256]) is None
-           for lo in range(0, len(heads), 256)):
+    # The regex holds about 600 bytes of state per head it repeats over;
+    # 1 KiB a head bounds it.
+    if any(_HEADS_RE.fullmatch(heads[rows]) is None
+           for rows in row_blocks(len(heads), 1024)):
         return None
     columns = _parse_heads(heads, length)
     if ((columns["status"] == PHY) != no_payload).any():
         return None
 
-    # A quarter block of payloads at a time, so that their gathered hex and
-    # its bytes take less room than the block.
+    # The payloads' gathered hex a budget at a time, so that it and its
+    # bytes take less room than the block.
     payload = cut[~no_payload] + 1
-    step = max(1, _BLOCK_BYTES // 4 // width)
-    for lo in range(0, payload.size, step):
-        at = payload[lo:lo + step]
+    for rows in row_blocks(payload.size, width):
         try:  # a file grown since its size was taken may overfill packed
-            packed[row + lo:row + lo + at.size] = _unhex(
-                sliding_window_view(byte, width)[at], n_bits)
+            packed[row + rows.start:row + rows.stop] = _unhex(
+                sliding_window_view(byte, width)[payload[rows]], n_bits)
         except ValueError:
             return None
     columns["row"] = np.where(no_payload, -1, row + np.cumsum(~no_payload) - 1)
@@ -730,7 +726,11 @@ def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
         )
     merged = Trace(meta=rx.meta, tx=tx.tx, rx=rx.rx)
     # read_trace has validated each side; only the pairing is new here.
+    # validate_pairing passes rx records without tx records, as one side of
+    # a trace, but a pair needs a tx record for each.
     try:
+        if len(merged.rx) and not len(merged.tx):
+            raise TraceError("more rx records than tx records", ("rx", 0))
         merged.validate_pairing()
     except TraceError as exc:
         raise _record_fault(exc, Path(rx_path)) from exc

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hybridchan.trace
 from hybridchan import (
     ReceiveStatus,
     capacity,
@@ -120,7 +121,7 @@ class TestEstimateParams:
         tx, rx = sim_pair(r=0.1, s=0.3, p=0.05, n_frames=60, frame_len=100,
                           seed=6, clock_offset_us=5)
         trace = joined(tx, rx)
-        monkeypatch.setattr(capacity, "_BLOCK_BYTES",
+        monkeypatch.setattr(hybridchan.trace, "BLOCK_BYTES",
                             frames_per_block * 2 * trace.rx.packed.shape[1])
         flips, bits = capacity._flip_counts(trace)
         sent = rows(trace.tx)

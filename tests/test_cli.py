@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 import weakref
 
@@ -18,7 +19,8 @@ from hybridchan import (
     segment_corrupted_frames,
     write_trace,
 )
-from hybridchan import cli, recovery, sim, stats
+import hybridchan.trace
+from hybridchan import capacity, cli, recovery, sim, stats, traceio
 from hybridchan.cli import main
 from hybridchan.trace import CRC, OK, PHY
 
@@ -350,6 +352,65 @@ class TestExitCodes:
         assert run_cli([command, *args, "--out", tmp_path / "out"]) == 3
         assert ("hybridchan: internal error: a numpy call refused its input"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["analyze", "capacity", "recover"])
+    @pytest.mark.parametrize("tx_name", ["meta-only.trace", "rx.trace"])
+    def test_rx_records_without_tx_records_exit_2(self, tmp_path, capsys,
+                                                  command, tx_name):
+        """A tx file of only its #meta line, or the rx file given as both
+        files, pairs rx records with no tx record."""
+        run = simulate(tmp_path, "run")
+        meta_line = (run / "tx.trace").read_text().splitlines(keepends=True)[0]
+        (run / "meta-only.trace").write_text(meta_line)
+        out = tmp_path / "out"
+        assert run_cli([command, run / tx_name, run / "rx.trace", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"hybridchan: parse error: {run / 'rx.trace'}:2: "
+            "more rx records than tx records\n")
+        assert not out.exists()
+
+
+class TestOneBudget:
+    """trace.BLOCK_BYTES sizes every blocked pass, and no output depends on it."""
+
+    def outputs(self, root):
+        """The bytes of every file that simulate, analyze, capacity and
+        recover --scrub write under root."""
+        run = simulate(root, "run")
+        pair = [run / "tx.trace", run / "rx.trace"]
+        for command, flags in (("analyze", []), ("capacity", []),
+                               ("recover", ["--scrub"])):
+            assert run_cli([command, *pair, *flags, "--out", root / command]) == 0
+        return {path.relative_to(root): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+
+    def test_a_small_budget_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        want = self.outputs(tmp_path / "default")
+        # the most blocks one call gave, per call site of trace.row_blocks
+        blocks = {}
+
+        def counted(n_rows, row_bytes):
+            caller = sys._getframe(1)
+            got = list(hybridchan.trace.row_blocks(n_rows, row_bytes))
+            site = caller.f_code.co_name, caller.f_lineno
+            blocks[site] = max(blocks.get(site, 0), len(got))
+            return iter(got)
+
+        for module in (sim, stats, capacity, recovery, traceio):
+            monkeypatch.setattr(module, "row_blocks", counted)
+        # 500-bit frames: a block of 256 bytes holds 4 payloads' words, one
+        # frame's gap words, 2 frames' tx and rx rows, one recovery row,
+        # a quarter of a read block and one written line
+        monkeypatch.setattr(hybridchan.trace, "BLOCK_BYTES", 256)
+        got = self.outputs(tmp_path / "small")
+        assert got == want
+        assert {path.parts[0] for path in got} == {"run", "analyze", "capacity",
+                                                   "recover"}
+        crossed = [site for site, most in blocks.items() if most > 1]
+        assert sorted(name for name, _ in crossed) == sorted([
+            "generate_tx", "apply_channel", "_flips", "error_table", "_flip_counts",
+            "recover_trace", "_record_blocks", "_line_spans", "_read_block",
+            "_read_block"])
 
 
 class TestAnalyze:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hybridchan.trace
 import reference_pipeline as ref
 from hybridchan import (
     ReceiveStatus,
@@ -59,8 +60,9 @@ def assert_matches_reference(tx, rx, key):
 @pytest.mark.parametrize("key", [None, 17])
 def test_hybrid_trace_matches_reference(hybrid_pair, key, block_rows, monkeypatch):
     if block_rows is not None:
-        # about 500 corrupted frames over many blocks, the last one partial
-        monkeypatch.setattr(stats, "_BLOCK_BITS", block_rows * 300)
+        # about 500 corrupted frames over many blocks, the last one partial;
+        # a block takes each frame's tx and rx rows of 38 bytes
+        monkeypatch.setattr(hybridchan.trace, "BLOCK_BYTES", block_rows * 2 * 38)
     table = assert_matches_reference(*hybrid_pair, key)
     assert len(table) % 7 != 0
 
@@ -81,9 +83,10 @@ def test_table_builds_no_full_permutation(hybrid_pair, monkeypatch):
         raise AssertionError("error_table built a full permutation")
 
     monkeypatch.setattr(interleaver, "_permutation", refuse)
+    budgets = hybridchan.trace.BLOCK_BYTES, 7 * 2 * 38
     for key, (results, segs, profile) in want.items():
-        for block_bits in (stats._BLOCK_BITS, 7 * 300):
-            monkeypatch.setattr(stats, "_BLOCK_BITS", block_bits)
+        for budget in budgets:
+            monkeypatch.setattr(hybridchan.trace, "BLOCK_BYTES", budget)
             table = error_table(joined(tx, rx), key)
             assert frame_results(table) == results
             assert ref.segment_rows(segment_corrupted_frames(table)) == segs

@@ -23,8 +23,8 @@ from hybridchan import (
     write_trace,
 )
 from hybridchan.cli import main
-from hybridchan.sim import _BLOCK_WORDS, _budget
-from hybridchan.trace import CRC
+from hybridchan.sim import _budget
+from hybridchan.trace import BLOCK_BYTES, CRC
 from hybridchan.interleaver import interleave, whiten_error_vector
 
 
@@ -188,8 +188,8 @@ def test_drift_schedule_config_digests(tmp_path):
 
 
 def block_rows(row_words):
-    """Frames per block of the simulator's raw words."""
-    return max(1, _BLOCK_WORDS // row_words)
+    """Frames per block of the simulator's raw words, 8 bytes each."""
+    return max(1, BLOCK_BYTES // (8 * row_words))
 
 
 def test_block_crossing_hybrid_digests(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import hybridchan.trace
 from hybridchan import (
     ReceiveStatus,
     Trace,
@@ -361,7 +362,7 @@ class TestMatchesReference:
         tx, rx = sim_pair(r=0.1, s=0.5, p=0.05, n_frames=400, frame_len=8000,
                           seed=35, clock_skew_ppm=50.0,
                           clock_offset_us=10_000, timestamp_jitter_us=50)
-        step = recovery._BLOCK_BYTES // (recovery.MAX_CANDIDATES * 1000)
+        step = hybridchan.trace.BLOCK_BYTES // (recovery.MAX_CANDIDATES * 1000)
         _, summary = recover_trace(joined(tx, rx), scrub=True)
         assert summary.n_attempted > 3 * step
         assert_matches_reference(tx, rx, scrub=True)
@@ -385,7 +386,8 @@ class TestMatchesReference:
             tracemalloc.stop()
         # a block's few temporaries, against one float per frame and anchor
         n_anchors = int((trace.rx.status == OK).sum())
-        assert peak < 3 * recovery._BLOCK_BYTES < 8 * n_anchors * summary.n_attempted
+        assert (peak < 3 * hybridchan.trace.BLOCK_BYTES
+                < 8 * n_anchors * summary.n_attempted)
         assert_matches_reference(tx, shared, scrub=True)
 
     def test_scrub_never_scores_an_unknown_truth_correct(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hybridchan.trace
 import reference_traceio
 from hybridchan import (
     ChannelParams,
@@ -346,6 +347,23 @@ def test_load_pair_rx_seq_without_tx_names_rx_file(tmp_path):
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize("tx_file", ["meta-only", "rx"])
+def test_load_pair_refuses_rx_records_without_tx_records(tmp_path, tx_file):
+    """A tx file of only its #meta line, or the rx file given as both
+    files, pairs rx records with no tx record."""
+    trace = three_frame_trace()
+    rx_only = Trace(trace.meta, rx=trace.rx)
+    meta_only, rx_path = tmp_path / "meta-only.trace", tmp_path / "rx.trace"
+    write_trace(Trace(trace.meta), meta_only)
+    write_trace(rx_only, rx_path)
+    with pytest.raises(TraceFormatError) as info:
+        load_pair(tmp_path / f"{tx_file}.trace", rx_path)
+    assert str(info.value) == f"{rx_path}:2: more rx records than tx records"
+    # a trace of one side still validates, and a pair of no records loads
+    rx_only.validate()
+    assert load_pair(meta_only, meta_only) == Trace(trace.meta)
+
+
 # Fuzzing: start from well-formed files and damage them in the ways real
 # files get damaged.  Each mutation is a tuple so failures print readably.
 _mutations = st.one_of(
@@ -439,20 +457,22 @@ _BASES = _fuzz_bases()
 
 
 @contextlib.contextmanager
-def _blocks_of(size):
-    """traceio reading and writing blocks of about size bytes of text, and
-    formatting the heads of size records at a time."""
-    saved = traceio._BLOCK_BYTES, traceio._WRITE_BLOCK_BYTES, traceio._HEAD_RECORDS
-    traceio._BLOCK_BYTES = traceio._WRITE_BLOCK_BYTES = traceio._HEAD_RECORDS = size
+def _budget_of(budget):
+    """Every blocked pass on a budget of budget bytes (trace.BLOCK_BYTES):
+    traceio reads blocks of 4 * budget bytes of text, decodes and writes
+    about budget bytes of hex at a time, and formats the heads of budget
+    records at a time."""
+    saved = hybridchan.trace.BLOCK_BYTES, traceio._HEAD_RECORDS
+    hybridchan.trace.BLOCK_BYTES = traceio._HEAD_RECORDS = budget
     try:
         yield
     finally:
-        traceio._BLOCK_BYTES, traceio._WRITE_BLOCK_BYTES, traceio._HEAD_RECORDS = saved
+        hybridchan.trace.BLOCK_BYTES, traceio._HEAD_RECORDS = saved
 
 
-# A few dozen bytes or less: seams fall inside lines, between CR and LF,
-# at blank lines and before a last line without LF.
-_small_blocks = st.integers(1, 64)
+# Read blocks of a few dozen bytes or less: seams fall inside lines,
+# between CR and LF, at blank lines and before a last line without LF.
+_small_budgets = st.integers(1, 16)
 
 
 @settings(max_examples=300, deadline=None)
@@ -463,9 +483,9 @@ def test_read_trace_fuzz(tmp_path_factory, base, mutations):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(range(len(_BASES))), st.lists(_mutations, min_size=1, max_size=3),
-       _small_blocks)
-def test_read_trace_fuzz_in_small_blocks(tmp_path_factory, base, mutations, block):
-    with _blocks_of(block):
+       _small_budgets)
+def test_read_trace_fuzz_in_small_blocks(tmp_path_factory, base, mutations, budget):
+    with _budget_of(budget):
         _read_mutated(tmp_path_factory, base, mutations)
 
 
@@ -575,9 +595,9 @@ def test_columns_match_reference_records(tmp_path_factory, trace):
 
 
 @settings(max_examples=100, deadline=None)
-@given(valid_traces(), _small_blocks)
-def test_columns_match_reference_records_in_small_blocks(tmp_path_factory, trace, block):
-    with _blocks_of(block):
+@given(valid_traces(), _small_budgets)
+def test_columns_match_reference_records_in_small_blocks(tmp_path_factory, trace, budget):
+    with _budget_of(budget):
         _columns_match_reference(tmp_path_factory, trace)
 
 
@@ -592,10 +612,10 @@ def _columns_match_reference(tmp_path_factory, trace):
 
 
 @settings(max_examples=150, deadline=None)
-@given(valid_traces(), st.none() | _small_blocks)
-def test_writer_matches_reference_writer(tmp_path_factory, trace, block):
+@given(valid_traces(), st.none() | _small_budgets)
+def test_writer_matches_reference_writer(tmp_path_factory, trace, budget):
     tmp = tmp_path_factory.mktemp("write")
-    with _blocks_of(block) if block else contextlib.nullcontext():
+    with _budget_of(budget) if budget else contextlib.nullcontext():
         write_trace(trace, tmp / "a.trace")
     reference_traceio.write(trace, tmp / "b.trace")
     assert (tmp / "a.trace").read_bytes() == (tmp / "b.trace").read_bytes()
@@ -623,7 +643,7 @@ def test_write_run_matches_write_trace(tmp_path_factory, trace, data):
             sorted(data.draw(st.lists(st.integers(0, len(getattr(trace, name))),
                                       min_size=n_blocks - 1, max_size=n_blocks - 1))))]
         for name in ("tx", "rx")))
-    with _blocks_of(data.draw(_small_blocks)):
+    with _budget_of(data.draw(_small_budgets)):
         traceio.write_run(blocks, tmp / "tx.trace", tmp / "rx.trace")
     write_trace(Trace(trace.meta, tx=trace.tx), tmp / "whole-tx.trace")
     write_trace(Trace(trace.meta, rx=trace.rx), tmp / "whole-rx.trace")
@@ -702,9 +722,9 @@ def test_faults_match_reference(tmp_path_factory, base, mutations):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(range(len(_BASES))), st.lists(_mutations, min_size=1, max_size=3),
-       _small_blocks)
-def test_faults_match_reference_in_small_blocks(tmp_path_factory, base, mutations, block):
-    with _blocks_of(block):
+       _small_budgets)
+def test_faults_match_reference_in_small_blocks(tmp_path_factory, base, mutations, budget):
+    with _budget_of(budget):
         _faults_match_reference(tmp_path_factory, base, mutations)
 
 
@@ -824,6 +844,17 @@ _SEAMS = (
 )
 
 
+def _seams(path, text):
+    """Write text to path with 0 to 3 blank lines after its #meta line, and
+    yield each count with the budgets to read it on: a read block ends 4 *
+    budget bytes after that line, so the pairs put a seam at every byte of
+    the record lines."""
+    meta, records = text.encode().split(b"\n", 1)
+    for pad in range(4):
+        path.write_bytes(meta + b"\n" * (1 + pad) + records)
+        yield pad, range(1, len(records) // 4 + 2)
+
+
 def test_every_block_seam(tmp_path):
     """A seam anywhere: inside a line, between CR and LF, at a blank line
     (ASCII or not) and before a last line without LF."""
@@ -833,9 +864,10 @@ def test_every_block_seam(tmp_path):
     _, tx, rx = reference_traceio.read(path)
     assert len(tx) == len(rx) == 3
     assert _records(want.tx) == tx and _records(want.rx) == rx
-    for block in range(1, len(_SEAMS.encode()) + 1):
-        with _blocks_of(block):
-            assert read_trace(path) == want, block
+    for pad, budgets in _seams(path, _SEAMS):
+        for budget in budgets:
+            with _budget_of(budget):
+                assert read_trace(path) == want, (pad, budget)
 
 
 @pytest.mark.parametrize("text,line", [
@@ -847,12 +879,12 @@ def test_every_block_seam(tmp_path):
 ], ids=["rx-count", "rx-order", "phy-payload", "hex", "not-blank"])
 def test_every_block_seam_of_a_faulty_file(tmp_path, text, line):
     path = tmp_path / "t.trace"
-    path.write_bytes(text.encode())
-    want = _outcome(reference_traceio.read, path)
-    assert want[:2] == ("fault", line)
-    for block in range(1, len(text.encode()) + 1):
-        with _blocks_of(block):
-            assert _outcome(read_trace, path) == want, block
+    for pad, budgets in _seams(path, text):
+        want = _outcome(reference_traceio.read, path)
+        assert want[:2] == ("fault", line + pad)
+        for budget in budgets:
+            with _budget_of(budget):
+                assert _outcome(read_trace, path) == want, (pad, budget)
 
 
 def _read_peak(path):
@@ -898,7 +930,7 @@ def test_error_path_holds_one_copy_of_the_file(tmp_path, bad):
     # at 2.2 times it on either path.
     assert _read_peak(faulty) < 2.2 * len(text)
     # With blocks far smaller than the file, the locator's copy is the peak.
-    with _blocks_of(1 << 15):
+    with _budget_of(1 << 13):  # read blocks of 32 KiB
         assert _read_peak(faulty) < 1.1 * len(text)
 
 
@@ -907,12 +939,13 @@ def test_read_holds_no_copy_of_the_file(tmp_path):
     small, large = tmp_path / "small.trace", tmp_path / "large.trace"
     small.write_text(_rx_text(4000))  # about 2 MB, half of it packed rows
     large.write_text(_rx_text(8000))
-    with _blocks_of(1 << 15):
+    with _budget_of(1 << 13):  # read blocks of 32 KiB
         assert _read_peak(small) < 0.7 * small.stat().st_size
     # 4000 more records add their packed rows and columns, no more; besides
     # those the reader holds about one and a half blocks.
     assert _read_peak(large) - _read_peak(small) < 4000 * (250 + 64)
-    assert _read_peak(large) - 8000 * (250 + 48) < 1.75 * traceio._BLOCK_BYTES
+    read_block = 4 * hybridchan.trace.BLOCK_BYTES
+    assert _read_peak(large) - 8000 * (250 + 48) < 1.75 * read_block
 
 
 def test_write_peak_does_not_grow_with_records(tmp_path):
