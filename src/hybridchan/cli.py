@@ -216,7 +216,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    trace = load_pair(args.tx_trace, args.rx_trace)
+    trace = load_pair(args.tx_trace, args.rx_trace, corrupted_only=True)
     table = stats.error_table(trace, None if args.no_interleave else args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -319,7 +319,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    trace = load_pair(args.tx_trace, args.rx_trace)
+    trace = load_pair(args.tx_trace, args.rx_trace, corrupted_only=True)
     if not len(trace.rx):
         raise TraceFormatError("rx trace has no records", str(args.rx_trace))
     report = capacity_report(trace, rssi_bin_width=args.rssi_bin)

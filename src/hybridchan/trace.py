@@ -6,9 +6,13 @@ side is a set of columns with one entry per record, in trace order (Side):
 sequence number, timestamp, status code, RSSI with a presence mask, and
 the record's row in one packed payload matrix.  Payloads are stored
 packed, big-endian as in the trace file: ceil(n_bits/8) bytes per row with
-zero pad bits, so the analyses XOR and count bytes.  Columns and payloads
-are read-only, so sides can be shared freely.  There is no row type: a
-record is an index into the columns, and its payload bits are
+zero pad bits, so the analyses XOR and count bytes.  A side need not hold
+every payload: the row of a record whose payload was not loaded is
+NOT_LOADED, and that of a PHY error, which has none, is -1.  So a side
+read for the corrupted frames alone (traceio.load_pair) holds their rows
+and no others, and its columns are whole.  Columns and payloads are
+read-only, so sides can be shared freely.  There is no row type: a record
+is an index into the columns, and its payload bits are
 np.unpackbits(side.payloads(i), count=side.n_bits).
 """
 
@@ -68,6 +72,10 @@ PHY, CRC, OK = (STATUSES.index(s) for s in
 
 # The seq column's entry for an unknown sequence number ("?" in a file).
 UNKNOWN_SEQ = -1
+
+# The row column's entry for a record that has a payload the side does not
+# hold; a PHY error, which has none, has row -1.
+NOT_LOADED = -2
 
 # seq, timestamp and RSSI have at most this many digits, as in a trace
 # file, so every value fits an int64 column.
@@ -134,8 +142,9 @@ class Side:
     seq is UNKNOWN_SEQ where the sequence number is unknown, status a code
     (PHY, CRC or OK), rssi is 0 where has_rssi is False.  row is the
     record's row in packed, a uint8 matrix of ceil(n_bits/8) bytes per
-    payload, or -1 for a PHY error; packed may hold rows no record uses,
-    and n_bits is 0 when it holds none.
+    payload, -1 for a PHY error or NOT_LOADED for a payload the side does
+    not hold; packed may hold rows no record uses, and n_bits is 0 when no
+    record has a payload.
     """
 
     seq: np.ndarray
@@ -177,9 +186,9 @@ class Side:
             raise TraceError("sequence numbers must not be negative")
         if (self.rssi[~self.has_rssi] != 0).any():
             raise TraceError("rssi must be 0 where it is absent")
-        if not ((self.row >= -1) & (self.row < len(packed))).all():
+        if not ((self.row >= NOT_LOADED) & (self.row < len(packed))).all():
             raise TraceError("payload row outside the payload matrix")
-        if ((self.row >= 0) != (self.status != PHY)).any():
+        if ((self.row == -1) != (self.status == PHY)).any():
             raise TraceError("PHY-error frames and only they carry no payload")
         if self.n_bits % 8 and (packed[:, -1] & (0xFF >> self.n_bits % 8)).any():
             raise TraceError("nonzero padding bits past the declared bit length")
@@ -190,13 +199,19 @@ class Side:
         return cls(none, none, none, none, none, none, np.zeros((0, 0), np.uint8))
 
     def corrupted(self) -> np.ndarray:
-        """Indices of the corrupted records, CRC errors with a known seq:
-        the frames whose error vectors the analyses read."""
-        return np.flatnonzero((self.status == CRC) & (self.seq != UNKNOWN_SEQ))
+        """Indices of the corrupted records (is_corrupted): the frames whose
+        error vectors the analyses read."""
+        return np.flatnonzero(is_corrupted(self.status, self.seq))
 
     def payloads(self, index) -> np.ndarray:
-        """Packed payload rows of the records at index (none may be PHY errors)."""
-        return self.packed[self.row[index]]
+        """Packed payload rows of the records at index; raises TraceError
+        if one of them has no payload or one the side does not hold."""
+        row = self.row[index]
+        if (row < 0).any():
+            missing = int(np.min(row))
+            raise TraceError("payload not loaded" if missing == NOT_LOADED
+                             else "a PHY-error frame has no payload")
+        return self.packed[row]
 
     def __len__(self) -> int:
         return self.seq.size
@@ -216,6 +231,11 @@ class Side:
             return True
         return self.n_bits == other.n_bits and np.array_equal(
             self.payloads(held), other.payloads(held))
+
+
+def is_corrupted(status, seq):
+    """Which records are corrupted: CRC errors with a known seq."""
+    return (status == CRC) & (seq != UNKNOWN_SEQ)
 
 
 def _seq_text(seq) -> str:
@@ -259,7 +279,7 @@ class Trace:
                 f"tx sequence numbers must be consecutive from 0; "
                 f"record {i} has seq {_seq_text(tx.seq[i])}", ("tx", i)
             )
-        bad = tx.row < 0
+        bad = tx.status == PHY
         if bad.any():
             i = int(bad.argmax())
             raise TraceError(f"tx seq {i} carries no payload", ("tx", i))
@@ -267,9 +287,9 @@ class Trace:
             # per record, payload length before timestamp order
             faults = []
             if side.n_bits != self.meta.frame_len:
-                held = side.row >= 0
-                if held.any():
-                    i = int(held.argmax())
+                with_payload = side.status != PHY
+                if with_payload.any():
+                    i = int(with_payload.argmax())
                     faults.append((i, 0, f"{side_name} seq {_seq_text(side.seq[i])}: "
                                          f"payload length {side.n_bits} != frame_len "
                                          f"{self.meta.frame_len}"))

@@ -29,7 +29,10 @@ validates the run's gathered columns and only then gives both files
 their names.  read_trace checks
 the heads of a block with an anchored regex, converts them with numpy and
 decodes the block's payloads, a hex decode per budget of hex, into the
-file's packed matrix, which is allocated once.  That path only accepts
+file's packed matrix, allocated once for every payload the file can
+hold.  A read may hold only some payloads (load_pair's corrupted_only):
+every payload is still decoded, only the rows it holds are copied, and
+its matrix grows as they come.  That path only accepts
 and keeps no line numbers.  When it meets any malformed record line it reads the
 file again, line by line, and the first line that fails the per-line
 checks (_line_fault) names the fault.  So faults are reported in file
@@ -54,6 +57,7 @@ from . import trace as _trace
 from .trace import (
     CRC,
     MAX_DIGITS,
+    NOT_LOADED,
     OK,
     PHY,
     STATUSES,
@@ -64,6 +68,7 @@ from .trace import (
     TraceError,
     TraceFormatError,
     TraceMeta,
+    is_corrupted,
     row_blocks,
 )
 
@@ -237,10 +242,23 @@ def _meta_line(meta: TraceMeta) -> bytes:
             f'interval_us={meta.interval_us} desc="{_quote(desc)}"\n').encode()
 
 
+def _check_loaded(name: str, side: Side) -> None:
+    """Refuse a side that does not hold every payload: its file would have
+    no line for those."""
+    unloaded = side.row == NOT_LOADED
+    if unloaded.any():
+        i = int(unloaded.argmax())
+        raise TraceError(f"{name} record {i}: payload not loaded, so it cannot "
+                         f"be written", (name, i))
+
+
 def write_trace(trace: Trace, path: str | Path) -> None:
-    """Write a trace; the on-disk form round-trips bit-exactly."""
+    """Write a trace; the on-disk form round-trips bit-exactly.  Every
+    payload must be loaded."""
     meta_line = _meta_line(trace.meta)
     trace.validate()
+    for name in ("tx", "rx"):
+        _check_loaded(name, getattr(trace, name))
     with Path(path).open("wb") as fh:
         fh.write(meta_line)
         for name, side in (("tx", trace.tx), ("rx", trace.rx)):
@@ -251,8 +269,7 @@ class _SideWriter:
     """One side of a run, written to fh a block of records at a time.
 
     The first block writes the #meta line.  Each block's columns are kept,
-    and which of its records hold a payload, so that trace() gives the
-    run's columns without its payload rows.
+    so that trace() gives the run's columns without its payload rows.
     """
 
     def __init__(self, name: str, fh) -> None:
@@ -261,7 +278,6 @@ class _SideWriter:
         self.n_bits: int | None = None  # that of the blocks with payload rows
         self.columns: dict[str, list[np.ndarray]] = {
             key: [] for key in _SIDE_COLUMNS if key != "row"}
-        self.held: list[np.ndarray] = []
 
     def write(self, trace: Trace) -> None:
         side, other = (trace.tx, trace.rx) if self.name == "tx" else (trace.rx, trace.tx)
@@ -275,24 +291,18 @@ class _SideWriter:
             raise ValueError(f"a block of a run's {self.name} trace must hold only "
                              f"{self.name} records, with the first block's metadata "
                              f"and payload length")
+        _check_loaded(self.name, side)
         self.fh.writelines(_record_blocks(self.name, side))
         for key, column in self.columns.items():
             column.append(getattr(side, key))
-        self.held.append(side.row >= 0)
 
     def trace(self) -> Trace:
-        """The trace of the run's records, with every payload zero: its
-        packed matrix is one row of zero bytes, broadcast."""
-        n_bits = self.n_bits or 0
-        width = (n_bits + 7) // 8
-        held = np.concatenate(self.held)
+        """The trace of the run's records, holding none of their payloads."""
         # popped, so that each block's parts go once their column is whole
-        side = Side(**{key: np.concatenate(self.columns.pop(key))
-                       for key in list(self.columns)},
-                    row=np.where(held, np.cumsum(held) - 1, -1),
-                    packed=np.broadcast_to(np.zeros(width, dtype=np.uint8),
-                                           (int(held.sum()), width)),
-                    n_bits=n_bits)
+        columns = {key: np.concatenate(self.columns.pop(key))
+                   for key in list(self.columns)}
+        side = Side(**columns, row=np.where(columns["status"] == PHY, -1, NOT_LOADED),
+                    packed=np.zeros((0, 0), dtype=np.uint8), n_bits=self.n_bits or 0)
         return Trace(self.meta, **{self.name: side})
 
 
@@ -506,16 +516,21 @@ def _line_spans(data, size: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-def _read(path: Path) -> Trace:
-    """The trace in path.
+def _read(path: Path, keep=None, rows: int | None = None) -> Trace:
+    """The trace in path, holding the payloads of the records keep picks.
 
+    keep maps a block's columns (_read_block) to a mask of the records
+    whose payloads to hold; None holds every payload.  rows is the number
+    of payload rows to make room for at the start (more are made as they
+    come); None makes room for every payload the file can hold.
     _read_columns reads the file; when it refuses the file, _first_fault
     reads it again and names the fault.
     """
-    read = _read_columns(path)
+    read = _read_columns(path, keep, rows)
     if read is None:
         raise _first_fault(path)
     meta, columns, packed = read
+    n_bits = meta.frame_len if (columns["status"] != PHY).any() else 0
     sides = {}
     for name, pick in (("tx", ~columns["is_rx"]), ("rx", columns["is_rx"])):
         # a side written as one run of lines is a slice of the columns
@@ -525,7 +540,7 @@ def _read(path: Path) -> Trace:
                  else np.flatnonzero(pick))
         sides[name] = Side(
             **{key: columns[key][index] for key in _SIDE_COLUMNS},
-            packed=packed, n_bits=meta.frame_len if packed.size else 0,
+            packed=packed, n_bits=n_bits,
         )
     trace = Trace(meta=meta, tx=sides["tx"], rx=sides["rx"])
     try:
@@ -561,11 +576,15 @@ def _blocks(fh):
         del block  # the caller drops it too, so that one block is held at a time
 
 
-def _read_block(block: bytearray, size: int, n_bits: int,
-                packed: np.ndarray, row: int) -> dict[str, np.ndarray] | None:
-    """The columns of the record lines in block[:size] (see _blocks), whose
-    payloads go to packed from row on; None at the first sign of a
-    malformed record line."""
+def _read_block(block: bytearray, size: int, n_bits: int, packed: np.ndarray,
+                row: int, keep=None) -> dict[str, np.ndarray] | None:
+    """The columns of the record lines in block[:size] (see _blocks); None
+    at the first sign of a malformed record line.
+
+    Every payload is decoded, and those of the records keep picks (see
+    _read; all if keep is None) go to packed from row on, in order.
+    packed grows in place when they do not fit.
+    """
     if not block.isascii():  # NUL padding is ASCII
         try:
             block.decode()
@@ -605,16 +624,26 @@ def _read_block(block: bytearray, size: int, n_bits: int,
     if ((columns["status"] == PHY) != no_payload).any():
         return None
 
+    held = ~no_payload
+    kept = held if keep is None else held & keep(columns)
+    need = row + int(kept.sum())
+    if need > len(packed):
+        packed.resize((max(need, 2 * len(packed)), (n_bits + 7) // 8), refcheck=False)
     # The payloads' gathered hex a budget at a time, so that it and its
     # bytes take less room than the block.
-    payload = cut[~no_payload] + 1
+    payload, taken, at = cut[held] + 1, kept[held], row
     for rows in row_blocks(payload.size, width):
-        try:  # a file grown since its size was taken may overfill packed
-            packed[row + rows.start:row + rows.stop] = _unhex(
-                sliding_window_view(byte, width)[payload[rows]], n_bits)
+        try:
+            decoded = _unhex(sliding_window_view(byte, width)[payload[rows]], n_bits)
         except ValueError:
             return None
-    columns["row"] = np.where(no_payload, -1, row + np.cumsum(~no_payload) - 1)
+        if keep is not None:
+            decoded = decoded[taken[rows]]
+        if len(decoded):  # packed may have no width yet
+            packed[at:at + len(decoded)] = decoded
+            at += len(decoded)
+    columns["row"] = np.where(kept, row + np.cumsum(kept) - 1,
+                              np.where(held, NOT_LOADED, -1))
     return columns
 
 
@@ -625,9 +654,10 @@ _COLUMN_TYPES = (("is_rx", bool), ("seq", np.int64), ("timestamp_us", np.int64),
 
 
 def _read_columns(
-    path: Path,
+    path: Path, keep=None, rows: int | None = None,
 ) -> tuple[TraceMeta, dict[str, np.ndarray], np.ndarray] | None:
-    """(meta, columns, packed payloads) of the records in path.
+    """(meta, columns, packed payloads) of the records in path, packed
+    holding those keep picks, in room for rows of them (see _read).
 
     The file is read a block at a time (_read_block).  This path only
     accepts: at the first sign of a malformed record line, or of a fault of
@@ -644,11 +674,12 @@ def _read_columns(
         n_bits = meta.frame_len
         # Room for every payload: a line holding one is at least its hex
         # digits plus _MIN_FRAME bytes long, less the LF on the last line.
-        rows = (rest - len(first) + 1) // (2 * ((n_bits + 7) // 8) + _MIN_FRAME)
+        most = (rest - len(first) + 1) // (2 * ((n_bits + 7) // 8) + _MIN_FRAME)
+        rows = most if rows is None else min(rows, most)
         packed = np.empty((rows, (n_bits + 7) // 8) if rows else (0, 0), dtype=np.uint8)
         parts, row = [], 0
         for block, size in _blocks(fh):
-            columns = _read_block(block, size, n_bits, packed, row)
+            columns = _read_block(block, size, n_bits, packed, row, keep)
             del block
             if columns is None:
                 return None
@@ -708,14 +739,35 @@ def _record_fault(exc: TraceError, path: Path) -> TraceFormatError:
     return TraceFormatError(str(exc), str(path), line)
 
 
-def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
+def load_pair(tx_path: str | Path, rx_path: str | Path, *,
+              corrupted_only: bool = False) -> Trace:
     """Combine a tx-side file and an rx-side file into one trace.
 
     The two files must agree on rate, frame length and interval; the trace
     keeps the rx file's meta, description included.
+
+    corrupted_only holds only the payloads the analyses of corrupted
+    frames read: those of rx.corrupted() and of the tx records at their
+    seqs.  The other records keep their columns, with row NOT_LOADED.  The
+    rx file is read first, to learn those seqs, but either way every line
+    of both files is checked, and of two faulty files the tx file's fault
+    is the one reported.
     """
-    tx = read_trace(tx_path)
-    rx = read_trace(rx_path)
+    if corrupted_only:
+        # The rx file's count of corrupted records is known once it is read,
+        # so its matrix starts empty; the tx file's holds one row per seq.
+        try:
+            rx = _read(Path(rx_path), lambda columns: columns["is_rx"] & is_corrupted(
+                columns["status"], columns["seq"]), rows=0)
+        except (TraceFormatError, OSError):
+            read_trace(tx_path)  # its fault, if any, comes first
+            raise
+        wanted = rx.rx.seq[rx.rx.corrupted()]
+        tx = _read(Path(tx_path), lambda columns: ~columns["is_rx"] & np.isin(
+            columns["seq"], wanted), rows=wanted.size)
+    else:
+        tx = read_trace(tx_path)
+        rx = read_trace(rx_path)
     if (tx.meta.rate_bps, tx.meta.frame_len, tx.meta.interval_us) != (
         rx.meta.rate_bps,
         rx.meta.frame_len,
@@ -725,7 +777,7 @@ def load_pair(tx_path: str | Path, rx_path: str | Path) -> Trace:
             f"metadata mismatch between {tx_path} and {rx_path}", str(rx_path)
         )
     merged = Trace(meta=rx.meta, tx=tx.tx, rx=rx.rx)
-    # read_trace has validated each side; only the pairing is new here.
+    # Reading each file has validated its sides; only the pairing is new here.
     # validate_pairing passes rx records without tx records, as one side of
     # a trace, but a pair needs a tx record for each.
     try:

@@ -671,6 +671,96 @@ class TestCapacityCmd:
         assert not rep.exists()
 
 
+class TestCorruptedOnlyLoad:
+    """analyze and capacity load only the payloads of corrupted frames and
+    of their tx records, and write what a full load gives."""
+
+    @staticmethod
+    def edit_rx(run, edit):
+        """Rewrite each rx record line of run as edit(index, fields) says."""
+        lines = (run / "rx.trace").read_text().splitlines()
+        for i, line in enumerate(lines[1:], 1):
+            fields = line.split(" ")
+            edit(i, fields)
+            lines[i] = " ".join(fields)
+        (run / "rx.trace").write_text("\n".join(lines) + "\n")
+
+    def unknown_seqs(self, run):
+        def edit(i, fields):
+            if fields[3] == "crc" and i % 3 == 0:
+                fields[1] = "?"
+        self.edit_rx(run, edit)
+
+    def rssi(self, run):
+        def edit(i, fields):
+            fields[4] = str(-60 - i % 7)
+        self.edit_rx(run, edit)
+
+    @pytest.mark.parametrize("flags, edit", [
+        ([], None),
+        (["--s", 1], None),  # no corrupted frame
+        (["--p", 0], None),  # corrupted frames without a flip
+        ([], "unknown_seqs"),  # corrupted records with seq ?, not loaded
+        ([], "rssi"),
+    ], ids=["hybrid", "s1", "p0", "unknown-seq", "rssi"])
+    def test_outputs_equal_full_load(self, tmp_path, capsys, monkeypatch, flags, edit):
+        run = simulate(tmp_path, "run", flags)
+        if edit:
+            getattr(self, edit)(run)
+        pair = [run / "tx.trace", run / "rx.trace"]
+        commands = [("analyze", ["--seed", 5]), ("analyze", ["--no-interleave"]),
+                    ("capacity", ["--rssi-bin", 2])]
+        capsys.readouterr()
+
+        def outputs(name):
+            printed = []
+            for k, (command, extra) in enumerate(commands):
+                assert run_cli([command, *pair, *extra,
+                                "--out", tmp_path / name / str(k)]) == 0
+                printed.append(capsys.readouterr().out.replace(str(tmp_path / name), ""))
+            return printed, {path.relative_to(tmp_path / name): path.read_bytes()
+                             for path in sorted((tmp_path / name).rglob("*"))
+                             if path.is_file()}
+
+        loads = []
+        monkeypatch.setattr(cli, "load_pair", lambda tx, rx, **kwargs: (
+            loads.append(kwargs) or load_pair(tx, rx, **kwargs)))
+        partial = outputs("partial")
+        assert loads == [{"corrupted_only": True}] * 3
+        monkeypatch.setattr(cli, "load_pair", lambda tx, rx, **kwargs: load_pair(tx, rx))
+        assert outputs("full") == partial
+        corrupted = load_pair(*pair, corrupted_only=True).rx.corrupted()
+        assert (corrupted.size == 0) == (flags == ["--s", 1])
+
+    @pytest.mark.parametrize("command", ["analyze", "capacity"])
+    def test_bad_hex_on_a_row_not_loaded_exits_2(self, tmp_path, capsys, command):
+        run = simulate(tmp_path, "run")
+        rx = load_pair(run / "tx.trace", run / "rx.trace", corrupted_only=True)
+        clean = int(rx.rx.seq[rx.rx.status == OK][0])
+        assert rx.tx.row[clean] == hybridchan.trace.NOT_LOADED
+        lines = (run / "tx.trace").read_text().splitlines()
+        lines[1 + clean] = lines[1 + clean][:-1] + "g"
+        (run / "tx.trace").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run_cli([command, run / "tx.trace", run / "rx.trace", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"hybridchan: parse error: {run / 'tx.trace'}:{clean + 2}: "
+            "payload must be lowercase hex digits\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "capacity", "recover"])
+    def test_of_two_bad_files_the_tx_file_is_named(self, tmp_path, capsys, command):
+        run = simulate(tmp_path, "run")
+        for name in ("tx", "rx"):
+            with (run / f"{name}.trace").open("a") as fh:
+                fh.write(f"{name} 999 0 ok - zz\n")
+        out = tmp_path / "out"
+        assert run_cli([command, run / "tx.trace", run / "rx.trace", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"hybridchan: parse error: {run / 'tx.trace'}:202: "
+            "payload hex has 2 digits, expected 126 for 500 bits\n")
+
+
 class TestRecoverCmd:
     def test_scrub_reports_accuracy(self, tmp_path, capsys):
         run = tmp_path / "run"

@@ -11,7 +11,7 @@ from hybridchan import (
     TraceError,
     TraceMeta,
 )
-from hybridchan.trace import CRC, OK, PHY, UNKNOWN_SEQ
+from hybridchan.trace import CRC, NOT_LOADED, OK, PHY, UNKNOWN_SEQ
 from hybridchan.traceio import hex_to_packed
 
 from conftest import Row, rows, side
@@ -236,6 +236,8 @@ class TestSide:
             (dict(seq=[0, -2, 2]), "must not be negative"),
             (dict(row=[0, 1, 1]), "carry no payload"),
             (dict(row=[0, -1, -1]), "carry no payload"),
+            (dict(row=[0, 1, NOT_LOADED]), "carry no payload"),
+            (dict(row=[0, NOT_LOADED - 1, -1]), "outside the payload matrix"),
             (dict(row=[0, 2, -1]), "outside the payload matrix"),
             (dict(rssi=[-61, 3, 0]), "rssi must be 0"),
             (dict(packed=[[0b10110100], [0]]), "padding"),
@@ -245,6 +247,28 @@ class TestSide:
         ):
             with pytest.raises(TraceError, match=message):
                 Side(**{**self.columns(), **change})
+
+    def test_unloaded_payload_rows(self):
+        """A side may hold only some payloads; asking for another raises."""
+        s = Side(**{**self.columns(), "row": [NOT_LOADED, 0, -1],
+                    "packed": [[0b00111000]]})
+        assert s.payloads([1]).tolist() == [[0b00111000]]
+        for index, message in ((0, "payload not loaded"), ([1, 0], "payload not loaded"),
+                               (2, "a PHY-error frame has no payload")):
+            with pytest.raises(TraceError, match=message):
+                s.payloads(index)
+        assert s != Side(**self.columns())
+        # validation reads the status column, not the rows held
+        meta = TraceMeta(rate_bps=54e6, frame_len=5, interval_us=100)
+        tx = Side(seq=[0, 1], timestamp_us=[0, 1], status=[OK, CRC], rssi=[0, 0],
+                  has_rssi=[False, False], row=[NOT_LOADED, NOT_LOADED],
+                  packed=np.zeros((0, 1), np.uint8), n_bits=5)
+        Trace(meta, tx=tx).validate()
+        with pytest.raises(TraceError, match="payload length 4 != frame_len 5"):
+            Trace(meta, tx=Side(**{**vars(tx), "n_bits": 4})).validate()
+        with pytest.raises(TraceError, match="tx seq 1 carries no payload"):
+            Trace(meta, tx=Side(**{**vars(tx), "status": [OK, PHY],
+                                   "row": [NOT_LOADED, -1]})).validate()
 
     def test_values_past_18_digits_rejected(self):
         for value in (10**18, -10**18, 2**63):

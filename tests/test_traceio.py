@@ -25,7 +25,7 @@ from hybridchan import (
     traceio,
     write_trace,
 )
-from hybridchan.trace import CRC
+from hybridchan.trace import CRC, NOT_LOADED, OK
 from hybridchan.traceio import load_pair
 
 from conftest import Row, rows, side
@@ -533,6 +533,171 @@ def test_load_pair_fuzz_rx_side(tmp_path_factory, mutations):
     trace.validate()
 
 
+# load_pair(corrupted_only=True) against the full load: the same fault,
+# or the same columns and the same payloads wherever it loads them.
+
+def _pair_outcome(tx_path, rx_path, corrupted_only):
+    """("read", trace) or ("fault", path, line, message) of load_pair."""
+    try:
+        return "read", load_pair(tx_path, rx_path, corrupted_only=corrupted_only)
+    except TraceFormatError as exc:
+        return "fault", exc.path, exc.line, str(exc)
+
+
+def _partial_matches_full(tx_path, rx_path):
+    full = _pair_outcome(tx_path, rx_path, False)
+    part = _pair_outcome(tx_path, rx_path, True)
+    if full[0] == "fault":
+        assert part == full
+        return
+    assert part[0] == "read"
+    full, part = full[1], part[1]
+    assert part.meta == full.meta
+    for name in ("tx", "rx"):
+        got, want = getattr(part, name), getattr(full, name)
+        for key in traceio._SIDE_COLUMNS[:-1]:
+            assert np.array_equal(getattr(got, key), getattr(want, key)), (name, key)
+        assert got.n_bits == want.n_bits
+        assert np.array_equal(got.row == -1, want.row == -1)
+    picked = part.rx.corrupted()
+    seqs = part.rx.seq[picked]
+    # exactly the rows the analyses read are held, and they equal the full load's
+    assert len(part.rx.packed) == np.count_nonzero(part.rx.row >= 0) == picked.size
+    assert len(part.tx.packed) == np.count_nonzero(part.tx.row >= 0) == np.unique(seqs).size
+    assert np.array_equal(part.rx.payloads(picked), full.rx.payloads(picked))
+    assert np.array_equal(part.tx.payloads(seqs), full.tx.payloads(seqs))
+
+
+def _pair_bases():
+    """(tx file, rx file) traces: the simulated pair split in two, and
+    whole files holding both sides, given as both files."""
+    sim = _BASES[1]
+    return [(Trace(sim.meta, tx=sim.tx), Trace(sim.meta, rx=sim.rx)),
+            (sim, sim), (_BASES[0], _BASES[0])]
+
+
+_PAIR_BASES = _pair_bases()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(range(len(_PAIR_BASES))), st.lists(_mutations, max_size=2),
+       st.lists(_mutations, max_size=2), st.none() | _small_budgets)
+def test_load_pair_corrupted_only_matches_full_load(tmp_path_factory, base, tx_mutations,
+                                                    rx_mutations, budget):
+    tmp = tmp_path_factory.mktemp("partial")
+    paths = tmp / "tx.trace", tmp / "rx.trace"
+    for path, trace, mutations in zip(paths, _PAIR_BASES[base],
+                                      (tx_mutations, rx_mutations)):
+        write_trace(trace, path)
+        data = path.read_bytes()
+        for mutation in mutations:
+            data = _mutate(data, mutation)
+        path.write_bytes(data)
+    with _budget_of(budget) if budget else contextlib.nullcontext():
+        _partial_matches_full(*paths)
+
+
+def _edge_pair(tmp_path, tx_lines=(), rx_lines=()):
+    """three_frame_trace's sides as a tx file and an rx file, with
+    record lines replaced: (index among the file's records, new line)."""
+    trace = three_frame_trace()
+    paths = tmp_path / "tx.trace", tmp_path / "rx.trace"
+    for path, name, lines in zip(paths, ("tx", "rx"), (tx_lines, rx_lines)):
+        write_trace(Trace(trace.meta, **{name: getattr(trace, name)}), path)
+        text = path.read_text().splitlines(keepends=True)
+        for i, line in lines:
+            text[1 + i] = line + "\n"
+        path.write_text("".join(text))
+    return paths
+
+
+@pytest.mark.parametrize("tx_lines, rx_lines, fault", [
+    # both files faulty: the tx file's fault, as a full load reports it
+    ([(1, "tx 1 20000 ok - A3F0")], [(0, "rx 0 37 ok -61 a3f")],
+     ("tx", 3, "payload must be lowercase hex digits")),
+    # an rx fault found by validation, after the rx file is read
+    ([(2, "tx 2 40000 bad - a3f0")], [(2, "rx 2 37 phy - -")],
+     ("tx", 4, "unknown status 'bad'")),
+    ([], [(2, "rx 2 37 phy - -")], ("rx", 4, "rx timestamps must be non-decreasing "
+                                          "(saw 37 after 20040)")),
+    ([], [(0, "rx 0 37 ok -61 a3f1")],
+     ("rx", 2, "nonzero padding bits past the declared bit length")),
+    # bad hex on a tx row that is not loaded (no rx record is corrupted
+    # with a known seq), and on one that is
+    ([(0, "tx 0 0 ok - a3fz")], [], ("tx", 2, "payload must be lowercase hex digits")),
+    ([(2, "tx 2 40000 ok - a3f1")], [(1, "rx 2 20040 crc -70 a7f0")],
+     ("tx", 4, "nonzero padding bits past the declared bit length")),
+    # a corrupted rx seq past the tx file, named by the pairing check
+    ([], [(1, "rx 7 20040 crc -70 a7f0"), (2, "rx ? 40038 phy - -")],
+     ("rx", 3, "rx seq 7 has no matching tx record")),
+], ids=["both", "tx-before-rx-invariant", "rx-invariant", "rx-hex", "unloaded-tx-hex",
+        "loaded-tx-hex", "seq-past-tx"])
+def test_load_pair_corrupted_only_faults(tmp_path, tx_lines, rx_lines, fault):
+    paths = _edge_pair(tmp_path, tx_lines, rx_lines)
+    name, line, message = fault
+    path = str(paths[name == "rx"])
+    for corrupted_only in (False, True):
+        assert _pair_outcome(*paths, corrupted_only) == (
+            "fault", path, line, f"{path}:{line}: {message}")
+
+
+def test_load_pair_corrupted_only_meta_mismatch(tmp_path):
+    tx_path, rx_path = _edge_pair(tmp_path, rx_lines=[(1, "rx 1 20040 crc -70 a7f0")])
+    rx_path.write_text(rx_path.read_text().replace("R=54000000", "R=48000000"))
+    with pytest.raises(TraceFormatError) as info:
+        load_pair(tx_path, rx_path, corrupted_only=True)
+    assert str(info.value) == (
+        f"{rx_path}: metadata mismatch between {tx_path} and {rx_path}")
+
+
+@pytest.mark.parametrize("rx_lines, held", [
+    ([], []),  # the corrupted record has seq ?: nothing is loaded
+    ([(1, "rx 1 20040 crc -70 a7f0")], [1]),
+    ([(0, "rx 0 37 crc -61 a3f0"), (1, "rx 1 20040 crc -70 a3f0")], [0, 1]),  # no flips
+], ids=["unknown-seq", "one", "no-flips"])
+def test_load_pair_corrupted_only_holds_corrupted_rows(tmp_path, rx_lines, held):
+    paths = _edge_pair(tmp_path, rx_lines=rx_lines)
+    _partial_matches_full(*paths)
+    trace = load_pair(*paths, corrupted_only=True)
+    assert trace.rx.seq[trace.rx.corrupted()].tolist() == held
+    assert np.flatnonzero(trace.tx.row >= 0).tolist() == held
+    assert (trace.tx.row[trace.tx.row < 0] == NOT_LOADED).all()
+    assert trace.rx.row[2] == -1  # the PHY error
+    with pytest.raises(TraceError, match="payload not loaded"):
+        trace.tx.payloads(np.arange(3))
+    # the columns are whole
+    assert len(trace.tx) == len(trace.rx) == 3
+
+
+def test_unloaded_rows_are_not_written(tmp_path):
+    paths = _edge_pair(tmp_path, rx_lines=[(1, "rx 1 20040 crc -70 a7f0")])
+    trace = load_pair(*paths, corrupted_only=True)
+    path = tmp_path / "out.trace"
+    with pytest.raises(TraceError, match="tx record 0: payload not loaded") as err:
+        write_trace(trace, path)
+    assert err.value.record == ("tx", 0) and not path.exists()
+    write_trace(load_pair(*paths), path)
+    with pytest.raises(TraceError, match="payload not loaded"):
+        traceio.write_run([(Trace(trace.meta, tx=trace.tx), Trace(trace.meta))],
+                          tmp_path / "a.trace", tmp_path / "b.trace")
+    assert not (tmp_path / "a.trace").exists()
+
+
+def test_run_is_validated_without_payload_rows(tmp_path, monkeypatch):
+    validated = []
+    validate = Trace.validate
+    monkeypatch.setattr(Trace, "validate",
+                        lambda self: validated.append(self) or validate(self))
+    blocks = _run_blocks([0, None, 2])
+    blocks[1] = (blocks[1][0], Trace(blocks[1][1].meta, rx=side(
+        [(None, 10, ReceiveStatus.PHY_ERROR)])))
+    traceio.write_run(blocks, tmp_path / "tx.trace", tmp_path / "rx.trace")
+    tx, rx = validated[0].tx, validated[1].rx
+    assert tx.row.tolist() == [NOT_LOADED] * 3 and tx.packed.size == 0
+    assert rx.row.tolist() == [NOT_LOADED, -1, NOT_LOADED] and rx.packed.size == 0
+    assert tx.n_bits == rx.n_bits == 12
+
+
 def test_lone_cr_is_not_a_line_break(tmp_path):
     path = tmp_path / "t.trace"
     write_trace(three_frame_trace(), path)
@@ -946,6 +1111,50 @@ def test_read_holds_no_copy_of_the_file(tmp_path):
     assert _read_peak(large) - _read_peak(small) < 4000 * (250 + 64)
     read_block = 4 * hybridchan.trace.BLOCK_BYTES
     assert _read_peak(large) - 8000 * (250 + 48) < 1.75 * read_block
+
+
+def _pair_text(n_corrupted, n_clean, seed=0):
+    """The tx and rx files of n_corrupted corrupted frames and then
+    n_clean clean ones, with 2000-bit payloads."""
+    tx = _rx_text(n_corrupted + n_clean, seed).replace("\nrx ", "\ntx ").replace(
+        " crc ", " ok ")
+    lines = tx.splitlines(keepends=True)
+    rx = lines[0] + "".join(
+        "rx" + line[2:].replace(" ok ", " crc " if i < n_corrupted else " ok ")
+        for i, line in enumerate(lines[1:]))
+    return tx, rx
+
+
+def _load_peak(tx_path, rx_path, corrupted_only):
+    """Peak bytes load_pair allocates, and the trace it returns."""
+    tracemalloc.start()
+    try:
+        trace = load_pair(tx_path, rx_path, corrupted_only=corrupted_only)
+        return tracemalloc.get_traced_memory()[1], trace
+    finally:
+        tracemalloc.stop()
+
+
+def test_corrupted_only_holds_rows_of_corrupted_frames(tmp_path):
+    """Clean frames add their columns to the load, and no payload rows."""
+    peaks = []
+    for n_clean in (0, 4000):
+        tx_text, rx_text = _pair_text(2000, n_clean)
+        pair = tmp_path / f"tx-{n_clean}.trace", tmp_path / f"rx-{n_clean}.trace"
+        pair[0].write_text(tx_text)
+        pair[1].write_text(rx_text)
+        peak, trace = _load_peak(*pair, True)
+        peaks.append(peak)
+        assert len(trace.tx) == len(trace.rx) == 2000 + n_clean
+        picked = trace.rx.corrupted()
+        assert picked.size == 2000
+        assert trace.rx.packed.shape == (picked.size, 250)
+        assert trace.tx.packed.shape == (np.unique(trace.rx.seq[picked]).size, 250)
+        assert (trace.rx.row[trace.rx.status == OK] == NOT_LOADED).all()
+    # 8000 more records, 4000 a file: about 64 bytes each
+    assert peaks[1] - peaks[0] < 8000 * 64
+    # the full load adds the clean frames' rows of both files
+    assert _load_peak(*pair, False)[0] - peaks[1] > 2 * 4000 * 250
 
 
 def test_write_peak_does_not_grow_with_records(tmp_path):
