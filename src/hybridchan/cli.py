@@ -9,9 +9,12 @@ defaults to 0.  Every runs test is at the 5% level (runstest.ALPHA).
 analyze's frames.csv gives each corrupted frame's runs-test z and p,
 empty where no z exists, and its verdict, one of runstest.VERDICTS.
 
-Exit codes: 0 success, 1 usage error (a bad flag or flag value), 2 trace
-parse error, 3 internal error (an invariant violation or any other
-ValueError).
+Exit codes: 0 success, 1 usage error (a bad flag or flag value, or an
+--out that cannot be made or written), 2 trace parse error (or an input
+file that cannot be read), 3 internal error (an invariant violation or any
+other ValueError).  A file that cannot be opened is named on stderr with
+the system's reason, as ``hybridchan: <path>: <reason>``; --out is checked
+before any input is read.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Iterable
@@ -41,7 +46,7 @@ from .trace import (
     TraceFormatError,
     UsageError,
 )
-from .traceio import _HEAD_RECORDS, load_pair, write_run, write_trace
+from .traceio import _HEAD_RECORDS, load_pair, payload_blocks, rewrite_rx, write_run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -216,7 +221,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    trace = load_pair(args.tx_trace, args.rx_trace, corrupted_only=True)
+    trace = load_pair(args.tx_trace, args.rx_trace, hold="corrupted")
     table = stats.error_table(trace, None if args.no_interleave else args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -319,7 +324,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    trace = load_pair(args.tx_trace, args.rx_trace, corrupted_only=True)
+    trace = load_pair(args.tx_trace, args.rx_trace, hold="corrupted")
     if not len(trace.rx):
         raise TraceFormatError("rx trace has no records", str(args.rx_trace))
     report = capacity_report(trace, rssi_bin_width=args.rssi_bin)
@@ -362,13 +367,20 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
-    trace = load_pair(args.tx_trace, args.rx_trace)
-    recovered, summary = recovery.recover_trace(trace, scrub=args.scrub)
+    # Only the attempted frames' payloads are held: the tx file is read as
+    # columns, then again a block at a time to score the candidates and
+    # check its hex, and recovered.trace copies each payload's hex from
+    # the rx file.
+    trace = load_pair(args.tx_trace, args.rx_trace,
+                      hold="crc" if args.scrub else "unknown-crc")
+    recovered, summary = recovery.recover_trace(
+        trace, scrub=args.scrub,
+        tx_blocks=payload_blocks(args.tx_trace, trace.tx, trace.meta))
     if summary.n_anchors < 2 and summary.n_attempted:
         print("warning: fewer than two error-free frames with a known seq "
               "to fit the clock; all corrupted frames unresolved", file=sys.stderr)
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_trace(recovered, args.out / "recovered.trace")
+    with _made_dir(args.out):
+        rewrite_rx(recovered, args.out / "recovered.trace", args.rx_trace, trace.rx)
     print(f"corrupted frames: {summary.n_corrupted}, attempted: "
           f"{summary.n_attempted}, recovered: {summary.n_recovered}, "
           f"unresolved: {summary.n_unresolved}")
@@ -386,11 +398,28 @@ _COMMANDS = {
 }
 
 
+def _check_out(out: Path) -> None:
+    """Raise the OSError that making the directory out would raise where
+    out, or the nearest of its parents that exists, is not a directory;
+    nothing is made."""
+    there = next(path for path in (out, *out.parents) if path.exists())
+    if not there.is_dir():
+        code = errno.EEXIST if there == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    inputs = {str(path) for path in (getattr(args, "tx_trace", None),
+                                     getattr(args, "rx_trace", None)) if path}
     try:
+        _check_out(args.out)
         return _COMMANDS[args.command](args)
+    except OSError as exc:
+        print(f"hybridchan: {exc.filename}: {exc.strerror}" if exc.filename
+              else f"hybridchan: {exc}", file=sys.stderr)
+        return EXIT_PARSE if exc.filename in inputs else EXIT_USAGE
     except TraceFormatError as exc:
         print(f"hybridchan: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -15,13 +15,19 @@ candidate closest to the predicted time, then to the lower seq.
 The timestamps are indexed once per trace, from its columns: the anchors
 (error-free receptions with a known seq) sorted by receive time and the
 transmit records sorted by transmit time.  The attempted frames then go
-through as arrays, a block at a time, one row per frame: its window of
-anchors, its clock fit, its candidates and their distances.  A block's
-largest temporaries stay within trace.BLOCK_BYTES.  Each frame costs a few
-bisections and work proportional to the window and candidate counts,
-O(log N) in the trace length.  "Nearest" always means smallest absolute
-time difference, with ties going to the earlier time (for equal times,
-to the earlier record).
+through in two passes.  The first takes them as arrays, a block at a
+time, one row per frame: its window of anchors, its clock fit and its
+candidates, from the timestamps alone.  The second scores every (frame,
+candidate) pair from the tx payloads, given a block of tx records at a
+time in trace order (the CLI reads them from the tx file again,
+traceio.payload_blocks): a pair is scored as the block holding its
+candidate passes, so no more than a block of tx payloads is held.  Each
+frame's best candidate is then chosen over its whole row of distances.
+Every block's largest temporaries stay within trace.BLOCK_BYTES.  Each
+frame costs a few bisections and work proportional to the window and
+candidate counts, O(log N) in the trace length.  "Nearest" always means
+smallest absolute time difference, with ties going to the earlier time
+(for equal times, to the earlier record).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .trace import CRC, OK, UNKNOWN_SEQ, Trace, row_blocks
+from .trace import CRC, OK, UNKNOWN_SEQ, Side, Trace, row_blocks
 
 WINDOW_SIZE = 50
 MAX_CANDIDATES = 5
@@ -98,7 +104,8 @@ class RecoverySummary:
         return self.n_correct / self.n_attempted
 
 
-def recover_trace(trace: Trace, scrub: bool = False) -> tuple[Trace, RecoverySummary]:
+def recover_trace(trace: Trace, scrub: bool = False,
+                  tx_blocks=None) -> tuple[Trace, RecoverySummary]:
     """Recover sequence numbers across a whole rx side.
 
     Normally only corrupted frames with unknown seq are attempted.  With
@@ -108,6 +115,13 @@ def recover_trace(trace: Trace, scrub: bool = False) -> tuple[Trace, RecoverySum
     close enough, or when fewer than two anchors or a degenerate clock fit
     leave no predicted transmit time.  Returns a trace holding the rx side
     with the new seqs.
+
+    trace.rx must hold the payloads of the attempted frames.  tx_blocks
+    gives the tx payloads as pairs (first, rows): rows[i] is the packed
+    payload of tx record first + i (traceio.payload_blocks gives them in
+    order); they must hold every candidate's.  It is read to its end,
+    whether or not a frame has candidates.  None takes them from trace.tx,
+    as one block, where a frame has any.
     """
     tx, rx = trace.tx, trace.rx
     anchors = np.flatnonzero((rx.status == OK) & (rx.seq != UNKNOWN_SEQ))
@@ -126,20 +140,24 @@ def recover_trace(trace: Trace, scrub: bool = False) -> tuple[Trace, RecoverySum
     seq[attempted] = UNKNOWN_SEQ
     # fewer than two anchors fit no clock, so nothing is resolved
     fitted = attempted if anchor_rx.size > 1 else attempted[:0]
-    # a frame's largest temporaries: a row of the window matrix, or the
-    # payload rows of its candidates
-    row_bytes = max(8 * (WINDOW_SIZE + 1), MAX_CANDIDATES * tx.packed.shape[1])
-    for rows in row_blocks(fitted.size, row_bytes):
+    # The candidates of each fitted frame, from the timestamps alone: a
+    # frame's largest temporaries are a row of the window matrix.
+    parts = []
+    for rows in row_blocks(fitted.size, 8 * (WINDOW_SIZE + 1)):
         frames = fitted[rows]
         rx_time = rx.timestamp_us[frames]
         window = _nearest(anchor_rx, rx_time.astype(np.float64), WINDOW_SIZE)
         rate, offset, ok = _ols(anchor_tx[window], anchor_rx[window])
-        frames, predicted = frames[ok], (rx_time[ok] - offset[ok]) / rate[ok]
+        predicted = (rx_time[ok] - offset[ok]) / rate[ok]
         near = _nearest(tx_times, predicted, MAX_CANDIDATES)
-        cand = tx_order[near]
-        dist = np.bitwise_count(tx.payloads(cand)
-                                ^ rx.payloads(frames)[:, None]).sum(axis=2)
-        dt = np.abs(tx_times[near] - predicted[:, None])
+        parts.append((frames[ok], tx_order[near],
+                      np.abs(tx_times[near] - predicted[:, None])))
+    frames, cand, dt = (np.concatenate(part) for part in zip(*parts)) if parts else (
+        fitted, np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0)))
+    if tx_blocks is None:
+        tx_blocks = [(0, tx.payloads(slice(None)))] if cand.size else []
+    dist = _distances(rx, frames, cand, tx_blocks)
+    if cand.size:
         best = np.lexsort((tx.seq[cand], dt, dist))[:, :1]
         hit = (np.take_along_axis(dist, best, 1)[:, 0] / trace.meta.frame_len
                < MATCH_THRESHOLD)
@@ -152,3 +170,33 @@ def recover_trace(trace: Trace, scrub: bool = False) -> tuple[Trace, RecoverySum
     summary = RecoverySummary(int(corrupted.sum()), attempted.size, n_recovered,
                               attempted.size - n_recovered, anchors.size, n_correct)
     return Trace(meta=trace.meta, rx=replace(rx, seq=seq)), summary
+
+
+def _distances(rx: Side, frames: np.ndarray, cand: np.ndarray, tx_blocks) -> np.ndarray:
+    """The Hamming distance between the payload of each rx record in frames
+    and that of each of its candidate tx records, a row of cand per frame.
+
+    The pairs are scored as the block holding their candidate passes, in
+    sub-blocks of trace.BLOCK_BYTES (row_blocks); tx_blocks is as for
+    recover_trace, and is read to its end.
+    """
+    dist = np.full(cand.size, -1, dtype=np.int64)
+    # an int32 sum of the bit counts is twice as fast as numpy's default
+    # int64 one, and holds any count of fewer than 2**31 bits
+    total = np.int32 if rx.n_bits < 2**31 else np.int64
+    # the pairs in the order of their candidates
+    pairs = np.argsort(cand, axis=None, kind="stable")
+    sorted_cand = cand.reshape(-1)[pairs]
+    for first, rows in tx_blocks:
+        lo, hi = np.searchsorted(sorted_cand, [first, first + len(rows)])
+        if hi == lo:
+            continue
+        # a pair's temporaries: its two payload rows, their XOR and its counts
+        for part in row_blocks(int(hi - lo), 2 * rows.shape[1]):
+            pair = pairs[lo + part.start:lo + part.stop]
+            dist[pair] = np.bitwise_count(
+                rows[sorted_cand[lo + part.start:lo + part.stop] - first]
+                ^ rx.payloads(frames[pair // cand.shape[1]])).sum(axis=1, dtype=total)
+    if (dist < 0).any():
+        raise ValueError("the tx blocks must hold every candidate's record")
+    return dist.reshape(cand.shape)

@@ -22,28 +22,41 @@ trace.BLOCK_BYTES written (trace.row_blocks).  write_trace lays out the
 heads of _HEAD_RECORDS records (everything before the payload) as rows of
 bytes with NUL in the unused places and deletes the NULs; then for each
 block of lines it moves each payload's hex, from one hex encode, in after
-its head.  write_run writes a simulated run's tx and rx files on the same
-meta-line and record-line code, a block of frames at a time as the
-simulator gives them, so that it never holds the run's payloads; it
+its head (_lines).  write_run writes a simulated run's tx and rx files on
+the same meta-line and record-line code, a block of frames at a time as
+the simulator gives them, so that it never holds the run's payloads; it
 validates the run's gathered columns and only then gives both files
 their names.  read_trace checks
 the heads of a block with an anchored regex, converts them with numpy and
 decodes the block's payloads, a hex decode per budget of hex, into the
 file's packed matrix, allocated once for every payload the file can
-hold.  A read may hold only some payloads (load_pair's corrupted_only):
-every payload is still decoded, only the rows it holds are copied, and
-its matrix grows as they come.  That path only accepts
+hold.  A read may hold only some payloads (load_pair's hold): every
+payload is still decoded, only the rows it holds are copied, and its
+matrix grows as they come.  That path only accepts
 and keeps no line numbers.  When it meets any malformed record line it reads the
 file again, line by line, and the first line that fails the per-line
 checks (_line_fault) names the fault.  So faults are reported in file
 order, and within a line the payload's hex is checked last.  A broken
 invariant of the columns is named at its record's line, found by reading
 the file again too.
+
+A file that load_pair has read can be read again a block at a time
+(_reread), on the same block reader, so that no pass holds more than a
+block of payload rows: payload_blocks gives a tx file's payloads a block
+at a time, and rewrite_rx writes an rx file's records with new seqs, each
+line's head formatted anew and its payload's hex copied from the file,
+on write_trace's line builder (_record_blocks).  Recovery's load reads the tx file as columns alone, so
+payload_blocks' read is the one that decodes and checks its hex; the
+rewrite decodes none, since the first read of the rx file checked it.
+Each block's columns must equal those of the first read; where they do
+not, the file changed while it was read, and that is the fault named
+(TraceFormatError, exit 2), as is a malformed line, at its line.
 """
 
 from __future__ import annotations
 
 import binascii
+import contextlib
 import itertools
 import math
 import os
@@ -186,49 +199,64 @@ def _heads(name: str, side: Side, records: slice) -> tuple[np.ndarray, np.ndarra
     heads[:, 4 + d:4 + 2 * d] = ints[:, 1]
     heads[:, 5 + 2 * d:8 + 2 * d] = _TOKENS[side.status[records]]
     heads[:, 9 + 2 * d:9 + 3 * d] = ints[:, 2]
-    heads[side.row[records] < 0, 10 + 3 * d:] = np.frombuffer(b"-\n", dtype=np.uint8)
+    heads[side.status[records] == PHY, 10 + 3 * d:] = np.frombuffer(b"-\n",
+                                                                   dtype=np.uint8)
     text = np.frombuffer(heads.tobytes().translate(None, b"\0"), dtype=np.uint8)
     return text, np.count_nonzero(heads, axis=1)
 
 
-def _lines(side: Side, records: slice, text: np.ndarray,
-           length: np.ndarray) -> np.ndarray:
-    """The text lines of the records of side in the slice, from their heads
-    joined in text and the length of each (_heads)."""
-    row = side.row[records]
-    held = row >= 0
+def _lines(text: np.ndarray, length: np.ndarray, held: np.ndarray, width: int,
+           hexes) -> np.ndarray:
+    """Text lines from heads joined in text and the length of each
+    (_heads): after the head of each record that held picks, a row of
+    width payload hex digits, and an LF.  hexes() gives those rows as a
+    matrix; it is called once the heads are placed, so that the digits
+    and the placing's temporaries are not held at once."""
     if not held.any():
         return text
     # Move the heads apart to make room for each payload and its LF.
-    width = 2 * side.packed.shape[1]
     before = (np.cumsum(held) - held) * (width + 1)
     lines = np.empty(text.size + held.sum() * (width + 1), dtype=np.uint8)
     lines[np.arange(text.size) + np.repeat(before, length)] = text
     at = (np.cumsum(length) + before)[held]
-    sliding_window_view(lines, width, writeable=True)[at] = np.frombuffer(
-        binascii.b2a_hex(side.packed[row[held]]), dtype=np.uint8).reshape(-1, width)
+    sliding_window_view(lines, width, writeable=True)[at] = hexes()
     lines[at + width] = ord("\n")
     return lines
 
 
-def _record_blocks(name: str, side: Side):
-    """The text lines of side's records, a block at a time: a block's
-    payload hex and lines take about trace.BLOCK_BYTES.
+def _record_blocks(name: str, side: Side, records: slice, hexes):
+    """The text lines of side's records in the slice records, a block at a
+    time: a block's payload hex and lines take about trace.BLOCK_BYTES.
+    hexes(rows) gives the hex digits of the payloads of side's records in
+    the slice rows, a row each.
 
     The heads are formatted for at least _HEAD_RECORDS records at a time,
     whole blocks of lines: a head is short, and its numpy calls cost as
     much for one record as for hundreds.
     """
-    line = 2 * side.packed.shape[1] + _MAX_HEAD + 2  # at most, with its LF
-    end = 0
-    for rows in row_blocks(len(side), 2 * line):  # a record's hex and its line
+    width = 2 * ((side.n_bits + 7) // 8)
+    line = width + _MAX_HEAD + 2  # at most, with its LF
+    end = records.start
+    # a record's hex and its line
+    for rows in row_blocks(records.stop - records.start, 2 * line):
+        rows = slice(records.start + rows.start, records.start + rows.stop)
         if rows.stop > end:
             lo, step = rows.start, rows.stop - rows.start
-            end = lo + step * -(-_HEAD_RECORDS // step)
+            end = min(lo + step * -(-_HEAD_RECORDS // step), records.stop)
             text, length = _heads(name, side, slice(lo, end))
             start = np.concatenate(([0], np.cumsum(length)))
         a, b = rows.start - lo, rows.stop - lo
-        yield _lines(side, rows, text[start[a]:start[b]], length[a:b])
+        yield _lines(text[start[a]:start[b]], length[a:b], side.status[rows] != PHY,
+                     width, lambda: hexes(rows))
+
+
+def _packed_hex(side: Side):
+    """A hexes for _record_blocks that encodes the payloads side holds."""
+    def hexes(rows: slice) -> np.ndarray:
+        row = side.row[rows]
+        return np.frombuffer(binascii.b2a_hex(side.packed[row[row >= 0]]),
+                             dtype=np.uint8).reshape(-1, 2 * side.packed.shape[1])
+    return hexes
 
 
 def _meta_line(meta: TraceMeta) -> bytes:
@@ -262,7 +290,8 @@ def write_trace(trace: Trace, path: str | Path) -> None:
     with Path(path).open("wb") as fh:
         fh.write(meta_line)
         for name, side in (("tx", trace.tx), ("rx", trace.rx)):
-            fh.writelines(_record_blocks(name, side))
+            fh.writelines(_record_blocks(name, side, slice(0, len(side)),
+                                         _packed_hex(side)))
 
 
 class _SideWriter:
@@ -292,7 +321,8 @@ class _SideWriter:
                              f"{self.name} records, with the first block's metadata "
                              f"and payload length")
         _check_loaded(self.name, side)
-        self.fh.writelines(_record_blocks(self.name, side))
+        self.fh.writelines(_record_blocks(self.name, side, slice(0, len(side)),
+                                          _packed_hex(side)))
         for key, column in self.columns.items():
             column.append(getattr(side, key))
 
@@ -322,9 +352,7 @@ def write_run(blocks, tx_path: str | Path, rx_path: str | Path) -> None:
     take those names only once both traces are valid.  On any exception
     both temporaries are removed, so each path keeps what it held.
     """
-    paths = [Path(tx_path), Path(rx_path)]
-    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
-    try:
+    with _replacing(Path(tx_path), Path(rx_path)) as temps:
         with temps[0].open("wb") as tx_fh, temps[1].open("wb") as rx_fh:
             writers = [_SideWriter("tx", tx_fh), _SideWriter("rx", rx_fh)]
             for tx, rx in blocks:
@@ -335,12 +363,49 @@ def write_run(blocks, tx_path: str | Path, rx_path: str | Path) -> None:
             raise ValueError("a run must have at least one block")
         for writer in writers:
             writer.trace().validate()
+
+
+@contextlib.contextmanager
+def _replacing(*paths: Path):
+    """Temporary names next to paths, one each, for the body to write; each
+    takes its path's name once the body has returned.  On any exception
+    every temporary is removed, so each path keeps what it held."""
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    try:
+        yield temps
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
     except BaseException:
         for temp in temps:
             temp.unlink(missing_ok=True)
         raise
+
+
+def rewrite_rx(trace: Trace, path: str | Path, rx_path: str | Path, rx: Side) -> None:
+    """Write trace, an rx trace whose records are those of rx but for their
+    seqs, to path; rx is the rx side of the file rx_path as load_pair read
+    it, and trace need hold none of its payloads.
+
+    Each line's head is formatted anew from trace and its payload's hex is
+    copied from rx_path, which is read again a block at a time with every
+    check (_reread).  The trace is validated first, as write_trace does,
+    and the file takes its name only once it is whole (_replacing).
+    """
+    meta_line = _meta_line(trace.meta)
+    trace.validate()
+    width = 2 * ((trace.meta.frame_len + 7) // 8)
+    with _replacing(Path(path)) as (temp,), temp.open("wb") as fh:
+        fh.write(meta_line)
+        for records, columns, mine, _, block in _reread(Path(rx_path), "rx", rx,
+                                                        trace.meta, False):
+            hex_at = columns["hex_at"][mine]
+
+            def hexes(rows: slice) -> np.ndarray:
+                at = hex_at[rows.start - records.start:rows.stop - records.start]
+                return sliding_window_view(np.frombuffer(block, dtype=np.uint8),
+                                           width)[at[at >= 0]]
+
+            fh.writelines(_record_blocks("rx", trace.rx, records, hexes))
 
 
 def _check_utf8(data: bytearray, path: Path) -> None:
@@ -494,6 +559,16 @@ def _read_meta(line: bytes, path: Path) -> TraceMeta:
     return meta
 
 
+def _meta_of(first: bytes, path: Path) -> TraceMeta | None:
+    """The metadata of a file's first line, given with its line end; None
+    if the line is not a well-formed #meta line."""
+    line = first[:-2] if first.endswith(b"\r\n") else first.rstrip(b"\n")
+    try:
+        return _read_meta(line, path)
+    except (TraceFormatError, UnicodeDecodeError):
+        return None
+
+
 def _line_spans(data, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(start, end) of each line of data[:size] that is not blank; data
     holds whole lines, the last perhaps without its LF."""
@@ -516,17 +591,18 @@ def _line_spans(data, size: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-def _read(path: Path, keep=None, rows: int | None = None) -> Trace:
+def _read(path: Path, keep=None, rows: int | None = None, *, decode: bool = True) -> Trace:
     """The trace in path, holding the payloads of the records keep picks.
 
     keep maps a block's columns (_read_block) to a mask of the records
     whose payloads to hold; None holds every payload.  rows is the number
     of payload rows to make room for at the start (more are made as they
-    come); None makes room for every payload the file can hold.
-    _read_columns reads the file; when it refuses the file, _first_fault
-    reads it again and names the fault.
+    come); None makes room for every payload the file can hold.  With
+    decode False no payload is decoded or held, so their hex digits go
+    unchecked.  _read_columns reads the file; when it refuses the file,
+    _first_fault reads it again and names the fault.
     """
-    read = _read_columns(path, keep, rows)
+    read = _read_columns(path, keep, rows, decode)
     if read is None:
         raise _first_fault(path)
     meta, columns, packed = read
@@ -552,16 +628,21 @@ def _read(path: Path, keep=None, rows: int | None = None) -> Trace:
 
 def _blocks(fh):
     """The rest of fh as (block, size): block[:size] is whole lines, the
-    last perhaps without its LF, and past them block holds at least
-    _MAX_HEAD + 1 NUL bytes.  A block holds about 4 * trace.BLOCK_BYTES of
-    text, or one line if that is longer."""
+    last perhaps without its LF, with CRLF line ends made LF, and past them
+    block holds at least _MAX_HEAD + 1 NUL bytes.  A block holds about
+    4 * trace.BLOCK_BYTES of text, or one line if that is longer.  The
+    blocks share one buffer, so each is good until the next is asked for.
+    """
     carry = b""
     capacity = 4 * _trace.BLOCK_BYTES
+    block = bytearray()
     while True:
-        block = bytearray(capacity + _MAX_HEAD + 1)
+        if len(block) != capacity + _MAX_HEAD + 1:
+            block = bytearray(capacity + _MAX_HEAD + 1)
         block[:len(carry)] = carry
         with memoryview(block) as view:
             size = len(carry) + fh.readinto(view[len(carry):capacity])
+        np.frombuffer(block, dtype=np.uint8)[size:capacity] = 0  # what a longer read left
         if size == len(carry):  # end of file
             if carry:
                 yield block, size
@@ -569,31 +650,34 @@ def _blocks(fh):
         cut = block.rfind(b"\n", 0, size) + 1
         if cut:
             carry = block[cut:size]
-            block[cut:size] = bytes(size - cut)
-            yield block, cut
+            # the guard is a fast scan; replace is not, even with no match
+            if block.find(b"\r", 0, cut) >= 0:
+                lines = block[:cut].replace(b"\r\n", b"\n")
+                yield lines + bytes(_MAX_HEAD + 1), len(lines)
+            else:
+                block[cut:size] = bytes(size - cut)
+                yield block, cut
         else:  # no whole line yet
             carry, capacity = block[:size], 2 * capacity
-        del block  # the caller drops it too, so that one block is held at a time
 
 
-def _read_block(block: bytearray, size: int, n_bits: int, packed: np.ndarray,
+def _read_block(block: bytearray, size: int, n_bits: int, packed: np.ndarray | None,
                 row: int, keep=None) -> dict[str, np.ndarray] | None:
-    """The columns of the record lines in block[:size] (see _blocks); None
-    at the first sign of a malformed record line.
+    """The columns of the record lines in block[:size] (see _blocks), a
+    Side's and "is_rx"; None at the first sign of a malformed record line.
 
     Every payload is decoded, and those of the records keep picks (see
     _read; all if keep is None) go to packed from row on, in order.
-    packed grows in place when they do not fit.
+    packed grows in place when they do not fit.  If packed is None, no
+    payload is decoded, so their hex digits go unchecked, and the columns
+    also hold "hex_at", where each line's payload hex starts in block, or
+    -1 if it has none.
     """
     if not block.isascii():  # NUL padding is ASCII
         try:
             block.decode()
         except UnicodeDecodeError:
             return None
-    if block.find(b"\r", 0, size) >= 0:
-        block = block[:size].replace(b"\r\n", b"\n")
-        size = len(block)
-        block += bytes(_MAX_HEAD + 1)
     # A valid record line holds no uppercase letter.
     if any(block.find(c, 0, size) >= 0 for c in b"ABCDEF"):
         return None
@@ -625,6 +709,10 @@ def _read_block(block: bytearray, size: int, n_bits: int, packed: np.ndarray,
         return None
 
     held = ~no_payload
+    if packed is None:
+        columns["row"] = np.where(held, NOT_LOADED, -1)
+        columns["hex_at"] = np.where(held, cut + 1, -1)
+        return columns
     kept = held if keep is None else held & keep(columns)
     need = row + int(kept.sum())
     if need > len(packed):
@@ -637,7 +725,7 @@ def _read_block(block: bytearray, size: int, n_bits: int, packed: np.ndarray,
             decoded = _unhex(sliding_window_view(byte, width)[payload[rows]], n_bits)
         except ValueError:
             return None
-        if keep is not None:
+        if not taken[rows].all():
             decoded = decoded[taken[rows]]
         if len(decoded):  # packed may have no width yet
             packed[at:at + len(decoded)] = decoded
@@ -654,10 +742,11 @@ _COLUMN_TYPES = (("is_rx", bool), ("seq", np.int64), ("timestamp_us", np.int64),
 
 
 def _read_columns(
-    path: Path, keep=None, rows: int | None = None,
+    path: Path, keep=None, rows: int | None = None, decode: bool = True,
 ) -> tuple[TraceMeta, dict[str, np.ndarray], np.ndarray] | None:
     """(meta, columns, packed payloads) of the records in path, packed
-    holding those keep picks, in room for rows of them (see _read).
+    holding those keep picks, in room for rows of them, if decode (see
+    _read).
 
     The file is read a block at a time (_read_block).  This path only
     accepts: at the first sign of a malformed record line, or of a fault of
@@ -666,20 +755,20 @@ def _read_columns(
     with path.open("rb") as fh:
         rest = os.fstat(fh.fileno()).st_size
         first = fh.readline()
-        line = first[:-2] if first.endswith(b"\r\n") else first.rstrip(b"\n")
-        try:
-            meta = _read_meta(line, path)
-        except (TraceFormatError, UnicodeDecodeError):
+        meta = _meta_of(first, path)
+        if meta is None:
             return None
         n_bits = meta.frame_len
         # Room for every payload: a line holding one is at least its hex
         # digits plus _MIN_FRAME bytes long, less the LF on the last line.
         most = (rest - len(first) + 1) // (2 * ((n_bits + 7) // 8) + _MIN_FRAME)
         rows = most if rows is None else min(rows, most)
-        packed = np.empty((rows, (n_bits + 7) // 8) if rows else (0, 0), dtype=np.uint8)
+        packed = np.empty((rows, (n_bits + 7) // 8) if rows and decode else (0, 0),
+                          dtype=np.uint8)
         parts, row = [], 0
         for block, size in _blocks(fh):
-            columns = _read_block(block, size, n_bits, packed, row, keep)
+            columns = _read_block(block, size, n_bits, packed if decode else None,
+                                  row, keep)
             del block
             if columns is None:
                 return None
@@ -739,51 +828,126 @@ def _record_fault(exc: TraceError, path: Path) -> TraceFormatError:
     return TraceFormatError(str(exc), str(path), line)
 
 
-def load_pair(tx_path: str | Path, rx_path: str | Path, *,
-              corrupted_only: bool = False) -> Trace:
+def _no_rows(columns: dict[str, np.ndarray]) -> np.ndarray:
+    """A keep (see _read) that holds no payload."""
+    return np.zeros(columns["seq"].size, dtype=bool)
+
+
+# load_pair's hold: which of the rx file's records, by status and seq, have
+# their payloads held; None holds every payload of both files.
+_HOLD = {
+    "all": None,
+    "corrupted": is_corrupted,
+    "crc": lambda status, seq: status == CRC,
+    "unknown-crc": lambda status, seq: (status == CRC) & (seq == UNKNOWN_SEQ),
+}
+
+
+def load_pair(tx_path: str | Path, rx_path: str | Path, *, hold: str = "all") -> Trace:
     """Combine a tx-side file and an rx-side file into one trace.
 
     The two files must agree on rate, frame length and interval; the trace
     keeps the rx file's meta, description included.
 
-    corrupted_only holds only the payloads the analyses of corrupted
-    frames read: those of rx.corrupted() and of the tx records at their
-    seqs.  The other records keep their columns, with row NOT_LOADED.  The
-    rx file is read first, to learn those seqs, but either way every line
-    of both files is checked, and of two faulty files the tx file's fault
-    is the one reported.
+    hold names the payloads the trace holds (_HOLD).  "all" holds every
+    payload.  Otherwise it holds those of the rx records it picks: for
+    "corrupted", rx.corrupted(), and then also the tx payloads at their
+    seqs, as the analyses of corrupted frames read them; for "crc" every
+    CRC error, and for "unknown-crc" those with seq ?, as recovery scores
+    them.  The other records keep their columns, with row NOT_LOADED.
+    Every line of both files is checked, and of two faulty files the tx
+    file's fault is the one reported; but for "crc" and "unknown-crc" the
+    tx file is read as columns alone, and the hex of its payloads is left
+    to payload_blocks, which recovery reads to its end.
     """
-    if corrupted_only:
-        # The rx file's count of corrupted records is known once it is read,
-        # so its matrix starts empty; the tx file's holds one row per seq.
-        try:
-            rx = _read(Path(rx_path), lambda columns: columns["is_rx"] & is_corrupted(
-                columns["status"], columns["seq"]), rows=0)
-        except (TraceFormatError, OSError):
-            read_trace(tx_path)  # its fault, if any, comes first
-            raise
-        wanted = rx.rx.seq[rx.rx.corrupted()]
-        tx = _read(Path(tx_path), lambda columns: ~columns["is_rx"] & np.isin(
-            columns["seq"], wanted), rows=wanted.size)
-    else:
-        tx = read_trace(tx_path)
-        rx = read_trace(rx_path)
-    if (tx.meta.rate_bps, tx.meta.frame_len, tx.meta.interval_us) != (
-        rx.meta.rate_bps,
-        rx.meta.frame_len,
-        rx.meta.interval_us,
-    ):
-        raise TraceFormatError(
-            f"metadata mismatch between {tx_path} and {rx_path}", str(rx_path)
-        )
-    merged = Trace(meta=rx.meta, tx=tx.tx, rx=rx.rx)
-    # Reading each file has validated its sides; only the pairing is new here.
-    # validate_pairing passes rx records without tx records, as one side of
-    # a trace, but a pair needs a tx record for each.
+    pick = _HOLD[hold]
+    rows = None if pick is None else 0
+    keep = None if pick is None else lambda columns: columns["is_rx"] & pick(
+        columns["status"], columns["seq"])
     try:
-        if len(merged.rx) and not len(merged.tx):
-            raise TraceError("more rx records than tx records", ("rx", 0))
-        merged.validate_pairing()
-    except TraceError as exc:
-        raise _record_fault(exc, Path(rx_path)) from exc
+        rx = _read(Path(rx_path), keep, rows)
+        if hold == "corrupted":
+            # the tx file's matrix holds one row per seq
+            wanted = rx.rx.seq[rx.rx.corrupted()]
+            tx = _read(Path(tx_path), lambda columns: ~columns["is_rx"] & np.isin(
+                columns["seq"], wanted), rows=wanted.size)
+        else:
+            tx = _read(Path(tx_path), decode=pick is None)
+        if _clock(tx.meta) != _clock(rx.meta):
+            raise TraceFormatError(
+                f"metadata mismatch between {tx_path} and {rx_path}", str(rx_path)
+            )
+        merged = Trace(meta=rx.meta, tx=tx.tx, rx=rx.rx)
+        # Reading each file has validated its sides; only the pairing is new
+        # here.  validate_pairing passes rx records without tx records, as one
+        # side of a trace, but a pair needs a tx record for each.
+        try:
+            if len(merged.rx) and not len(merged.tx):
+                raise TraceError("more rx records than tx records", ("rx", 0))
+            merged.validate_pairing()
+        except TraceError as exc:
+            raise _record_fault(exc, Path(rx_path)) from exc
+    except (TraceFormatError, OSError):
+        _read(Path(tx_path), _no_rows, 0)  # its fault, if any, comes first
+        raise
     return merged
+
+
+def _clock(meta: TraceMeta) -> tuple:
+    """What the two files of a pair must agree on: rate, frame length and
+    interval."""
+    return meta.rate_bps, meta.frame_len, meta.interval_us
+
+
+def _reread(path: Path, name: str, side: Side, meta: TraceMeta, hold: bool):
+    """The file path read again a block at a time, with every check of the
+    first read: for each block, the slice of side's records in it, the
+    block's columns (_read_block), a mask of side's records among them,
+    the packed payloads of those records if hold, and the block.  Without
+    hold no payload is decoded: the first read has checked their hex.
+
+    side is the name side of path as load_pair read it, with meta's rate,
+    frame length and interval.  A file that no longer holds side's records
+    with those columns raises TraceFormatError "file changed while it was
+    read"; one with a malformed line raises that line's fault
+    (_first_fault), which for a tx file read as columns alone may be the
+    first sign of it.
+    """
+    changed = TraceFormatError("file changed while it was read", str(path))
+
+    def of_side(columns):
+        return columns["is_rx"] == (name == "rx")
+
+    with path.open("rb") as fh:
+        again = _meta_of(fh.readline(), path)
+        if again is None or _clock(again) != _clock(meta):
+            raise changed
+        end = 0
+        for block, size in _blocks(fh):
+            packed = np.empty((0, 0), dtype=np.uint8) if hold else None
+            columns = _read_block(block, size, meta.frame_len, packed, 0, of_side)
+            if columns is None:
+                raise _first_fault(path)
+            mine = of_side(columns)
+            records = slice(end, end + int(mine.sum()))
+            if records.stop > len(side) or not all(
+                np.array_equal(columns[key][mine], getattr(side, key)[records])
+                for key in _SIDE_COLUMNS[:-1]
+            ):
+                raise changed
+            yield records, columns, mine, packed, block
+            end = records.stop
+    if end != len(side):
+        raise changed
+
+
+def payload_blocks(tx_path: str | Path, tx: Side, meta: TraceMeta):
+    """The payloads of tx, the tx side of the file tx_path as load_pair read
+    it with meta, a block at a time: pairs (first, rows), rows[i] the
+    packed payload of record first + i, in order.
+
+    The file is read again with every check (_reread), its payloads' hex
+    included, so only a block's rows are held.
+    """
+    for records, _, _, packed, _ in _reread(Path(tx_path), "tx", tx, meta, True):
+        yield records.start, packed

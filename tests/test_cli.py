@@ -370,6 +370,52 @@ class TestExitCodes:
         assert not out.exists()
 
 
+class TestUnusablePaths:
+    """An input that cannot be read exits 2 and an --out that cannot be made
+    exits 1, each with the path and the reason on one line of stderr."""
+
+    @pytest.mark.parametrize("command", ["analyze", "capacity", "recover"])
+    @pytest.mark.parametrize("which", ["tx", "rx", "both"])
+    @pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"),
+                                              ("directory", "Is a directory")])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, command, which, kind,
+                                      reason):
+        run = simulate(tmp_path, "run")
+        pair = [run / "tx.trace", run / "rx.trace"]
+        for i, name in enumerate(("tx", "rx")):
+            if which in (name, "both"):
+                pair[i] = tmp_path / f"bad-{name}.trace"
+                if kind == "directory":
+                    pair[i].mkdir()
+        out = tmp_path / "out"
+        assert run_cli([command, *pair, "--out", out]) == 2
+        # of two unreadable files the tx file is named
+        named = pair[0] if which != "rx" else pair[1]
+        assert capsys.readouterr().err == f"hybridchan: {named}: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "capacity", "recover"])
+    @pytest.mark.parametrize("under, reason", [(False, "File exists"),
+                                               (True, "Not a directory")])
+    def test_out_that_cannot_be_made_exits_1_before_any_input_is_read(
+            self, tmp_path, capsys, monkeypatch, command, under, reason):
+        run = simulate(tmp_path, "run")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = blocker / "out" if under else blocker
+
+        def loaded(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "load_pair", loaded)
+        monkeypatch.setattr(cli, "_simulate_into", loaded)
+        args = (["--frames", 10] if command == "simulate"
+                else [run / "tx.trace", run / "rx.trace"])
+        assert run_cli([command, *args, "--out", out]) == 1
+        assert capsys.readouterr().err == f"hybridchan: {out}: {reason}\n"
+        assert blocker.read_text() == "kept"
+
+
 class TestOneBudget:
     """trace.BLOCK_BYTES sizes every blocked pass, and no output depends on it."""
 
@@ -409,8 +455,8 @@ class TestOneBudget:
         crossed = [site for site, most in blocks.items() if most > 1]
         assert sorted(name for name, _ in crossed) == sorted([
             "generate_tx", "apply_channel", "_flips", "error_table", "_flip_counts",
-            "recover_trace", "_record_blocks", "_line_spans", "_read_block",
-            "_read_block"])
+            "recover_trace", "_distances", "_record_blocks", "_line_spans",
+            "_read_block", "_read_block"])
 
 
 class TestAnalyze:
@@ -726,16 +772,16 @@ class TestCorruptedOnlyLoad:
         monkeypatch.setattr(cli, "load_pair", lambda tx, rx, **kwargs: (
             loads.append(kwargs) or load_pair(tx, rx, **kwargs)))
         partial = outputs("partial")
-        assert loads == [{"corrupted_only": True}] * 3
+        assert loads == [{"hold": "corrupted"}] * 3
         monkeypatch.setattr(cli, "load_pair", lambda tx, rx, **kwargs: load_pair(tx, rx))
         assert outputs("full") == partial
-        corrupted = load_pair(*pair, corrupted_only=True).rx.corrupted()
+        corrupted = load_pair(*pair, hold="corrupted").rx.corrupted()
         assert (corrupted.size == 0) == (flags == ["--s", 1])
 
     @pytest.mark.parametrize("command", ["analyze", "capacity"])
     def test_bad_hex_on_a_row_not_loaded_exits_2(self, tmp_path, capsys, command):
         run = simulate(tmp_path, "run")
-        rx = load_pair(run / "tx.trace", run / "rx.trace", corrupted_only=True)
+        rx = load_pair(run / "tx.trace", run / "rx.trace", hold="corrupted")
         clean = int(rx.rx.seq[rx.rx.status == OK][0])
         assert rx.tx.row[clean] == hybridchan.trace.NOT_LOADED
         lines = (run / "tx.trace").read_text().splitlines()

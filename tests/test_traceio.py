@@ -533,13 +533,14 @@ def test_load_pair_fuzz_rx_side(tmp_path_factory, mutations):
     trace.validate()
 
 
-# load_pair(corrupted_only=True) against the full load: the same fault,
+# load_pair(hold="corrupted") against the full load: the same fault,
 # or the same columns and the same payloads wherever it loads them.
 
 def _pair_outcome(tx_path, rx_path, corrupted_only):
     """("read", trace) or ("fault", path, line, message) of load_pair."""
     try:
-        return "read", load_pair(tx_path, rx_path, corrupted_only=corrupted_only)
+        return "read", load_pair(tx_path, rx_path,
+                                 hold="corrupted" if corrupted_only else "all")
     except TraceFormatError as exc:
         return "fault", exc.path, exc.line, str(exc)
 
@@ -645,7 +646,7 @@ def test_load_pair_corrupted_only_meta_mismatch(tmp_path):
     tx_path, rx_path = _edge_pair(tmp_path, rx_lines=[(1, "rx 1 20040 crc -70 a7f0")])
     rx_path.write_text(rx_path.read_text().replace("R=54000000", "R=48000000"))
     with pytest.raises(TraceFormatError) as info:
-        load_pair(tx_path, rx_path, corrupted_only=True)
+        load_pair(tx_path, rx_path, hold="corrupted")
     assert str(info.value) == (
         f"{rx_path}: metadata mismatch between {tx_path} and {rx_path}")
 
@@ -658,7 +659,7 @@ def test_load_pair_corrupted_only_meta_mismatch(tmp_path):
 def test_load_pair_corrupted_only_holds_corrupted_rows(tmp_path, rx_lines, held):
     paths = _edge_pair(tmp_path, rx_lines=rx_lines)
     _partial_matches_full(*paths)
-    trace = load_pair(*paths, corrupted_only=True)
+    trace = load_pair(*paths, hold="corrupted")
     assert trace.rx.seq[trace.rx.corrupted()].tolist() == held
     assert np.flatnonzero(trace.tx.row >= 0).tolist() == held
     assert (trace.tx.row[trace.tx.row < 0] == NOT_LOADED).all()
@@ -671,7 +672,7 @@ def test_load_pair_corrupted_only_holds_corrupted_rows(tmp_path, rx_lines, held)
 
 def test_unloaded_rows_are_not_written(tmp_path):
     paths = _edge_pair(tmp_path, rx_lines=[(1, "rx 1 20040 crc -70 a7f0")])
-    trace = load_pair(*paths, corrupted_only=True)
+    trace = load_pair(*paths, hold="corrupted")
     path = tmp_path / "out.trace"
     with pytest.raises(TraceError, match="tx record 0: payload not loaded") as err:
         write_trace(trace, path)
@@ -1129,7 +1130,8 @@ def _load_peak(tx_path, rx_path, corrupted_only):
     """Peak bytes load_pair allocates, and the trace it returns."""
     tracemalloc.start()
     try:
-        trace = load_pair(tx_path, rx_path, corrupted_only=corrupted_only)
+        trace = load_pair(tx_path, rx_path,
+                          hold="corrupted" if corrupted_only else "all")
         return tracemalloc.get_traced_memory()[1], trace
     finally:
         tracemalloc.stop()
